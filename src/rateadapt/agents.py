@@ -13,9 +13,8 @@ import numpy as np
 from . import phy
 from .dqn import EpsilonSchedule, epsilon_greedy
 from .env import StepResult
-from .nn import MlpParams, mlp_forward
+from .nn import mlp_forward
 from .phy import McsTable
-from .tabular import QTable
 
 ALGORITHMS = ("dara", "dara_tabular", "ideal", "minstrel_like", "constant")
 
@@ -41,56 +40,50 @@ def ideal_select(snr_db: float, table: McsTable, p_min: float) -> int:
     return 0
 
 
-class DaraAgent(RateAdapter):
-    """DQN-based adapter: the state is the scaled mean ACK SNR."""
+class GreedyQAgent(RateAdapter):
+    """Greedy in evaluation, epsilon-greedy in training, over the Q-values
+    that `q(observation)` reads from `model`; the state is the scaled mean
+    ACK SNR."""
 
-    def __init__(self, params: MlpParams, mode: str = "evaluation",
+    def __init__(self, model, mode: str = "evaluation",
                  schedule: EpsilonSchedule | None = None,
                  rng: np.random.Generator | None = None):
         if mode not in ("training", "evaluation"):
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "training" and (schedule is None or rng is None):
             raise ValueError("training mode needs an epsilon schedule and an RNG")
-        self.params = params
+        self.model = model
         self.mode = mode
         self.schedule = schedule
         self.rng = rng
         self.train_step = 0
         self._obs = 0.0
 
-    def observe(self, result: StepResult):
-        self._obs = result.observation
-
-    def select_action(self) -> int:
-        q = mlp_forward(self.params, self._obs)
-        if self.mode == "evaluation":
-            return int(np.argmax(q))
-        return epsilon_greedy(q, self.schedule.value(self.train_step), self.rng)
-
-
-class TabularDaraAgent(RateAdapter):
-    """Same policy shape as DaraAgent but backed by a binned Q-table."""
-
-    def __init__(self, table: QTable, mode: str = "evaluation",
-                 schedule: EpsilonSchedule | None = None,
-                 rng: np.random.Generator | None = None):
-        if mode == "training" and (schedule is None or rng is None):
-            raise ValueError("training mode needs an epsilon schedule and an RNG")
-        self.table = table
-        self.mode = mode
-        self.schedule = schedule
-        self.rng = rng
-        self.train_step = 0
-        self._obs = 0.0
+    def q(self, observation: float) -> np.ndarray:
+        raise NotImplementedError
 
     def observe(self, result: StepResult):
         self._obs = result.observation
 
     def select_action(self) -> int:
-        q = self.table.row(self._obs)
+        q = self.q(self._obs)
         if self.mode == "evaluation":
             return int(np.argmax(q))
         return epsilon_greedy(q, self.schedule.value(self.train_step), self.rng)
+
+
+class DaraAgent(GreedyQAgent):
+    """DQN-based adapter; `model` is the MlpParams Q-network."""
+
+    def q(self, observation: float) -> np.ndarray:
+        return mlp_forward(self.model, observation)
+
+
+class TabularDaraAgent(GreedyQAgent):
+    """Same policy shape as DaraAgent; `model` is a binned QTable."""
+
+    def q(self, observation: float) -> np.ndarray:
+        return self.model.row(observation)
 
 
 class IdealAgent(RateAdapter):
@@ -121,8 +114,6 @@ class MinstrelLikeState:
         self.ewma = np.ones(phy.N_MCS)
         self.ewma_weight = ewma_weight
         self.probe_prob = probe_prob
-        self.attempts = np.zeros(phy.N_MCS, dtype=int)
-        self.successes = np.zeros(phy.N_MCS, dtype=int)
 
 
 def minstrel_like_select(state: MinstrelLikeState, table: McsTable,
@@ -135,15 +126,13 @@ def minstrel_like_select(state: MinstrelLikeState, table: McsTable,
     return int(np.argmax(expected))
 
 
-def minstrel_like_update(state: MinstrelLikeState, mcs: int, fsr: float,
-                         window_frames: int = 1) -> MinstrelLikeState:
+def minstrel_like_update(state: MinstrelLikeState, mcs: int,
+                         fsr: float) -> MinstrelLikeState:
     """Fold one window's FSR into the chosen MCS's EWMA."""
     if not 0.0 <= fsr <= 1.0:
         raise ValueError(f"fsr {fsr} outside [0, 1]")
     w = state.ewma_weight
     state.ewma[mcs] = (1.0 - w) * state.ewma[mcs] + w * fsr
-    state.attempts[mcs] += window_frames
-    state.successes[mcs] += round(fsr * window_frames)
     return state
 
 
@@ -152,20 +141,15 @@ class MinstrelLikeAgent(RateAdapter):
     probing, no retry chains or sample tables."""
 
     def __init__(self, table: McsTable, rng: np.random.Generator,
-                 ewma_weight: float = 0.25, probe_prob: float = 0.1,
-                 window_frames: int = 50):
+                 ewma_weight: float = 0.25, probe_prob: float = 0.1):
         self.table = table
         self.rng = rng
         self.state = MinstrelLikeState(ewma_weight, probe_prob)
-        self.window_frames = window_frames
         self._last_action = None
 
     def observe(self, result: StepResult):
         if self._last_action is not None:
-            minstrel_like_update(
-                self.state, self._last_action, result.info["fsr"],
-                self.window_frames,
-            )
+            minstrel_like_update(self.state, self._last_action, result.info["fsr"])
 
     def select_action(self) -> int:
         self._last_action = minstrel_like_select(self.state, self.table, self.rng)

@@ -93,7 +93,10 @@ def save(path, ckpt: Checkpoint):
 
 def load(path, expected_fingerprint: str | None = None,
          allow_fingerprint_mismatch: bool = False) -> Checkpoint:
-    """Read a checkpoint back, verifying the config fingerprint if given."""
+    """Read a checkpoint back, verifying the config fingerprint if given.
+
+    Any malformed header or array section raises CheckpointError.
+    """
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"checkpoint not found: {p}")
@@ -101,22 +104,27 @@ def load(path, expected_fingerprint: str | None = None,
     if not raw.startswith(MAGIC):
         raise CheckpointError(f"{p}: not a checkpoint file (bad magic)")
     try:
-        nl = raw.index(b"\n", len(MAGIC))
-        header = json.loads(raw[len(MAGIC):nl].decode("utf-8"))
-        blob = raw[nl + 1:]
-        arrays = {}
-        offset = 0
-        for entry in header["arrays"]:
-            count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-            nbytes = count * 8
-            arrays[entry["name"]] = np.frombuffer(
-                blob[offset:offset + nbytes], dtype="<f8"
-            ).reshape(entry["shape"]).copy()
-            offset += nbytes
-        if offset != len(blob):
-            raise ValueError("trailing bytes after declared arrays")
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{p}: corrupt checkpoint ({exc})") from exc
+        return _parse(p, raw, expected_fingerprint, allow_fingerprint_mismatch)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{p}: corrupt checkpoint ({exc!r})") from exc
+
+
+def _parse(p: Path, raw: bytes, expected_fingerprint,
+           allow_fingerprint_mismatch) -> Checkpoint:
+    nl = raw.index(b"\n", len(MAGIC))
+    header = json.loads(raw[len(MAGIC):nl].decode("utf-8"))
+    blob = raw[nl + 1:]
+    arrays = {}
+    offset = 0
+    for entry in header["arrays"]:
+        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
+        nbytes = count * 8
+        arrays[entry["name"]] = np.frombuffer(
+            blob[offset:offset + nbytes], dtype="<f8"
+        ).reshape(entry["shape"]).copy()
+        offset += nbytes
+    if offset != len(blob):
+        raise ValueError("trailing bytes after declared arrays")
 
     fingerprint = header.get("fingerprint", "")
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:
@@ -124,7 +132,7 @@ def load(path, expected_fingerprint: str | None = None,
                f"the current config {expected_fingerprint[:12]}...")
         if not allow_fingerprint_mismatch:
             raise CheckpointError(msg)
-        warnings.warn(msg, stacklevel=2)
+        warnings.warn(msg, stacklevel=3)
 
     if header["kind"] == "dqn":
         sizes = header["layer_sizes"]
@@ -150,6 +158,8 @@ def load(path, expected_fingerprint: str | None = None,
         return Checkpoint("dqn", params, opt, header["train_step"], fingerprint)
     if header["kind"] == "tabular":
         table = QTable(header["n_state_bins"])
+        if arrays["q_values"].shape != table.values.shape:
+            raise ValueError("q_values shape disagrees with n_state_bins")
         table.values = arrays["q_values"]
         return Checkpoint("tabular", table, None, header["train_step"], fingerprint)
     raise CheckpointError(f"{p}: unknown checkpoint kind {header['kind']!r}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from copy import deepcopy
 from importlib import resources
 
@@ -26,6 +27,8 @@ def _num(lo=None, hi=None, lo_open=False, hi_open=False):
     def check(v):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             return "must be a number"
+        if isinstance(v, float) and not math.isfinite(v):
+            return "must be finite"
         if lo is not None and (v <= lo if lo_open else v < lo):
             return f"must be {'>' if lo_open else '>='} {lo}"
         if hi is not None and (v >= hi if hi_open else v > hi):
@@ -57,10 +60,8 @@ def _choice(options):
 
 def _num_list(length=None, lo=None):
     def check(v):
-        if not isinstance(v, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in v
-        ):
-            return "must be a list of numbers"
+        if not isinstance(v, list) or any(_num()(x) for x in v):
+            return "must be a list of finite numbers"
         if length is not None and len(v) != length:
             return f"must have exactly {length} elements"
         if lo is not None and any(x <= lo for x in v):
@@ -240,6 +241,8 @@ def validate_config(raw_json: str) -> RootConfig:
             problems.append("gym.snr_lo_db must be < gym.snr_hi_db")
         if agent["warmup"] < agent["batch_size"]:
             problems.append("agent.warmup must be >= agent.batch_size")
+        if agent["algorithm"] == "dara_tabular" and agent["learning_rate"] > 1:
+            problems.append("agent.learning_rate must be <= 1 for dara_tabular")
         rates, mids = sim["phy_rates_mbps"], sim["per_midpoints_db"]
         if any(b <= a for a, b in zip(rates, rates[1:])):
             problems.append("sim.phy_rates_mbps must be strictly increasing")

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import AdamState, MlpParams, N_ACTIONS, _backward_batch, adam_step, mlp_forward
+from .nn import AdamState, MlpParams, _backward_batch, adam_step, mlp_forward
+from .phy import N_MCS
 
 
 @dataclass(frozen=True)
@@ -40,31 +41,23 @@ def epsilon_greedy(q_values, epsilon: float, rng: np.random.Generator) -> int:
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon {epsilon} outside [0, 1]")
     if epsilon > 0.0 and rng.random() < epsilon:
-        return int(rng.integers(0, N_ACTIONS))
+        return int(rng.integers(0, N_MCS))
     return int(np.argmax(q_values))
-
-
-def bellman_target(r: float, gamma: float, q_next, done: bool) -> float:
-    """r if terminal, else r + gamma * max(q_next)."""
-    return float(r) if done else float(r) + gamma * float(np.max(q_next))
 
 
 def dqn_train_step(online: MlpParams, target_net: MlpParams, opt: AdamState,
                    batch, gamma: float):
-    """One Adam step on the mean per-transition loss
-    0.5 * (Q(s)[a] - bellman_target)^2, targets from the frozen network.
+    """One Adam step on the mean per-transition loss 0.5 * (Q(s)[a] - y)^2
+    over a (s, a, r, s_next, done) batch of arrays, where y is r on terminal
+    transitions and r + gamma * max Q_target(s_next) otherwise.
 
     Returns (online, opt, loss). For a single-transition batch this is
     bit-identical to mlp_backward followed by adam_step.
     """
-    if len(batch) == 0:
+    s, a, r, s_next, done = batch
+    if len(s) == 0:
         raise ValueError("batch must be non-empty")
-    obs = np.array([t.s for t in batch], dtype=float)
-    actions = np.array([t.a for t in batch], dtype=int)
-    q_next = mlp_forward(target_net, np.array([t.s_next for t in batch]))
-    targets = np.array([
-        bellman_target(t.r, gamma, q_next[i], t.done) for i, t in enumerate(batch)
-    ])
-    grads_w, grads_b, loss = _backward_batch(online, obs, actions, targets)
+    targets = np.where(done, r, r + gamma * mlp_forward(target_net, s_next).max(axis=1))
+    grads_w, grads_b, loss = _backward_batch(online, s, a, targets)
     online, opt = adam_step(opt, online, grads_w, grads_b)
     return online, opt, loss

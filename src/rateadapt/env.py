@@ -172,7 +172,6 @@ class LinkSimEnv:
         self.log = EpisodeLog()
         self._next_tick = self.episode.log_period_s
         self._bits_since_tick = 0.0
-        self._time_since_tick = 0.0
         self.total_bits = 0.0
 
         d0 = self.mobility.start_distance_m
@@ -231,7 +230,6 @@ class LinkSimEnv:
         self.clock += window_duration
         self.total_bits += bits_ok
         self._bits_since_tick += bits_ok
-        self._time_since_tick += window_duration
         self._done = self.clock >= self.episode.duration_s
         self._advance_log()
 
@@ -262,7 +260,6 @@ class LinkSimEnv:
             throughput_mbps=thpt,
         )
         self._bits_since_tick = 0.0
-        self._time_since_tick = 0.0
 
     def _advance_log(self):
         # Regular ticks strictly before the episode end; the final record is

@@ -25,7 +25,7 @@ from .dqn import EpsilonSchedule, dqn_train_step
 from .env import LinkSimEnv, rng_streams
 from .errors import ConfigError
 from .nn import AdamState, init_mlp
-from .replay import ReplayBuffer, Transition
+from .replay import ReplayBuffer
 from .tabular import QTable, q_update_tabular
 
 
@@ -90,7 +90,6 @@ def build_eval_agent(cfg: RootConfig, checkpoint: Checkpoint | None,
             cfg.mcs_table(), agent_rng,
             ewma_weight=agent["minstrel_ewma_weight"],
             probe_prob=agent["minstrel_probe_prob"],
-            window_frames=cfg["gym"]["window_frames"],
         )
     if name == "constant":
         return ConstantAgent(agent["constant_mcs"])
@@ -164,26 +163,21 @@ def run_training(cfg: RootConfig, results_dir, progress=None):
                 result = env.step(action)
                 agent.observe(result)
                 rewards.append(result.reward)
-                transition = Transition(obs, action, result.reward,
-                                        result.observation, result.done)
                 env_steps += 1
                 if algorithm == "dara":
-                    buffer.push(transition)
+                    buffer.push(obs, action, result.reward, result.observation,
+                                result.done)
                     if (buffer.size >= agent_cfg["warmup"]
                             and env_steps % agent_cfg["train_every"] == 0):
-                        _, _, loss = dqn_train_step(online, target, opt,
-                                                    buffer.sample(
-                                                        agent_cfg["batch_size"],
-                                                        agent_rng),
-                                                    gamma)
+                        batch = buffer.sample(agent_cfg["batch_size"], agent_rng)
+                        dqn_train_step(online, target, opt, batch, gamma)
                         train_steps += 1
                         if train_steps % agent_cfg["target_sync_every"] == 0:
                             target = online.copy()
                 else:
-                    q_update_tabular(qtable, transition.s, transition.a,
-                                     transition.r, transition.s_next,
-                                     agent_cfg["learning_rate"], gamma,
-                                     transition.done)
+                    q_update_tabular(qtable, obs, action, result.reward,
+                                     result.observation, agent_cfg["learning_rate"],
+                                     gamma, result.done)
                     train_steps += 1
 
             summary = EpisodeSummary(ep, cumulative_reward(rewards),

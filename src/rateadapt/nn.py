@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-N_ACTIONS = 8
+from .phy import N_MCS
 
 
 @dataclass
@@ -30,9 +30,9 @@ class MlpParams:
     activation: str = "relu"
 
     def validate(self):
-        if self.layer_sizes[0] != 1 or self.layer_sizes[-1] != N_ACTIONS:
+        if self.layer_sizes[0] != 1 or self.layer_sizes[-1] != N_MCS:
             raise ValueError(
-                f"layer sizes must start at 1 and end at {N_ACTIONS}, "
+                f"layer sizes must start at 1 and end at {N_MCS}, "
                 f"got {self.layer_sizes}"
             )
         if len(self.weights) != len(self.layer_sizes) - 1:
@@ -62,7 +62,7 @@ def init_mlp(hidden_sizes, rng: np.random.Generator) -> MlpParams:
     differentiates the actions; it also removes init-lottery variance from
     the early episodes.
     """
-    sizes = [1, *[int(h) for h in hidden_sizes], N_ACTIONS]
+    sizes = [1, *[int(h) for h in hidden_sizes], N_MCS]
     weights, biases = [], []
     last = len(sizes) - 2
     for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
@@ -111,8 +111,8 @@ def mlp_backward(params: MlpParams, observation: float, action: int, target: flo
     Only the selected action's output error propagates; output-layer rows of
     the other actions get exactly zero gradient.
     """
-    if not 0 <= int(action) < N_ACTIONS:
-        raise ValueError(f"action {action} outside [0, {N_ACTIONS - 1}]")
+    if not 0 <= int(action) < N_MCS:
+        raise ValueError(f"action {action} outside [0, {N_MCS - 1}]")
     grads_w, grads_b, _ = _backward_batch(
         params,
         np.asarray([observation], dtype=float),

@@ -1,48 +1,46 @@
-"""Fixed-capacity FIFO replay buffer of (s, a, r, s', done) transitions."""
+"""Fixed-capacity FIFO replay buffer of (s, a, r, s', done) transitions,
+stored as five numpy columns."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RateAdaptError
 
-
-@dataclass(frozen=True)
-class Transition:
-    s: float
-    a: int
-    r: float
-    s_next: float
-    done: bool
+# Column dtypes in (s, a, r, s_next, done) order.
+_DTYPES = (float, int, float, float, bool)
 
 
 class ReplayBuffer:
-    """Ring buffer; once full, pushes overwrite strictly oldest-first."""
+    """Ring buffer; once full, pushes overwrite strictly oldest-first.
+
+    The columns come from np.empty and are never filled, so a large
+    capacity costs resident memory only for the rows actually written.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
-        self._storage = [None] * self.capacity
+        self._columns = tuple(np.empty(self.capacity, dtype=t) for t in _DTYPES)
         self._next = 0
         self.size = 0
 
-    def push(self, transition: Transition):
-        self._storage[self._next] = transition
+    def push(self, s: float, a: int, r: float, s_next: float, done: bool):
+        for column, value in zip(self._columns, (s, a, r, s_next, done)):
+            column[self._next] = value
         self._next = (self._next + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
     def sample(self, batch_size: int, rng: np.random.Generator):
-        """batch_size transitions drawn uniformly with replacement."""
+        """(s, a, r, s_next, done) arrays of batch_size rows drawn uniformly
+        with replacement."""
         if self.size == 0:
             raise RateAdaptError("cannot sample from an empty replay buffer")
         idx = rng.integers(0, self.size, size=batch_size)
-        return [self._storage[i] for i in idx]
+        return tuple(column[idx] for column in self._columns)
 
     def clear(self):
-        self._storage = [None] * self.capacity
         self._next = 0
         self.size = 0
 
@@ -50,7 +48,6 @@ class ReplayBuffer:
         return self.size
 
     def contents(self):
-        """Current transitions, oldest first (test helper)."""
-        if self.size < self.capacity:
-            return self._storage[: self.size]
-        return self._storage[self._next:] + self._storage[: self._next]
+        """(s, a, r, s_next, done) arrays of the stored rows, oldest first."""
+        order = (np.arange(self.size) + self._next - self.size) % self.capacity
+        return tuple(column[order] for column in self._columns)

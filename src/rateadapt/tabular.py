@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-N_ACTIONS = 8
+from .phy import N_MCS
+
 DEFAULT_N_BINS = 32
 
 
@@ -15,7 +16,7 @@ class QTable:
         if n_state_bins < 1:
             raise ValueError("n_state_bins must be >= 1")
         self.n_state_bins = int(n_state_bins)
-        self.values = np.zeros((self.n_state_bins, N_ACTIONS))
+        self.values = np.zeros((self.n_state_bins, N_MCS))
         self.bin_edges = np.linspace(0.0, 1.0, self.n_state_bins + 1)
 
     def bin_of(self, observation: float) -> int:
@@ -35,8 +36,8 @@ def q_update_tabular(q: QTable, s: float, a: int, r: float, s_new: float,
     The max term is dropped on terminal transitions. Updates in place and
     returns the table.
     """
-    if not 0 <= a < N_ACTIONS:
-        raise ValueError(f"action {a} outside [0, {N_ACTIONS - 1}]")
+    if not 0 <= a < N_MCS:
+        raise ValueError(f"action {a} outside [0, {N_MCS - 1}]")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha {alpha} outside [0, 1]")
     if not 0.0 <= gamma <= 1.0:

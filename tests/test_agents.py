@@ -51,8 +51,11 @@ class TestDaraSelect:
         assert np.all(np.abs(freqs - 0.125) < 0.01)
 
     def test_training_needs_schedule_and_rng(self):
-        with pytest.raises(ValueError):
-            DaraAgent(biased_net(0), mode="training")
+        for cls, q in ((DaraAgent, biased_net(0)), (TabularDaraAgent, QTable(4))):
+            with pytest.raises(ValueError):
+                cls(q, mode="training")
+            with pytest.raises(ValueError, match="unknown mode"):
+                cls(q, mode="bogus")
 
 
 class TestIdealSelect:

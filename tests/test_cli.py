@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from rateadapt import checkpoint as ckpt_io
 from rateadapt.cli import cli_main
 from rateadapt.config import default_config
 
@@ -146,6 +149,66 @@ class TestSweepAndCcdf:
         code = cli_main(["ccdf", "--config", str(cfg),
                          "--run-dir", str(tmp_path / "empty")])
         assert code == 2
+
+
+def rewrite_header(path, edit):
+    """Apply `edit` to a checkpoint's JSON header in place."""
+    raw = path.read_bytes()
+    start = len(ckpt_io.MAGIC)
+    nl = raw.index(b"\n", start)
+    header = json.loads(raw[start:nl])
+    edit(header)
+    path.write_bytes(raw[:start] + json.dumps(header).encode() + raw[nl:])
+
+
+def assert_config_error(code, capsys):
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+class TestInputHoles:
+    @pytest.mark.parametrize("section,key,value", [
+        ("sim", "duration_s", float("nan")),
+        ("sim", "duration_s", float("inf")),
+        ("sim", "speed_mps", float("nan")),
+        ("agent", "learning_rate", float("nan")),
+        ("agent", "discount", float("nan")),
+        ("gym", "snr_hi_db", float("nan")),
+        ("sim", "per_midpoints_db", [float("nan")] * 8),
+    ])
+    def test_non_finite_config_value_exit_1(self, tmp_path, capsys,
+                                            section, key, value):
+        path = write_tiny_config(tmp_path / "cfg.json")
+        data = json.loads(path.read_text())
+        data[section][key] = value
+        path.write_text(json.dumps(data))  # writes NaN / Infinity literals
+        code = cli_main(["train", "--config", str(path),
+                         "--results", str(tmp_path / "out")])
+        assert_config_error(code, capsys)
+
+    def test_tabular_learning_rate_above_one_exit_1(self, tmp_path, capsys):
+        path = write_tiny_config(tmp_path / "cfg.json", algorithm="dara_tabular",
+                                 learning_rate=2)
+        code = cli_main(["train", "--config", str(path),
+                         "--results", str(tmp_path / "out")])
+        assert_config_error(code, capsys)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.pop("kind"),
+        lambda h: h.update(layer_sizes=[1, 4, 8]),
+        lambda h: h.update(layer_sizes=[]),
+        lambda h: h.update(kind="tabular", n_state_bins=3),
+        lambda h: h.update(kind="bogus"),
+    ], ids=["no_kind", "shape_mismatch", "no_layers", "tabular_shape", "bad_kind"])
+    def test_malformed_checkpoint_header_exit_1(self, tmp_path, capsys, edit):
+        path = write_tiny_config(tmp_path / "cfg.json", episodes=1)
+        assert cli_main(["train", "--config", str(path),
+                         "--results", str(tmp_path / "train")]) == 0
+        ckpt = run_dir_of(tmp_path / "train") / "policy_ep001.ckpt"
+        rewrite_header(ckpt, edit)
+        code = cli_main(["eval", "--config", str(path), "--checkpoint", str(ckpt),
+                         "--results", str(tmp_path / "eval")])
+        assert_config_error(code, capsys)
 
 
 class TestUsage:

@@ -1,23 +1,50 @@
 import numpy as np
 import pytest
 
-from rateadapt.dqn import (EpsilonSchedule, bellman_target, dqn_train_step,
-                           epsilon_greedy)
+from rateadapt.dqn import EpsilonSchedule, dqn_train_step, epsilon_greedy
 from rateadapt.nn import AdamState, adam_step, mlp_backward, mlp_forward
-from rateadapt.replay import Transition
 from tests.test_nn import random_net
 
 
+def batch_of(rows):
+    """(s, a, r, s_next, done) column arrays, as ReplayBuffer.sample returns,
+    from a list of per-transition tuples."""
+    s, a, r, s_next, done = zip(*rows) if rows else ((),) * 5
+    return (np.array(s, dtype=float), np.array(a, dtype=int),
+            np.array(r, dtype=float), np.array(s_next, dtype=float),
+            np.array(done, dtype=bool))
+
+
 class TestBellmanTarget:
+    """The targets dqn_train_step regresses on, read back through its loss
+    0.5 * mean((Q(s)[a] - y)^2) against hand-computed y."""
+
+    def loss_and_q(self, rows, gamma):
+        online = random_net([8, 5], np.random.default_rng(21))
+        target = random_net([8, 5], np.random.default_rng(22))
+        batch = batch_of(rows)
+        q = mlp_forward(online, batch[0])[np.arange(len(rows)), batch[1]]
+        q_next_max = mlp_forward(target, batch[3]).max(axis=1)
+        opt = AdamState.for_params(online, 0.01)
+        _, _, loss = dqn_train_step(online, target, opt, batch, gamma)
+        return loss, q, q_next_max
+
     def test_terminal(self):
-        assert bellman_target(0.8, 0.9, [5.0] * 8, done=True) == 0.8
+        loss, q, _ = self.loss_and_q([(0.4, 3, 0.8, 0.6, True)], gamma=0.9)
+        assert loss == pytest.approx(0.5 * (q[0] - 0.8) ** 2, rel=1e-12)
 
     def test_nonterminal(self):
-        q_next = [0.1, 0.6, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0]
-        assert bellman_target(0.5, 0.5, q_next, done=False) == pytest.approx(0.8)
+        rows = [(0.4, 3, 0.5, 0.6, False), (0.1, 0, 0.2, 0.9, True),
+                (0.7, 6, 0.9, 0.3, False)]
+        loss, q, q_next_max = self.loss_and_q(rows, gamma=0.5)
+        y = [0.5 + 0.5 * q_next_max[0], 0.2, 0.9 + 0.5 * q_next_max[2]]
+        expected = np.mean([0.5 * (q[i] - y[i]) ** 2 for i in range(3)])
+        assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_zero_discount(self):
-        assert bellman_target(0.3, 0.0, [100.0] * 8, done=False) == 0.3
+        loss, q, q_next_max = self.loss_and_q([(0.4, 3, 0.3, 0.6, False)], gamma=0.0)
+        assert q_next_max[0] != 0.0
+        assert loss == pytest.approx(0.5 * (q[0] - 0.3) ** 2, rel=1e-12)
 
 
 class TestEpsilonGreedy:
@@ -77,10 +104,10 @@ class TestDqnTrainStep:
         states = [0.2, 0.2, 0.2, 0.7, 0.7, 0.7]
         actions = [0, 1, 2, 0, 1, 2]
         q_batch = mlp_forward(online, np.asarray(states))
-        batch = [
-            Transition(s, a, float(q_batch[i, a]), 0.5, True)
+        batch = batch_of([
+            (s, a, float(q_batch[i, a]), 0.5, True)
             for i, (s, a) in enumerate(zip(states, actions))
-        ]
+        ])
         before = online.copy()
         _, _, loss = dqn_train_step(online, target, opt, batch, gamma)
         assert loss == pytest.approx(0.0, abs=1e-24)
@@ -93,14 +120,15 @@ class TestDqnTrainStep:
         online_b = online_a.copy()
         target = random_net([8, 5], np.random.default_rng(13))
         gamma = 0.5
-        tr = Transition(0.4, 3, 0.7, 0.6, False)
+        s, a, r, s_next = 0.4, 3, 0.7, 0.6
 
         opt_a = AdamState.for_params(online_a, 0.01)
-        _, _, _ = dqn_train_step(online_a, target, opt_a, [tr], gamma)
+        dqn_train_step(online_a, target, opt_a, batch_of([(s, a, r, s_next, False)]),
+                       gamma)
 
         opt_b = AdamState.for_params(online_b, 0.01)
-        tgt = bellman_target(tr.r, gamma, mlp_forward(target, tr.s_next), tr.done)
-        gw, gb = mlp_backward(online_b, tr.s, tr.a, tgt)
+        tgt = r + gamma * float(np.max(mlp_forward(target, s_next)))
+        gw, gb = mlp_backward(online_b, s, a, tgt)
         adam_step(opt_b, online_b, gw, gb)
 
         for a, b in zip(online_a.weights + online_a.biases,
@@ -113,12 +141,9 @@ class TestDqnTrainStep:
         target = random_net([6], np.random.default_rng(15))
         opt = AdamState.for_params(online, 0.001)
         for _ in range(5):
-            batch = [
-                Transition(float(rng.uniform(0, 1)), int(rng.integers(0, 8)),
-                           float(rng.uniform(0, 1)), float(rng.uniform(0, 1)),
-                           bool(rng.integers(0, 2)))
-                for _ in range(16)
-            ]
+            batch = (rng.uniform(0, 1, 16), rng.integers(0, 8, 16),
+                     rng.uniform(0, 1, 16), rng.uniform(0, 1, 16),
+                     rng.integers(0, 2, 16).astype(bool))
             _, _, loss = dqn_train_step(online, target, opt, batch, 0.5)
             assert np.isfinite(loss) and loss >= 0
 
@@ -127,4 +152,4 @@ class TestDqnTrainStep:
         online = random_net([4], rng)
         opt = AdamState.for_params(online, 0.01)
         with pytest.raises(ValueError):
-            dqn_train_step(online, online.copy(), opt, [], 0.5)
+            dqn_train_step(online, online.copy(), opt, batch_of([]), 0.5)

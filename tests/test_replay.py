@@ -3,58 +3,76 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rateadapt.errors import RateAdaptError
-from rateadapt.replay import ReplayBuffer, Transition
+from rateadapt.replay import ReplayBuffer
 
 
-def t(tag: int) -> Transition:
-    return Transition(s=tag / 100.0, a=tag % 8, r=0.0, s_next=0.0, done=False)
+def push_tags(buf: ReplayBuffer, tags):
+    """Push one transition per tag; its state is tag/100 and its action tag%8."""
+    for tag in tags:
+        buf.push(tag / 100.0, tag % 8, float(tag), 0.5, tag % 2 == 1)
+
+
+def columns_of(tags):
+    """The (s, a, r, s_next, done) columns push_tags writes for `tags`."""
+    tags = np.asarray(list(tags), dtype=int)
+    return (tags / 100.0, tags % 8, tags.astype(float),
+            np.full(len(tags), 0.5), tags % 2 == 1)
+
+
+def assert_columns_equal(got, want):
+    assert len(got) == len(want) == 5
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 class TestPush:
     def test_fifo_eviction(self):
         buf = ReplayBuffer(2)
-        for i in (1, 2, 3):
-            buf.push(t(i))
-        assert buf.contents() == [t(2), t(3)]
+        push_tags(buf, (1, 2, 3))
+        assert_columns_equal(buf.contents(), columns_of((2, 3)))
 
     def test_size_counts_up_to_capacity(self):
         buf = ReplayBuffer(5)
         for i in range(3):
-            buf.push(t(i))
+            push_tags(buf, [i])
             assert len(buf) == i + 1
-        for i in range(10):
-            buf.push(t(i))
+        push_tags(buf, range(10))
         assert len(buf) == 5
 
     def test_large_capacity_accepted(self):
         buf = ReplayBuffer(10**6)
-        buf.push(t(0))
+        push_tags(buf, [0])
         assert buf.capacity == 10**6
+
+    def test_clear_restarts_empty(self):
+        buf = ReplayBuffer(3)
+        push_tags(buf, range(5))
+        buf.clear()
+        assert len(buf) == 0
+        push_tags(buf, (8, 9))
+        assert_columns_equal(buf.contents(), columns_of((8, 9)))
 
     @given(st.integers(min_value=1, max_value=20), st.integers(min_value=0, max_value=60))
     @settings(max_examples=50)
     def test_never_exceeds_capacity_and_keeps_newest(self, cap, n):
         buf = ReplayBuffer(cap)
-        for i in range(n):
-            buf.push(t(i))
+        push_tags(buf, range(n))
         assert len(buf) == min(n, cap)
-        expected = [t(i) for i in range(max(0, n - cap), n)]
-        assert buf.contents() == expected
+        assert_columns_equal(buf.contents(), columns_of(range(max(0, n - cap), n)))
 
 
 class TestSample:
     def test_exact_batch_size(self):
         buf = ReplayBuffer(100)
-        for i in range(10):
-            buf.push(t(i))
+        push_tags(buf, range(10))
         batch = buf.sample(64, np.random.default_rng(0))
-        assert len(batch) == 64
+        assert [len(column) for column in batch] == [64] * 5
 
     def test_single_item_buffer(self):
         buf = ReplayBuffer(10)
-        buf.push(t(7))
+        push_tags(buf, [7])
         batch = buf.sample(5, np.random.default_rng(0))
-        assert batch == [t(7)] * 5
+        assert_columns_equal(batch, columns_of([7] * 5))
 
     def test_empty_buffer_raises(self):
         with pytest.raises(RateAdaptError):
@@ -62,9 +80,8 @@ class TestSample:
 
     def test_uniformity(self):
         buf = ReplayBuffer(10)
-        for i in range(10):
-            buf.push(t(i))
+        push_tags(buf, range(10))
         rng = np.random.default_rng(123)
-        draws = buf.sample(100_000, rng)
-        freqs = np.bincount([round(x.s * 100) for x in draws], minlength=10) / 100_000
+        s, _, _, _, _ = buf.sample(100_000, rng)
+        freqs = np.bincount(np.round(s * 100).astype(int), minlength=10) / 100_000
         assert np.all(np.abs(freqs - 0.1) < 0.01)
