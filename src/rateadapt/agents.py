@@ -32,8 +32,6 @@ class RateAdapter:
 def ideal_select(snr_db: float, table: McsTable, p_min: float) -> int:
     """Highest MCS whose predicted frame success probability meets p_min;
     falls back to MCS 0 when none qualifies."""
-    if not 0.0 < p_min < 1.0:
-        raise ValueError(f"p_min {p_min} outside (0, 1)")
     for mcs in reversed(table.entries):
         if phy.frame_success_prob(snr_db, mcs) >= p_min:
             return mcs.index
@@ -90,8 +88,6 @@ class IdealAgent(RateAdapter):
     """Oracle baseline reading the true SNR from the simulator side-channel."""
 
     def __init__(self, table: McsTable, p_min: float = 0.9):
-        if not 0.0 < p_min < 1.0:
-            raise ValueError(f"p_min {p_min} outside (0, 1)")
         self.table = table
         self.p_min = p_min
         self._snr = -np.inf
@@ -107,10 +103,6 @@ class MinstrelLikeState:
     """EWMA success statistics per MCS, optimistically initialized."""
 
     def __init__(self, ewma_weight: float = 0.25, probe_prob: float = 0.1):
-        if not 0.0 <= ewma_weight <= 1.0:
-            raise ValueError("ewma_weight outside [0, 1]")
-        if not 0.0 <= probe_prob <= 1.0:
-            raise ValueError("probe_prob outside [0, 1]")
         self.ewma = np.ones(phy.N_MCS)
         self.ewma_weight = ewma_weight
         self.probe_prob = probe_prob
@@ -160,8 +152,6 @@ class ConstantAgent(RateAdapter):
     """Control baseline: always the same MCS."""
 
     def __init__(self, fixed_mcs: int):
-        if not 0 <= int(fixed_mcs) < phy.N_MCS:
-            raise ValueError(f"fixed_mcs {fixed_mcs} outside [0, 7]")
         self.fixed_mcs = int(fixed_mcs)
 
     def observe(self, result: StepResult):

@@ -63,7 +63,6 @@ def save(path, ckpt: Checkpoint):
     if ckpt.kind == "dqn":
         params: MlpParams = ckpt.params
         header["layer_sizes"] = list(params.layer_sizes)
-        header["activation"] = params.activation
         if ckpt.opt is not None:
             header["adam"] = {
                 "learning_rate": ckpt.opt.learning_rate,
@@ -141,7 +140,6 @@ def _parse(p: Path, raw: bytes, expected_fingerprint,
             sizes,
             [arrays[f"w{i}"] for i in range(n_layers)],
             [arrays[f"b{i}"] for i in range(n_layers)],
-            header.get("activation", "relu"),
         )
         params.validate()
         opt = None
@@ -157,6 +155,8 @@ def _parse(p: Path, raw: bytes, expected_fingerprint,
             )
         return Checkpoint("dqn", params, opt, header["train_step"], fingerprint)
     if header["kind"] == "tabular":
+        if header["n_state_bins"] < 1:
+            raise ValueError("n_state_bins must be >= 1")
         table = QTable(header["n_state_bins"])
         if arrays["q_values"].shape != table.values.shape:
             raise ValueError("q_values shape disagrees with n_state_bins")

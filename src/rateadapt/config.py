@@ -6,6 +6,10 @@ name), `gym` (observation scaling and decision-window parameters) and `sim`
 (PHY, traffic, mobility and episode parameters). Key names carry explicit
 units (_mhz, _dbm, _s, _bytes) so values cannot silently drift. Unknown keys
 are rejected.
+
+This module is the one place where config values are validated: SCHEMA
+holds the per-key rules and validate_config the cross-field ones. Library
+constructors trust their arguments, which reach them through a RootConfig.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ def _int_list_nonempty(v):
 SCHEMA = {
     "agent": {
         "algorithm": ("dara", _choice(ALGORITHMS)),
-        "seed": (1, _int()),
+        "seed": (1, _int(lo=0)),
         "episodes": (15, _int(lo=1)),
         "learning_rate": (0.01, _num(lo=0, lo_open=True)),
         "discount": (0.5, _num(lo=0, hi=1)),
@@ -241,6 +245,8 @@ def validate_config(raw_json: str) -> RootConfig:
             problems.append("gym.snr_lo_db must be < gym.snr_hi_db")
         if agent["warmup"] < agent["batch_size"]:
             problems.append("agent.warmup must be >= agent.batch_size")
+        if agent["warmup"] > agent["replay_capacity"]:
+            problems.append("agent.warmup must be <= agent.replay_capacity")
         if agent["algorithm"] == "dara_tabular" and agent["learning_rate"] > 1:
             problems.append("agent.learning_rate must be <= 1 for dara_tabular")
         rates, mids = sim["phy_rates_mbps"], sim["per_midpoints_db"]

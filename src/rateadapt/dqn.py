@@ -19,15 +19,6 @@ class EpsilonSchedule:
     end: float = 0.1
     decay_steps: int = 10_000
 
-    def __post_init__(self):
-        if self.mode not in ("fixed", "linear"):
-            raise ValueError(f"unknown epsilon mode {self.mode!r}")
-        for v in (self.start, self.end):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"epsilon value {v} outside [0, 1]")
-        if self.decay_steps < 1:
-            raise ValueError("decay_steps must be >= 1")
-
     def value(self, train_step: int) -> float:
         if self.mode == "fixed":
             return self.start
@@ -38,8 +29,6 @@ class EpsilonSchedule:
 def epsilon_greedy(q_values, epsilon: float, rng: np.random.Generator) -> int:
     """Argmax with probability 1-epsilon (ties break to the lowest index),
     otherwise a uniformly random action."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon {epsilon} outside [0, 1]")
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(0, N_MCS))
     return int(np.argmax(q_values))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import phy
-from .errors import ConfigError, EpisodeEndedError
+from .errors import EpisodeEndedError
 from .phy import ChannelParams, McsEntry, McsTable
 
 
@@ -26,21 +26,8 @@ class MobilityConfig:
     start_distance_m: float = 1.0
     speed_mps: float = 20.0
 
-    def __post_init__(self):
-        problems = []
-        if self.start_distance_m < phy.MINIMUM_DISTANCE_M:
-            problems.append(
-                f"start_distance_m must be >= {phy.MINIMUM_DISTANCE_M}"
-            )
-        if self.speed_mps < 0:
-            problems.append("speed_mps must be >= 0")
-        if problems:
-            raise ConfigError(problems)
-
     def position_at(self, t: float) -> float:
         """Receiver distance from the stationary sender at time t."""
-        if t < 0:
-            raise ValueError(f"time must be >= 0, got {t}")
         return self.start_distance_m + self.speed_mps * t
 
 
@@ -48,15 +35,6 @@ class MobilityConfig:
 class TrafficConfig:
     payload_bytes: int = 1400
     overhead_s: float = 100e-6
-
-    def __post_init__(self):
-        problems = []
-        if self.payload_bytes <= 0:
-            problems.append("payload_bytes must be > 0")
-        if self.overhead_s < 0:
-            problems.append("overhead_s must be >= 0")
-        if problems:
-            raise ConfigError(problems)
 
     @property
     def payload_bits(self) -> int:
@@ -68,17 +46,6 @@ class EpisodeConfig:
     duration_s: float = 60.0
     window_frames: int = 50
     log_period_s: float = 1.0
-
-    def __post_init__(self):
-        problems = []
-        if self.duration_s <= 0:
-            problems.append("duration_s must be > 0")
-        if self.window_frames < 1:
-            problems.append("window_frames must be >= 1")
-        if self.log_period_s <= 0:
-            problems.append("log_period_s must be > 0")
-        if problems:
-            raise ConfigError(problems)
 
 
 @dataclass(frozen=True)
@@ -145,8 +112,6 @@ class LinkSimEnv:
                  mobility: MobilityConfig, traffic: TrafficConfig,
                  episode: EpisodeConfig, snr_lo_db: float = 0.0,
                  snr_hi_db: float = 40.0):
-        if snr_lo_db >= snr_hi_db:
-            raise ConfigError("snr_lo_db must be < snr_hi_db")
         self.channel = channel
         self.table = table
         self.mobility = mobility

@@ -41,9 +41,9 @@ class EpisodeSummary:
 class SweepConfig:
     """Cross-product grid of learning rates and hidden-layer architectures."""
 
-    learning_rates: tuple = (0.1, 0.01, 0.001, 0.0001)
-    architectures: tuple = ((32, 32), (16, 16, 16), (64,), (32,), (64, 64))
-    seeds: tuple = (1,)
+    learning_rates: tuple
+    architectures: tuple
+    seeds: tuple
 
     def __post_init__(self):
         if not self.learning_rates or not self.architectures or not self.seeds:

@@ -27,7 +27,6 @@ class MlpParams:
     layer_sizes: list
     weights: list
     biases: list
-    activation: str = "relu"
 
     def validate(self):
         if self.layer_sizes[0] != 1 or self.layer_sizes[-1] != N_MCS:
@@ -49,7 +48,6 @@ class MlpParams:
             list(self.layer_sizes),
             [w.copy() for w in self.weights],
             [b.copy() for b in self.biases],
-            self.activation,
         )
 
 
@@ -94,15 +92,6 @@ def mlp_forward(params: MlpParams, observation) -> np.ndarray:
     x = obs.reshape(-1, 1)
     out, _, _ = _forward_cached(params, x)
     return out[0] if scalar else out
-
-
-def mse_loss(pred, target) -> float:
-    """Mean of squared differences."""
-    p = np.asarray(pred, dtype=float)
-    t = np.asarray(target, dtype=float)
-    if p.shape != t.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {t.shape}")
-    return float(np.mean((p - t) ** 2))
 
 
 def mlp_backward(params: MlpParams, observation: float, action: int, target: float):

@@ -10,17 +10,14 @@ invertible and keeps the whole PHY abstraction two parameters per rate.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
-#: Distances below this are clamped before the Friis formula to avoid the
-#: near-field singularity at d -> 0.
+#: The config schema's lower bound for the start distance; the receiver
+#: only moves away, so the Friis formula never sees the d -> 0 singularity.
 MINIMUM_DISTANCE_M = 0.1
 
 N_MCS = 8
@@ -42,17 +39,6 @@ class ChannelParams:
     bandwidth_hz: float = 20e6
     noise_figure_db: float = 7.0
 
-    def __post_init__(self):
-        problems = []
-        if not (self.frequency_hz > 0):
-            problems.append("frequency_hz must be > 0")
-        if not (self.bandwidth_hz > 0):
-            problems.append("bandwidth_hz must be > 0")
-        if self.noise_figure_db < 0:
-            problems.append("noise_figure_db must be >= 0")
-        if problems:
-            raise ConfigError(problems)
-
 
 @dataclass(frozen=True)
 class McsEntry:
@@ -63,35 +49,12 @@ class McsEntry:
     midpoint_snr_db: float
     slope_per_db: float
 
-    def __post_init__(self):
-        if not 0 <= self.index < N_MCS:
-            raise ConfigError(f"MCS index {self.index} outside [0, {N_MCS - 1}]")
-        if self.slope_per_db <= 0:
-            raise ConfigError("slope_per_db must be > 0")
-
 
 class McsTable:
-    """Exactly eight MCS entries, with rate and midpoint increasing in index."""
+    """The eight MCS entries in index order; the config guarantees that rate
+    and midpoint increase with the index."""
 
     def __init__(self, entries):
-        entries = sorted(entries, key=lambda e: e.index)
-        problems = []
-        if len(entries) != N_MCS:
-            problems.append(f"expected {N_MCS} MCS entries, got {len(entries)}")
-        else:
-            if [e.index for e in entries] != list(range(N_MCS)):
-                problems.append("MCS indices must be exactly 0..7")
-            for lo, hi in zip(entries, entries[1:]):
-                if hi.phy_rate_mbps <= lo.phy_rate_mbps:
-                    problems.append(
-                        f"phy_rate_mbps not strictly increasing at index {hi.index}"
-                    )
-                if hi.midpoint_snr_db <= lo.midpoint_snr_db:
-                    problems.append(
-                        f"midpoint_snr_db not strictly increasing at index {hi.index}"
-                    )
-        if problems:
-            raise ConfigError(problems)
         self.entries = tuple(entries)
 
     def __len__(self):
@@ -121,23 +84,9 @@ class McsTable:
         )
 
 
-def clamp_distance(distance_m: float) -> float:
-    """Clamp a distance to the minimum modelled distance, warning if needed."""
-    if not math.isfinite(distance_m) or distance_m <= 0:
-        raise ValueError(f"distance must be finite and > 0, got {distance_m}")
-    if distance_m < MINIMUM_DISTANCE_M:
-        warnings.warn(
-            f"distance {distance_m} m below minimum {MINIMUM_DISTANCE_M} m; clamped",
-            stacklevel=2,
-        )
-        return MINIMUM_DISTANCE_M
-    return distance_m
-
-
 def friis_path_loss(distance_m: float, params: ChannelParams) -> float:
     """Free-space path loss in dB: 20*log10(4*pi*d*f/c)."""
-    d = clamp_distance(distance_m)
-    return 20.0 * math.log10(4.0 * math.pi * d * params.frequency_hz / SPEED_OF_LIGHT)
+    return 20.0 * math.log10(4.0 * math.pi * distance_m * params.frequency_hz / SPEED_OF_LIGHT)
 
 
 def noise_power_dbm(params: ChannelParams) -> float:
@@ -163,6 +112,4 @@ def frame_success_prob(snr: float, mcs: McsEntry):
 
 def scale_snr(snr: float, lo_db: float, hi_db: float) -> float:
     """Map an SNR in dB to the [0, 1] observation range, clamping outside."""
-    if lo_db >= hi_db:
-        raise ConfigError(f"SNR scaling bounds require lo < hi, got [{lo_db}, {hi_db}]")
     return min(1.0, max(0.0, (snr - lo_db) / (hi_db - lo_db)))

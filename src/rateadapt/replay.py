@@ -19,8 +19,6 @@ class ReplayBuffer:
     """
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
         self._columns = tuple(np.empty(self.capacity, dtype=t) for t in _DTYPES)
         self._next = 0

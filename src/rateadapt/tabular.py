@@ -13,8 +13,6 @@ class QTable:
     """Q(s, a) over n_state_bins equal-width bins of the [0, 1] observation."""
 
     def __init__(self, n_state_bins: int = DEFAULT_N_BINS):
-        if n_state_bins < 1:
-            raise ValueError("n_state_bins must be >= 1")
         self.n_state_bins = int(n_state_bins)
         self.values = np.zeros((self.n_state_bins, N_MCS))
         self.bin_edges = np.linspace(0.0, 1.0, self.n_state_bins + 1)
@@ -38,10 +36,6 @@ def q_update_tabular(q: QTable, s: float, a: int, r: float, s_new: float,
     """
     if not 0 <= a < N_MCS:
         raise ValueError(f"action {a} outside [0, {N_MCS - 1}]")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha {alpha} outside [0, 1]")
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma {gamma} outside [0, 1]")
     si = q.bin_of(s)
     future = 0.0 if done else gamma * float(np.max(q.row(s_new)))
     q.values[si, a] = (1.0 - alpha) * q.values[si, a] + alpha * (r + future)

@@ -93,12 +93,6 @@ class TestIdealSelect:
             if a != 0:
                 assert phy.frame_success_prob(snr, TABLE[a]) >= 0.9
 
-    def test_p_min_guard(self):
-        with pytest.raises(ValueError):
-            ideal_select(10.0, TABLE, 0.0)
-        with pytest.raises(ValueError):
-            ideal_select(10.0, TABLE, 1.0)
-
 
 class TestMinstrelLike:
     def test_all_optimistic_picks_top_rate(self):
@@ -156,10 +150,6 @@ class TestConstant:
         agent = ConstantAgent(mcs)
         agent.observe(step_with())
         assert all(agent.select_action() == mcs for _ in range(10))
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            ConstantAgent(9)
 
 
 class TestAllAdaptersInRange:

@@ -72,6 +72,12 @@ class TestFailureModes:
         with pytest.raises(CheckpointError):
             ckpt_io.load(path)
 
+    def test_zero_state_bins_rejected(self, tmp_path):
+        path = tmp_path / "policy.ckpt"
+        ckpt_io.save(path, Checkpoint("tabular", QTable(0), None, 0, "abc"))
+        with pytest.raises(CheckpointError):
+            ckpt_io.load(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.ckpt"
         path.write_bytes(b"not a checkpoint")

@@ -5,6 +5,7 @@ import pytest
 from rateadapt import checkpoint as ckpt_io
 from rateadapt.cli import cli_main
 from rateadapt.config import default_config
+from tests.test_config import REJECTED, apply_overrides, row_id
 
 
 def write_tiny_config(path, **agent_overrides):
@@ -183,6 +184,25 @@ class TestInputHoles:
         data[section][key] = value
         path.write_text(json.dumps(data))  # writes NaN / Infinity literals
         code = cli_main(["train", "--config", str(path),
+                         "--results", str(tmp_path / "out")])
+        assert_config_error(code, capsys)
+
+    @pytest.mark.parametrize("overrides", REJECTED, ids=row_id)
+    def test_config_layer_rejection_exit_1(self, tmp_path, capsys, overrides):
+        path = write_tiny_config(tmp_path / "cfg.json")
+        data = apply_overrides(json.loads(path.read_text()), overrides)
+        path.write_text(json.dumps(data))
+        code = cli_main(["train", "--config", str(path),
+                         "--results", str(tmp_path / "out")])
+        assert_config_error(code, capsys)
+
+    @pytest.mark.parametrize("command,algorithm,seed", [
+        ("train", "dara", "-1"),
+        ("eval", "constant", "-5"),
+    ])
+    def test_negative_seed_exit_1(self, tmp_path, capsys, command, algorithm, seed):
+        path = write_tiny_config(tmp_path / "cfg.json", algorithm=algorithm)
+        code = cli_main([command, "--config", str(path), "--seed", seed,
                          "--results", str(tmp_path / "out")])
         assert_config_error(code, capsys)
 

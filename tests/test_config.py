@@ -2,9 +2,72 @@ import json
 
 import pytest
 
+from rateadapt import phy
 from rateadapt.config import (default_config, reference_config_text,
                               validate_config)
 from rateadapt.errors import ConfigError
+
+RATES = list(phy.DEFAULT_PHY_RATES_MBPS)
+
+# Values that a library constructor or per-call guard used to reject. The
+# config is now the only layer that checks them, so each one must fail here,
+# with a violation naming the first key of its row.
+REJECTED = [
+    {"sim.frequency_mhz": 0.0},
+    {"sim.bandwidth_mhz": 0.0},
+    {"sim.noise_figure_db": -0.1},
+    pytest.param({"sim.per_slopes_per_db": [1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0]},
+                 id="sim.per_slopes_per_db=zero_slope"),
+    pytest.param({"sim.phy_rates_mbps": RATES[:7]},
+                 id="sim.phy_rates_mbps=seven_rates"),
+    pytest.param({"sim.phy_rates_mbps": [6.5, 13.0, 12.0, *RATES[3:]]},
+                 id="sim.phy_rates_mbps=non_increasing"),
+    pytest.param({"sim.per_midpoints_db": [5.0, 8.0, 11.0, 11.0, 18.0, 21.0, 24.0, 26.0]},
+                 id="sim.per_midpoints_db=non_increasing"),
+    {"sim.start_distance_m": 0.01},
+    {"sim.start_distance_m": float("nan")},
+    {"sim.start_distance_m": float("inf")},
+    {"sim.speed_mps": -1.0},
+    {"sim.payload_bytes": 0},
+    {"sim.overhead_s": -1e-6},
+    {"sim.duration_s": 0.0},
+    {"sim.log_period_s": 0.0},
+    {"gym.window_frames": 0},
+    {"gym.snr_lo_db": 40.0},
+    {"gym.snr_hi_db": -1.0},
+    {"agent.epsilon_mode": "exponential"},
+    {"agent.epsilon_start": 1.1},
+    {"agent.epsilon_end": -0.1},
+    {"agent.epsilon_decay_steps": 0},
+    {"agent.n_state_bins": 0},
+    pytest.param({"agent.learning_rate": 1.5, "agent.algorithm": "dara_tabular"},
+                 id="agent.learning_rate=1.5_tabular"),
+    {"agent.discount": -0.1},
+    {"agent.ideal_p_min": 0.0},
+    {"agent.ideal_p_min": 1.0},
+    {"agent.minstrel_probe_prob": 1.5},
+    {"agent.minstrel_ewma_weight": -0.1},
+    {"agent.constant_mcs": 8},
+    {"agent.replay_capacity": 0},
+    {"agent.seed": -1},
+]
+
+
+def row_id(overrides):
+    key, value = next(iter(overrides.items()))
+    return f"{key}={value}"
+
+
+def apply_overrides(data, overrides):
+    """Set each dotted `section.key` of `overrides` in the config dict."""
+    for dotted, value in overrides.items():
+        section, key = dotted.split(".")
+        data[section][key] = value
+    return data
+
+
+def names_key(violation, key):
+    return key in violation.replace(":", " ").split()
 
 
 class TestValidation:
@@ -71,6 +134,19 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_config(raw)
 
+    def test_warmup_above_replay_capacity(self):
+        raw = json.dumps({"agent": {"warmup": 101, "replay_capacity": 100},
+                          "gym": {}, "sim": {}})
+        with pytest.raises(ConfigError) as err:
+            validate_config(raw)
+        assert any(names_key(v, "agent.replay_capacity")
+                   for v in err.value.violations)
+
+    def test_warmup_equal_to_replay_capacity_accepted(self):
+        raw = json.dumps({"agent": {"warmup": 100, "replay_capacity": 100},
+                          "gym": {}, "sim": {}})
+        assert validate_config(raw)["agent"]["replay_capacity"] == 100
+
     def test_parse_error(self):
         with pytest.raises(ConfigError) as err:
             validate_config("{not json")
@@ -80,6 +156,17 @@ class TestValidation:
         cfg = validate_config(reference_config_text())
         again = validate_config(cfg.to_json())
         assert again.data == cfg.data
+
+
+class TestSingleLayer:
+    @pytest.mark.parametrize("overrides", REJECTED, ids=row_id)
+    def test_value_rejected(self, overrides):
+        raw = json.dumps(apply_overrides({"agent": {}, "gym": {}, "sim": {}},
+                                         overrides))
+        with pytest.raises(ConfigError) as err:
+            validate_config(raw)
+        key = next(iter(overrides))
+        assert any(names_key(v, key) for v in err.value.violations)
 
 
 class TestFingerprint:

@@ -5,7 +5,7 @@ from rateadapt import phy
 from rateadapt.env import (EpisodeConfig, LinkSimEnv, MobilityConfig,
                            TrafficConfig, dara_reward, frame_airtime,
                            rng_streams)
-from rateadapt.errors import ConfigError, EpisodeEndedError
+from rateadapt.errors import EpisodeEndedError
 from rateadapt.phy import ChannelParams, McsTable
 
 TABLE = McsTable.default()
@@ -46,10 +46,6 @@ class TestPosition:
     def test_stationary(self):
         mob = MobilityConfig(5.0, 0.0)
         assert all(mob.position_at(t) == 5.0 for t in (0.0, 1.0, 100.0))
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            MobilityConfig(1.0, 20.0).position_at(-1.0)
 
 
 class TestDaraReward:
@@ -242,24 +238,3 @@ class TestRngStreams:
         b = rng_streams(5, episode=2)[0].random(4)
         assert np.array_equal(a, b)
 
-
-class TestConfigGuards:
-    def test_bad_mobility(self):
-        with pytest.raises(ConfigError):
-            MobilityConfig(start_distance_m=0.01)
-        with pytest.raises(ConfigError):
-            MobilityConfig(speed_mps=-1.0)
-
-    def test_bad_traffic(self):
-        with pytest.raises(ConfigError):
-            TrafficConfig(payload_bytes=0)
-        with pytest.raises(ConfigError):
-            TrafficConfig(overhead_s=-1e-6)
-
-    def test_bad_episode(self):
-        with pytest.raises(ConfigError):
-            EpisodeConfig(duration_s=0.0)
-        with pytest.raises(ConfigError):
-            EpisodeConfig(window_frames=0)
-        with pytest.raises(ConfigError):
-            EpisodeConfig(log_period_s=0.0)

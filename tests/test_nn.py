@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rateadapt.nn import (AdamState, MlpParams, adam_step, init_mlp,
-                          mlp_backward, mlp_forward, mse_loss)
+                          mlp_backward, mlp_forward)
 
 
 def zero_net(hidden=(4,)):
@@ -80,25 +80,6 @@ class TestForward:
         bad.weights[0] = np.zeros((2, 4))
         with pytest.raises(ValueError):
             bad.validate()
-
-
-class TestMseLoss:
-    def test_zero_residual(self):
-        assert mse_loss([1.0, 2.0], [1.0, 2.0]) == 0.0
-
-    def test_half(self):
-        assert mse_loss([1.0, 0.0], [0.0, 0.0]) == 0.5
-
-    def test_quadratic_homogeneity(self):
-        pred = np.array([1.0, -2.0, 0.5])
-        target = np.array([0.0, 1.0, 0.25])
-        base = mse_loss(pred, target)
-        scaled = mse_loss(target + 3.0 * (pred - target), target)
-        assert scaled == pytest.approx(9.0 * base)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            mse_loss([1.0], [1.0, 2.0])
 
 
 class TestBackward:

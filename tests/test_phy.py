@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rateadapt import phy
-from rateadapt.errors import ConfigError
 from rateadapt.phy import ChannelParams, McsEntry, McsTable
 
 
@@ -30,15 +29,10 @@ class TestFriis:
         losses = [phy.friis_path_loss(d, DEFAULTS) for d in grid]
         assert all(b > a for a, b in zip(losses, losses[1:]))
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_invalid_distance(self, bad):
         with pytest.raises(ValueError):
             phy.friis_path_loss(bad, DEFAULTS)
-
-    def test_below_minimum_clamps_with_warning(self):
-        with pytest.warns(UserWarning):
-            loss = phy.friis_path_loss(0.01, DEFAULTS)
-        assert loss == phy.friis_path_loss(phy.MINIMUM_DISTANCE_M, DEFAULTS)
 
 
 class TestNoisePower:
@@ -115,12 +109,6 @@ class TestScaleSnr:
         if snr >= 40.0:
             assert v == 1.0
 
-    def test_bad_bounds_rejected(self):
-        with pytest.raises(ConfigError):
-            phy.scale_snr(10.0, 40.0, 0.0)
-        with pytest.raises(ConfigError):
-            phy.scale_snr(10.0, 40.0, 40.0)
-
 
 class TestMcsTable:
     def test_default_table_valid(self):
@@ -128,25 +116,3 @@ class TestMcsTable:
         assert len(table) == 8
         assert table.max_rate_mbps == 65.0
         assert [m.index for m in table] == list(range(8))
-
-    def test_wrong_count_rejected(self):
-        with pytest.raises(ConfigError):
-            McsTable([McsEntry(0, 6.5, 5.0, 1.0)])
-
-    def test_nonmonotone_rates_rejected(self):
-        rates = [6.5, 13.0, 12.0, 26.0, 39.0, 52.0, 58.5, 65.0]
-        with pytest.raises(ConfigError):
-            McsTable.from_lists(rates, phy.DEFAULT_PER_MIDPOINTS_DB,
-                                phy.DEFAULT_PER_SLOPES_PER_DB)
-
-    def test_nonmonotone_midpoints_rejected(self):
-        mids = [5.0, 8.0, 11.0, 11.0, 18.0, 21.0, 24.0, 26.0]
-        with pytest.raises(ConfigError):
-            McsTable.from_lists(phy.DEFAULT_PHY_RATES_MBPS, mids,
-                                phy.DEFAULT_PER_SLOPES_PER_DB)
-
-    def test_bad_channel_params(self):
-        with pytest.raises(ConfigError):
-            ChannelParams(frequency_hz=-1.0)
-        with pytest.raises(ConfigError):
-            ChannelParams(noise_figure_db=-0.1)

@@ -48,10 +48,6 @@ class TestQUpdate:
         q = QTable(4)
         with pytest.raises(ValueError):
             q_update_tabular(q, 0.1, 9, 0.0, 0.1, 0.1, 0.5, False)
-        with pytest.raises(ValueError):
-            q_update_tabular(q, 0.1, 0, 0.0, 0.1, 1.5, 0.5, False)
-        with pytest.raises(ValueError):
-            q_update_tabular(q, 0.1, 0, 0.0, 0.1, 0.1, -0.1, False)
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_fixpoint(self, alpha):
