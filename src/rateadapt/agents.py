@@ -3,7 +3,9 @@ and constant-rate baselines.
 
 Every adapter follows the same two-call protocol: observe(step_result) with
 the latest environment feedback, then select_action() for the next window's
-MCS. Evaluation mode is purely exploitative: no exploration, no learning.
+MCS. The Q-value agents explore only when given an epsilon schedule;
+without one they are greedy. Learning happens outside the agents, in the
+harness's per-transition hook.
 """
 
 from __future__ import annotations
@@ -19,16 +21,6 @@ from .phy import McsTable
 ALGORITHMS = ("dara", "dara_tabular", "ideal", "minstrel_like", "constant")
 
 
-class RateAdapter:
-    """Behavioural contract shared by all adapters."""
-
-    def observe(self, result: StepResult):
-        raise NotImplementedError
-
-    def select_action(self) -> int:
-        raise NotImplementedError
-
-
 def ideal_select(snr_db: float, table: McsTable, p_min: float) -> int:
     """Highest MCS whose predicted frame success probability meets p_min;
     falls back to MCS 0 when none qualifies."""
@@ -38,20 +30,16 @@ def ideal_select(snr_db: float, table: McsTable, p_min: float) -> int:
     return 0
 
 
-class GreedyQAgent(RateAdapter):
-    """Greedy in evaluation, epsilon-greedy in training, over the Q-values
-    that `q(observation)` reads from `model`; the state is the scaled mean
-    ACK SNR."""
+class GreedyQAgent:
+    """Greedy over the Q-values that `q(observation)` reads from `model`, or
+    epsilon-greedy when given an epsilon schedule (read at `train_step`) and
+    the RNG it draws from; the state is the scaled mean ACK SNR."""
 
-    def __init__(self, model, mode: str = "evaluation",
-                 schedule: EpsilonSchedule | None = None,
+    def __init__(self, model, schedule: EpsilonSchedule | None = None,
                  rng: np.random.Generator | None = None):
-        if mode not in ("training", "evaluation"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if mode == "training" and (schedule is None or rng is None):
-            raise ValueError("training mode needs an epsilon schedule and an RNG")
+        if schedule is not None and rng is None:
+            raise ValueError("an epsilon schedule needs an RNG")
         self.model = model
-        self.mode = mode
         self.schedule = schedule
         self.rng = rng
         self.train_step = 0
@@ -64,10 +52,8 @@ class GreedyQAgent(RateAdapter):
         self._obs = result.observation
 
     def select_action(self) -> int:
-        q = self.q(self._obs)
-        if self.mode == "evaluation":
-            return int(np.argmax(q))
-        return epsilon_greedy(q, self.schedule.value(self.train_step), self.rng)
+        epsilon = 0.0 if self.schedule is None else self.schedule.value(self.train_step)
+        return epsilon_greedy(self.q(self._obs), epsilon, self.rng)
 
 
 class DaraAgent(GreedyQAgent):
@@ -84,10 +70,10 @@ class TabularDaraAgent(GreedyQAgent):
         return self.model.row(observation)
 
 
-class IdealAgent(RateAdapter):
+class IdealAgent:
     """Oracle baseline reading the true SNR from the simulator side-channel."""
 
-    def __init__(self, table: McsTable, p_min: float = 0.9):
+    def __init__(self, table: McsTable, p_min: float):
         self.table = table
         self.p_min = p_min
         self._snr = -np.inf
@@ -102,7 +88,7 @@ class IdealAgent(RateAdapter):
 class MinstrelLikeState:
     """EWMA success statistics per MCS, optimistically initialized."""
 
-    def __init__(self, ewma_weight: float = 0.25, probe_prob: float = 0.1):
+    def __init__(self, ewma_weight: float, probe_prob: float):
         self.ewma = np.ones(phy.N_MCS)
         self.ewma_weight = ewma_weight
         self.probe_prob = probe_prob
@@ -128,12 +114,12 @@ def minstrel_like_update(state: MinstrelLikeState, mcs: int,
     return state
 
 
-class MinstrelLikeAgent(RateAdapter):
+class MinstrelLikeAgent:
     """Deliberately simplified Minstrel-HT stand-in: EWMA plus uniform
     probing, no retry chains or sample tables."""
 
     def __init__(self, table: McsTable, rng: np.random.Generator,
-                 ewma_weight: float = 0.25, probe_prob: float = 0.1):
+                 ewma_weight: float, probe_prob: float):
         self.table = table
         self.rng = rng
         self.state = MinstrelLikeState(ewma_weight, probe_prob)
@@ -148,7 +134,7 @@ class MinstrelLikeAgent(RateAdapter):
         return self._last_action
 
 
-class ConstantAgent(RateAdapter):
+class ConstantAgent:
     """Control baseline: always the same MCS."""
 
     def __init__(self, fixed_mcs: int):

@@ -6,13 +6,15 @@ Exit codes: 0 success, 1 configuration/usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 
 from . import checkpoint as ckpt_io
 from .config import validate_config
 from .errors import CheckpointError, ConfigError, RateAdaptError
-from .harness import SweepConfig, run_evaluation, run_sweep, run_training
+from .harness import (TRAINABLE, SweepConfig, check_checkpoint_kind,
+                      run_evaluation, run_sweep, run_training)
 from .results import ccdf, setup_results_dir, write_ccdf_csv
 
 EXIT_OK = 0
@@ -99,16 +101,13 @@ def _cmd_eval(args) -> int:
     cfg = _load_config(args)
     algorithm = cfg["agent"]["algorithm"]
     ckpt = None
-    if algorithm in ("dara", "dara_tabular"):
-        if args.checkpoint is None:
-            raise ConfigError(
-                [f"algorithm {algorithm!r} requires --checkpoint for eval"]
-            )
+    if algorithm in TRAINABLE and args.checkpoint is not None:
         ckpt = ckpt_io.load(
             args.checkpoint,
             expected_fingerprint=cfg.fingerprint(),
             allow_fingerprint_mismatch=args.allow_fingerprint_mismatch,
         )
+    check_checkpoint_kind(algorithm, ckpt)  # before the run folder is made
     run_dir = _new_run_dir(args, cfg, f"eval_{algorithm}")
     print(f"results: {run_dir}")
     summary, _ = run_evaluation(cfg, ckpt, run_dir)
@@ -148,14 +147,15 @@ def _cmd_sweep(args) -> int:
 def _cmd_ccdf(args) -> int:
     _load_config(args)  # validate for consistency with the other commands
     run_dir = Path(args.run_dir if args.run_dir else args.results)
-    logs = sorted(run_dir.glob("throughput_*.csv"))
-    if not logs:
-        raise RateAdaptError(f"no throughput_*.csv logs found in {run_dir}")
     samples = []
-    for log in logs:
-        with open(log, encoding="utf-8") as f:
-            next(f)  # header
-            samples.extend(float(line.rsplit(",", 1)[1]) for line in f if line.strip())
+    for log in sorted(run_dir.glob("throughput_*.csv")):
+        with open(log, encoding="utf-8", newline="") as f:
+            try:
+                samples.extend(float(row["throughput_mbps"]) for row in csv.DictReader(f))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise RateAdaptError(f"{log}: bad throughput_mbps column ({exc!r})") from exc
+    if not samples:
+        raise RateAdaptError(f"no throughput samples in {run_dir}/throughput_*.csv")
     write_ccdf_csv(ccdf(samples), run_dir / "ccdf.csv")
     print(f"wrote {run_dir / 'ccdf.csv'} ({len(samples)} samples)")
     return EXIT_OK

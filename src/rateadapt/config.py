@@ -138,6 +138,9 @@ SCHEMA = {
 FINGERPRINT_EXCLUDE = {("agent", "seed"), ("agent", "episodes"),
                        ("agent", "checkpoint_every")}
 
+# The episode log keeps one in-memory record per sim.log_period_s.
+MAX_LOG_RECORDS = 1_000_000
+
 
 class RootConfig:
     """A fully resolved, validated configuration."""
@@ -249,6 +252,8 @@ def validate_config(raw_json: str) -> RootConfig:
             problems.append("agent.warmup must be <= agent.replay_capacity")
         if agent["algorithm"] == "dara_tabular" and agent["learning_rate"] > 1:
             problems.append("agent.learning_rate must be <= 1 for dara_tabular")
+        if sim["duration_s"] / sim["log_period_s"] > MAX_LOG_RECORDS:
+            problems.append(f"sim.log_period_s must be >= sim.duration_s / {MAX_LOG_RECORDS}")
         rates, mids = sim["phy_rates_mbps"], sim["per_midpoints_db"]
         if any(b <= a for a, b in zip(rates, rates[1:])):
             problems.append("sim.phy_rates_mbps must be strictly increasing")

@@ -14,10 +14,10 @@ from .phy import N_MCS
 class EpsilonSchedule:
     """Exploration rate as a function of the train-step counter."""
 
-    mode: str = "fixed"  # "fixed" | "linear"
-    start: float = 0.1
-    end: float = 0.1
-    decay_steps: int = 10_000
+    mode: str  # "fixed" | "linear"
+    start: float
+    end: float
+    decay_steps: int
 
     def value(self, train_step: int) -> float:
         if self.mode == "fixed":

@@ -21,10 +21,14 @@ from .errors import EpisodeEndedError
 from .phy import ChannelParams, McsEntry, McsTable
 
 
+# The fields of an episode log record, in throughput_*.csv column order.
+LOG_FIELDS = ("time_s", "tx_pos_m", "rx_pos_m", "throughput_mbps")
+
+
 @dataclass(frozen=True)
 class MobilityConfig:
-    start_distance_m: float = 1.0
-    speed_mps: float = 20.0
+    start_distance_m: float
+    speed_mps: float
 
     def position_at(self, t: float) -> float:
         """Receiver distance from the stationary sender at time t."""
@@ -33,8 +37,8 @@ class MobilityConfig:
 
 @dataclass(frozen=True)
 class TrafficConfig:
-    payload_bytes: int = 1400
-    overhead_s: float = 100e-6
+    payload_bytes: int
+    overhead_s: float
 
     @property
     def payload_bits(self) -> int:
@@ -43,9 +47,9 @@ class TrafficConfig:
 
 @dataclass(frozen=True)
 class EpisodeConfig:
-    duration_s: float = 60.0
-    window_frames: int = 50
-    log_period_s: float = 1.0
+    duration_s: float
+    window_frames: int
+    log_period_s: float
 
 
 @dataclass(frozen=True)
@@ -68,12 +72,8 @@ class EpisodeLog:
                     throughput_mbps: float):
         if self.records and now <= self.records[-1]["time_s"]:
             raise ValueError("log timestamps must be strictly increasing")
-        self.records.append({
-            "time_s": now,
-            "tx_pos_m": tx_pos_m,
-            "rx_pos_m": rx_pos_m,
-            "throughput_mbps": throughput_mbps,
-        })
+        self.records.append(
+            dict(zip(LOG_FIELDS, (now, tx_pos_m, rx_pos_m, throughput_mbps))))
 
 
 def frame_airtime(mcs: McsEntry, traffic: TrafficConfig) -> float:
@@ -102,16 +102,14 @@ class LinkSimEnv:
     The observation is the window's mean ACK SNR scaled to [0, 1]; windows
     with zero successes carry the previous observation forward (there are no
     ACKs to measure). `info` carries FSR, throughput, the raw SNR at the
-    current distance, distance and simulation time for logging and for the
-    oracle baselines.
+    current distance (read by the Ideal baseline).
     """
 
     INITIAL_MCS = 0
 
     def __init__(self, channel: ChannelParams, table: McsTable,
                  mobility: MobilityConfig, traffic: TrafficConfig,
-                 episode: EpisodeConfig, snr_lo_db: float = 0.0,
-                 snr_hi_db: float = 40.0):
+                 episode: EpisodeConfig, snr_lo_db: float, snr_hi_db: float):
         self.channel = channel
         self.table = table
         self.mobility = mobility
@@ -154,8 +152,6 @@ class LinkSimEnv:
                 "fsr": fsr,
                 "throughput_mbps": 0.0,
                 "raw_snr_db": raw_snr,
-                "distance_m": d0,
-                "sim_time_s": 0.0,
             },
         )
 
@@ -198,7 +194,6 @@ class LinkSimEnv:
         self._done = self.clock >= self.episode.duration_s
         self._advance_log()
 
-        distance_now = self.mobility.position_at(self.clock)
         reward = dara_reward(fsr, mcs, self.table)
         return StepResult(
             observation=observation,
@@ -207,9 +202,8 @@ class LinkSimEnv:
             info={
                 "fsr": fsr,
                 "throughput_mbps": throughput_mbps,
-                "raw_snr_db": phy.snr_db(distance_now, self.channel),
-                "distance_m": distance_now,
-                "sim_time_s": self.clock,
+                "raw_snr_db": phy.snr_db(self.mobility.position_at(self.clock),
+                                         self.channel),
             },
         )
 

@@ -1,11 +1,12 @@
 """Episode orchestration: training runs, evaluation runs and grid sweeps.
 
-Training fills the replay buffer as the simulation runs, trains every
-`train_every` environment steps once `warmup` transitions are stored, writes
-a checkpoint every `checkpoint_every` episodes and appends one summary row
-per episode to episodes.csv as it completes (live feedback while a run is in
-progress). Evaluation freezes the policy, sets epsilon to 0 and never writes
-to the buffer.
+Every episode runs through one loop, `_play_episode`. Training adds a
+per-transition `learn(s, a, r, s_next, done)` hook, built once per run, that
+fills the replay buffer and trains (DQN) or updates the table (tabular), and
+counts train steps on the agent, whose epsilon schedule reads them. Training
+also writes a checkpoint every `checkpoint_every` episodes and appends each
+episode's row to episodes.csv as it completes. Evaluation runs the loop with
+a greedy agent and no hook, so the policy stays frozen.
 """
 
 from __future__ import annotations
@@ -22,11 +23,19 @@ from .agents import (ConstantAgent, DaraAgent, IdealAgent, MinstrelLikeAgent,
 from .checkpoint import Checkpoint
 from .config import RootConfig
 from .dqn import EpsilonSchedule, dqn_train_step
-from .env import LinkSimEnv, rng_streams
+from .env import LOG_FIELDS, LinkSimEnv, rng_streams
 from .errors import ConfigError
 from .nn import AdamState, init_mlp
 from .replay import ReplayBuffer
+from .results import csv_writer, write_csv
 from .tabular import QTable, q_update_tabular
+
+# The trainable algorithms and the checkpoint kind each one writes and reads.
+TRAINABLE = {"dara": "dqn", "dara_tabular": "tabular"}
+
+EPISODES_HEADER = ("episode", "cum_reward", "mean_throughput_mbps", "train_steps")
+SWEEP_FIELDS = ("learning_rate", "architecture", "seed", "final_cum_reward",
+                "mean_last3_cum_reward", "error")
 
 
 @dataclass
@@ -56,33 +65,30 @@ def cumulative_reward(step_rewards) -> float:
 
 
 def build_env(cfg: RootConfig) -> LinkSimEnv:
-    gym = cfg["gym"]
-    return LinkSimEnv(
-        channel=cfg.channel_params(),
-        table=cfg.mcs_table(),
-        mobility=cfg.mobility(),
-        traffic=cfg.traffic(),
-        episode=cfg.episode_config(),
-        snr_lo_db=gym["snr_lo_db"],
-        snr_hi_db=gym["snr_hi_db"],
-    )
+    return LinkSimEnv(cfg.channel_params(), cfg.mcs_table(), cfg.mobility(),
+                      cfg.traffic(), cfg.episode_config(),
+                      cfg["gym"]["snr_lo_db"], cfg["gym"]["snr_hi_db"])
+
+
+def check_checkpoint_kind(algorithm: str, checkpoint: Checkpoint | None):
+    """Raise ConfigError unless a trainable algorithm has a checkpoint of
+    its own kind; the other algorithms need none."""
+    kind = TRAINABLE.get(algorithm)
+    if kind is not None and (checkpoint is None or checkpoint.kind != kind):
+        raise ConfigError([f"algorithm {algorithm!r} needs a {kind} "
+                           "checkpoint for evaluation"])
 
 
 def build_eval_agent(cfg: RootConfig, checkpoint: Checkpoint | None,
                      agent_rng: np.random.Generator):
-    """Adapter for one evaluation episode; DARA variants need a checkpoint."""
+    """Adapter for one evaluation episode; a trainable algorithm is greedy
+    over its checkpoint's model."""
     agent = cfg["agent"]
     name = agent["algorithm"]
-    if name == "dara":
-        if checkpoint is None or checkpoint.kind != "dqn":
-            raise ConfigError(["algorithm 'dara' needs a dqn checkpoint for evaluation"])
-        return DaraAgent(checkpoint.params, mode="evaluation")
-    if name == "dara_tabular":
-        if checkpoint is None or checkpoint.kind != "tabular":
-            raise ConfigError(
-                ["algorithm 'dara_tabular' needs a tabular checkpoint for evaluation"]
-            )
-        return TabularDaraAgent(checkpoint.params, mode="evaluation")
+    check_checkpoint_kind(name, checkpoint)
+    if name in TRAINABLE:
+        q_agent = DaraAgent if checkpoint.kind == "dqn" else TabularDaraAgent
+        return q_agent(checkpoint.params)
     if name == "ideal":
         return IdealAgent(cfg.mcs_table(), agent["ideal_p_min"])
     if name == "minstrel_like":
@@ -96,12 +102,73 @@ def build_eval_agent(cfg: RootConfig, checkpoint: Checkpoint | None,
     raise ConfigError([f"unknown algorithm {name!r}"])
 
 
+def _dqn_learner(agent_cfg, schedule, agent_rng):
+    """(DaraAgent over a fresh Q-network, its learn hook, its optimizer); the
+    hook empties the buffer at episode end unless replay persists."""
+    online = init_mlp(agent_cfg["hidden_layers"], agent_rng)
+    target = online.copy()
+    opt = AdamState.for_params(online, agent_cfg["learning_rate"])
+    agent = DaraAgent(online, schedule, agent_rng)
+    buffer = ReplayBuffer(agent_cfg["replay_capacity"])
+    env_steps = 0
+
+    def learn(s, action, r, s_next, done):
+        nonlocal target, env_steps
+        buffer.push(s, action, r, s_next, done)
+        env_steps += 1
+        if (buffer.size >= agent_cfg["warmup"]
+                and env_steps % agent_cfg["train_every"] == 0):
+            batch = buffer.sample(agent_cfg["batch_size"], agent_rng)
+            dqn_train_step(online, target, opt, batch, agent_cfg["discount"])
+            agent.train_step += 1
+            if agent.train_step % agent_cfg["target_sync_every"] == 0:
+                target = online.copy()
+        if done and not agent_cfg["replay_persist_across_episodes"]:
+            buffer.clear()
+
+    return agent, learn, opt
+
+
+def _tabular_learner(agent_cfg, schedule, agent_rng):
+    """(TabularDaraAgent over a zero QTable, its learn hook, no optimizer)."""
+    table = QTable(agent_cfg["n_state_bins"])
+    agent = TabularDaraAgent(table, schedule, agent_rng)
+    alpha, gamma = agent_cfg["learning_rate"], agent_cfg["discount"]
+
+    def learn(s, action, r, s_next, done):
+        q_update_tabular(table, s, action, r, s_next, alpha, gamma, done)
+        agent.train_step += 1
+
+    return agent, learn, None
+
+
+def _play_episode(env: LinkSimEnv, agent, seed: int, episode: int,
+                  learn=None) -> float:
+    """Run one episode from env.reset(seed, episode) to done, passing each
+    transition to `learn` if given; returns the cumulative reward."""
+    result = env.reset(seed, episode=episode)
+    agent.observe(result)
+    rewards = []
+    while not result.done:
+        obs = result.observation
+        action = agent.select_action()
+        result = env.step(action)
+        agent.observe(result)
+        rewards.append(result.reward)
+        if learn is not None:
+            learn(obs, action, result.reward, result.observation, result.done)
+    return cumulative_reward(rewards)
+
+
+def _episode_row(s: EpisodeSummary):
+    """One episodes.csv row, for training and evaluation alike."""
+    return (s.episode, f"{s.cumulative_reward:.6f}",
+            f"{s.mean_throughput_mbps:.6f}", s.train_steps)
+
+
 def _write_episode_log(log, path: Path):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("time_s,tx_pos_m,rx_pos_m,throughput_mbps\n")
-        for rec in log.records:
-            f.write("{time_s:.6f},{tx_pos_m:.6f},{rx_pos_m:.6f},"
-                    "{throughput_mbps:.6f}\n".format(**rec))
+    write_csv(path, LOG_FIELDS,
+              ([f"{rec[k]:.6f}" for k in LOG_FIELDS] for rec in log.records))
 
 
 def run_training(cfg: RootConfig, results_dir, progress=None):
@@ -111,90 +178,47 @@ def run_training(cfg: RootConfig, results_dir, progress=None):
     `results_dir` as episodes complete.
     """
     agent_cfg = cfg["agent"]
-    algorithm = agent_cfg["algorithm"]
-    if algorithm not in ("dara", "dara_tabular"):
-        raise ConfigError([f"algorithm {algorithm!r} is not trainable"])
+    kind = TRAINABLE.get(agent_cfg["algorithm"])
+    if kind is None:
+        raise ConfigError([f"algorithm {agent_cfg['algorithm']!r} is not trainable"])
 
     results_dir = Path(results_dir)
     results_dir.mkdir(parents=True, exist_ok=True)
     env = build_env(cfg)
     seed = agent_cfg["seed"]
-    agent_rng = rng_streams(seed)[1]
     schedule = EpsilonSchedule(
         agent_cfg["epsilon_mode"], agent_cfg["epsilon_start"],
         agent_cfg["epsilon_end"], agent_cfg["epsilon_decay_steps"],
     )
-    gamma = agent_cfg["discount"]
+    build_learner = _dqn_learner if kind == "dqn" else _tabular_learner
+    agent, learn, opt = build_learner(agent_cfg, schedule, rng_streams(seed)[1])
     fingerprint = cfg.fingerprint()
 
-    if algorithm == "dara":
-        online = init_mlp(agent_cfg["hidden_layers"], agent_rng)
-        target = online.copy()
-        opt = AdamState.for_params(online, agent_cfg["learning_rate"])
-        agent = DaraAgent(online, mode="training", schedule=schedule, rng=agent_rng)
-        buffer = ReplayBuffer(agent_cfg["replay_capacity"])
-    else:
-        qtable = QTable(agent_cfg["n_state_bins"])
-        agent = TabularDaraAgent(qtable, mode="training", schedule=schedule,
-                                 rng=agent_rng)
-        buffer = None
-
     def make_checkpoint():
-        if algorithm == "dara":
-            return Checkpoint("dqn", online, opt, train_steps, fingerprint)
-        return Checkpoint("tabular", qtable, None, train_steps, fingerprint)
+        return Checkpoint(kind, agent.model, opt, agent.train_step, fingerprint)
 
-    train_steps = 0
-    env_steps = 0
+    episodes = agent_cfg["episodes"]
     summaries = []
-    episodes_csv = results_dir / "episodes.csv"
-    with open(episodes_csv, "w", encoding="utf-8", newline="\n") as csv:
-        csv.write("episode,cum_reward,mean_throughput_mbps,train_steps\n")
-        for ep in range(1, agent_cfg["episodes"] + 1):
-            if buffer is not None and not agent_cfg["replay_persist_across_episodes"]:
-                buffer.clear()
-            result = env.reset(seed, episode=ep)
-            agent.observe(result)
-            rewards = []
-            while not result.done:
-                obs = result.observation
-                agent.train_step = train_steps
-                action = agent.select_action()
-                result = env.step(action)
-                agent.observe(result)
-                rewards.append(result.reward)
-                env_steps += 1
-                if algorithm == "dara":
-                    buffer.push(obs, action, result.reward, result.observation,
-                                result.done)
-                    if (buffer.size >= agent_cfg["warmup"]
-                            and env_steps % agent_cfg["train_every"] == 0):
-                        batch = buffer.sample(agent_cfg["batch_size"], agent_rng)
-                        dqn_train_step(online, target, opt, batch, gamma)
-                        train_steps += 1
-                        if train_steps % agent_cfg["target_sync_every"] == 0:
-                            target = online.copy()
-                else:
-                    q_update_tabular(qtable, obs, action, result.reward,
-                                     result.observation, agent_cfg["learning_rate"],
-                                     gamma, result.done)
-                    train_steps += 1
-
-            summary = EpisodeSummary(ep, cumulative_reward(rewards),
-                                     env.mean_throughput_mbps, train_steps)
+    with open(results_dir / "episodes.csv", "w", encoding="utf-8",
+              newline="") as f:
+        writer = csv_writer(f)
+        writer.writerow(EPISODES_HEADER)
+        for ep in range(1, episodes + 1):
+            reward = _play_episode(env, agent, seed, ep, learn)
+            summary = EpisodeSummary(ep, reward, env.mean_throughput_mbps,
+                                     agent.train_step)
             summaries.append(summary)
-            csv.write(f"{ep},{summary.cumulative_reward:.6f},"
-                      f"{summary.mean_throughput_mbps:.6f},{train_steps}\n")
-            csv.flush()
+            writer.writerow(_episode_row(summary))
+            f.flush()
             _write_episode_log(env.log, results_dir / f"throughput_{ep:03d}.csv")
-            if ep % agent_cfg["checkpoint_every"] == 0 or ep == agent_cfg["episodes"]:
+            if ep % agent_cfg["checkpoint_every"] == 0 or ep == episodes:
                 ckpt_io.save(results_dir / f"policy_ep{ep:03d}.ckpt",
                              make_checkpoint())
             if progress is not None:
-                progress(f"episode {ep}/{agent_cfg['episodes']}: "
+                progress(f"episode {ep}/{episodes}: "
                          f"cum_reward={summary.cumulative_reward:.3f} "
                          f"mean_throughput={summary.mean_throughput_mbps:.3f} Mbit/s "
-                         f"train_steps={train_steps}")
+                         f"train_steps={summary.train_steps}")
 
     return summaries, make_checkpoint()
 
@@ -205,29 +229,15 @@ def run_evaluation(cfg: RootConfig, checkpoint: Checkpoint | None,
     if seed is None:
         seed = cfg["agent"]["seed"]
     env = build_env(cfg)
-    agent_rng = rng_streams(seed)[1]
-    agent = build_eval_agent(cfg, checkpoint, agent_rng)
-
-    result = env.reset(seed)
-    agent.observe(result)
-    rewards = []
-    while not result.done:
-        action = agent.select_action()
-        result = env.step(action)
-        agent.observe(result)
-        rewards.append(result.reward)
-
-    summary = EpisodeSummary(1, cumulative_reward(rewards),
-                             env.mean_throughput_mbps, 0)
+    agent = build_eval_agent(cfg, checkpoint, rng_streams(seed)[1])
+    reward = _play_episode(env, agent, seed, 0)
+    summary = EpisodeSummary(1, reward, env.mean_throughput_mbps, 0)
     if results_dir is not None:
         results_dir = Path(results_dir)
         results_dir.mkdir(parents=True, exist_ok=True)
         _write_episode_log(env.log, results_dir / "throughput_eval.csv")
-        with open(results_dir / "episodes.csv", "w", encoding="utf-8",
-                  newline="\n") as f:
-            f.write("episode,cum_reward,mean_throughput_mbps,train_steps\n")
-            f.write(f"1,{summary.cumulative_reward:.6f},"
-                    f"{summary.mean_throughput_mbps:.6f},0\n")
+        write_csv(results_dir / "episodes.csv", EPISODES_HEADER,
+                  [_episode_row(summary)])
     return summary, env.log
 
 
@@ -246,9 +256,8 @@ def run_sweep(sweep: SweepConfig, base: RootConfig, results_dir,
         product(sweep.learning_rates, sweep.architectures, sweep.seeds)
     ):
         cell_dir = results_dir / f"cell_{i:03d}_lr{lr}_arch{'x'.join(map(str, arch))}_seed{seed}"
-        row = {"learning_rate": lr, "architecture": "x".join(map(str, arch)),
-               "seed": seed, "final_cum_reward": "", "mean_last3_cum_reward": "",
-               "error": ""}
+        row = dict.fromkeys(SWEEP_FIELDS, "")
+        row.update(learning_rate=lr, architecture="x".join(map(str, arch)), seed=seed)
         try:
             cfg = base.with_overrides(learning_rate=lr,
                                       hidden_layers=list(arch), seed=seed)
@@ -257,17 +266,12 @@ def run_sweep(sweep: SweepConfig, base: RootConfig, results_dir,
             row["final_cum_reward"] = f"{finals[-1]:.6f}"
             row["mean_last3_cum_reward"] = f"{float(np.mean(finals[-3:])):.6f}"
         except Exception as exc:  # noqa: BLE001 - sweep must survive bad cells
-            row["error"] = str(exc).replace(",", ";")
+            row["error"] = str(exc)
         rows.append(row)
         if progress is not None:
             progress(f"cell lr={lr} arch={row['architecture']} seed={seed}: "
                      f"final={row['final_cum_reward'] or 'FAILED'}")
 
-    with open(results_dir / "sweep_summary.csv", "w", encoding="utf-8",
-              newline="\n") as f:
-        f.write("learning_rate,architecture,seed,final_cum_reward,"
-                "mean_last3_cum_reward,error\n")
-        for row in rows:
-            f.write("{learning_rate},{architecture},{seed},{final_cum_reward},"
-                    "{mean_last3_cum_reward},{error}\n".format(**row))
+    write_csv(results_dir / "sweep_summary.csv", SWEEP_FIELDS,
+              ([row[k] for k in SWEEP_FIELDS] for row in rows))
     return rows

@@ -142,7 +142,7 @@ def _backward_batch(params: MlpParams, observations, actions, targets):
 class AdamState:
     """Adam moments and hyperparameters for one MlpParams instance."""
 
-    learning_rate: float = 0.01
+    learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8

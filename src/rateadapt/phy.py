@@ -34,10 +34,10 @@ DEFAULT_PER_SLOPES_PER_DB = (1.0,) * N_MCS
 class ChannelParams:
     """Static radio parameters of the link."""
 
-    frequency_hz: float = 5180e6
-    tx_power_dbm: float = 20.0
-    bandwidth_hz: float = 20e6
-    noise_figure_db: float = 7.0
+    frequency_hz: float
+    tx_power_dbm: float
+    bandwidth_hz: float
+    noise_figure_db: float
 
 
 @dataclass(frozen=True)

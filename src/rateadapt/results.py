@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -37,11 +38,21 @@ def ccdf(samples) -> list[CcdfPoint]:
     return points
 
 
+def csv_writer(f):
+    """The one CSV dialect of every results file (Unix line ends)."""
+    return csv.writer(f, lineterminator="\n")
+
+
+def write_csv(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv_writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_ccdf_csv(points, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("throughput_mbps,ccdf\n")
-        for p in points:
-            f.write(f"{p.value:.6f},{p.prob:.6f}\n")
+    write_csv(path, ("throughput_mbps", "ccdf"),
+              ((f"{p.value:.6f}", f"{p.prob:.6f}") for p in points))
 
 
 def setup_results_dir(base, run_name: str, now: datetime | None = None) -> Path:

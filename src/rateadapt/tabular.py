@@ -6,16 +6,13 @@ import numpy as np
 
 from .phy import N_MCS
 
-DEFAULT_N_BINS = 32
-
 
 class QTable:
     """Q(s, a) over n_state_bins equal-width bins of the [0, 1] observation."""
 
-    def __init__(self, n_state_bins: int = DEFAULT_N_BINS):
+    def __init__(self, n_state_bins: int):
         self.n_state_bins = int(n_state_bins)
         self.values = np.zeros((self.n_state_bins, N_MCS))
-        self.bin_edges = np.linspace(0.0, 1.0, self.n_state_bins + 1)
 
     def bin_of(self, observation: float) -> int:
         if not np.isfinite(observation):

@@ -10,10 +10,9 @@ import pytest
 
 from rateadapt import phy
 from rateadapt.config import default_config, validate_config
-from rateadapt.env import EpisodeConfig, LinkSimEnv, MobilityConfig, TrafficConfig
+from rateadapt.env import EpisodeConfig, LinkSimEnv, MobilityConfig
 from rateadapt.harness import run_evaluation, run_training
 from rateadapt.nn import mlp_forward
-from rateadapt.phy import ChannelParams, McsTable
 from rateadapt.results import CcdfPoint, ccdf
 from tests.test_nn import numeric_grads, random_net
 from tests.test_tabular import run_tabular_convergence
@@ -156,8 +155,9 @@ def test_criterion_6_determinism(tmp_path):
 
 
 def test_criterion_7_statistical_phy():
-    channel = ChannelParams()
-    table = McsTable.default()
+    cfg = default_config()
+    channel = cfg.channel_params()
+    table = cfg.mcs_table()
     mcs = table[3]  # midpoint 14 dB
     results = []
     ok = True
@@ -169,7 +169,8 @@ def test_criterion_7_statistical_phy():
                     - target_snr - offset) / 20)
         assert phy.snr_db(d, channel) == pytest.approx(target_snr, abs=1e-9)
         env = LinkSimEnv(channel, table, MobilityConfig(d, 0.0),
-                         TrafficConfig(), EpisodeConfig(1e9, 50, 1e9))
+                         cfg.traffic(), EpisodeConfig(1e9, 50, 1e9),
+                         cfg["gym"]["snr_lo_db"], cfg["gym"]["snr_hi_db"])
         env.reset(seed=11)
         windows = 1000
         successes = sum(env.step(3).info["fsr"] * 50 for _ in range(windows))

@@ -19,8 +19,7 @@ TABLE = McsTable.default()
 def step_with(observation=0.5, fsr=1.0, raw_snr_db=30.0):
     return StepResult(observation, 0.0, False,
                       {"fsr": fsr, "raw_snr_db": raw_snr_db,
-                       "throughput_mbps": 0.0, "distance_m": 1.0,
-                       "sim_time_s": 0.0})
+                       "throughput_mbps": 0.0})
 
 
 def biased_net(favored: int) -> MlpParams:
@@ -31,31 +30,29 @@ def biased_net(favored: int) -> MlpParams:
 
 class TestDaraSelect:
     def test_evaluation_is_argmax(self):
-        agent = DaraAgent(biased_net(5), mode="evaluation")
+        agent = DaraAgent(biased_net(5))
         agent.observe(step_with(0.3))
         assert agent.select_action() == 5
 
     def test_evaluation_pure_function_of_observation(self):
-        agent = DaraAgent(biased_net(2), mode="evaluation")
+        agent = DaraAgent(biased_net(2))
         agent.observe(step_with(0.3))
         actions = {agent.select_action() for _ in range(20)}
         assert actions == {2}
 
     def test_training_epsilon_one_uniform(self):
         schedule = EpsilonSchedule("fixed", 1.0, 1.0, 1)
-        agent = DaraAgent(biased_net(5), mode="training", schedule=schedule,
-                          rng=np.random.default_rng(3))
+        agent = DaraAgent(biased_net(5), schedule, np.random.default_rng(3))
         agent.observe(step_with(0.3))
         draws = np.array([agent.select_action() for _ in range(80_000)])
         freqs = np.bincount(draws, minlength=8) / len(draws)
         assert np.all(np.abs(freqs - 0.125) < 0.01)
 
     def test_training_needs_schedule_and_rng(self):
+        schedule = EpsilonSchedule("fixed", 0.1, 0.1, 1)
         for cls, q in ((DaraAgent, biased_net(0)), (TabularDaraAgent, QTable(4))):
-            with pytest.raises(ValueError):
-                cls(q, mode="training")
-            with pytest.raises(ValueError, match="unknown mode"):
-                cls(q, mode="bogus")
+            with pytest.raises(ValueError, match="RNG"):
+                cls(q, schedule)
 
 
 class TestIdealSelect:
@@ -96,38 +93,38 @@ class TestIdealSelect:
 
 class TestMinstrelLike:
     def test_all_optimistic_picks_top_rate(self):
-        state = MinstrelLikeState(probe_prob=0.0)
+        state = MinstrelLikeState(ewma_weight=0.25, probe_prob=0.0)
         assert minstrel_like_select(state, TABLE, np.random.default_rng(0)) == 7
 
     def test_only_viable_rate_wins(self):
-        state = MinstrelLikeState(probe_prob=0.0)
+        state = MinstrelLikeState(ewma_weight=0.25, probe_prob=0.0)
         state.ewma = np.array([1.0, 0, 0, 0, 0, 0, 0, 0])
         assert minstrel_like_select(state, TABLE, np.random.default_rng(0)) == 0
 
     def test_expected_throughput_argmax(self):
         # EWMA_7 * 65 = 19.5 < EWMA_3 * 26 = 23.4
-        state = MinstrelLikeState(probe_prob=0.0)
+        state = MinstrelLikeState(ewma_weight=0.25, probe_prob=0.0)
         state.ewma = np.array([0.0, 0, 0, 0.9, 0, 0, 0, 0.3])
         assert minstrel_like_select(state, TABLE, np.random.default_rng(0)) == 3
 
     def test_update_full_replacement(self):
-        state = MinstrelLikeState(ewma_weight=1.0)
+        state = MinstrelLikeState(ewma_weight=1.0, probe_prob=0.1)
         minstrel_like_update(state, 4, 0.37)
         assert state.ewma[4] == pytest.approx(0.37)
 
     def test_update_frozen(self):
-        state = MinstrelLikeState(ewma_weight=0.0)
+        state = MinstrelLikeState(ewma_weight=0.0, probe_prob=0.1)
         minstrel_like_update(state, 4, 0.0)
         assert state.ewma[4] == 1.0
 
     def test_update_one_step(self):
-        state = MinstrelLikeState(ewma_weight=0.25)
+        state = MinstrelLikeState(ewma_weight=0.25, probe_prob=0.1)
         state.ewma[2] = 0.5
         minstrel_like_update(state, 2, 1.0)
         assert state.ewma[2] == pytest.approx(0.625)
 
     def test_ewma_stays_in_unit_interval(self):
-        state = MinstrelLikeState(ewma_weight=0.3)
+        state = MinstrelLikeState(ewma_weight=0.3, probe_prob=0.1)
         rng = np.random.default_rng(5)
         for _ in range(500):
             minstrel_like_update(state, int(rng.integers(0, 8)),
@@ -136,7 +133,7 @@ class TestMinstrelLike:
 
     def test_agent_updates_only_its_last_action(self):
         agent = MinstrelLikeAgent(TABLE, np.random.default_rng(0),
-                                  probe_prob=0.0)
+                                  ewma_weight=0.25, probe_prob=0.0)
         first = agent.select_action()
         assert first == 7
         agent.observe(step_with(fsr=0.0))
@@ -159,12 +156,10 @@ class TestAllAdaptersInRange:
         qt = QTable(8)
         qt.values[:] = rng.normal(size=qt.values.shape)
         adapters = [
-            DaraAgent(biased_net(3), mode="training", schedule=schedule,
-                      rng=np.random.default_rng(1)),
-            TabularDaraAgent(qt, mode="training", schedule=schedule,
-                             rng=np.random.default_rng(2)),
-            IdealAgent(TABLE),
-            MinstrelLikeAgent(TABLE, np.random.default_rng(3)),
+            DaraAgent(biased_net(3), schedule, np.random.default_rng(1)),
+            TabularDaraAgent(qt, schedule, np.random.default_rng(2)),
+            IdealAgent(TABLE, 0.9),
+            MinstrelLikeAgent(TABLE, np.random.default_rng(3), 0.25, 0.1),
             ConstantAgent(4),
         ]
         for _ in range(300):
@@ -181,7 +176,7 @@ class TestTabularAgent:
     def test_evaluation_argmax_of_bin_row(self):
         qt = QTable(4)
         qt.values[2, 6] = 1.0  # observations in [0.5, 0.75)
-        agent = TabularDaraAgent(qt, mode="evaluation")
+        agent = TabularDaraAgent(qt)
         agent.observe(step_with(0.6))
         assert agent.select_action() == 6
         agent.observe(step_with(0.1))

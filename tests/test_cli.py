@@ -96,6 +96,20 @@ class TestEval:
         assert code == 1
         assert "fingerprint" in capsys.readouterr().err
 
+    def test_wrong_checkpoint_kind_exit_1_without_run_folder(self, tmp_path, capsys):
+        tabular = write_tiny_config(tmp_path / "tabular.json",
+                                    algorithm="dara_tabular", episodes=1)
+        assert cli_main(["train", "--config", str(tabular),
+                         "--results", str(tmp_path / "train")]) == 0
+        ckpt = run_dir_of(tmp_path / "train") / "policy_ep001.ckpt"
+        dqn = write_tiny_config(tmp_path / "dqn.json")
+        with pytest.warns(UserWarning, match="fingerprint"):
+            code = cli_main(["eval", "--config", str(dqn), "--checkpoint", str(ckpt),
+                             "--allow-fingerprint-mismatch",
+                             "--results", str(tmp_path / "eval")])
+        assert_config_error(code, capsys)
+        assert not (tmp_path / "eval").exists()
+
     def test_ideal_eval_without_checkpoint(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json", algorithm="ideal")
         code = cli_main(["eval", "--config", str(cfg),
@@ -143,6 +157,29 @@ class TestSweepAndCcdf:
         lines = (run / "ccdf.csv").read_text().splitlines()
         assert lines[0] == "throughput_mbps,ccdf"
         assert len(lines) > 2
+
+    def test_ccdf_reads_throughput_column_by_name(self, tmp_path):
+        cfg = write_tiny_config(tmp_path / "cfg.json")
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "throughput_001.csv").write_text(
+            "throughput_mbps,time_s\n3.0,1.0\n5.0,2.0\n", encoding="utf-8")
+        assert cli_main(["ccdf", "--config", str(cfg), "--run-dir", str(run)]) == 0
+        lines = (run / "ccdf.csv").read_text().splitlines()
+        assert lines[2:] == ["3.000000,0.500000", "5.000000,0.000000"]
+
+    @pytest.mark.parametrize("text", [
+        "time_s,rate\n1.0,2.0\n",
+        "time_s,throughput_mbps\n",
+        "time_s,throughput_mbps\n1.0,fast\n",
+        "time_s,throughput_mbps\n1.0\n",
+    ], ids=["no_column", "no_rows", "not_a_number", "short_row"])
+    def test_ccdf_bad_log_exit_2(self, tmp_path, capsys, text):
+        cfg = write_tiny_config(tmp_path / "cfg.json")
+        (tmp_path / "throughput_001.csv").write_text(text, encoding="utf-8")
+        code = cli_main(["ccdf", "--config", str(cfg), "--run-dir", str(tmp_path)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_ccdf_without_logs_exit_2(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json")

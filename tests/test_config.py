@@ -32,6 +32,8 @@ REJECTED = [
     {"sim.overhead_s": -1e-6},
     {"sim.duration_s": 0.0},
     {"sim.log_period_s": 0.0},
+    # one log record per period, so this would ask for ~1e300 records
+    {"sim.log_period_s": 1e-300},
     {"gym.window_frames": 0},
     {"gym.snr_lo_db": 40.0},
     {"gym.snr_hi_db": -1.0},
@@ -146,6 +148,11 @@ class TestValidation:
         raw = json.dumps({"agent": {"warmup": 100, "replay_capacity": 100},
                           "gym": {}, "sim": {}})
         assert validate_config(raw)["agent"]["replay_capacity"] == 100
+
+    def test_log_records_at_bound_accepted(self):
+        raw = json.dumps({"agent": {}, "gym": {},
+                          "sim": {"duration_s": 1.0, "log_period_s": 1e-6}})
+        assert validate_config(raw)["sim"]["log_period_s"] == 1e-6
 
     def test_parse_error(self):
         with pytest.raises(ConfigError) as err:

@@ -2,23 +2,27 @@ import numpy as np
 import pytest
 
 from rateadapt import phy
+from rateadapt.config import default_config
 from rateadapt.env import (EpisodeConfig, LinkSimEnv, MobilityConfig,
                            TrafficConfig, dara_reward, frame_airtime,
                            rng_streams)
 from rateadapt.errors import EpisodeEndedError
-from rateadapt.phy import ChannelParams, McsTable
+from rateadapt.phy import McsTable
 
 TABLE = McsTable.default()
 TRAFFIC = TrafficConfig(payload_bytes=1400, overhead_s=100e-6)
+CHANNEL = default_config().channel_params()
 
 
 def make_env(start=1.0, speed=20.0, duration=60.0, window=50, log_period=1.0):
     return LinkSimEnv(
-        channel=ChannelParams(),
+        channel=CHANNEL,
         table=TABLE,
         mobility=MobilityConfig(start, speed),
         traffic=TRAFFIC,
         episode=EpisodeConfig(duration, window, log_period),
+        snr_lo_db=0.0,
+        snr_hi_db=40.0,
     )
 
 
@@ -68,10 +72,12 @@ class TestDaraReward:
 
 class TestReset:
     def test_basics(self):
-        res = make_env().reset(seed=7)
+        env = make_env()
+        res = env.reset(seed=7)
         assert res.done is False
         assert res.reward == 0.0
-        assert res.info["sim_time_s"] == 0.0
+        assert env.clock == 0.0
+        assert res.info.keys() == {"fsr", "throughput_mbps", "raw_snr_db"}
 
     def test_default_observation_saturates(self):
         res = make_env().reset(seed=7)
@@ -104,14 +110,14 @@ class TestStep:
     def test_binomial_statistics(self):
         # Distance fixed at the MCS 3 midpoint: p = 0.5 per frame.
         mcs = TABLE[3]
-        d = 10 ** ((ChannelParams().tx_power_dbm
-                    - phy.noise_power_dbm(ChannelParams())
+        d = 10 ** ((CHANNEL.tx_power_dbm
+                    - phy.noise_power_dbm(CHANNEL)
                     - mcs.midpoint_snr_db
-                    - 20 * np.log10(4 * np.pi * ChannelParams().frequency_hz
+                    - 20 * np.log10(4 * np.pi * CHANNEL.frequency_hz
                                     / phy.SPEED_OF_LIGHT)) / 20)
         env = make_env(start=d, speed=0.0, duration=1e9, window=50)
         env.reset(seed=3)
-        p = phy.frame_success_prob(phy.snr_db(d, ChannelParams()), mcs)
+        p = phy.frame_success_prob(phy.snr_db(d, CHANNEL), mcs)
         assert p == pytest.approx(0.5, abs=1e-6)
         counts = [env.step(3).info["fsr"] * 50 for _ in range(400)]
         mean = np.mean(counts)

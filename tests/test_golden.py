@@ -3,11 +3,17 @@
 Three short pinned training runs (seed 1, 3 episodes x 20 s) must reproduce
 byte-identical episodes.csv and throughput_*.csv files, and final checkpoint
 arrays within 1e-12 of the reference checkpoints in tests/data/golden/.
+One evaluation episode per algorithm (eval seed 100, the same 20 s config;
+dara and dara_tabular greedy over the dara_wrap and tabular reference
+checkpoints) must reproduce byte-identical episodes.csv and
+throughput_eval.csv.
 
-The references were produced before the replay buffer stored its
-transitions as numpy columns, and the refactor left them unchanged. To
-regenerate them after an output change announced in CHANGES.md, run `python -m tests.test_golden` from the repository root with
-`src` on PYTHONPATH; it rewrites the .ckpt files and prints the hashes.
+The training references were produced before the replay buffer stored its
+transitions as numpy columns, and the evaluation pins before training and
+evaluation shared one episode loop; both refactors left them unchanged. To
+regenerate them after an output change announced in CHANGES.md, run
+`python -m tests.test_golden` from the repository root with `src` on
+PYTHONPATH; it rewrites the .ckpt files and prints the hashes.
 """
 
 import hashlib
@@ -21,7 +27,7 @@ import pytest
 
 from rateadapt import checkpoint as ckpt_io
 from rateadapt.config import default_config, validate_config
-from rateadapt.harness import run_training
+from rateadapt.harness import run_evaluation, run_training
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -54,6 +60,36 @@ EXPECTED = {
         "throughput_001.csv": "d92dff83b2f5effe224d890b6a0255650133b219d7c5af8782f08624778b04c9",
         "throughput_002.csv": "07f7a4ad804d36725bceb8e67273ba03ae591859a878daaa466440fb901b746d",
         "throughput_003.csv": "ffae24c58896ab890c189de21639f121551b66acddf2377763045868d5328e97",
+    },
+}
+
+
+EVAL_SEED = 100
+
+# algorithm -> training case whose reference checkpoint it evaluates
+EVAL_CASES = {"dara": "dara_wrap", "dara_tabular": "tabular", "ideal": None,
+              "minstrel_like": None, "constant": None}
+
+EVAL_EXPECTED = {
+    "dara": {
+        "episodes.csv": "6326e2ac5f64934c0996562ec61df720f659a53f5b2d73aefb36ac13071003ab",
+        "throughput_eval.csv": "9cb5443394e69d967f754d887a5d8e800d19c9243d6dfc154e9eab5247fdb82a",
+    },
+    "dara_tabular": {
+        "episodes.csv": "d3df4db7727d1cac19dc9b9f3b1f90a9cc496d7321a2b4295b4943344bb0bd45",
+        "throughput_eval.csv": "bed16543d6be183a7c4e211887912bd1eafabe5fdacbc4bc4bd0200b714a55f2",
+    },
+    "ideal": {
+        "episodes.csv": "e0d8cb532c1f5f5bdbc67ca61800cfe3dbdd8466dec20a3ae9891631eb6f845c",
+        "throughput_eval.csv": "1fbfe484810a056360257b9ea7f4c3a7d5ea3eb6e876c9bb6439521d40bb52de",
+    },
+    "minstrel_like": {
+        "episodes.csv": "32b04395b96e58e9ceb195b90ffda2318cd9779a5fc2532452cf2313f4f352fb",
+        "throughput_eval.csv": "6af128ae9d96c2bef56a1e2d8daa9952c157056a859673b3a0aac28aa8186138",
+    },
+    "constant": {
+        "episodes.csv": "cccd3ce85e3563cfa7fb41f96c6c197cfe572e9e6ef45cf9254833f48076abe4",
+        "throughput_eval.csv": "3e4f2edc800a66d5ba1a6382d4bbb7641743ccbbd0643922c6971f206d9600e9",
     },
 }
 
@@ -93,6 +129,19 @@ def test_golden_outputs(name, tmp_path):
                                    err_msg=key)
 
 
+def run_golden_evaluation(algorithm, run_dir: Path):
+    case = EVAL_CASES[algorithm]
+    cfg = golden_config({**CASES.get(case, {}), "algorithm": algorithm})
+    ckpt = ckpt_io.load(GOLDEN_DIR / f"{case}.ckpt") if case else None
+    run_evaluation(cfg, ckpt, run_dir, seed=EVAL_SEED)
+
+
+@pytest.mark.parametrize("algorithm", sorted(EVAL_CASES))
+def test_golden_evaluation(algorithm, tmp_path):
+    run_golden_evaluation(algorithm, tmp_path)
+    assert output_hashes(tmp_path) == EVAL_EXPECTED[algorithm]
+
+
 def _regenerate(scratch: Path):
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for name, overrides in sorted(CASES.items()):
@@ -100,6 +149,11 @@ def _regenerate(scratch: Path):
         summaries, _ = run_training(golden_config(overrides), run_dir)
         shutil.copyfile(run_dir / "policy_ep003.ckpt", GOLDEN_DIR / f"{name}.ckpt")
         print(f"{name}: train_steps={summaries[-1].train_steps}")
+        print(json.dumps(output_hashes(run_dir), indent=4))
+    for algorithm in EVAL_CASES:
+        run_dir = scratch / f"eval_{algorithm}"
+        run_golden_evaluation(algorithm, run_dir)
+        print(f"eval {algorithm}:")
         print(json.dumps(output_hashes(run_dir), indent=4))
 
 

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 
@@ -177,3 +178,12 @@ class TestRunSweep:
                          base, tmp_path)
         assert rows[0]["error"] != ""
         assert rows[1]["error"] == "" and rows[1]["final_cum_reward"] != ""
+
+    def test_error_with_commas_reads_back_intact(self, tmp_path):
+        rows = run_sweep(SweepConfig((0.01,), ((0, 0),), (1,)),
+                         tiny_config(episodes=1), tmp_path)
+        assert "(got [0, 0])" in rows[0]["error"]
+        with open(tmp_path / "sweep_summary.csv", encoding="utf-8", newline="") as f:
+            (written,) = csv.DictReader(f)
+        assert written["error"] == rows[0]["error"]
+        assert written["architecture"] == "0x0"

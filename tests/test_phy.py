@@ -1,14 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from rateadapt import phy
-from rateadapt.phy import ChannelParams, McsEntry, McsTable
+from rateadapt.config import default_config
+from rateadapt.phy import McsEntry, McsTable
 
 
-DEFAULTS = ChannelParams()
+DEFAULTS = default_config().channel_params()
 
 
 class TestFriis:
@@ -40,12 +42,12 @@ class TestNoisePower:
         assert phy.noise_power_dbm(DEFAULTS) == pytest.approx(-93.99, abs=0.01)
 
     def test_zero_nf(self):
-        params = ChannelParams(noise_figure_db=0.0)
+        params = replace(DEFAULTS, noise_figure_db=0.0)
         assert phy.noise_power_dbm(params) == pytest.approx(-100.99, abs=0.01)
 
     def test_doubling_bandwidth_adds_3dB(self):
-        single = phy.noise_power_dbm(ChannelParams(bandwidth_hz=20e6))
-        double = phy.noise_power_dbm(ChannelParams(bandwidth_hz=40e6))
+        single = phy.noise_power_dbm(replace(DEFAULTS, bandwidth_hz=20e6))
+        double = phy.noise_power_dbm(replace(DEFAULTS, bandwidth_hz=40e6))
         assert double - single == pytest.approx(10 * math.log10(2), rel=1e-9)
 
 
