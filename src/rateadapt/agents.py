@@ -24,10 +24,9 @@ ALGORITHMS = ("dara", "dara_tabular", "ideal", "minstrel_like", "constant")
 def ideal_select(snr_db: float, table: McsTable, p_min: float) -> int:
     """Highest MCS whose predicted frame success probability meets p_min;
     falls back to MCS 0 when none qualifies."""
-    for mcs in reversed(table.entries):
-        if phy.frame_success_prob(snr_db, mcs) >= p_min:
-            return mcs.index
-    return 0
+    p = phy.frame_success_prob(snr_db, table.slopes_per_db, table.midpoints_db)
+    feasible = np.flatnonzero(p >= p_min)
+    return int(feasible[-1]) if feasible.size else 0
 
 
 class GreedyQAgent:
@@ -100,7 +99,7 @@ def minstrel_like_select(state: MinstrelLikeState, table: McsTable,
     maximizing rate * EWMA success probability."""
     if state.probe_prob > 0.0 and rng.random() < state.probe_prob:
         return int(rng.integers(0, phy.N_MCS))
-    expected = np.array([m.phy_rate_mbps for m in table]) * state.ewma
+    expected = table.rates_mbps * state.ewma
     return int(np.argmax(expected))
 
 

@@ -99,12 +99,15 @@ def load(path, expected_fingerprint: str | None = None,
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"checkpoint not found: {p}")
-    raw = p.read_bytes()
+    try:
+        raw = p.read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"{p}: cannot read checkpoint ({exc})") from exc
     if not raw.startswith(MAGIC):
         raise CheckpointError(f"{p}: not a checkpoint file (bad magic)")
     try:
         return _parse(p, raw, expected_fingerprint, allow_fingerprint_mismatch)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
         raise CheckpointError(f"{p}: corrupt checkpoint ({exc!r})") from exc
 
 

@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args):
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read config: {exc}"]) from exc
     cfg = validate_config(text)
     overrides = {}
@@ -84,8 +84,11 @@ def _load_config(args):
 
 
 def _new_run_dir(args, cfg, run_name: str) -> Path:
-    run_dir = setup_results_dir(args.results, run_name)
-    (run_dir / "config.resolved.json").write_text(cfg.to_json(), encoding="utf-8")
+    try:
+        run_dir = setup_results_dir(args.results, run_name)
+        (run_dir / "config.resolved.json").write_text(cfg.to_json(), encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError([f"cannot create a run folder under --results: {exc}"]) from exc
     return run_dir
 
 

@@ -20,9 +20,10 @@ import math
 from copy import deepcopy
 from importlib import resources
 
+import numpy as np
+
 from . import phy
 from .agents import ALGORITHMS
-from .env import EpisodeConfig, MobilityConfig, TrafficConfig
 from .errors import ConfigError
 from .phy import ChannelParams, McsTable
 
@@ -164,24 +165,9 @@ class RootConfig:
 
     def mcs_table(self) -> McsTable:
         sim = self.data["sim"]
-        return McsTable.from_lists(
-            sim["phy_rates_mbps"], sim["per_midpoints_db"], sim["per_slopes_per_db"]
-        )
-
-    def mobility(self) -> MobilityConfig:
-        sim = self.data["sim"]
-        return MobilityConfig(sim["start_distance_m"], sim["speed_mps"])
-
-    def traffic(self) -> TrafficConfig:
-        sim = self.data["sim"]
-        return TrafficConfig(sim["payload_bytes"], sim["overhead_s"])
-
-    def episode_config(self) -> EpisodeConfig:
-        sim = self.data["sim"]
-        return EpisodeConfig(
-            sim["duration_s"], self.data["gym"]["window_frames"],
-            sim["log_period_s"],
-        )
+        return McsTable(np.array(sim["phy_rates_mbps"], dtype=float),
+                        np.array(sim["per_midpoints_db"], dtype=float),
+                        np.array(sim["per_slopes_per_db"], dtype=float))
 
     # -- serialization ------------------------------------------------------
 
@@ -211,7 +197,7 @@ def validate_config(raw_json: str) -> RootConfig:
     the complete list of violations."""
     try:
         parsed = json.loads(raw_json)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError([f"JSON parse error: {exc}"]) from exc
     if not isinstance(parsed, dict):
         raise ConfigError(["top level must be a JSON object"])

@@ -18,38 +18,11 @@ import numpy as np
 
 from . import phy
 from .errors import EpisodeEndedError
-from .phy import ChannelParams, McsEntry, McsTable
+from .phy import McsTable
 
 
 # The fields of an episode log record, in throughput_*.csv column order.
 LOG_FIELDS = ("time_s", "tx_pos_m", "rx_pos_m", "throughput_mbps")
-
-
-@dataclass(frozen=True)
-class MobilityConfig:
-    start_distance_m: float
-    speed_mps: float
-
-    def position_at(self, t: float) -> float:
-        """Receiver distance from the stationary sender at time t."""
-        return self.start_distance_m + self.speed_mps * t
-
-
-@dataclass(frozen=True)
-class TrafficConfig:
-    payload_bytes: int
-    overhead_s: float
-
-    @property
-    def payload_bits(self) -> int:
-        return self.payload_bytes * 8
-
-
-@dataclass(frozen=True)
-class EpisodeConfig:
-    duration_s: float
-    window_frames: int
-    log_period_s: float
 
 
 @dataclass(frozen=True)
@@ -76,15 +49,10 @@ class EpisodeLog:
             dict(zip(LOG_FIELDS, (now, tx_pos_m, rx_pos_m, throughput_mbps))))
 
 
-def frame_airtime(mcs: McsEntry, traffic: TrafficConfig) -> float:
-    """Seconds one frame occupies the channel, payload plus fixed overhead."""
-    return traffic.payload_bits / (mcs.phy_rate_mbps * 1e6) + traffic.overhead_s
-
-
-def dara_reward(fsr: float, mcs: McsEntry, table: McsTable) -> float:
+def dara_reward(fsr: float, mcs: int, table: McsTable) -> float:
     """Reward favouring the highest MCS that still succeeds: FSR weighted by
     the chosen rate relative to the top rate, so it lives in [0, 1]."""
-    return fsr * mcs.phy_rate_mbps / table.max_rate_mbps
+    return fsr * float(table.rates_mbps[mcs]) / table.max_rate_mbps
 
 
 def rng_streams(seed: int, episode: int = 0):
@@ -101,24 +69,36 @@ class LinkSimEnv:
 
     The observation is the window's mean ACK SNR scaled to [0, 1]; windows
     with zero successes carry the previous observation forward (there are no
-    ACKs to measure). `info` carries FSR, throughput, the raw SNR at the
-    current distance (read by the Ideal baseline).
+    ACKs to measure). `info` carries the FSR and the raw SNR at the current
+    distance (read by the Ideal baseline).
     """
 
     INITIAL_MCS = 0
 
-    def __init__(self, channel: ChannelParams, table: McsTable,
-                 mobility: MobilityConfig, traffic: TrafficConfig,
-                 episode: EpisodeConfig, snr_lo_db: float, snr_hi_db: float):
-        self.channel = channel
-        self.table = table
-        self.mobility = mobility
-        self.traffic = traffic
-        self.episode = episode
-        self.snr_lo_db = snr_lo_db
-        self.snr_hi_db = snr_hi_db
+    def __init__(self, cfg):
+        """Build the link from a validated RootConfig."""
+        sim, gym = cfg["sim"], cfg["gym"]
+        self.channel = cfg.channel_params()
+        self.table = cfg.mcs_table()
+        self.start_distance_m = sim["start_distance_m"]
+        self.speed_mps = sim["speed_mps"]
+        self.payload_bits = sim["payload_bytes"] * 8
+        # Seconds one frame occupies the channel at each MCS, payload plus
+        # fixed overhead.
+        self.airtime_s = (self.payload_bits / (self.table.rates_mbps * 1e6)
+                          + sim["overhead_s"])
+        self.window_frames = gym["window_frames"]
+        self.duration_s = sim["duration_s"]
+        self.log_period_s = sim["log_period_s"]
+        self.snr_lo_db = gym["snr_lo_db"]
+        self.snr_hi_db = gym["snr_hi_db"]
         self._rng = None
         self._done = True
+
+    def position_at(self, t):
+        """Receiver distance from the stationary sender at time t (or at each
+        time in an array)."""
+        return self.start_distance_m + self.speed_mps * t
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -133,26 +113,22 @@ class LinkSimEnv:
         self.clock = 0.0
         self._done = False
         self.log = EpisodeLog()
-        self._next_tick = self.episode.log_period_s
+        self._next_tick = self.log_period_s
         self._bits_since_tick = 0.0
         self.total_bits = 0.0
 
-        d0 = self.mobility.start_distance_m
-        raw_snr = phy.snr_db(d0, self.channel)
-        mcs = self.table[self.INITIAL_MCS]
-        p = phy.frame_success_prob(raw_snr, mcs)
-        draws = self._rng.random(self.episode.window_frames) < p
-        fsr = float(np.count_nonzero(draws)) / self.episode.window_frames
+        raw_snr = phy.snr_db(self.start_distance_m, self.channel)
+        mcs = self.INITIAL_MCS
+        p = phy.frame_success_prob(raw_snr, self.table.slopes_per_db[mcs],
+                                   self.table.midpoints_db[mcs])
+        draws = self._rng.random(self.window_frames) < p
+        fsr = float(np.count_nonzero(draws)) / self.window_frames
         self._last_observation = phy.scale_snr(raw_snr, self.snr_lo_db, self.snr_hi_db)
         return StepResult(
             observation=self._last_observation,
             reward=0.0,
             done=False,
-            info={
-                "fsr": fsr,
-                "throughput_mbps": 0.0,
-                "raw_snr_db": raw_snr,
-            },
+            info={"fsr": fsr, "raw_snr_db": raw_snr},
         )
 
     def step(self, action: int) -> StepResult:
@@ -164,22 +140,20 @@ class LinkSimEnv:
         if not isinstance(action, (int, np.integer)) or not 0 <= action < phy.N_MCS:
             raise ValueError(f"action must be an MCS index in [0, 7], got {action!r}")
 
-        mcs = self.table[int(action)]
-        w = self.episode.window_frames
-        dt = frame_airtime(mcs, self.traffic)
+        w = self.window_frames
+        dt = float(self.airtime_s[action])
 
         # ACK instants of the window's frames; the receiver keeps moving.
         ack_times = self.clock + dt * np.arange(1, w + 1)
-        distances = self.mobility.start_distance_m + self.mobility.speed_mps * ack_times
-        snrs = np.array([phy.snr_db(d, self.channel) for d in distances])
-        p = phy.frame_success_prob(snrs, mcs)
+        snrs = phy.snr_db(self.position_at(ack_times), self.channel)
+        p = phy.frame_success_prob(snrs, self.table.slopes_per_db[action],
+                                   self.table.midpoints_db[action])
         successes = self._rng.random(w) < p
 
         n_ok = int(np.count_nonzero(successes))
         fsr = n_ok / w
         window_duration = w * dt
-        bits_ok = n_ok * self.traffic.payload_bits
-        throughput_mbps = bits_ok / window_duration / 1e6
+        bits_ok = n_ok * self.payload_bits
 
         if n_ok > 0:
             mean_ack_snr = float(np.mean(snrs[successes]))
@@ -191,20 +165,16 @@ class LinkSimEnv:
         self.clock += window_duration
         self.total_bits += bits_ok
         self._bits_since_tick += bits_ok
-        self._done = self.clock >= self.episode.duration_s
+        self._done = self.clock >= self.duration_s
         self._advance_log()
 
-        reward = dara_reward(fsr, mcs, self.table)
+        # The last ACK instant is the window's end, so snrs[-1] is the SNR
+        # at the current distance.
         return StepResult(
             observation=observation,
-            reward=reward,
+            reward=dara_reward(fsr, action, self.table),
             done=self._done,
-            info={
-                "fsr": fsr,
-                "throughput_mbps": throughput_mbps,
-                "raw_snr_db": phy.snr_db(self.mobility.position_at(self.clock),
-                                         self.channel),
-            },
+            info={"fsr": fsr, "raw_snr_db": snrs[-1]},
         )
 
     # -- logging -----------------------------------------------------------
@@ -215,7 +185,7 @@ class LinkSimEnv:
         self.log.append_tick(
             now,
             tx_pos_m=0.0,
-            rx_pos_m=self.mobility.position_at(now),
+            rx_pos_m=self.position_at(now),
             throughput_mbps=thpt,
         )
         self._bits_since_tick = 0.0
@@ -224,11 +194,11 @@ class LinkSimEnv:
         # Regular ticks strictly before the episode end; the final record is
         # emitted at the actual end time and may cover a partial period.
         while (self._next_tick <= self.clock
-               and self._next_tick < self.episode.duration_s):
+               and self._next_tick < self.duration_s):
             # Windows rarely end exactly on a tick; attribute a window's bits
             # to the tick at or after its end.
             self._emit_record(self._next_tick)
-            self._next_tick += self.episode.log_period_s
+            self._next_tick += self.log_period_s
         if self._done and self.clock > (self.log.records[-1]["time_s"]
                                         if self.log.records else 0.0):
             self._emit_record(self.clock)

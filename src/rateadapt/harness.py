@@ -64,12 +64,6 @@ def cumulative_reward(step_rewards) -> float:
     return float(sum(step_rewards))
 
 
-def build_env(cfg: RootConfig) -> LinkSimEnv:
-    return LinkSimEnv(cfg.channel_params(), cfg.mcs_table(), cfg.mobility(),
-                      cfg.traffic(), cfg.episode_config(),
-                      cfg["gym"]["snr_lo_db"], cfg["gym"]["snr_hi_db"])
-
-
 def check_checkpoint_kind(algorithm: str, checkpoint: Checkpoint | None):
     """Raise ConfigError unless a trainable algorithm has a checkpoint of
     its own kind; the other algorithms need none."""
@@ -184,7 +178,7 @@ def run_training(cfg: RootConfig, results_dir, progress=None):
 
     results_dir = Path(results_dir)
     results_dir.mkdir(parents=True, exist_ok=True)
-    env = build_env(cfg)
+    env = LinkSimEnv(cfg)
     seed = agent_cfg["seed"]
     schedule = EpsilonSchedule(
         agent_cfg["epsilon_mode"], agent_cfg["epsilon_start"],
@@ -228,7 +222,7 @@ def run_evaluation(cfg: RootConfig, checkpoint: Checkpoint | None,
     """One frozen-policy episode; returns (EpisodeSummary, EpisodeLog)."""
     if seed is None:
         seed = cfg["agent"]["seed"]
-    env = build_env(cfg)
+    env = LinkSimEnv(cfg)
     agent = build_eval_agent(cfg, checkpoint, rng_streams(seed)[1])
     reward = _play_episode(env, agent, seed, 0)
     summary = EpisodeSummary(1, reward, env.mean_throughput_mbps, 0)

@@ -41,52 +41,26 @@ class ChannelParams:
 
 
 @dataclass(frozen=True)
-class McsEntry:
-    """One modulation and coding scheme: rate plus its success curve."""
-
-    index: int
-    phy_rate_mbps: float
-    midpoint_snr_db: float
-    slope_per_db: float
-
-
 class McsTable:
-    """The eight MCS entries in index order; the config guarantees that rate
-    and midpoint increase with the index."""
+    """The eight MCS entries as float arrays in index order: PHY rate and the
+    midpoint and slope of the frame success curve. The config guarantees that
+    rate and midpoint increase with the index."""
 
-    def __init__(self, entries):
-        self.entries = tuple(entries)
-
-    def __len__(self):
-        return N_MCS
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, index: int) -> McsEntry:
-        return self.entries[index]
+    rates_mbps: np.ndarray
+    midpoints_db: np.ndarray
+    slopes_per_db: np.ndarray
 
     @property
     def max_rate_mbps(self) -> float:
-        return self.entries[-1].phy_rate_mbps
-
-    @classmethod
-    def from_lists(cls, rates_mbps, midpoints_db, slopes_per_db) -> "McsTable":
-        return cls(
-            McsEntry(i, float(r), float(m), float(s))
-            for i, (r, m, s) in enumerate(zip(rates_mbps, midpoints_db, slopes_per_db))
-        )
-
-    @classmethod
-    def default(cls) -> "McsTable":
-        return cls.from_lists(
-            DEFAULT_PHY_RATES_MBPS, DEFAULT_PER_MIDPOINTS_DB, DEFAULT_PER_SLOPES_PER_DB
-        )
+        return float(self.rates_mbps[-1])
 
 
-def friis_path_loss(distance_m: float, params: ChannelParams) -> float:
-    """Free-space path loss in dB: 20*log10(4*pi*d*f/c)."""
-    return 20.0 * math.log10(4.0 * math.pi * distance_m * params.frequency_hz / SPEED_OF_LIGHT)
+def friis_path_loss(distance_m, params: ChannelParams):
+    """Free-space path loss in dB, 20*log10(4*pi*d*f/c), for a distance or an
+    array of distances."""
+    if np.any(np.asarray(distance_m) <= 0):
+        raise ValueError(f"distance must be positive, got {distance_m!r}")
+    return 20.0 * np.log10(4.0 * math.pi * distance_m * params.frequency_hz / SPEED_OF_LIGHT)
 
 
 def noise_power_dbm(params: ChannelParams) -> float:
@@ -94,20 +68,18 @@ def noise_power_dbm(params: ChannelParams) -> float:
     return -174.0 + 10.0 * math.log10(params.bandwidth_hz) + params.noise_figure_db
 
 
-def snr_db(distance_m: float, params: ChannelParams) -> float:
-    """Receive SNR in dB at a given distance (deterministic, no fading)."""
+def snr_db(distance_m, params: ChannelParams):
+    """Receive SNR in dB at a distance or an array of distances
+    (deterministic, no fading)."""
     return params.tx_power_dbm - friis_path_loss(distance_m, params) - noise_power_dbm(params)
 
 
-def frame_success_prob(snr: float, mcs: McsEntry):
-    """Probability that one frame at `mcs` succeeds at the given SNR (dB).
-
-    Accepts a scalar or an ndarray of SNR values.
-    """
-    x = np.asarray(snr, dtype=float)
+def frame_success_prob(snr, slope_per_db, midpoint_db):
+    """Probability that one frame succeeds at the given SNR (dB) on the
+    success curve with this slope and midpoint; broadcasts over arrays, so
+    one call covers a window of SNRs or every MCS."""
     with np.errstate(over="ignore"):  # exp overflow saturates to p = 0
-        p = 1.0 / (1.0 + np.exp(-mcs.slope_per_db * (x - mcs.midpoint_snr_db)))
-    return float(p) if np.isscalar(snr) or p.ndim == 0 else p
+        return 1.0 / (1.0 + np.exp(-slope_per_db * (snr - midpoint_db)))
 
 
 def scale_snr(snr: float, lo_db: float, hi_db: float) -> float:

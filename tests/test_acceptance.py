@@ -10,7 +10,7 @@ import pytest
 
 from rateadapt import phy
 from rateadapt.config import default_config, validate_config
-from rateadapt.env import EpisodeConfig, LinkSimEnv, MobilityConfig
+from rateadapt.env import LinkSimEnv
 from rateadapt.harness import run_evaluation, run_training
 from rateadapt.nn import mlp_forward
 from rateadapt.results import CcdfPoint, ccdf
@@ -158,7 +158,7 @@ def test_criterion_7_statistical_phy():
     cfg = default_config()
     channel = cfg.channel_params()
     table = cfg.mcs_table()
-    mcs = table[3]  # midpoint 14 dB
+    mcs = 3  # midpoint 14 dB
     results = []
     ok = True
     for label, target_snr in (("low", 10.0), ("mid", 14.0), ("high", 18.0)):
@@ -168,14 +168,16 @@ def test_criterion_7_statistical_phy():
         d = 10 ** ((channel.tx_power_dbm - phy.noise_power_dbm(channel)
                     - target_snr - offset) / 20)
         assert phy.snr_db(d, channel) == pytest.approx(target_snr, abs=1e-9)
-        env = LinkSimEnv(channel, table, MobilityConfig(d, 0.0),
-                         cfg.traffic(), EpisodeConfig(1e9, 50, 1e9),
-                         cfg["gym"]["snr_lo_db"], cfg["gym"]["snr_hi_db"])
+        data = json.loads(cfg.to_json())
+        data["sim"].update(start_distance_m=d, speed_mps=0.0, duration_s=1e9,
+                           log_period_s=1e9)
+        env = LinkSimEnv(validate_config(json.dumps(data)))
         env.reset(seed=11)
         windows = 1000
-        successes = sum(env.step(3).info["fsr"] * 50 for _ in range(windows))
+        successes = sum(env.step(mcs).info["fsr"] * 50 for _ in range(windows))
         n = windows * 50
-        p = phy.frame_success_prob(target_snr, mcs)
+        p = phy.frame_success_prob(target_snr, table.slopes_per_db[mcs],
+                                   table.midpoints_db[mcs])
         sigma = np.sqrt(n * p * (1 - p))
         dev = abs(successes - n * p)
         ok &= dev <= 6 * sigma

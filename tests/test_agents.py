@@ -7,19 +7,24 @@ from rateadapt.agents import (ConstantAgent, DaraAgent, IdealAgent,
                               MinstrelLikeAgent, MinstrelLikeState,
                               TabularDaraAgent, ideal_select,
                               minstrel_like_select, minstrel_like_update)
+from rateadapt.config import default_config
 from rateadapt.dqn import EpsilonSchedule
 from rateadapt.env import StepResult
 from rateadapt.nn import MlpParams
-from rateadapt.phy import McsTable
 from rateadapt.tabular import QTable
 
-TABLE = McsTable.default()
+TABLE = default_config().mcs_table()
 
 
 def step_with(observation=0.5, fsr=1.0, raw_snr_db=30.0):
     return StepResult(observation, 0.0, False,
-                      {"fsr": fsr, "raw_snr_db": raw_snr_db,
-                       "throughput_mbps": 0.0})
+                      {"fsr": fsr, "raw_snr_db": raw_snr_db})
+
+
+def success_probs(snr):
+    """Frame success probability of each MCS at `snr`, one call per MCS."""
+    return [phy.frame_success_prob(snr, s, m)
+            for s, m in zip(TABLE.slopes_per_db, TABLE.midpoints_db)]
 
 
 def biased_net(favored: int) -> MlpParams:
@@ -65,8 +70,7 @@ class TestIdealSelect:
     def test_snr_15_oracle(self):
         # brute force over all 8 MCS: qualifying set is every index whose
         # logistic success probability at 15 dB is >= 0.9
-        qualifying = [m.index for m in TABLE
-                      if phy.frame_success_prob(15.0, m) >= 0.9]
+        qualifying = [i for i, p in enumerate(success_probs(15.0)) if p >= 0.9]
         # midpoints [5,8,11,14,...], slope 1: p >= 0.9 iff snr >= mid + ln 9,
         # so midpoints up to 15 - 2.197 = 12.80 qualify -> indices 0..2
         assert qualifying == [0, 1, 2]
@@ -74,8 +78,7 @@ class TestIdealSelect:
 
     def test_matches_brute_force_on_grid(self):
         for snr in np.linspace(-10, 50, 121):
-            qualifying = [m.index for m in TABLE
-                          if phy.frame_success_prob(snr, m) >= 0.9]
+            qualifying = [i for i, p in enumerate(success_probs(snr)) if p >= 0.9]
             expected = max(qualifying) if qualifying else 0
             assert ideal_select(float(snr), TABLE, 0.9) == expected
 
@@ -88,7 +91,7 @@ class TestIdealSelect:
         for snr in np.linspace(-20, 60, 200):
             a = ideal_select(float(snr), TABLE, 0.9)
             if a != 0:
-                assert phy.frame_success_prob(snr, TABLE[a]) >= 0.9
+                assert success_probs(snr)[a] >= 0.9
 
 
 class TestMinstrelLike:

@@ -267,6 +267,40 @@ class TestInputHoles:
                          "--results", str(tmp_path / "eval")])
         assert_config_error(code, capsys)
 
+    @pytest.mark.parametrize("content", [
+        b'{"agent": {"algorithm": "\xff"}, "gym": {}, "sim": {}}',
+        b"[" * 100_000,
+    ], ids=["non_utf8", "deeply_nested"])
+    def test_unparseable_config_exit_1(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        code = cli_main(["train", "--config", str(path),
+                         "--results", str(tmp_path / "out")])
+        assert_config_error(code, capsys)
+
+    @pytest.mark.parametrize("results", ["taken", "taken/sub"],
+                             ids=["a_file", "under_a_file"])
+    def test_results_not_a_directory_exit_1(self, tmp_path, capsys, results):
+        path = write_tiny_config(tmp_path / "cfg.json")
+        (tmp_path / "taken").write_text("not a directory", encoding="utf-8")
+        code = cli_main(["train", "--config", str(path),
+                         "--results", str(tmp_path / results)])
+        assert_config_error(code, capsys)
+
+    def test_checkpoint_is_a_directory_exit_1(self, tmp_path, capsys):
+        path = write_tiny_config(tmp_path / "cfg.json")
+        code = cli_main(["eval", "--config", str(path), "--checkpoint", str(tmp_path),
+                         "--results", str(tmp_path / "eval")])
+        assert_config_error(code, capsys)
+
+    def test_deeply_nested_checkpoint_header_exit_1(self, tmp_path, capsys):
+        path = write_tiny_config(tmp_path / "cfg.json")
+        ckpt = tmp_path / "nested.ckpt"
+        ckpt.write_bytes(ckpt_io.MAGIC + b"[" * 100_000 + b"\n")
+        code = cli_main(["eval", "--config", str(path), "--checkpoint", str(ckpt),
+                         "--results", str(tmp_path / "eval")])
+        assert_config_error(code, capsys)
+
 
 class TestUsage:
     def test_unknown_subcommand(self):

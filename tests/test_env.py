@@ -1,72 +1,64 @@
+import json
+
 import numpy as np
 import pytest
 
 from rateadapt import phy
-from rateadapt.config import default_config
-from rateadapt.env import (EpisodeConfig, LinkSimEnv, MobilityConfig,
-                           TrafficConfig, dara_reward, frame_airtime,
-                           rng_streams)
+from rateadapt.config import default_config, validate_config
+from rateadapt.env import LinkSimEnv, dara_reward, rng_streams
 from rateadapt.errors import EpisodeEndedError
-from rateadapt.phy import McsTable
 
-TABLE = McsTable.default()
-TRAFFIC = TrafficConfig(payload_bytes=1400, overhead_s=100e-6)
+TABLE = default_config().mcs_table()
 CHANNEL = default_config().channel_params()
 
 
-def make_env(start=1.0, speed=20.0, duration=60.0, window=50, log_period=1.0):
-    return LinkSimEnv(
-        channel=CHANNEL,
-        table=TABLE,
-        mobility=MobilityConfig(start, speed),
-        traffic=TRAFFIC,
-        episode=EpisodeConfig(duration, window, log_period),
-        snr_lo_db=0.0,
-        snr_hi_db=40.0,
-    )
+def make_env(start=1.0, speed=20.0, duration=60.0, window=50, log_period=1.0,
+             overhead=100e-6):
+    data = json.loads(default_config().to_json())
+    data["sim"].update(start_distance_m=start, speed_mps=speed, duration_s=duration,
+                       log_period_s=log_period, overhead_s=overhead)
+    data["gym"]["window_frames"] = window
+    return LinkSimEnv(validate_config(json.dumps(data)))
 
 
 class TestFrameAirtime:
     def test_mcs7(self):
-        dt = frame_airtime(TABLE[7], TRAFFIC)
-        assert dt == pytest.approx(272.31e-6, abs=0.01e-6)
+        assert make_env().airtime_s[7] == pytest.approx(272.31e-6, abs=0.01e-6)
 
     def test_mcs0(self):
-        dt = frame_airtime(TABLE[0], TRAFFIC)
-        assert dt == pytest.approx(1823.08e-6, abs=0.01e-6)
+        assert make_env().airtime_s[0] == pytest.approx(1823.08e-6, abs=0.01e-6)
 
     def test_zero_overhead(self):
-        traffic = TrafficConfig(1400, 0.0)
-        assert frame_airtime(TABLE[7], traffic) == 11200 / 65e6
+        assert make_env(overhead=0.0).airtime_s[7] == 11200 / 65e6
 
 
 class TestPosition:
     def test_initial(self):
-        assert MobilityConfig(3.0, 20.0).position_at(0.0) == 3.0
+        assert make_env(start=3.0).position_at(0.0) == 3.0
 
     def test_linear_motion(self):
-        assert MobilityConfig(1.0, 20.0).position_at(60.0) == 1201.0
+        assert make_env(start=1.0, speed=20.0).position_at(60.0) == 1201.0
 
     def test_stationary(self):
-        mob = MobilityConfig(5.0, 0.0)
-        assert all(mob.position_at(t) == 5.0 for t in (0.0, 1.0, 100.0))
+        env = make_env(start=5.0, speed=0.0)
+        assert all(env.position_at(t) == 5.0 for t in (0.0, 1.0, 100.0))
 
 
 class TestDaraReward:
     def test_max(self):
-        assert dara_reward(1.0, TABLE[7], TABLE) == 1.0
+        assert dara_reward(1.0, 7, TABLE) == 1.0
 
     def test_zero_fsr(self):
-        assert all(dara_reward(0.0, m, TABLE) == 0.0 for m in TABLE)
+        assert all(dara_reward(0.0, m, TABLE) == 0.0 for m in range(phy.N_MCS))
 
     def test_mcs3(self):
-        assert dara_reward(0.9, TABLE[3], TABLE) == pytest.approx(0.9 * 26 / 65)
+        assert dara_reward(0.9, 3, TABLE) == pytest.approx(0.9 * 26 / 65)
 
     def test_monotone_in_fsr_and_mcs(self):
-        for m in TABLE:
+        for m in range(phy.N_MCS):
             rewards = [dara_reward(f, m, TABLE) for f in np.linspace(0, 1, 11)]
             assert all(b >= a for a, b in zip(rewards, rewards[1:]))
-        at_fixed_fsr = [dara_reward(0.7, m, TABLE) for m in TABLE]
+        at_fixed_fsr = [dara_reward(0.7, m, TABLE) for m in range(phy.N_MCS)]
         assert all(b > a for a, b in zip(at_fixed_fsr, at_fixed_fsr[1:]))
 
 
@@ -77,7 +69,7 @@ class TestReset:
         assert res.done is False
         assert res.reward == 0.0
         assert env.clock == 0.0
-        assert res.info.keys() == {"fsr", "throughput_mbps", "raw_snr_db"}
+        assert res.info.keys() == {"fsr", "raw_snr_db"}
 
     def test_default_observation_saturates(self):
         res = make_env().reset(seed=7)
@@ -97,7 +89,7 @@ class TestStep:
         env.reset(seed=1)
         res = env.step(7)
         assert res.info["fsr"] == 1.0
-        assert res.info["throughput_mbps"] == pytest.approx(41.13, abs=0.1)
+        assert env.mean_throughput_mbps == pytest.approx(41.13, abs=0.1)
 
     def test_all_failure_window(self):
         env = make_env(start=5000.0, speed=0.0)  # SNR ~ -6.7 dB
@@ -105,19 +97,19 @@ class TestStep:
         res = env.step(7)
         assert res.info["fsr"] == 0.0
         assert res.reward == 0.0
-        assert res.info["throughput_mbps"] == 0.0
+        assert env.total_bits == 0.0
 
     def test_binomial_statistics(self):
         # Distance fixed at the MCS 3 midpoint: p = 0.5 per frame.
-        mcs = TABLE[3]
         d = 10 ** ((CHANNEL.tx_power_dbm
                     - phy.noise_power_dbm(CHANNEL)
-                    - mcs.midpoint_snr_db
+                    - TABLE.midpoints_db[3]
                     - 20 * np.log10(4 * np.pi * CHANNEL.frequency_hz
                                     / phy.SPEED_OF_LIGHT)) / 20)
-        env = make_env(start=d, speed=0.0, duration=1e9, window=50)
+        env = make_env(start=d, speed=0.0, duration=1e9, window=50, log_period=1e9)
         env.reset(seed=3)
-        p = phy.frame_success_prob(phy.snr_db(d, CHANNEL), mcs)
+        p = phy.frame_success_prob(phy.snr_db(d, CHANNEL), TABLE.slopes_per_db[3],
+                                   TABLE.midpoints_db[3])
         assert p == pytest.approx(0.5, abs=1e-6)
         counts = [env.step(3).info["fsr"] * 50 for _ in range(400)]
         mean = np.mean(counts)
@@ -146,18 +138,20 @@ class TestStep:
         rng = np.random.default_rng(0)
         while not env.done:
             a = int(rng.integers(0, 8))
+            bits_before = env.total_bits
             res = env.step(a)
             count = res.info["fsr"] * 50
             assert count == pytest.approx(round(count), abs=1e-9)
-            cap = TRAFFIC.payload_bits / frame_airtime(TABLE[a], TRAFFIC) / 1e6
-            assert res.info["throughput_mbps"] <= cap + 1e-9
+            window_mbps = (env.total_bits - bits_before) / (50 * env.airtime_s[a]) / 1e6
+            cap = env.payload_bits / env.airtime_s[a] / 1e6
+            assert window_mbps <= cap + 1e-9
 
     def test_episode_duration_bound(self):
         env = make_env(duration=10.0)
         env.reset(seed=2)
         while not env.done:
             env.step(0)
-        max_window = 50 * frame_airtime(TABLE[0], TRAFFIC)
+        max_window = 50 * env.airtime_s[0]
         assert 10.0 <= env.clock <= 10.0 + max_window
 
     def test_done_exactly_once(self):
@@ -177,6 +171,15 @@ class TestStep:
             obs.append(env.step(2).observation)
         quarter = len(obs) // 4
         assert np.mean(obs[:quarter]) >= np.mean(obs[-quarter:])
+
+    def test_raw_snr_is_snr_at_window_end(self):
+        env = make_env(duration=5.0)
+        env.reset(seed=6)
+        rng = np.random.default_rng(1)
+        while not env.done:
+            res = env.step(int(rng.integers(0, 8)))
+            assert res.info["raw_snr_db"] == phy.snr_db(env.position_at(env.clock),
+                                                       CHANNEL)
 
     def test_empty_window_carries_observation_forward(self):
         env = make_env(start=5000.0, speed=0.0)

@@ -7,6 +7,7 @@ import pytest
 
 from rateadapt import checkpoint as ckpt_io
 from rateadapt.config import default_config, validate_config
+from rateadapt.env import LinkSimEnv
 from rateadapt.errors import ConfigError
 from rateadapt.harness import (SweepConfig, cumulative_reward, run_evaluation,
                                run_sweep, run_training)
@@ -130,13 +131,11 @@ class TestRunEvaluation:
     def test_cumulative_reward_matches_replayed_rewards(self, tmp_path):
         # independent recomputation: drive the env with the same frozen
         # policy and seed, summing rewards by hand
-        from rateadapt.harness import build_env
-
         cfg = tiny_config(episodes=1)
         _, ckpt = run_training(cfg, tmp_path)
         summary, _ = run_evaluation(cfg, ckpt, seed=3)
 
-        env = build_env(cfg)
+        env = LinkSimEnv(cfg)
         res = env.reset(3)
         total = 0.0
         while not res.done:

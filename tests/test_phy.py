@@ -7,10 +7,18 @@ from hypothesis import given, strategies as st
 
 from rateadapt import phy
 from rateadapt.config import default_config
-from rateadapt.phy import McsEntry, McsTable
 
 
 DEFAULTS = default_config().channel_params()
+TABLE = default_config().mcs_table()
+
+
+def snr_db_reference(distance_m, params):
+    """The scalar math.log10 formula snr_db evaluated before it took arrays."""
+    friis = 20.0 * math.log10(4.0 * math.pi * distance_m * params.frequency_hz
+                              / phy.SPEED_OF_LIGHT)
+    noise = -174.0 + 10.0 * math.log10(params.bandwidth_hz) + params.noise_figure_db
+    return params.tx_power_dbm - friis - noise
 
 
 class TestFriis:
@@ -63,33 +71,61 @@ class TestSnr:
         snrs = [phy.snr_db(d, DEFAULTS) for d in grid]
         assert all(b < a for a, b in zip(snrs, snrs[1:]))
 
+    def test_array_matches_scalar_calls_and_reference(self):
+        # A window's SNRs come from one array call; the environment's outputs
+        # stay byte-identical only if that equals per-frame scalar calls.
+        rng = np.random.default_rng(0)
+        grid = np.concatenate([np.geomspace(0.1, 1e5, 2000),
+                               rng.uniform(0.1, 3000.0, 2000),
+                               1.0 + 20.0 * np.arange(1, 51) * 272.31e-6])
+        snrs = phy.snr_db(grid, DEFAULTS)
+        scalar = np.array([phy.snr_db(float(d), DEFAULTS) for d in grid])
+        assert snrs.tobytes() == scalar.tobytes()
+        reference = np.array([snr_db_reference(float(d), DEFAULTS) for d in grid])
+        np.testing.assert_allclose(snrs, reference, rtol=1e-12, atol=0)
+
+    def test_array_with_non_positive_distance_raises(self):
+        with pytest.raises(ValueError):
+            phy.snr_db(np.array([1.0, 0.0, 2.0]), DEFAULTS)
+
 
 class TestFrameSuccessProb:
-    MCS = McsEntry(3, 26.0, 14.0, 1.0)
+    # MCS 3: midpoint 14 dB, slope 1 per dB
+    SLOPE, MIDPOINT = 1.0, 14.0
 
     def test_midpoint_is_half(self):
-        assert phy.frame_success_prob(14.0, self.MCS) == 0.5
+        assert phy.frame_success_prob(14.0, self.SLOPE, self.MIDPOINT) == 0.5
 
     def test_inverted_logistic_at_p09(self):
         snr = 14.0 + math.log(9.0) / 1.0
-        assert phy.frame_success_prob(snr, self.MCS) == pytest.approx(0.9, abs=1e-9)
+        assert phy.frame_success_prob(snr, self.SLOPE, self.MIDPOINT) == pytest.approx(
+            0.9, abs=1e-9)
 
     def test_limits(self):
-        assert phy.frame_success_prob(1e4, self.MCS) == 1.0
-        assert phy.frame_success_prob(-1e4, self.MCS) == 0.0
+        assert phy.frame_success_prob(1e4, self.SLOPE, self.MIDPOINT) == 1.0
+        assert phy.frame_success_prob(-1e4, self.SLOPE, self.MIDPOINT) == 0.0
 
     def test_monotone_in_snr_every_mcs(self):
         grid = np.linspace(-20, 60, 500)
-        for mcs in McsTable.default():
-            p = phy.frame_success_prob(grid, mcs)
+        for slope, mid in zip(TABLE.slopes_per_db, TABLE.midpoints_db):
+            p = phy.frame_success_prob(grid, slope, mid)
             assert np.all(np.diff(p) >= 0)
             assert np.all((p >= 0) & (p <= 1))
 
     def test_monotone_nonincreasing_in_mcs_index(self):
-        table = McsTable.default()
         for snr in np.linspace(-10, 50, 100):
-            ps = [phy.frame_success_prob(snr, m) for m in table]
-            assert all(b <= a for a, b in zip(ps, ps[1:]))
+            ps = phy.frame_success_prob(snr, TABLE.slopes_per_db, TABLE.midpoints_db)
+            assert np.all(np.diff(ps) <= 0)
+
+    def test_table_arrays_match_single_mcs_calls(self):
+        # ideal_select evaluates every MCS in one call; it must agree bit for
+        # bit with one call per MCS.
+        slopes = np.array([0.5, 1.0, 1.0, 1.5, 0.8, 1.0, 2.0, 1.0])
+        for snr in np.linspace(-30, 70, 401):
+            together = phy.frame_success_prob(snr, slopes, TABLE.midpoints_db)
+            single = np.array([phy.frame_success_prob(snr, s, m)
+                               for s, m in zip(slopes, TABLE.midpoints_db)])
+            assert together.tobytes() == single.tobytes()
 
 
 class TestScaleSnr:
@@ -114,7 +150,7 @@ class TestScaleSnr:
 
 class TestMcsTable:
     def test_default_table_valid(self):
-        table = McsTable.default()
-        assert len(table) == 8
-        assert table.max_rate_mbps == 65.0
-        assert [m.index for m in table] == list(range(8))
+        for column in (TABLE.rates_mbps, TABLE.midpoints_db, TABLE.slopes_per_db):
+            assert column.shape == (phy.N_MCS,) and column.dtype == np.float64
+        assert TABLE.max_rate_mbps == 65.0
+        assert list(TABLE.rates_mbps) == list(phy.DEFAULT_PHY_RATES_MBPS)
