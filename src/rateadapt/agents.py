@@ -78,7 +78,7 @@ class IdealAgent:
         self._snr = -np.inf
 
     def observe(self, result: StepResult):
-        self._snr = result.info["raw_snr_db"]
+        self._snr = result.raw_snr_db
 
     def select_action(self) -> int:
         return ideal_select(self._snr, self.table, self.p_min)
@@ -106,8 +106,6 @@ def minstrel_like_select(state: MinstrelLikeState, table: McsTable,
 def minstrel_like_update(state: MinstrelLikeState, mcs: int,
                          fsr: float) -> MinstrelLikeState:
     """Fold one window's FSR into the chosen MCS's EWMA."""
-    if not 0.0 <= fsr <= 1.0:
-        raise ValueError(f"fsr {fsr} outside [0, 1]")
     w = state.ewma_weight
     state.ewma[mcs] = (1.0 - w) * state.ewma[mcs] + w * fsr
     return state
@@ -126,7 +124,7 @@ class MinstrelLikeAgent:
 
     def observe(self, result: StepResult):
         if self._last_action is not None:
-            minstrel_like_update(self.state, self._last_action, result.info["fsr"])
+            minstrel_like_update(self.state, self._last_action, result.fsr)
 
     def select_action(self) -> int:
         self._last_action = minstrel_like_select(self.state, self.table, self.rng)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -114,7 +115,7 @@ def _cmd_eval(args) -> int:
     run_dir = _new_run_dir(args, cfg, f"eval_{algorithm}")
     print(f"results: {run_dir}")
     summary, _ = run_evaluation(cfg, ckpt, run_dir)
-    print(f"cum_reward={summary.cumulative_reward:.3f} "
+    print(f"cum_reward={summary.cum_reward:.3f} "
           f"mean_throughput={summary.mean_throughput_mbps:.3f} Mbit/s")
     return EXIT_OK
 
@@ -152,11 +153,16 @@ def _cmd_ccdf(args) -> int:
     run_dir = Path(args.run_dir if args.run_dir else args.results)
     samples = []
     for log in sorted(run_dir.glob("throughput_*.csv")):
-        with open(log, encoding="utf-8", newline="") as f:
-            try:
-                samples.extend(float(row["throughput_mbps"]) for row in csv.DictReader(f))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise RateAdaptError(f"{log}: bad throughput_mbps column ({exc!r})") from exc
+        try:
+            with open(log, encoding="utf-8", newline="") as f:
+                values = [float(row["throughput_mbps"]) for row in csv.DictReader(f)]
+            if not all(map(math.isfinite, values)):
+                raise ValueError("non-finite value")
+        except OSError as exc:
+            raise RateAdaptError(f"cannot read {log}: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RateAdaptError(f"{log}: bad throughput_mbps column ({exc!r})") from exc
+        samples.extend(values)
     if not samples:
         raise RateAdaptError(f"no throughput samples in {run_dir}/throughput_*.csv")
     write_ccdf_csv(ccdf(samples), run_dir / "ccdf.csv")

@@ -139,7 +139,7 @@ SCHEMA = {
 FINGERPRINT_EXCLUDE = {("agent", "seed"), ("agent", "episodes"),
                        ("agent", "checkpoint_every")}
 
-# The episode log keeps one in-memory record per sim.log_period_s.
+# The throughput log holds one row per sim.log_period_s tick in memory.
 MAX_LOG_RECORDS = 1_000_000
 
 

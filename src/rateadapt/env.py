@@ -12,7 +12,7 @@ ACK instant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,26 +27,14 @@ LOG_FIELDS = ("time_s", "tx_pos_m", "rx_pos_m", "throughput_mbps")
 
 @dataclass(frozen=True)
 class StepResult:
-    """One environment transition as seen by the agent."""
+    """One environment transition as seen by the agent, plus the window's
+    frame success ratio and the raw SNR at the receiver's current distance."""
 
     observation: float
     reward: float
     done: bool
-    info: dict
-
-
-@dataclass
-class EpisodeLog:
-    """Periodic records of time, node positions and link throughput."""
-
-    records: list = field(default_factory=list)
-
-    def append_tick(self, now: float, tx_pos_m: float, rx_pos_m: float,
-                    throughput_mbps: float):
-        if self.records and now <= self.records[-1]["time_s"]:
-            raise ValueError("log timestamps must be strictly increasing")
-        self.records.append(
-            dict(zip(LOG_FIELDS, (now, tx_pos_m, rx_pos_m, throughput_mbps))))
+    fsr: float
+    raw_snr_db: float
 
 
 def dara_reward(fsr: float, mcs: int, table: McsTable) -> float:
@@ -69,8 +57,9 @@ class LinkSimEnv:
 
     The observation is the window's mean ACK SNR scaled to [0, 1]; windows
     with zero successes carry the previous observation forward (there are no
-    ACKs to measure). `info` carries the FSR and the raw SNR at the current
-    distance (read by the Ideal baseline).
+    ACKs to measure). Each result also carries the FSR (read by the
+    Minstrel-like baseline) and the raw SNR at the current distance (read by
+    the Ideal baseline).
     """
 
     INITIAL_MCS = 0
@@ -112,10 +101,10 @@ class LinkSimEnv:
         self._rng = rng_streams(seed, episode)[0]
         self.clock = 0.0
         self._done = False
-        self.log = EpisodeLog()
-        self._next_tick = self.log_period_s
-        self._bits_since_tick = 0.0
         self.total_bits = 0.0
+        # End time and delivered bits of every window, for throughput_log().
+        self._window_ends = []
+        self._window_bits = []
 
         raw_snr = phy.snr_db(self.start_distance_m, self.channel)
         mcs = self.INITIAL_MCS
@@ -128,7 +117,8 @@ class LinkSimEnv:
             observation=self._last_observation,
             reward=0.0,
             done=False,
-            info={"fsr": fsr, "raw_snr_db": raw_snr},
+            fsr=fsr,
+            raw_snr_db=raw_snr,
         )
 
     def step(self, action: int) -> StepResult:
@@ -164,9 +154,9 @@ class LinkSimEnv:
 
         self.clock += window_duration
         self.total_bits += bits_ok
-        self._bits_since_tick += bits_ok
+        self._window_ends.append(self.clock)
+        self._window_bits.append(bits_ok)
         self._done = self.clock >= self.duration_s
-        self._advance_log()
 
         # The last ACK instant is the window's end, so snrs[-1] is the SNR
         # at the current distance.
@@ -174,34 +164,32 @@ class LinkSimEnv:
             observation=observation,
             reward=dara_reward(fsr, action, self.table),
             done=self._done,
-            info={"fsr": fsr, "raw_snr_db": snrs[-1]},
+            fsr=fsr,
+            raw_snr_db=snrs[-1],
         )
 
-    # -- logging -----------------------------------------------------------
+    def throughput_log(self) -> np.ndarray:
+        """The finished episode's throughput log: one row per log tick
+        strictly before `duration_s` plus a last row at the episode end, in
+        LOG_FIELDS column order.
 
-    def _emit_record(self, now: float):
-        period = now - (self.log.records[-1]["time_s"] if self.log.records else 0.0)
-        thpt = self._bits_since_tick / period / 1e6 if period > 0 else 0.0
-        self.log.append_tick(
-            now,
-            tx_pos_m=0.0,
-            rx_pos_m=self.position_at(now),
-            throughput_mbps=thpt,
-        )
-        self._bits_since_tick = 0.0
-
-    def _advance_log(self):
-        # Regular ticks strictly before the episode end; the final record is
-        # emitted at the actual end time and may cover a partial period.
-        while (self._next_tick <= self.clock
-               and self._next_tick < self.duration_s):
-            # Windows rarely end exactly on a tick; attribute a window's bits
-            # to the tick at or after its end.
-            self._emit_record(self._next_tick)
-            self._next_tick += self.log_period_s
-        if self._done and self.clock > (self.log.records[-1]["time_s"]
-                                        if self.log.records else 0.0):
-            self._emit_record(self.clock)
+        A window's bits go to the first tick strictly after the window's
+        start, or to the last row when no tick before `duration_s` is. Tick
+        k is the running sum of k periods, added one at a time, and bit
+        counts are integers, so their sums are exact.
+        """
+        if self._rng is None or not self._done:
+            raise RuntimeError("throughput_log() needs a finished episode")
+        n_ticks = int(self.duration_s / self.log_period_s) + 2
+        ticks = np.cumsum(np.full(n_ticks, self.log_period_s))
+        times = np.append(ticks[ticks < self.duration_s], self.clock)
+        # A record closes with the first window ending at or after its time;
+        # for the last record that is the last window.
+        closing = np.searchsorted(self._window_ends, times, "left")
+        bits = np.diff(np.cumsum(self._window_bits)[closing], prepend=0)
+        periods = np.diff(times, prepend=0.0)
+        return np.column_stack((times, np.zeros_like(times),
+                                self.position_at(times), bits / periods / 1e6))
 
     @property
     def done(self) -> bool:

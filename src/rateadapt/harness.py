@@ -41,7 +41,7 @@ SWEEP_FIELDS = ("learning_rate", "architecture", "seed", "final_cum_reward",
 @dataclass
 class EpisodeSummary:
     episode: int
-    cumulative_reward: float
+    cum_reward: float
     mean_throughput_mbps: float
     train_steps: int
 
@@ -57,11 +57,6 @@ class SweepConfig:
     def __post_init__(self):
         if not self.learning_rates or not self.architectures or not self.seeds:
             raise ConfigError(["sweep grid must be non-empty"])
-
-
-def cumulative_reward(step_rewards) -> float:
-    """Sum of the per-step rewards of one episode."""
-    return float(sum(step_rewards))
 
 
 def check_checkpoint_kind(algorithm: str, checkpoint: Checkpoint | None):
@@ -139,30 +134,31 @@ def _tabular_learner(agent_cfg, schedule, agent_rng):
 def _play_episode(env: LinkSimEnv, agent, seed: int, episode: int,
                   learn=None) -> float:
     """Run one episode from env.reset(seed, episode) to done, passing each
-    transition to `learn` if given; returns the cumulative reward."""
+    transition to `learn` if given; returns the cumulative reward, summed
+    left to right."""
     result = env.reset(seed, episode=episode)
     agent.observe(result)
-    rewards = []
+    total = 0.0
     while not result.done:
         obs = result.observation
         action = agent.select_action()
         result = env.step(action)
         agent.observe(result)
-        rewards.append(result.reward)
+        total += result.reward
         if learn is not None:
             learn(obs, action, result.reward, result.observation, result.done)
-    return cumulative_reward(rewards)
+    return total
 
 
 def _episode_row(s: EpisodeSummary):
     """One episodes.csv row, for training and evaluation alike."""
-    return (s.episode, f"{s.cumulative_reward:.6f}",
+    return (s.episode, f"{s.cum_reward:.6f}",
             f"{s.mean_throughput_mbps:.6f}", s.train_steps)
 
 
-def _write_episode_log(log, path: Path):
+def _write_episode_log(log: np.ndarray, path: Path):
     write_csv(path, LOG_FIELDS,
-              ([f"{rec[k]:.6f}" for k in LOG_FIELDS] for rec in log.records))
+              ([f"{v:.6f}" for v in row.tolist()] for row in log))
 
 
 def run_training(cfg: RootConfig, results_dir, progress=None):
@@ -204,13 +200,14 @@ def run_training(cfg: RootConfig, results_dir, progress=None):
             summaries.append(summary)
             writer.writerow(_episode_row(summary))
             f.flush()
-            _write_episode_log(env.log, results_dir / f"throughput_{ep:03d}.csv")
+            _write_episode_log(env.throughput_log(),
+                               results_dir / f"throughput_{ep:03d}.csv")
             if ep % agent_cfg["checkpoint_every"] == 0 or ep == episodes:
                 ckpt_io.save(results_dir / f"policy_ep{ep:03d}.ckpt",
                              make_checkpoint())
             if progress is not None:
                 progress(f"episode {ep}/{episodes}: "
-                         f"cum_reward={summary.cumulative_reward:.3f} "
+                         f"cum_reward={summary.cum_reward:.3f} "
                          f"mean_throughput={summary.mean_throughput_mbps:.3f} Mbit/s "
                          f"train_steps={summary.train_steps}")
 
@@ -219,20 +216,22 @@ def run_training(cfg: RootConfig, results_dir, progress=None):
 
 def run_evaluation(cfg: RootConfig, checkpoint: Checkpoint | None,
                    results_dir=None, seed: int | None = None):
-    """One frozen-policy episode; returns (EpisodeSummary, EpisodeLog)."""
+    """One frozen-policy episode; returns (EpisodeSummary, throughput log
+    array in LOG_FIELDS column order)."""
     if seed is None:
         seed = cfg["agent"]["seed"]
     env = LinkSimEnv(cfg)
     agent = build_eval_agent(cfg, checkpoint, rng_streams(seed)[1])
     reward = _play_episode(env, agent, seed, 0)
     summary = EpisodeSummary(1, reward, env.mean_throughput_mbps, 0)
+    log = env.throughput_log()
     if results_dir is not None:
         results_dir = Path(results_dir)
         results_dir.mkdir(parents=True, exist_ok=True)
-        _write_episode_log(env.log, results_dir / "throughput_eval.csv")
+        _write_episode_log(log, results_dir / "throughput_eval.csv")
         write_csv(results_dir / "episodes.csv", EPISODES_HEADER,
                   [_episode_row(summary)])
-    return summary, env.log
+    return summary, log
 
 
 def run_sweep(sweep: SweepConfig, base: RootConfig, results_dir,
@@ -256,7 +255,7 @@ def run_sweep(sweep: SweepConfig, base: RootConfig, results_dir,
             cfg = base.with_overrides(learning_rate=lr,
                                       hidden_layers=list(arch), seed=seed)
             summaries, _ = run_training(cfg, cell_dir, progress=None)
-            finals = [s.cumulative_reward for s in summaries]
+            finals = [s.cum_reward for s in summaries]
             row["final_cum_reward"] = f"{finals[-1]:.6f}"
             row["mean_last3_cum_reward"] = f"{float(np.mean(finals[-3:])):.6f}"
         except Exception as exc:  # noqa: BLE001 - sweep must survive bad cells

@@ -47,7 +47,7 @@ def test_criterion_1_training_convergence(trained_runs):
     passing = 0
     details = []
     for seed, (summaries, _) in trained_runs.items():
-        rewards = [s.cumulative_reward for s in summaries]
+        rewards = [s.cum_reward for s in summaries]
         assert len(rewards) == 15
         first3 = float(np.mean(rewards[:3]))
         last3 = float(np.mean(rewards[-3:]))
@@ -70,7 +70,7 @@ def test_criterion_2_learning_rate_ordering(tmp_path):
             cfg = default_config().with_overrides(
                 seed=seed, learning_rate=lr, hidden_layers=[32, 32])
             summaries, _ = run_training(cfg, tmp_path / f"s{seed}_lr{lr}")
-            finals[lr] = summaries[-1].cumulative_reward
+            finals[lr] = summaries[-1].cum_reward
         best = max(finals, key=finals.get)
         wins += best == 0.01
         per_seed.append(f"seed{seed}:best={best}")
@@ -174,7 +174,7 @@ def test_criterion_7_statistical_phy():
         env = LinkSimEnv(validate_config(json.dumps(data)))
         env.reset(seed=11)
         windows = 1000
-        successes = sum(env.step(mcs).info["fsr"] * 50 for _ in range(windows))
+        successes = sum(env.step(mcs).fsr * 50 for _ in range(windows))
         n = windows * 50
         p = phy.frame_success_prob(target_snr, table.slopes_per_db[mcs],
                                    table.midpoints_db[mcs])

@@ -17,8 +17,7 @@ TABLE = default_config().mcs_table()
 
 
 def step_with(observation=0.5, fsr=1.0, raw_snr_db=30.0):
-    return StepResult(observation, 0.0, False,
-                      {"fsr": fsr, "raw_snr_db": raw_snr_db})
+    return StepResult(observation, 0.0, False, fsr, raw_snr_db)
 
 
 def success_probs(snr):

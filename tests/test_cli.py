@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rateadapt
 from rateadapt import checkpoint as ckpt_io
 from rateadapt.cli import cli_main
 from rateadapt.config import default_config
@@ -292,6 +297,34 @@ class TestInputHoles:
         code = cli_main(["eval", "--config", str(path), "--checkpoint", str(tmp_path),
                          "--results", str(tmp_path / "eval")])
         assert_config_error(code, capsys)
+
+    def test_ccdf_log_is_a_directory_exit_2(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path / "cfg.json")
+        run = tmp_path / "run"
+        (run / "throughput_001.csv").mkdir(parents=True)
+        code = cli_main(["ccdf", "--config", str(cfg), "--run-dir", str(run)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_ccdf_non_finite_sample_exit_2(self, tmp_path, value):
+        # results.ccdf loops forever on a NaN, so should the CLI ever pass
+        # one on, the timeout stops the child process and the test fails.
+        cfg = write_tiny_config(tmp_path / "cfg.json")
+        (tmp_path / "throughput_001.csv").write_text(
+            f"throughput_mbps\n1.0\n{value}\n", encoding="utf-8")
+        src = str(Path(rateadapt.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from rateadapt.cli import cli_main; "
+             "sys.exit(cli_main(sys.argv[1:]))",
+             "ccdf", "--config", str(cfg), "--run-dir", str(tmp_path)],
+            capture_output=True, text=True, timeout=60, env=env, check=False)
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_deeply_nested_checkpoint_header_exit_1(self, tmp_path, capsys):
         path = write_tiny_config(tmp_path / "cfg.json")

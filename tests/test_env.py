@@ -69,11 +69,11 @@ class TestReset:
         assert res.done is False
         assert res.reward == 0.0
         assert env.clock == 0.0
-        assert res.info.keys() == {"fsr", "raw_snr_db"}
+        assert res.fsr == 1.0  # the probe window at MCS 0 and 67 dB
 
     def test_default_observation_saturates(self):
         res = make_env().reset(seed=7)
-        assert res.info["raw_snr_db"] == pytest.approx(67.26, abs=0.05)
+        assert res.raw_snr_db == pytest.approx(67.26, abs=0.05)
         assert res.observation == 1.0
 
     def test_determinism(self):
@@ -88,14 +88,14 @@ class TestStep:
         env = make_env(start=1.0, speed=0.0)
         env.reset(seed=1)
         res = env.step(7)
-        assert res.info["fsr"] == 1.0
+        assert res.fsr == 1.0
         assert env.mean_throughput_mbps == pytest.approx(41.13, abs=0.1)
 
     def test_all_failure_window(self):
         env = make_env(start=5000.0, speed=0.0)  # SNR ~ -6.7 dB
         env.reset(seed=1)
         res = env.step(7)
-        assert res.info["fsr"] == 0.0
+        assert res.fsr == 0.0
         assert res.reward == 0.0
         assert env.total_bits == 0.0
 
@@ -111,7 +111,7 @@ class TestStep:
         p = phy.frame_success_prob(phy.snr_db(d, CHANNEL), TABLE.slopes_per_db[3],
                                    TABLE.midpoints_db[3])
         assert p == pytest.approx(0.5, abs=1e-6)
-        counts = [env.step(3).info["fsr"] * 50 for _ in range(400)]
+        counts = [env.step(3).fsr * 50 for _ in range(400)]
         mean = np.mean(counts)
         sigma = np.sqrt(50 * p * (1 - p) / len(counts))
         assert abs(mean - 50 * p) < 6 * sigma
@@ -140,7 +140,7 @@ class TestStep:
             a = int(rng.integers(0, 8))
             bits_before = env.total_bits
             res = env.step(a)
-            count = res.info["fsr"] * 50
+            count = res.fsr * 50
             assert count == pytest.approx(round(count), abs=1e-9)
             window_mbps = (env.total_bits - bits_before) / (50 * env.airtime_s[a]) / 1e6
             cap = env.payload_bits / env.airtime_s[a] / 1e6
@@ -178,8 +178,8 @@ class TestStep:
         rng = np.random.default_rng(1)
         while not env.done:
             res = env.step(int(rng.integers(0, 8)))
-            assert res.info["raw_snr_db"] == phy.snr_db(env.position_at(env.clock),
-                                                       CHANNEL)
+            assert res.raw_snr_db == phy.snr_db(env.position_at(env.clock),
+                                                CHANNEL)
 
     def test_empty_window_carries_observation_forward(self):
         env = make_env(start=5000.0, speed=0.0)
@@ -195,46 +195,108 @@ class TestStep:
             while not res.done:
                 res = env.step(4)
                 seq.append(res)
-            return seq, env.log.records
+            return seq, env.throughput_log()
 
         seq_a, log_a = run()
         seq_b, log_b = run()
         assert seq_a == seq_b
-        assert log_a == log_b
+        assert np.array_equal(log_a, log_b)
+
+
+def play(env, seed, actions):
+    """Step `env` to the episode end, choosing each MCS with `actions()`;
+    returns the end time and delivered bits of every window."""
+    env.reset(seed=seed)
+    ends, bits = [], []
+    while not env.done:
+        before = env.total_bits
+        env.step(actions())
+        ends.append(env.clock)
+        bits.append(env.total_bits - before)
+    return ends, bits
+
+
+def reference_log(env, ends, bits):
+    """The log accumulated one window at a time: after each window, every
+    tick before duration_s that the window reached gets the bits gathered
+    since the previous record; the episode end gets the rest."""
+    records, pending, next_tick = [], 0.0, env.log_period_s
+
+    def emit(now):
+        nonlocal pending
+        period = now - (records[-1][0] if records else 0.0)
+        thpt = pending / period / 1e6 if period > 0 else 0.0
+        records.append((now, 0.0, env.position_at(now), thpt))
+        pending = 0.0
+
+    for end, b in zip(ends, bits):
+        pending += b
+        while next_tick <= end and next_tick < env.duration_s:
+            emit(next_tick)
+            next_tick += env.log_period_s
+    if ends[-1] > (records[-1][0] if records else 0.0):
+        emit(ends[-1])
+    return np.array(records)
 
 
 class TestEpisodeLog:
     def test_record_count_60s_1s(self):
         env = make_env(duration=60.0, log_period=1.0)
-        env.reset(seed=1)
-        while not env.done:
-            env.step(5)
-        assert len(env.log.records) == 60
+        play(env, 1, lambda: 5)
+        assert len(env.throughput_log()) == 60
 
     def test_timestamps_strictly_increasing(self):
         env = make_env(duration=12.0, log_period=0.5)
-        env.reset(seed=1)
-        while not env.done:
-            env.step(1)
-        times = [r["time_s"] for r in env.log.records]
-        assert all(b > a for a, b in zip(times, times[1:]))
+        play(env, 1, lambda: 1)
+        times = env.throughput_log()[:, 0]
+        assert np.all(np.diff(times) > 0)
 
     def test_zero_throughput_period_recorded(self):
         env = make_env(start=5000.0, speed=0.0, duration=2.0)
-        env.reset(seed=1)
-        while not env.done:
-            env.step(0)
-        assert env.log.records
-        assert all(r["throughput_mbps"] == 0.0 for r in env.log.records)
+        play(env, 1, lambda: 0)
+        log = env.throughput_log()
+        assert len(log)
+        assert np.all(log[:, 3] == 0.0)
 
     def test_positions_from_mobility(self):
         env = make_env(start=2.0, speed=10.0, duration=5.0)
+        play(env, 1, lambda: 6)
+        for time_s, tx_pos_m, rx_pos_m, _ in env.throughput_log():
+            assert tx_pos_m == 0.0
+            assert rx_pos_m == pytest.approx(2.0 + 10.0 * time_s)
+
+    def test_bits_sum_to_episode_total(self):
+        env = make_env(duration=7.0, log_period=0.3)
+        play(env, 2, lambda: 4)
+        times, _, _, thpt = env.throughput_log().T
+        periods = np.diff(times, prepend=0.0)
+        assert np.sum(thpt * periods * 1e6) == pytest.approx(env.total_bits)
+
+    def test_needs_finished_episode(self):
+        env = make_env(duration=5.0)
+        with pytest.raises(RuntimeError):
+            env.throughput_log()
         env.reset(seed=1)
-        while not env.done:
-            env.step(6)
-        for rec in env.log.records:
-            assert rec["tx_pos_m"] == 0.0
-            assert rec["rx_pos_m"] == pytest.approx(2.0 + 10.0 * rec["time_s"])
+        env.step(3)
+        with pytest.raises(RuntimeError):
+            env.throughput_log()
+
+    # Windows of 400 frames last 0.11-0.73 s and windows of 50 frames
+    # 0.014-0.09 s, so windows longer than one period skip over ticks.
+    @pytest.mark.parametrize("log_period,window,start", [
+        (0.1, 400, 1.0), (0.3, 400, 1.0), (0.013, 50, 1.0), (0.3, 400, 5000.0),
+    ])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_per_window_reference(self, log_period, window, start, seed):
+        env = make_env(start=start, duration=20.0, window=window,
+                       log_period=log_period)
+        rng = np.random.default_rng(seed)
+        ends, bits = play(env, seed, lambda: int(rng.integers(0, phy.N_MCS)))
+        assert max(np.diff(ends)) > log_period
+        got = env.throughput_log()
+        want = reference_log(env, ends, bits)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)  # bit for bit
 
 
 class TestRngStreams:

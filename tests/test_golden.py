@@ -6,11 +6,13 @@ arrays within 1e-12 of the reference checkpoints in tests/data/golden/.
 One evaluation episode per algorithm (eval seed 100, the same 20 s config;
 dara and dara_tabular greedy over the dara_wrap and tabular reference
 checkpoints) must reproduce byte-identical episodes.csv and
-throughput_eval.csv.
+throughput_eval.csv, and so must one more minstrel_like evaluation at
+sim.log_period_s 0.3.
 
 The training references were produced before the replay buffer stored its
 transitions as numpy columns, and the evaluation pins before training and
-evaluation shared one episode loop; both refactors left them unchanged. To
+evaluation shared one episode loop, the 0.3 s pin before the throughput log
+was built from per-window arrays; those refactors left them unchanged. To
 regenerate them after an output change announced in CHANGES.md, run
 `python -m tests.test_golden` from the repository root with `src` on
 PYTHONPATH; it rewrites the .ckpt files and prints the hashes.
@@ -93,10 +95,20 @@ EVAL_EXPECTED = {
     },
 }
 
+# One more evaluation at a log period whose tick times are not exact in
+# binary, unlike the 1.0 s ticks of every pin above. Minstrel-like probing
+# mixes window lengths, so windows end on every side of the ticks.
+LOG_PERIOD_ALGORITHM = "minstrel_like"
+LOG_PERIOD_S = 0.3
+LOG_PERIOD_EXPECTED = {
+    "episodes.csv": "32b04395b96e58e9ceb195b90ffda2318cd9779a5fc2532452cf2313f4f352fb",
+    "throughput_eval.csv": "6cce0dbe820f8f936a80348ee1466efa0e090fdbfc01314b44d83129e24b5ec6",
+}
 
-def golden_config(overrides):
+
+def golden_config(overrides, log_period_s=1.0):
     data = json.loads(default_config().to_json())
-    data["sim"]["duration_s"] = 20.0
+    data["sim"].update(duration_s=20.0, log_period_s=log_period_s)
     data["agent"].update(seed=1, episodes=3, **overrides)
     return validate_config(json.dumps(data))
 
@@ -129,9 +141,10 @@ def test_golden_outputs(name, tmp_path):
                                    err_msg=key)
 
 
-def run_golden_evaluation(algorithm, run_dir: Path):
+def run_golden_evaluation(algorithm, run_dir: Path, log_period_s=1.0):
     case = EVAL_CASES[algorithm]
-    cfg = golden_config({**CASES.get(case, {}), "algorithm": algorithm})
+    cfg = golden_config({**CASES.get(case, {}), "algorithm": algorithm},
+                        log_period_s)
     ckpt = ckpt_io.load(GOLDEN_DIR / f"{case}.ckpt") if case else None
     run_evaluation(cfg, ckpt, run_dir, seed=EVAL_SEED)
 
@@ -140,6 +153,11 @@ def run_golden_evaluation(algorithm, run_dir: Path):
 def test_golden_evaluation(algorithm, tmp_path):
     run_golden_evaluation(algorithm, tmp_path)
     assert output_hashes(tmp_path) == EVAL_EXPECTED[algorithm]
+
+
+def test_golden_evaluation_log_period(tmp_path):
+    run_golden_evaluation(LOG_PERIOD_ALGORITHM, tmp_path, LOG_PERIOD_S)
+    assert output_hashes(tmp_path) == LOG_PERIOD_EXPECTED
 
 
 def _regenerate(scratch: Path):
@@ -155,6 +173,10 @@ def _regenerate(scratch: Path):
         run_golden_evaluation(algorithm, run_dir)
         print(f"eval {algorithm}:")
         print(json.dumps(output_hashes(run_dir), indent=4))
+    run_dir = scratch / "eval_log_period"
+    run_golden_evaluation(LOG_PERIOD_ALGORITHM, run_dir, LOG_PERIOD_S)
+    print(f"eval {LOG_PERIOD_ALGORITHM} at log_period_s {LOG_PERIOD_S}:")
+    print(json.dumps(output_hashes(run_dir), indent=4))
 
 
 if __name__ == "__main__":

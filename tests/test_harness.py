@@ -9,8 +9,8 @@ from rateadapt import checkpoint as ckpt_io
 from rateadapt.config import default_config, validate_config
 from rateadapt.env import LinkSimEnv
 from rateadapt.errors import ConfigError
-from rateadapt.harness import (SweepConfig, cumulative_reward, run_evaluation,
-                               run_sweep, run_training)
+from rateadapt.harness import (SweepConfig, run_evaluation, run_sweep,
+                               run_training)
 from rateadapt.nn import mlp_forward
 
 
@@ -29,17 +29,6 @@ def params_digest(params):
     for a in params.weights + params.biases:
         h.update(a.tobytes())
     return h.hexdigest()
-
-
-class TestCumulativeReward:
-    def test_zeros(self):
-        assert cumulative_reward([0.0, 0.0]) == 0.0
-
-    def test_ones(self):
-        assert cumulative_reward([1.0] * 7) == 7.0
-
-    def test_hand_sum(self):
-        assert cumulative_reward([0.2, 0.3, 0.5]) == pytest.approx(1.0)
 
 
 class TestRunTraining:
@@ -72,7 +61,7 @@ class TestRunTraining:
 
     def test_cumulative_reward_nonnegative(self, tmp_path):
         summaries, _ = run_training(tiny_config(), tmp_path)
-        assert all(s.cumulative_reward >= 0 for s in summaries)
+        assert all(s.cum_reward >= 0 for s in summaries)
 
     def test_tabular_training_runs(self, tmp_path):
         cfg = tiny_config(algorithm="dara_tabular", episodes=2)
@@ -100,7 +89,7 @@ class TestRunEvaluation:
         s1, log1 = run_evaluation(cfg, ckpt, seed=5)
         s2, log2 = run_evaluation(cfg, ckpt, seed=5)
         assert s1 == s2
-        assert log1.records == log2.records
+        assert np.array_equal(log1, log2)
 
     def test_no_parameter_updates(self, tmp_path):
         cfg = tiny_config(episodes=1)
@@ -130,7 +119,8 @@ class TestRunEvaluation:
 
     def test_cumulative_reward_matches_replayed_rewards(self, tmp_path):
         # independent recomputation: drive the env with the same frozen
-        # policy and seed, summing rewards by hand
+        # policy and seed, summing rewards by hand, left to right (sum() of
+        # floats is compensated from Python 3.12 on, so it is not used)
         cfg = tiny_config(episodes=1)
         _, ckpt = run_training(cfg, tmp_path)
         summary, _ = run_evaluation(cfg, ckpt, seed=3)
@@ -142,7 +132,7 @@ class TestRunEvaluation:
             action = int(np.argmax(mlp_forward(ckpt.params, res.observation)))
             res = env.step(action)
             total += res.reward
-        assert summary.cumulative_reward == pytest.approx(total)
+        assert summary.cum_reward == total
 
 
 class TestRunSweep:
