@@ -1,11 +1,11 @@
 """Rate adapters: the DQN and tabular learners plus the Ideal, Minstrel-like
 and constant-rate baselines.
 
-Every adapter follows the same two-call protocol: observe(step_result) with
-the latest environment feedback, then select_action() for the next window's
-MCS. The Q-value agents explore only when given an epsilon schedule;
-without one they are greedy. Learning happens outside the agents, in the
-harness's per-transition hook.
+Every adapter is one call, select_action(result), that maps the StepResult
+the environment just returned (the reset result included) to the next
+window's MCS. The Q-value agents explore only when given an epsilon
+schedule; without one they are greedy. Learning happens outside the agents,
+in the harness's per-transition hook.
 """
 
 from __future__ import annotations
@@ -21,18 +21,11 @@ from .phy import McsTable
 ALGORITHMS = ("dara", "dara_tabular", "ideal", "minstrel_like", "constant")
 
 
-def ideal_select(snr_db: float, table: McsTable, p_min: float) -> int:
-    """Highest MCS whose predicted frame success probability meets p_min;
-    falls back to MCS 0 when none qualifies."""
-    p = phy.frame_success_prob(snr_db, table.slopes_per_db, table.midpoints_db)
-    feasible = np.flatnonzero(p >= p_min)
-    return int(feasible[-1]) if feasible.size else 0
-
-
 class GreedyQAgent:
-    """Greedy over the Q-values that `q(observation)` reads from `model`, or
-    epsilon-greedy when given an epsilon schedule (read at `train_step`) and
-    the RNG it draws from; the state is the scaled mean ACK SNR."""
+    """Greedy over the Q-values that a subclass's `q(observation)` reads from
+    `model`, or epsilon-greedy when given an epsilon schedule (read at
+    `train_step`) and the RNG it draws from; the state is the scaled mean ACK
+    SNR."""
 
     def __init__(self, model, schedule: EpsilonSchedule | None = None,
                  rng: np.random.Generator | None = None):
@@ -42,17 +35,10 @@ class GreedyQAgent:
         self.schedule = schedule
         self.rng = rng
         self.train_step = 0
-        self._obs = 0.0
 
-    def q(self, observation: float) -> np.ndarray:
-        raise NotImplementedError
-
-    def observe(self, result: StepResult):
-        self._obs = result.observation
-
-    def select_action(self) -> int:
+    def select_action(self, result: StepResult) -> int:
         epsilon = 0.0 if self.schedule is None else self.schedule.value(self.train_step)
-        return epsilon_greedy(self.q(self._obs), epsilon, self.rng)
+        return epsilon_greedy(self.q(result.observation), epsilon, self.rng)
 
 
 class DaraAgent(GreedyQAgent):
@@ -70,64 +56,48 @@ class TabularDaraAgent(GreedyQAgent):
 
 
 class IdealAgent:
-    """Oracle baseline reading the true SNR from the simulator side-channel."""
+    """SNR-threshold baseline reading the true SNR from the simulator
+    side-channel: the highest MCS whose predicted frame success probability
+    is at least p_min, else MCS 0. It is a reference rule, not an upper
+    bound on throughput."""
 
     def __init__(self, table: McsTable, p_min: float):
         self.table = table
         self.p_min = p_min
-        self._snr = -np.inf
 
-    def observe(self, result: StepResult):
-        self._snr = result.raw_snr_db
-
-    def select_action(self) -> int:
-        return ideal_select(self._snr, self.table, self.p_min)
-
-
-class MinstrelLikeState:
-    """EWMA success statistics per MCS, optimistically initialized."""
-
-    def __init__(self, ewma_weight: float, probe_prob: float):
-        self.ewma = np.ones(phy.N_MCS)
-        self.ewma_weight = ewma_weight
-        self.probe_prob = probe_prob
-
-
-def minstrel_like_select(state: MinstrelLikeState, table: McsTable,
-                         rng: np.random.Generator) -> int:
-    """Probe a uniformly random MCS with probe_prob, else pick the MCS
-    maximizing rate * EWMA success probability."""
-    if state.probe_prob > 0.0 and rng.random() < state.probe_prob:
-        return int(rng.integers(0, phy.N_MCS))
-    expected = table.rates_mbps * state.ewma
-    return int(np.argmax(expected))
-
-
-def minstrel_like_update(state: MinstrelLikeState, mcs: int,
-                         fsr: float) -> MinstrelLikeState:
-    """Fold one window's FSR into the chosen MCS's EWMA."""
-    w = state.ewma_weight
-    state.ewma[mcs] = (1.0 - w) * state.ewma[mcs] + w * fsr
-    return state
+    def select_action(self, result: StepResult) -> int:
+        p = phy.frame_success_prob(result.raw_snr_db, self.table.slopes_per_db,
+                                   self.table.midpoints_db)
+        feasible = np.flatnonzero(p >= self.p_min)
+        return int(feasible[-1]) if feasible.size else 0
 
 
 class MinstrelLikeAgent:
-    """Deliberately simplified Minstrel-HT stand-in: EWMA plus uniform
-    probing, no retry chains or sample tables."""
+    """Deliberately simplified Minstrel-HT stand-in: an optimistically
+    initialized EWMA of each MCS's success ratio plus uniform probing, no
+    retry chains or sample tables."""
 
     def __init__(self, table: McsTable, rng: np.random.Generator,
                  ewma_weight: float, probe_prob: float):
         self.table = table
         self.rng = rng
-        self.state = MinstrelLikeState(ewma_weight, probe_prob)
+        self.ewma_weight = ewma_weight
+        self.probe_prob = probe_prob
+        self.ewma = np.ones(phy.N_MCS)
         self._last_action = None
 
-    def observe(self, result: StepResult):
-        if self._last_action is not None:
-            minstrel_like_update(self.state, self._last_action, result.fsr)
-
-    def select_action(self) -> int:
-        self._last_action = minstrel_like_select(self.state, self.table, self.rng)
+    def select_action(self, result: StepResult) -> int:
+        """Fold the window's FSR into the last action's EWMA, then probe a
+        uniformly random MCS with probe_prob, else pick the MCS maximizing
+        rate * EWMA success probability."""
+        last = self._last_action
+        if last is not None:
+            w = self.ewma_weight
+            self.ewma[last] = (1.0 - w) * self.ewma[last] + w * result.fsr
+        if self.probe_prob > 0.0 and self.rng.random() < self.probe_prob:
+            self._last_action = int(self.rng.integers(0, phy.N_MCS))
+        else:
+            self._last_action = int(np.argmax(self.table.rates_mbps * self.ewma))
         return self._last_action
 
 
@@ -137,8 +107,5 @@ class ConstantAgent:
     def __init__(self, fixed_mcs: int):
         self.fixed_mcs = int(fixed_mcs)
 
-    def observe(self, result: StepResult):
-        pass
-
-    def select_action(self) -> int:
+    def select_action(self, result: StepResult) -> int:
         return self.fixed_mcs

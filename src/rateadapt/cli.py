@@ -190,3 +190,7 @@ def cli_main(argv=None) -> int:
 
 def main():
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

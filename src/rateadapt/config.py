@@ -32,7 +32,11 @@ def _num(lo=None, hi=None, lo_open=False, hi_open=False):
     def check(v):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             return "must be a number"
-        if isinstance(v, float) and not math.isfinite(v):
+        try:
+            finite = math.isfinite(v)
+        except OverflowError:  # an integer beyond float range
+            finite = False
+        if not finite:
             return "must be finite"
         if lo is not None and (v <= lo if lo_open else v < lo):
             return f"must be {'>' if lo_open else '>='} {lo}"
@@ -169,6 +173,15 @@ class RootConfig:
                         np.array(sim["per_midpoints_db"], dtype=float),
                         np.array(sim["per_slopes_per_db"], dtype=float))
 
+    def airtime_s(self) -> np.ndarray:
+        """Seconds one frame occupies the channel at each MCS: payload time
+        plus the fixed overhead. A rate whose bit rate overflows float64
+        gives 0 s, which validate_config rejects."""
+        sim = self.data["sim"]
+        with np.errstate(over="ignore"):
+            return (sim["payload_bytes"] * 8 / (self.mcs_table().rates_mbps * 1e6)
+                    + sim["overhead_s"])
+
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> str:
@@ -195,9 +208,11 @@ class RootConfig:
 def validate_config(raw_json: str) -> RootConfig:
     """Parse, default-fill and range-check a config; raises ConfigError with
     the complete list of violations."""
+    # ValueError is a JSONDecodeError or an integer literal longer than
+    # Python's int-to-str digit limit.
     try:
         parsed = json.loads(raw_json)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError([f"JSON parse error: {exc}"]) from exc
     if not isinstance(parsed, dict):
         raise ConfigError(["top level must be a JSON object"])
@@ -245,6 +260,14 @@ def validate_config(raw_json: str) -> RootConfig:
             problems.append("sim.phy_rates_mbps must be strictly increasing")
         if any(b <= a for a, b in zip(mids, mids[1:])):
             problems.append("sim.per_midpoints_db must be strictly increasing")
+        # The clock must advance by at least one float64 ulp per window for
+        # every clock value short of duration_s, or the episode never ends.
+        shortest = gym["window_frames"] * RootConfig(resolved).airtime_s().min()
+        if not shortest >= sim["duration_s"] * 2.0**-52:
+            problems.append("sim.overhead_s too small for sim.phy_rates_mbps: "
+                            "gym.window_frames times the shortest frame airtime "
+                            "must be >= sim.duration_s * 2**-52, or the clock "
+                            "stops before sim.duration_s")
 
     if problems:
         raise ConfigError(problems)

@@ -72,10 +72,7 @@ class LinkSimEnv:
         self.start_distance_m = sim["start_distance_m"]
         self.speed_mps = sim["speed_mps"]
         self.payload_bits = sim["payload_bytes"] * 8
-        # Seconds one frame occupies the channel at each MCS, payload plus
-        # fixed overhead.
-        self.airtime_s = (self.payload_bits / (self.table.rates_mbps * 1e6)
-                          + sim["overhead_s"])
+        self.airtime_s = cfg.airtime_s()
         self.window_frames = gym["window_frames"]
         self.duration_s = sim["duration_s"]
         self.log_period_s = sim["log_period_s"]

@@ -137,13 +137,11 @@ def _play_episode(env: LinkSimEnv, agent, seed: int, episode: int,
     transition to `learn` if given; returns the cumulative reward, summed
     left to right."""
     result = env.reset(seed, episode=episode)
-    agent.observe(result)
     total = 0.0
     while not result.done:
         obs = result.observation
-        action = agent.select_action()
+        action = agent.select_action(result)
         result = env.step(action)
-        agent.observe(result)
         total += result.reward
         if learn is not None:
             learn(obs, action, result.reward, result.observation, result.done)

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class CcdfPoint:
@@ -19,23 +21,20 @@ def ccdf(samples) -> list[CcdfPoint]:
     P(X > v) = (#samples strictly greater than v) / n.
 
     A leading point just below the minimum with probability 1.0 is prepended
-    so plots start at the top of the axis.
+    so plots start at the top of the axis. Raises ValueError on no samples
+    or a non-finite one.
     """
-    samples = list(samples)
-    if not samples:
+    xs = np.asarray(list(samples), dtype=float)
+    if not xs.size:
         raise ValueError("ccdf needs at least one sample")
-    xs = sorted(samples)
-    n = len(xs)
-    lo, hi = xs[0], xs[-1]
+    if not np.isfinite(xs).all():
+        raise ValueError("ccdf samples must be finite")
+    values, counts = np.unique(xs, return_counts=True)
+    probs = (xs.size - np.cumsum(counts)) / xs.size
+    lo, hi = float(values[0]), float(values[-1])
     margin = 0.01 * (hi - lo) if hi > lo else max(abs(lo) * 1e-9, 1e-9)
-    points = [CcdfPoint(lo - margin, 1.0)]
-    i = 0
-    while i < n:
-        v = xs[i]
-        while i < n and xs[i] == v:
-            i += 1
-        points.append(CcdfPoint(v, (n - i) / n))
-    return points
+    return [CcdfPoint(lo - margin, 1.0),
+            *map(CcdfPoint, values.tolist(), probs.tolist())]
 
 
 def csv_writer(f):

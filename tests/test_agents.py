@@ -1,12 +1,9 @@
-
 import numpy as np
 import pytest
 
 from rateadapt import phy
 from rateadapt.agents import (ConstantAgent, DaraAgent, IdealAgent,
-                              MinstrelLikeAgent, MinstrelLikeState,
-                              TabularDaraAgent, ideal_select,
-                              minstrel_like_select, minstrel_like_update)
+                              MinstrelLikeAgent, TabularDaraAgent)
 from rateadapt.config import default_config
 from rateadapt.dqn import EpsilonSchedule
 from rateadapt.env import StepResult
@@ -32,23 +29,32 @@ def biased_net(favored: int) -> MlpParams:
     return params
 
 
+def ideal(snr, p_min=0.9):
+    return IdealAgent(TABLE, p_min).select_action(step_with(raw_snr_db=float(snr)))
+
+
+def minstrel(ewma_weight=0.25, probe_prob=0.0, ewma=None, seed=0):
+    agent = MinstrelLikeAgent(TABLE, np.random.default_rng(seed),
+                              ewma_weight=ewma_weight, probe_prob=probe_prob)
+    if ewma is not None:
+        agent.ewma = np.array(ewma, dtype=float)
+    return agent
+
+
 class TestDaraSelect:
     def test_evaluation_is_argmax(self):
-        agent = DaraAgent(biased_net(5))
-        agent.observe(step_with(0.3))
-        assert agent.select_action() == 5
+        assert DaraAgent(biased_net(5)).select_action(step_with(0.3)) == 5
 
     def test_evaluation_pure_function_of_observation(self):
         agent = DaraAgent(biased_net(2))
-        agent.observe(step_with(0.3))
-        actions = {agent.select_action() for _ in range(20)}
+        actions = {agent.select_action(step_with(0.3)) for _ in range(20)}
         assert actions == {2}
 
     def test_training_epsilon_one_uniform(self):
         schedule = EpsilonSchedule("fixed", 1.0, 1.0, 1)
         agent = DaraAgent(biased_net(5), schedule, np.random.default_rng(3))
-        agent.observe(step_with(0.3))
-        draws = np.array([agent.select_action() for _ in range(80_000)])
+        result = step_with(0.3)
+        draws = np.array([agent.select_action(result) for _ in range(80_000)])
         freqs = np.bincount(draws, minlength=8) / len(draws)
         assert np.all(np.abs(freqs - 0.125) < 0.01)
 
@@ -61,10 +67,10 @@ class TestDaraSelect:
 
 class TestIdealSelect:
     def test_all_feasible_picks_highest(self):
-        assert ideal_select(100.0, TABLE, 0.9) == 7
+        assert ideal(100.0) == 7
 
     def test_none_feasible_falls_back_to_zero(self):
-        assert ideal_select(-50.0, TABLE, 0.9) == 0
+        assert ideal(-50.0) == 0
 
     def test_snr_15_oracle(self):
         # brute force over all 8 MCS: qualifying set is every index whose
@@ -73,82 +79,88 @@ class TestIdealSelect:
         # midpoints [5,8,11,14,...], slope 1: p >= 0.9 iff snr >= mid + ln 9,
         # so midpoints up to 15 - 2.197 = 12.80 qualify -> indices 0..2
         assert qualifying == [0, 1, 2]
-        assert ideal_select(15.0, TABLE, 0.9) == max(qualifying)
+        assert ideal(15.0) == max(qualifying)
 
     def test_matches_brute_force_on_grid(self):
         for snr in np.linspace(-10, 50, 121):
             qualifying = [i for i, p in enumerate(success_probs(snr)) if p >= 0.9]
             expected = max(qualifying) if qualifying else 0
-            assert ideal_select(float(snr), TABLE, 0.9) == expected
+            assert ideal(snr) == expected
 
     def test_monotone_in_snr(self):
-        grid = np.linspace(-20, 60, 400)
-        picks = [ideal_select(float(s), TABLE, 0.9) for s in grid]
+        picks = [ideal(s) for s in np.linspace(-20, 60, 400)]
         assert all(b >= a for a, b in zip(picks, picks[1:]))
 
     def test_selected_rate_meets_threshold_unless_fallback(self):
         for snr in np.linspace(-20, 60, 200):
-            a = ideal_select(float(snr), TABLE, 0.9)
+            a = ideal(snr)
             if a != 0:
                 assert success_probs(snr)[a] >= 0.9
+
+    def test_reads_only_the_raw_snr(self):
+        agent = IdealAgent(TABLE, 0.9)
+        assert agent.select_action(StepResult(0.0, 0.0, False, 0.0, 100.0)) == 7
+        assert agent.select_action(StepResult(1.0, 1.0, True, 1.0, -50.0)) == 0
 
 
 class TestMinstrelLike:
     def test_all_optimistic_picks_top_rate(self):
-        state = MinstrelLikeState(ewma_weight=0.25, probe_prob=0.0)
-        assert minstrel_like_select(state, TABLE, np.random.default_rng(0)) == 7
+        assert minstrel().select_action(step_with()) == 7
 
     def test_only_viable_rate_wins(self):
-        state = MinstrelLikeState(ewma_weight=0.25, probe_prob=0.0)
-        state.ewma = np.array([1.0, 0, 0, 0, 0, 0, 0, 0])
-        assert minstrel_like_select(state, TABLE, np.random.default_rng(0)) == 0
+        agent = minstrel(ewma=[1.0, 0, 0, 0, 0, 0, 0, 0])
+        assert agent.select_action(step_with()) == 0
 
     def test_expected_throughput_argmax(self):
         # EWMA_7 * 65 = 19.5 < EWMA_3 * 26 = 23.4
-        state = MinstrelLikeState(ewma_weight=0.25, probe_prob=0.0)
-        state.ewma = np.array([0.0, 0, 0, 0.9, 0, 0, 0, 0.3])
-        assert minstrel_like_select(state, TABLE, np.random.default_rng(0)) == 3
+        agent = minstrel(ewma=[0.0, 0, 0, 0.9, 0, 0, 0, 0.3])
+        assert agent.select_action(step_with()) == 3
+
+    def test_first_call_updates_nothing(self):
+        agent = minstrel(ewma_weight=1.0)
+        agent.select_action(step_with(fsr=0.0))
+        assert np.all(agent.ewma == 1.0)
 
     def test_update_full_replacement(self):
-        state = MinstrelLikeState(ewma_weight=1.0, probe_prob=0.1)
-        minstrel_like_update(state, 4, 0.37)
-        assert state.ewma[4] == pytest.approx(0.37)
+        agent = minstrel(ewma_weight=1.0, ewma=[0, 0, 0, 0, 1.0, 0, 0, 0])
+        assert agent.select_action(step_with()) == 4
+        agent.select_action(step_with(fsr=0.37))
+        assert agent.ewma[4] == pytest.approx(0.37)
 
     def test_update_frozen(self):
-        state = MinstrelLikeState(ewma_weight=0.0, probe_prob=0.1)
-        minstrel_like_update(state, 4, 0.0)
-        assert state.ewma[4] == 1.0
+        agent = minstrel(ewma_weight=0.0, ewma=[0, 0, 0, 0, 1.0, 0, 0, 0])
+        assert agent.select_action(step_with()) == 4
+        agent.select_action(step_with(fsr=0.0))
+        assert agent.ewma[4] == 1.0
 
     def test_update_one_step(self):
-        state = MinstrelLikeState(ewma_weight=0.25, probe_prob=0.1)
-        state.ewma[2] = 0.5
-        minstrel_like_update(state, 2, 1.0)
-        assert state.ewma[2] == pytest.approx(0.625)
+        agent = minstrel(ewma_weight=0.25, ewma=[0, 0, 0.5, 0, 0, 0, 0, 0])
+        assert agent.select_action(step_with()) == 2
+        agent.select_action(step_with(fsr=1.0))
+        assert agent.ewma[2] == pytest.approx(0.625)
 
     def test_ewma_stays_in_unit_interval(self):
-        state = MinstrelLikeState(ewma_weight=0.3, probe_prob=0.1)
+        # probe_prob 1 makes every window a uniformly random MCS.
+        agent = minstrel(ewma_weight=0.3, probe_prob=1.0, seed=5)
         rng = np.random.default_rng(5)
         for _ in range(500):
-            minstrel_like_update(state, int(rng.integers(0, 8)),
-                                 float(rng.uniform(0, 1)))
-        assert np.all((state.ewma >= 0) & (state.ewma <= 1))
+            agent.select_action(step_with(fsr=float(rng.uniform(0, 1))))
+        assert np.all((agent.ewma >= 0) & (agent.ewma <= 1))
 
     def test_agent_updates_only_its_last_action(self):
-        agent = MinstrelLikeAgent(TABLE, np.random.default_rng(0),
-                                  ewma_weight=0.25, probe_prob=0.0)
-        first = agent.select_action()
+        agent = minstrel()
+        first = agent.select_action(step_with())
         assert first == 7
-        agent.observe(step_with(fsr=0.0))
-        assert agent.state.ewma[7] == pytest.approx(0.75)
-        assert np.all(agent.state.ewma[:7] == 1.0)
+        agent.select_action(step_with(fsr=0.0))
+        assert agent.ewma[7] == pytest.approx(0.75)
+        assert np.all(agent.ewma[:7] == 1.0)
 
 
 class TestConstant:
     @pytest.mark.parametrize("mcs", [0, 7])
     def test_always_fixed(self, mcs):
         agent = ConstantAgent(mcs)
-        agent.observe(step_with())
-        assert all(agent.select_action() == mcs for _ in range(10))
+        assert all(agent.select_action(step_with()) == mcs for _ in range(10))
 
 
 class TestAllAdaptersInRange:
@@ -170,8 +182,7 @@ class TestAllAdaptersInRange:
             fsr = float(rng.uniform(0, 1))
             result = step_with(obs, fsr=fsr, raw_snr_db=snr)
             for adapter in adapters:
-                adapter.observe(result)
-                assert 0 <= adapter.select_action() <= 7
+                assert 0 <= adapter.select_action(result) <= 7
 
 
 class TestTabularAgent:
@@ -179,7 +190,5 @@ class TestTabularAgent:
         qt = QTable(4)
         qt.values[2, 6] = 1.0  # observations in [0.5, 0.75)
         agent = TabularDaraAgent(qt)
-        agent.observe(step_with(0.6))
-        assert agent.select_action() == 6
-        agent.observe(step_with(0.1))
-        assert agent.select_action() == 0
+        assert agent.select_action(step_with(0.6)) == 6
+        assert agent.select_action(step_with(0.1)) == 0

@@ -23,6 +23,13 @@ def write_tiny_config(path, **agent_overrides):
     return path
 
 
+def subprocess_env():
+    """The environment for a child Python that imports this package."""
+    src = str(Path(rateadapt.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run_dir_of(base):
     dirs = [p for p in base.iterdir() if p.is_dir()]
     assert len(dirs) == 1
@@ -248,6 +255,15 @@ class TestInputHoles:
                          "--results", str(tmp_path / "out")])
         assert_config_error(code, capsys)
 
+    @pytest.mark.parametrize("command,algorithm", [("train", "dara"),
+                                                   ("eval", "constant")])
+    def test_seed_beyond_float_range_exit_1(self, tmp_path, capsys, command,
+                                            algorithm):
+        path = write_tiny_config(tmp_path / "cfg.json", algorithm=algorithm)
+        code = cli_main([command, "--config", str(path), "--seed", str(10**400),
+                         "--results", str(tmp_path / "out")])
+        assert_config_error(code, capsys)
+
     def test_tabular_learning_rate_above_one_exit_1(self, tmp_path, capsys):
         path = write_tiny_config(tmp_path / "cfg.json", algorithm="dara_tabular",
                                  learning_rate=2)
@@ -275,7 +291,9 @@ class TestInputHoles:
     @pytest.mark.parametrize("content", [
         b'{"agent": {"algorithm": "\xff"}, "gym": {}, "sim": {}}',
         b"[" * 100_000,
-    ], ids=["non_utf8", "deeply_nested"])
+        # beyond Python's 4,300-digit int-to-str limit, so json.loads fails
+        b'{"agent": {"seed": 1' + b"0" * 5000 + b'}, "gym": {}, "sim": {}}',
+    ], ids=["non_utf8", "deeply_nested", "5001_digit_integer"])
     def test_unparseable_config_exit_1(self, tmp_path, capsys, content):
         path = tmp_path / "cfg.json"
         path.write_bytes(content)
@@ -308,20 +326,18 @@ class TestInputHoles:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_ccdf_non_finite_sample_exit_2(self, tmp_path, value):
-        # results.ccdf loops forever on a NaN, so should the CLI ever pass
-        # one on, the timeout stops the child process and the test fails.
+        # results.ccdf once looped forever on a NaN; in a child process, a
+        # hang ends at the timeout and fails the test.
         cfg = write_tiny_config(tmp_path / "cfg.json")
         (tmp_path / "throughput_001.csv").write_text(
             f"throughput_mbps\n1.0\n{value}\n", encoding="utf-8")
-        src = str(Path(rateadapt.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys; from rateadapt.cli import cli_main; "
              "sys.exit(cli_main(sys.argv[1:]))",
              "ccdf", "--config", str(cfg), "--run-dir", str(tmp_path)],
-            capture_output=True, text=True, timeout=60, env=env, check=False)
+            capture_output=True, text=True, timeout=60, env=subprocess_env(),
+            check=False)
         assert proc.returncode == 2
         assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -338,6 +354,15 @@ class TestInputHoles:
 class TestUsage:
     def test_unknown_subcommand(self):
         assert cli_main(["frobnicate"]) == 1
+
+    def test_module_entry_point_runs_the_cli(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rateadapt.cli", "train",
+             "--config", str(tmp_path / "missing.json")],
+            capture_output=True, text=True, timeout=60, env=subprocess_env(),
+            check=False)
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr
 
     def test_unknown_flag(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json")

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from rateadapt import phy
@@ -9,9 +10,9 @@ from rateadapt.errors import ConfigError
 
 RATES = list(phy.DEFAULT_PHY_RATES_MBPS)
 
-# Values that a library constructor or per-call guard used to reject. The
-# config is now the only layer that checks them, so each one must fail here,
-# with a violation naming the first key of its row.
+# Values the library cannot run with. The config is the only layer that
+# checks them, so each one must fail here, with a violation naming the first
+# key of its row.
 REJECTED = [
     {"sim.frequency_mhz": 0.0},
     {"sim.bandwidth_mhz": 0.0},
@@ -52,6 +53,17 @@ REJECTED = [
     {"agent.constant_mcs": 8},
     {"agent.replay_capacity": 0},
     {"agent.seed": -1},
+    # a rate beyond float range gives a frame airtime of exactly 0 s, and a
+    # tiny one stops the clock once clock + window == clock in float64
+    pytest.param({"sim.overhead_s": 0, "sim.phy_rates_mbps": [*RATES[:7], 1e303]},
+                 id="sim.overhead_s=0_zero_airtime"),
+    pytest.param({"sim.overhead_s": 0, "sim.phy_rates_mbps": [*RATES[:7], 1e290]},
+                 id="sim.overhead_s=0_clock_stalls"),
+    # integers that no float can hold
+    pytest.param({"sim.speed_mps": 10**400}, id="sim.speed_mps=10**400"),
+    pytest.param({"sim.duration_s": 10**400}, id="sim.duration_s=10**400"),
+    pytest.param({"sim.tx_power_dbm": -10**400}, id="sim.tx_power_dbm=-10**400"),
+    pytest.param({"agent.seed": 10**400}, id="agent.seed=10**400"),
 ]
 
 
@@ -153,6 +165,17 @@ class TestValidation:
         raw = json.dumps({"agent": {}, "gym": {},
                           "sim": {"duration_s": 1.0, "log_period_s": 1e-6}})
         assert validate_config(raw)["sim"]["log_period_s"] == 1e-6
+
+    def test_short_airtime_above_clock_bound_accepted(self):
+        raw = json.dumps({"agent": {}, "gym": {}, "sim": {
+            "overhead_s": 0, "phy_rates_mbps": [*RATES[:7], 1e10]}})
+        cfg = validate_config(raw)
+        assert 50 * cfg.airtime_s().min() >= 60.0 * 2.0**-52
+
+    def test_airtime_is_payload_time_plus_overhead(self):
+        airtime = default_config().airtime_s()
+        assert airtime[0] == 1400 * 8 / 6.5e6 + 100e-6
+        assert np.all(np.diff(airtime) < 0)
 
     def test_parse_error(self):
         with pytest.raises(ConfigError) as err:

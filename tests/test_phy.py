@@ -118,7 +118,7 @@ class TestFrameSuccessProb:
             assert np.all(np.diff(ps) <= 0)
 
     def test_table_arrays_match_single_mcs_calls(self):
-        # ideal_select evaluates every MCS in one call; it must agree bit for
+        # IdealAgent evaluates every MCS in one call; it must agree bit for
         # bit with one call per MCS.
         slopes = np.array([0.5, 1.0, 1.0, 1.5, 0.8, 1.0, 2.0, 1.0])
         for snr in np.linspace(-30, 70, 401):

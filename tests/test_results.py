@@ -1,9 +1,12 @@
+import subprocess
+import sys
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
 from rateadapt.results import CcdfPoint, ccdf, setup_results_dir, write_ccdf_csv
+from tests.test_cli import subprocess_env
 
 
 class TestCcdf:
@@ -42,9 +45,45 @@ class TestCcdf:
             rng.shuffle(shuffled)
             assert ccdf(shuffled) == reference
 
+    def test_matches_group_by_reference(self):
+        def reference(samples):
+            xs = sorted(samples)
+            n = len(xs)
+            points, i = [], 0
+            while i < n:
+                v = xs[i]
+                while i < n and xs[i] == v:
+                    i += 1
+                points.append(CcdfPoint(v, (n - i) / n))
+            return points
+
+        rng = np.random.default_rng(2)
+        for k in range(400):
+            n = int(rng.integers(1, 120))
+            xs = [rng.normal(10, 5, n), np.round(rng.normal(10, 5, n), 1),
+                  np.full(n, rng.normal()),
+                  rng.choice([0.0, 1.5, 2.5, 65.0], n)][k % 4].tolist()
+            assert ccdf(xs)[1:] == reference(xs)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ccdf([])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_rejected(self, value):
+        # A NaN once made ccdf loop forever, so it runs in a child process
+        # that the timeout stops.
+        code = ("import sys\n"
+                "from rateadapt.results import ccdf\n"
+                "try:\n"
+                "    ccdf([1.0, float(sys.argv[1]), 2.0])\n"
+                "except ValueError as exc:\n"
+                "    sys.exit(f'ValueError: {exc}')\n")
+        proc = subprocess.run([sys.executable, "-c", code, value],
+                              capture_output=True, text=True, timeout=60,
+                              env=subprocess_env(), check=False)
+        assert proc.returncode == 1
+        assert "ValueError: ccdf samples must be finite" in proc.stderr
 
     def test_csv_output(self, tmp_path):
         path = tmp_path / "ccdf.csv"
