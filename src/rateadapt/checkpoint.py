@@ -9,7 +9,9 @@ A checkpoint is a single self-describing file:
             64-bit floats in row-major order.
 
 The binary section keeps round-trips bit-exact; the header keeps the file
-readable with a text editor's first two lines.
+readable with a text editor's first two lines. Every array must be finite,
+and the header's layer_sizes or n_state_bins must match the array shapes.
+Adam's betas and epsilon are written for reference only; `nn` fixes them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError
-from .nn import AdamState, MlpParams
+from .nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, MlpParams
+from .phy import N_MCS
 from .tabular import QTable
 
 MAGIC = b"RATECKPT v1\n"
@@ -30,7 +33,7 @@ MAGIC = b"RATECKPT v1\n"
 
 @dataclass
 class Checkpoint:
-    """Everything needed to resume or evaluate a policy."""
+    """A trained policy with its optimizer state, step count and fingerprint."""
 
     kind: str  # "dqn" | "tabular"
     params: object  # MlpParams or QTable
@@ -39,18 +42,15 @@ class Checkpoint:
     fingerprint: str
 
 
-def _dqn_arrays(params: MlpParams, opt: AdamState):
-    arrays = {}
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        arrays[f"w{i}"] = w
-        arrays[f"b{i}"] = b
+def _dqn_arrays(params: MlpParams, opt: AdamState | None) -> dict:
+    """A DQN checkpoint's arrays by name, in file order: w0, b0, w1, b1, ...,
+    then adam_mw0, adam_vw0, adam_mb0, adam_vb0, adam_mw1, ..."""
+    groups = [{"w": params.weights, "b": params.biases}]
     if opt is not None:
-        for i in range(len(params.weights)):
-            arrays[f"adam_mw{i}"] = opt.m_w[i]
-            arrays[f"adam_vw{i}"] = opt.v_w[i]
-            arrays[f"adam_mb{i}"] = opt.m_b[i]
-            arrays[f"adam_vb{i}"] = opt.v_b[i]
-    return arrays
+        groups.append({"adam_mw": opt.m_w, "adam_vw": opt.v_w,
+                       "adam_mb": opt.m_b, "adam_vb": opt.v_b})
+    return {f"{prefix}{i}": layers[i] for group in groups
+            for i in range(len(params.weights)) for prefix, layers in group.items()}
 
 
 def save(path, ckpt: Checkpoint):
@@ -61,23 +61,15 @@ def save(path, ckpt: Checkpoint):
         "fingerprint": ckpt.fingerprint,
     }
     if ckpt.kind == "dqn":
-        params: MlpParams = ckpt.params
-        header["layer_sizes"] = list(params.layer_sizes)
+        header["layer_sizes"] = ckpt.params.layer_sizes
         if ckpt.opt is not None:
-            header["adam"] = {
-                "learning_rate": ckpt.opt.learning_rate,
-                "beta1": ckpt.opt.beta1,
-                "beta2": ckpt.opt.beta2,
-                "eps": ckpt.opt.eps,
-                "t": ckpt.opt.t,
-            }
-        arrays = _dqn_arrays(params, ckpt.opt)
-    elif ckpt.kind == "tabular":
-        table: QTable = ckpt.params
-        header["n_state_bins"] = table.n_state_bins
-        arrays = {"q_values": table.values}
+            header["adam"] = {"learning_rate": ckpt.opt.learning_rate,
+                              "beta1": ADAM_BETA1, "beta2": ADAM_BETA2,
+                              "eps": ADAM_EPS, "t": ckpt.opt.t}
+        arrays = _dqn_arrays(ckpt.params, ckpt.opt)
     else:
-        raise CheckpointError(f"unknown checkpoint kind {ckpt.kind!r}")
+        header["n_state_bins"] = ckpt.params.n_state_bins
+        arrays = {"q_values": ckpt.params.values}
 
     header["arrays"] = [
         {"name": name, "shape": list(a.shape)} for name, a in arrays.items()
@@ -127,6 +119,9 @@ def _parse(p: Path, raw: bytes, expected_fingerprint,
         offset += nbytes
     if offset != len(blob):
         raise ValueError("trailing bytes after declared arrays")
+    for name, a in arrays.items():
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"array {name!r} holds non-finite values")
 
     fingerprint = header.get("fingerprint", "")
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:
@@ -138,31 +133,26 @@ def _parse(p: Path, raw: bytes, expected_fingerprint,
 
     if header["kind"] == "dqn":
         sizes = header["layer_sizes"]
-        n_layers = len(sizes) - 1
-        params = MlpParams(
-            sizes,
-            [arrays[f"w{i}"] for i in range(n_layers)],
-            [arrays[f"b{i}"] for i in range(n_layers)],
-        )
+
+        def layers(prefix):  # _dqn_arrays's prefix0, prefix1, ...
+            return [arrays[f"{prefix}{i}"] for i in range(len(sizes) - 1)]
+
+        params = MlpParams(layers("w"), layers("b"))
         params.validate()
+        if params.layer_sizes != sizes:
+            raise ValueError(f"layer_sizes {sizes} disagree with the weight shapes")
         opt = None
         if "adam" in header:
             meta = header["adam"]
-            opt = AdamState(
-                learning_rate=meta["learning_rate"], beta1=meta["beta1"],
-                beta2=meta["beta2"], eps=meta["eps"], t=meta["t"],
-                m_w=[arrays[f"adam_mw{i}"] for i in range(n_layers)],
-                v_w=[arrays[f"adam_vw{i}"] for i in range(n_layers)],
-                m_b=[arrays[f"adam_mb{i}"] for i in range(n_layers)],
-                v_b=[arrays[f"adam_vb{i}"] for i in range(n_layers)],
-            )
+            opt = AdamState(meta["learning_rate"], meta["t"], layers("adam_mw"),
+                            layers("adam_vw"), layers("adam_mb"), layers("adam_vb"))
         return Checkpoint("dqn", params, opt, header["train_step"], fingerprint)
     if header["kind"] == "tabular":
-        if header["n_state_bins"] < 1:
-            raise ValueError("n_state_bins must be >= 1")
-        table = QTable(header["n_state_bins"])
-        if arrays["q_values"].shape != table.values.shape:
-            raise ValueError("q_values shape disagrees with n_state_bins")
-        table.values = arrays["q_values"]
+        values = arrays["q_values"]
+        if not (values.ndim == 2 and values.shape[1] == N_MCS
+                and 1 <= len(values) == header["n_state_bins"]):
+            raise ValueError(f"q_values shape {values.shape} disagrees with n_state_bins")
+        table = QTable(len(values))
+        table.values = values
         return Checkpoint("tabular", table, None, header["train_step"], fingerprint)
     raise CheckpointError(f"{p}: unknown checkpoint kind {header['kind']!r}")

@@ -15,7 +15,7 @@ from . import checkpoint as ckpt_io
 from .config import validate_config
 from .errors import CheckpointError, ConfigError, RateAdaptError
 from .harness import (TRAINABLE, SweepConfig, check_checkpoint_kind,
-                      run_evaluation, run_sweep, run_training)
+                      run_evaluation, run_sweep, run_training, trained_kind)
 from .results import ccdf, setup_results_dir, write_ccdf_csv
 
 EXIT_OK = 0
@@ -95,6 +95,7 @@ def _new_run_dir(args, cfg, run_name: str) -> Path:
 
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
+    trained_kind(cfg["agent"]["algorithm"])  # before the run folder is made
     run_dir = _new_run_dir(args, cfg, "train")
     print(f"results: {run_dir}")
     run_training(cfg, run_dir, progress=print)
@@ -183,7 +184,7 @@ def cli_main(argv=None) -> int:
     except (ConfigError, CheckpointError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except RateAdaptError as exc:
+    except (RateAdaptError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import AdamState, MlpParams, _backward_batch, adam_step, mlp_forward
+from .nn import AdamState, MlpParams, adam_step, mlp_backward, mlp_forward
 from .phy import N_MCS
 
 
@@ -35,18 +35,15 @@ def epsilon_greedy(q_values, epsilon: float, rng: np.random.Generator) -> int:
 
 
 def dqn_train_step(online: MlpParams, target_net: MlpParams, opt: AdamState,
-                   batch, gamma: float):
+                   batch, gamma: float) -> float:
     """One Adam step on the mean per-transition loss 0.5 * (Q(s)[a] - y)^2
     over a (s, a, r, s_next, done) batch of arrays, where y is r on terminal
     transitions and r + gamma * max Q_target(s_next) otherwise.
 
-    Returns (online, opt, loss). For a single-transition batch this is
-    bit-identical to mlp_backward followed by adam_step.
+    Updates `online` and `opt` in place and returns the loss.
     """
     s, a, r, s_next, done = batch
-    if len(s) == 0:
-        raise ValueError("batch must be non-empty")
     targets = np.where(done, r, r + gamma * mlp_forward(target_net, s_next).max(axis=1))
-    grads_w, grads_b, loss = _backward_batch(online, s, a, targets)
-    online, opt = adam_step(opt, online, grads_w, grads_b)
-    return online, opt, loss
+    grads_w, grads_b, loss = mlp_backward(online, s, a, targets)
+    adam_step(opt, online, grads_w, grads_b)
+    return loss

@@ -59,6 +59,13 @@ class SweepConfig:
             raise ConfigError(["sweep grid must be non-empty"])
 
 
+def trained_kind(algorithm: str) -> str:
+    """The checkpoint kind a trainable algorithm writes; ConfigError if none."""
+    if algorithm not in TRAINABLE:
+        raise ConfigError([f"algorithm {algorithm!r} is not trainable"])
+    return TRAINABLE[algorithm]
+
+
 def check_checkpoint_kind(algorithm: str, checkpoint: Checkpoint | None):
     """Raise ConfigError unless a trainable algorithm has a checkpoint of
     its own kind; the other algorithms need none."""
@@ -166,9 +173,7 @@ def run_training(cfg: RootConfig, results_dir, progress=None):
     `results_dir` as episodes complete.
     """
     agent_cfg = cfg["agent"]
-    kind = TRAINABLE.get(agent_cfg["algorithm"])
-    if kind is None:
-        raise ConfigError([f"algorithm {agent_cfg['algorithm']!r} is not trainable"])
+    kind = trained_kind(agent_cfg["algorithm"])
 
     results_dir = Path(results_dir)
     results_dir.mkdir(parents=True, exist_ok=True)

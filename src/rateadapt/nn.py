@@ -8,11 +8,16 @@ finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .phy import N_MCS
+
+# Adam's fixed hyperparameters; only the learning rate is configurable.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -24,31 +29,28 @@ class MlpParams:
     output width is 8 (one Q-value per MCS).
     """
 
-    layer_sizes: list
     weights: list
     biases: list
 
+    @property
+    def layer_sizes(self) -> list:
+        """Layer widths, read from the weight shapes."""
+        return [self.weights[0].shape[0], *(w.shape[1] for w in self.weights)]
+
     def validate(self):
-        if self.layer_sizes[0] != 1 or self.layer_sizes[-1] != N_MCS:
-            raise ValueError(
-                f"layer sizes must start at 1 and end at {N_MCS}, "
-                f"got {self.layer_sizes}"
-            )
-        if len(self.weights) != len(self.layer_sizes) - 1:
-            raise ValueError("weight count does not match layer sizes")
+        """Raise ValueError unless the layers chain from width 1 to N_MCS."""
+        width = 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            expect = (self.layer_sizes[i], self.layer_sizes[i + 1])
-            if w.shape != expect or b.shape != (expect[1],):
-                raise ValueError(f"layer {i}: shape {w.shape} != {expect}")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError(f"layer {i}: non-finite parameters")
+            if w.ndim != 2 or w.shape[0] != width or b.shape != w.shape[1:]:
+                raise ValueError(f"layer {i}: weight {w.shape} and bias {b.shape} "
+                                 f"do not fit input width {width}")
+            width = w.shape[1]
+        if len(self.weights) != len(self.biases) or width != N_MCS:
+            raise ValueError(f"layers must chain from width 1 to {N_MCS}")
 
     def copy(self) -> "MlpParams":
-        return MlpParams(
-            list(self.layer_sizes),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return MlpParams([w.copy() for w in self.weights],
+                         [b.copy() for b in self.biases])
 
 
 def init_mlp(hidden_sizes, rng: np.random.Generator) -> MlpParams:
@@ -68,58 +70,39 @@ def init_mlp(hidden_sizes, rng: np.random.Generator) -> MlpParams:
         w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
         weights.append(np.zeros((fan_in, fan_out)) if i == last else w)
         biases.append(np.zeros(fan_out))
-    return MlpParams(sizes, weights, biases)
+    return MlpParams(weights, biases)
 
 
 def _forward_cached(params: MlpParams, x: np.ndarray):
-    """Batched forward pass returning pre- and post-activation caches."""
-    a = x
-    pre, post = [], [a]
+    """Batched forward pass returning the output and the list of every
+    layer's input followed by the output."""
+    post = [x]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w + b
-        pre.append(z)
-        a = z if i == last else np.maximum(z, 0.0)
-        post.append(a)
-    return a, pre, post
+        z = post[-1] @ w + b
+        post.append(z if i == last else np.maximum(z, 0.0))
+    return post[-1], post
 
 
 def mlp_forward(params: MlpParams, observation) -> np.ndarray:
     """Q-values for one observation (returns shape (8,)) or a batch
     (shape (n, 8) for input shape (n,))."""
     obs = np.asarray(observation, dtype=float)
-    scalar = obs.ndim == 0
-    x = obs.reshape(-1, 1)
-    out, _, _ = _forward_cached(params, x)
-    return out[0] if scalar else out
+    out, _ = _forward_cached(params, obs.reshape(-1, 1))
+    return out[0] if obs.ndim == 0 else out
 
 
-def mlp_backward(params: MlpParams, observation: float, action: int, target: float):
-    """Gradients of 0.5 * (Q(observation)[action] - target)^2.
-
-    Only the selected action's output error propagates; output-layer rows of
-    the other actions get exactly zero gradient.
-    """
-    if not 0 <= int(action) < N_MCS:
-        raise ValueError(f"action {action} outside [0, {N_MCS - 1}]")
-    grads_w, grads_b, _ = _backward_batch(
-        params,
-        np.asarray([observation], dtype=float),
-        np.asarray([action], dtype=int),
-        np.asarray([target], dtype=float),
-    )
-    return grads_w, grads_b
-
-
-def _backward_batch(params: MlpParams, observations, actions, targets):
+def mlp_backward(params: MlpParams, observations, actions, targets):
     """Mean gradient over a batch of per-transition losses
-    0.5 * (Q(s)[a] - target)^2, plus the mean loss itself.
+    0.5 * (Q(s)[a] - target)^2, plus the mean loss itself; returns
+    (grads_w, grads_b, loss).
 
-    For a single-element batch this is bit-identical to mlp_backward.
+    Only each transition's chosen action carries output error, so output
+    columns no transition chose get exactly zero gradient.
     """
     n = len(observations)
     x = np.asarray(observations, dtype=float).reshape(-1, 1)
-    out, pre, post = _forward_cached(params, x)
+    out, post = _forward_cached(params, x)
 
     diff = out[np.arange(n), actions] - targets
     loss = float(np.sum(0.5 * diff * diff) / n)
@@ -128,57 +111,44 @@ def _backward_batch(params: MlpParams, observations, actions, targets):
     delta = np.zeros_like(out)
     delta[np.arange(n), actions] = diff / n
 
-    grads_w = [None] * len(params.weights)
-    grads_b = [None] * len(params.biases)
+    grads_w, grads_b = [], []
     for i in range(len(params.weights) - 1, -1, -1):
-        grads_w[i] = post[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        grads_w.insert(0, post[i].T @ delta)
+        grads_b.insert(0, delta.sum(axis=0))
         if i > 0:
-            delta = (delta @ params.weights[i].T) * (pre[i - 1] > 0)
+            # post[i] = relu(pre-activation), positive exactly where it is
+            delta = (delta @ params.weights[i].T) * (post[i] > 0)
     return grads_w, grads_b, loss
 
 
 @dataclass
 class AdamState:
-    """Adam moments and hyperparameters for one MlpParams instance."""
+    """Adam moments, step counter and learning rate for one MlpParams."""
 
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    t: int = 0
-    m_w: list = field(default_factory=list)
-    v_w: list = field(default_factory=list)
-    m_b: list = field(default_factory=list)
-    v_b: list = field(default_factory=list)
+    t: int
+    m_w: list
+    v_w: list
+    m_b: list
+    v_b: list
 
     @classmethod
     def for_params(cls, params: MlpParams, learning_rate: float) -> "AdamState":
-        state = cls(learning_rate=learning_rate)
-        state.m_w = [np.zeros_like(w) for w in params.weights]
-        state.v_w = [np.zeros_like(w) for w in params.weights]
-        state.m_b = [np.zeros_like(b) for b in params.biases]
-        state.v_b = [np.zeros_like(b) for b in params.biases]
-        return state
+        def zeros(arrays):
+            return [np.zeros_like(a) for a in arrays]
+        return cls(learning_rate, 0, zeros(params.weights), zeros(params.weights),
+                   zeros(params.biases), zeros(params.biases))
 
 
-def adam_step(state: AdamState, params: MlpParams, grads_w, grads_b):
-    """One bias-corrected Adam update, in place; returns (params, state)."""
-    if len(grads_w) != len(params.weights):
-        raise ValueError("gradient/parameter layer count mismatch")
+def adam_step(state: AdamState, params: MlpParams, grads_w, grads_b) -> None:
+    """One bias-corrected Adam update of params and state, in place."""
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
-    for i in range(len(params.weights)):
-        for p, g, m, v in (
-            (params.weights[i], grads_w[i], state.m_w[i], state.v_w[i]),
-            (params.biases[i], grads_b[i], state.m_b[i], state.v_b[i]),
-        ):
-            if g.shape != p.shape:
-                raise ValueError(f"gradient shape {g.shape} != param {p.shape}")
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * g * g
-            p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    return params, state
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
+    for p, g, m, v in zip(params.weights + params.biases, grads_w + grads_b,
+                          state.m_w + state.m_b, state.v_w + state.v_b):
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)

@@ -24,7 +24,7 @@ def success_probs(snr):
 
 
 def biased_net(favored: int) -> MlpParams:
-    params = MlpParams([1, 8], [np.zeros((1, 8))], [np.zeros(8)])
+    params = MlpParams([np.zeros((1, 8))], [np.zeros(8)])
     params.biases[0][favored] = 1.0
     return params
 

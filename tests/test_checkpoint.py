@@ -1,16 +1,24 @@
+import functools
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rateadapt import checkpoint as ckpt_io
 from rateadapt.checkpoint import Checkpoint
 from rateadapt.errors import CheckpointError
 from rateadapt.nn import AdamState, init_mlp, mlp_forward
+from rateadapt.phy import N_MCS
 from rateadapt.tabular import QTable
 
 
-def make_dqn_checkpoint(rng_seed=0, train_step=321, fingerprint="abc123"):
+def make_dqn_checkpoint(rng_seed=0, train_step=321, fingerprint="abc123",
+                        hidden=(16, 16, 16)):
     rng = np.random.default_rng(rng_seed)
-    params = init_mlp([16, 16, 16], rng)
+    params = init_mlp(hidden, rng)
     # perturb so the output layer is non-trivial
     for w in params.weights:
         w += rng.normal(size=w.shape) * 0.3
@@ -106,3 +114,79 @@ class TestFailureModes:
         ckpt_io.save(path, ckpt)
         loaded = ckpt_io.load(path, expected_fingerprint="same")
         assert loaded.fingerprint == "same"
+
+
+@functools.lru_cache(maxsize=None)
+def saved_bytes(kind) -> bytes:
+    """The file a small checkpoint of `kind` saves to."""
+    if kind == "dqn":
+        ckpt = make_dqn_checkpoint(hidden=(3,))
+    else:
+        table = QTable(3)
+        table.values[:] = np.random.default_rng(2).uniform(-2, 2, table.values.shape)
+        ckpt = Checkpoint("tabular", table, None, 5, "fp")
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "c.ckpt"
+        ckpt_io.save(path, ckpt)
+        return path.read_bytes()
+
+
+def header_paths(node, prefix=()):
+    """The key or index path of every value nested in a JSON header."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from header_paths(value, prefix + (key,))
+
+
+def corrupt(raw: bytes, how) -> bytes:
+    op, where, arg = how
+    if op == "flip":
+        i = where % len(raw)
+        return raw[:i] + bytes([raw[i] ^ arg]) + raw[i + 1:]
+    if op == "truncate":
+        return raw[:where % len(raw)]
+    start = len(ckpt_io.MAGIC)
+    nl = raw.index(b"\n", start)
+    if op == "float":  # one array element, NaN and infinities included
+        i = nl + 1 + 8 * (where % ((len(raw) - nl - 1) // 8))
+        return raw[:i] + np.array([arg], dtype="<f8").tobytes() + raw[i + 8:]
+    header = json.loads(raw[start:nl])
+    paths = list(header_paths(header))
+    *parents, last = paths[where % len(paths)]
+    node = header
+    for key in parents:
+        node = node[key]
+    node[last] = arg
+    return raw[:start] + json.dumps(header).encode() + raw[nl:]
+
+
+CORRUPTIONS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 10**6), st.none()),
+    st.tuples(st.just("float"), st.integers(0, 10**6),
+              st.sampled_from([np.nan, np.inf, -np.inf]) | st.floats()),
+    st.tuples(st.just("field"), st.integers(0, 10**6),
+              st.sampled_from([None, -1, 1.5, "x", [], {}, 10**20])),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(["dqn", "tabular"]), how=CORRUPTIONS)
+def test_corrupted_checkpoint_is_rejected_or_valid(kind, how):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "c.ckpt"
+        path.write_bytes(corrupt(saved_bytes(kind), how))
+        try:
+            ckpt = ckpt_io.load(path)
+        except CheckpointError:
+            return
+    if ckpt.kind == "dqn":
+        ckpt.params.validate()
+        arrays = ckpt_io._dqn_arrays(ckpt.params, ckpt.opt).values()
+    else:
+        values = ckpt.params.values
+        assert values.ndim == 2 and values.shape[1] == N_MCS and len(values) >= 1
+        arrays = [values]
+    assert all(np.all(np.isfinite(a)) for a in arrays)

