@@ -29,8 +29,6 @@ class GreedyQAgent:
 
     def __init__(self, model, schedule: EpsilonSchedule | None = None,
                  rng: np.random.Generator | None = None):
-        if schedule is not None and rng is None:
-            raise ValueError("an epsilon schedule needs an RNG")
         self.model = model
         self.schedule = schedule
         self.rng = rng

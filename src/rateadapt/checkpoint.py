@@ -10,7 +10,8 @@ A checkpoint is a single self-describing file:
 
 The binary section keeps round-trips bit-exact; the header keeps the file
 readable with a text editor's first two lines. Every array must be finite,
-and the header's layer_sizes or n_state_bins must match the array shapes.
+the header's layer_sizes or n_state_bins must match the array shapes, and
+train_step and Adam's t and learning_rate pass the config's validators.
 Adam's betas and epsilon are written for reference only; `nn` fixes them.
 """
 
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import _int, _num
 from .errors import CheckpointError
 from .nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, MlpParams
 from .phy import N_MCS
@@ -89,8 +91,6 @@ def load(path, expected_fingerprint: str | None = None,
     Any malformed header or array section raises CheckpointError.
     """
     p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"checkpoint not found: {p}")
     try:
         raw = p.read_bytes()
     except OSError as exc:
@@ -101,6 +101,14 @@ def load(path, expected_fingerprint: str | None = None,
         return _parse(p, raw, expected_fingerprint, allow_fingerprint_mismatch)
     except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
         raise CheckpointError(f"{p}: corrupt checkpoint ({exc!r})") from exc
+
+
+def _field(node, key, check):
+    """node[key] if the config validator `check` accepts it, else ValueError."""
+    value = node[key]
+    if problem := check(value):
+        raise ValueError(f"header field {key!r} {problem} (got {value!r})")
+    return value
 
 
 def _parse(p: Path, raw: bytes, expected_fingerprint,
@@ -130,6 +138,7 @@ def _parse(p: Path, raw: bytes, expected_fingerprint,
         if not allow_fingerprint_mismatch:
             raise CheckpointError(msg)
         warnings.warn(msg, stacklevel=3)
+    train_step = _field(header, "train_step", _int(lo=0))
 
     if header["kind"] == "dqn":
         sizes = header["layer_sizes"]
@@ -144,9 +153,10 @@ def _parse(p: Path, raw: bytes, expected_fingerprint,
         opt = None
         if "adam" in header:
             meta = header["adam"]
-            opt = AdamState(meta["learning_rate"], meta["t"], layers("adam_mw"),
+            opt = AdamState(_field(meta, "learning_rate", _num(lo=0, lo_open=True)),
+                            _field(meta, "t", _int(lo=0)), layers("adam_mw"),
                             layers("adam_vw"), layers("adam_mb"), layers("adam_vb"))
-        return Checkpoint("dqn", params, opt, header["train_step"], fingerprint)
+        return Checkpoint("dqn", params, opt, train_step, fingerprint)
     if header["kind"] == "tabular":
         values = arrays["q_values"]
         if not (values.ndim == 2 and values.shape[1] == N_MCS
@@ -154,5 +164,5 @@ def _parse(p: Path, raw: bytes, expected_fingerprint,
             raise ValueError(f"q_values shape {values.shape} disagrees with n_state_bins")
         table = QTable(len(values))
         table.values = values
-        return Checkpoint("tabular", table, None, header["train_step"], fingerprint)
+        return Checkpoint("tabular", table, None, train_step, fingerprint)
     raise CheckpointError(f"{p}: unknown checkpoint kind {header['kind']!r}")

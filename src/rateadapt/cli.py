@@ -1,4 +1,6 @@
-"""Command-line entry point: train, eval, sweep and ccdf subcommands.
+"""Command-line entry point: train, eval, sweep and ccdf subcommands. Each
+takes only the options its handler reads and checks them before it makes a
+run folder; a bad sweep grid value fails only its cell.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 runtime error.
 """
@@ -7,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from pathlib import Path
 
@@ -35,16 +36,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--results", default="results",
                        help="base directory for run folders (default: results)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override agent.seed from the config")
 
     p_train = sub.add_parser("train", help="run training episodes")
-    common(p_train)
+    p_eval = sub.add_parser("eval", help="evaluate a frozen policy")
+    for p in (p_train, p_eval):
+        common(p)
+        p.add_argument("--seed", type=int, default=None,
+                       help="override agent.seed from the config")
     p_train.add_argument("--episodes", type=int, default=None,
                          help="override agent.episodes from the config")
-
-    p_eval = sub.add_parser("eval", help="evaluate a frozen policy")
-    common(p_eval)
     p_eval.add_argument("--checkpoint", default=None,
                         help="checkpoint file (required for dara algorithms)")
     p_eval.add_argument("--allow-fingerprint-mismatch", action="store_true",
@@ -63,10 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="override agent.episodes for every cell")
 
     p_ccdf = sub.add_parser("ccdf", help="compute a throughput CCDF from run logs")
-    common(p_ccdf)
-    p_ccdf.add_argument("--run-dir", default=None,
-                        help="existing run folder holding throughput_*.csv "
-                             "(default: --results itself)")
+    p_ccdf.add_argument("--run-dir", required=True,
+                        help="existing run folder holding throughput_*.csv")
     return parser
 
 
@@ -76,11 +74,8 @@ def _load_config(args):
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read config: {exc}"]) from exc
     cfg = validate_config(text)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "episodes", None) is not None:
-        overrides["episodes"] = args.episodes
+    overrides = {key: getattr(args, key) for key in ("seed", "episodes")
+                 if getattr(args, key, None) is not None}
     return cfg.with_overrides(**overrides) if overrides else cfg
 
 
@@ -138,6 +133,7 @@ def _parse_grid(args, cfg) -> SweepConfig:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     sweep = _parse_grid(args, cfg)
+    trained_kind(cfg["agent"]["algorithm"])  # before the run folder is made
     run_dir = _new_run_dir(args, cfg, "sweep")
     print(f"results: {run_dir}")
     rows = run_sweep(sweep, cfg, run_dir, progress=print)
@@ -150,23 +146,22 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_ccdf(args) -> int:
-    _load_config(args)  # validate for consistency with the other commands
-    run_dir = Path(args.run_dir if args.run_dir else args.results)
+    run_dir = Path(args.run_dir)
     samples = []
     for log in sorted(run_dir.glob("throughput_*.csv")):
         try:
             with open(log, encoding="utf-8", newline="") as f:
-                values = [float(row["throughput_mbps"]) for row in csv.DictReader(f)]
-            if not all(map(math.isfinite, values)):
-                raise ValueError("non-finite value")
+                samples.extend(float(row["throughput_mbps"])
+                               for row in csv.DictReader(f))
         except OSError as exc:
             raise RateAdaptError(f"cannot read {log}: {exc}") from exc
         except (KeyError, TypeError, ValueError) as exc:
             raise RateAdaptError(f"{log}: bad throughput_mbps column ({exc!r})") from exc
-        samples.extend(values)
-    if not samples:
-        raise RateAdaptError(f"no throughput samples in {run_dir}/throughput_*.csv")
-    write_ccdf_csv(ccdf(samples), run_dir / "ccdf.csv")
+    try:
+        points = ccdf(samples)
+    except ValueError as exc:
+        raise RateAdaptError(f"{run_dir}/throughput_*.csv: {exc}") from exc
+    write_ccdf_csv(points, run_dir / "ccdf.csv")
     print(f"wrote {run_dir / 'ccdf.csv'} ({len(samples)} samples)")
     return EXIT_OK
 
@@ -181,7 +176,7 @@ def cli_main(argv=None) -> int:
                 "sweep": _cmd_sweep, "ccdf": _cmd_ccdf}
     try:
         return handlers[args.command](args)
-    except (ConfigError, CheckpointError, FileNotFoundError) as exc:
+    except (ConfigError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RateAdaptError, MemoryError) as exc:

@@ -198,10 +198,7 @@ class RootConfig:
 
     def with_overrides(self, **agent_overrides) -> "RootConfig":
         data = deepcopy(self.data)
-        for key, value in agent_overrides.items():
-            if key not in data["agent"]:
-                raise ConfigError([f"agent.{key}: unknown key"])
-            data["agent"][key] = value
+        data["agent"].update(agent_overrides)
         return validate_config(json.dumps(data))
 
 
@@ -262,12 +259,24 @@ def validate_config(raw_json: str) -> RootConfig:
             problems.append("sim.per_midpoints_db must be strictly increasing")
         # The clock must advance by at least one float64 ulp per window for
         # every clock value short of duration_s, or the episode never ends.
-        shortest = gym["window_frames"] * RootConfig(resolved).airtime_s().min()
-        if not shortest >= sim["duration_s"] * 2.0**-52:
+        cfg = RootConfig(resolved)
+        airtime = cfg.airtime_s()
+        if not gym["window_frames"] * airtime.min() >= sim["duration_s"] * 2.0**-52:
             problems.append("sim.overhead_s too small for sim.phy_rates_mbps: "
                             "gym.window_frames times the shortest frame airtime "
                             "must be >= sim.duration_s * 2**-52, or the clock "
                             "stops before sim.duration_s")
+        # The receiver is farthest at the end of a slowest-MCS window that
+        # starts just before duration_s; phy needs a finite path loss there.
+        with np.errstate(over="ignore", invalid="ignore"):
+            farthest = sim["start_distance_m"] + sim["speed_mps"] * (
+                sim["duration_s"] + gym["window_frames"] * airtime.max())
+            loss = phy.friis_path_loss(farthest, cfg.channel_params())
+        if not np.isfinite(loss):
+            problems.append("sim.speed_mps too high for sim.phy_rates_mbps: path loss "
+                            "at the farthest distance, sim.start_distance_m + "
+                            "sim.speed_mps * (sim.duration_s + gym.window_frames * "
+                            "longest airtime), must be finite")
 
     if problems:
         raise ConfigError(problems)

@@ -12,8 +12,6 @@ class ConfigError(RateAdaptError):
     """
 
     def __init__(self, violations):
-        if isinstance(violations, str):
-            violations = [violations]
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
 

@@ -54,10 +54,6 @@ class SweepConfig:
     architectures: tuple
     seeds: tuple
 
-    def __post_init__(self):
-        if not self.learning_rates or not self.architectures or not self.seeds:
-            raise ConfigError(["sweep grid must be non-empty"])
-
 
 def trained_kind(algorithm: str) -> str:
     """The checkpoint kind a trainable algorithm writes; ConfigError if none."""
@@ -93,9 +89,7 @@ def build_eval_agent(cfg: RootConfig, checkpoint: Checkpoint | None,
             ewma_weight=agent["minstrel_ewma_weight"],
             probe_prob=agent["minstrel_probe_prob"],
         )
-    if name == "constant":
-        return ConstantAgent(agent["constant_mcs"])
-    raise ConfigError([f"unknown algorithm {name!r}"])
+    return ConstantAgent(agent["constant_mcs"])
 
 
 def _dqn_learner(agent_cfg, schedule, agent_rng):

@@ -16,8 +16,9 @@ import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
-#: The config schema's lower bound for the start distance; the receiver
-#: only moves away, so the Friis formula never sees the d -> 0 singularity.
+#: The config schema's lower bound for the start distance. The receiver only
+#: moves away, so the config guarantees every distance here is positive, and
+#: validate_config checks that the loss at the farthest one is finite.
 MINIMUM_DISTANCE_M = 0.1
 
 N_MCS = 8
@@ -58,8 +59,6 @@ class McsTable:
 def friis_path_loss(distance_m, params: ChannelParams):
     """Free-space path loss in dB, 20*log10(4*pi*d*f/c), for a distance or an
     array of distances."""
-    if np.any(np.asarray(distance_m) <= 0):
-        raise ValueError(f"distance must be positive, got {distance_m!r}")
     return 20.0 * np.log10(4.0 * math.pi * distance_m * params.frequency_hz / SPEED_OF_LIGHT)
 
 

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import RateAdaptError
-
 # Column dtypes in (s, a, r, s_next, done) order.
 _DTYPES = (float, int, float, float, bool)
 
@@ -32,9 +30,7 @@ class ReplayBuffer:
 
     def sample(self, batch_size: int, rng: np.random.Generator):
         """(s, a, r, s_next, done) arrays of batch_size rows drawn uniformly
-        with replacement."""
-        if self.size == 0:
-            raise RateAdaptError("cannot sample from an empty replay buffer")
+        with replacement; the buffer must hold at least one row."""
         idx = rng.integers(0, self.size, size=batch_size)
         return tuple(column[idx] for column in self._columns)
 

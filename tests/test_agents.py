@@ -58,12 +58,6 @@ class TestDaraSelect:
         freqs = np.bincount(draws, minlength=8) / len(draws)
         assert np.all(np.abs(freqs - 0.125) < 0.01)
 
-    def test_training_needs_schedule_and_rng(self):
-        schedule = EpsilonSchedule("fixed", 0.1, 0.1, 1)
-        for cls, q in ((DaraAgent, biased_net(0)), (TabularDaraAgent, QTable(4))):
-            with pytest.raises(ValueError, match="RNG"):
-                cls(q, schedule)
-
 
 class TestIdealSelect:
     def test_all_feasible_picks_highest(self):

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -68,7 +69,7 @@ class TestRoundTrip:
 
 class TestFailureModes:
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(CheckpointError):
             ckpt_io.load(tmp_path / "nope.ckpt")
 
     def test_corrupt_payload(self, tmp_path):
@@ -172,6 +173,10 @@ CORRUPTIONS = st.one_of(
 )
 
 
+def is_count(value):
+    return type(value) is int and value >= 0
+
+
 @settings(max_examples=400, deadline=None)
 @given(kind=st.sampled_from(["dqn", "tabular"]), how=CORRUPTIONS)
 def test_corrupted_checkpoint_is_rejected_or_valid(kind, how):
@@ -182,8 +187,13 @@ def test_corrupted_checkpoint_is_rejected_or_valid(kind, how):
             ckpt = ckpt_io.load(path)
         except CheckpointError:
             return
+    assert is_count(ckpt.train_step)
     if ckpt.kind == "dqn":
         ckpt.params.validate()
+        if ckpt.opt is not None:
+            assert is_count(ckpt.opt.t)
+            lr = ckpt.opt.learning_rate
+            assert type(lr) in (int, float) and math.isfinite(lr) and lr > 0
         arrays = ckpt_io._dqn_arrays(ckpt.params, ckpt.opt).values()
     else:
         values = ckpt.params.values

@@ -9,7 +9,7 @@ import pytest
 
 import rateadapt
 from rateadapt import checkpoint as ckpt_io
-from rateadapt.cli import cli_main
+from rateadapt.cli import _build_parser, cli_main
 from rateadapt.config import default_config
 from tests.test_config import REJECTED, apply_overrides, row_id
 
@@ -172,20 +172,18 @@ class TestSweepAndCcdf:
         cli_main(["train", "--config", str(cfg),
                   "--results", str(tmp_path / "train")])
         run = run_dir_of(tmp_path / "train")
-        code = cli_main(["ccdf", "--config", str(cfg), "--run-dir", str(run),
-                         "--results", str(tmp_path / "train")])
+        code = cli_main(["ccdf", "--run-dir", str(run)])
         assert code == 0
         lines = (run / "ccdf.csv").read_text().splitlines()
         assert lines[0] == "throughput_mbps,ccdf"
         assert len(lines) > 2
 
     def test_ccdf_reads_throughput_column_by_name(self, tmp_path):
-        cfg = write_tiny_config(tmp_path / "cfg.json")
         run = tmp_path / "run"
         run.mkdir()
         (run / "throughput_001.csv").write_text(
             "throughput_mbps,time_s\n3.0,1.0\n5.0,2.0\n", encoding="utf-8")
-        assert cli_main(["ccdf", "--config", str(cfg), "--run-dir", str(run)]) == 0
+        assert cli_main(["ccdf", "--run-dir", str(run)]) == 0
         lines = (run / "ccdf.csv").read_text().splitlines()
         assert lines[2:] == ["3.000000,0.500000", "5.000000,0.000000"]
 
@@ -196,18 +194,33 @@ class TestSweepAndCcdf:
         "time_s,throughput_mbps\n1.0\n",
     ], ids=["no_column", "no_rows", "not_a_number", "short_row"])
     def test_ccdf_bad_log_exit_2(self, tmp_path, capsys, text):
-        cfg = write_tiny_config(tmp_path / "cfg.json")
         (tmp_path / "throughput_001.csv").write_text(text, encoding="utf-8")
-        code = cli_main(["ccdf", "--config", str(cfg), "--run-dir", str(tmp_path)])
+        code = cli_main(["ccdf", "--run-dir", str(tmp_path)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
     def test_ccdf_without_logs_exit_2(self, tmp_path):
-        cfg = write_tiny_config(tmp_path / "cfg.json")
         (tmp_path / "empty").mkdir()
-        code = cli_main(["ccdf", "--config", str(cfg),
-                         "--run-dir", str(tmp_path / "empty")])
+        code = cli_main(["ccdf", "--run-dir", str(tmp_path / "empty")])
         assert code == 2
+
+    def test_sweep_non_trainable_exit_1_without_run_folder(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path / "cfg.json", algorithm="constant",
+                                episodes=1)
+        code = cli_main(["sweep", "--config", str(cfg),
+                         "--results", str(tmp_path / "out"),
+                         "--learning-rates", "0.01", "--architectures", "4"])
+        assert_config_error(code, capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_seed_prefix_reads_as_seeds(self, tmp_path):
+        cfg = write_tiny_config(tmp_path / "cfg.json", episodes=1)
+        code = cli_main(["sweep", "--config", str(cfg), "--seed", "3",
+                         "--results", str(tmp_path / "out"),
+                         "--learning-rates", "0.01", "--architectures", "4"])
+        assert code == 0
+        rows = (run_dir_of(tmp_path / "out") / "sweep_summary.csv").read_text()
+        assert rows.splitlines()[1].split(",")[2] == "3"
 
 
 def rewrite_header(path, edit):
@@ -301,7 +314,12 @@ class TestInputHoles:
         lambda h: h.update(layer_sizes=[]),
         lambda h: h.update(kind="tabular", n_state_bins=3),
         lambda h: h.update(kind="bogus"),
-    ], ids=["no_kind", "shape_mismatch", "no_layers", "tabular_shape", "bad_kind"])
+        lambda h: h.update(train_step="x"),
+        lambda h: h.update(train_step=1.5),
+        lambda h: h["adam"].update(t=[]),
+        lambda h: h["adam"].update(learning_rate=None),
+    ], ids=["no_kind", "shape_mismatch", "no_layers", "tabular_shape", "bad_kind",
+            "train_step_x", "train_step_1.5", "adam_t_list", "adam_learning_rate_null"])
     def test_malformed_checkpoint_header_exit_1(self, tmp_path, capsys, edit):
         path = write_tiny_config(tmp_path / "cfg.json", episodes=1)
         assert cli_main(["train", "--config", str(path),
@@ -375,10 +393,9 @@ class TestInputHoles:
         assert_config_error(code, capsys)
 
     def test_ccdf_log_is_a_directory_exit_2(self, tmp_path, capsys):
-        cfg = write_tiny_config(tmp_path / "cfg.json")
         run = tmp_path / "run"
         (run / "throughput_001.csv").mkdir(parents=True)
-        code = cli_main(["ccdf", "--config", str(cfg), "--run-dir", str(run)])
+        code = cli_main(["ccdf", "--run-dir", str(run)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
@@ -386,14 +403,13 @@ class TestInputHoles:
     def test_ccdf_non_finite_sample_exit_2(self, tmp_path, value):
         # results.ccdf once looped forever on a NaN; in a child process, a
         # hang ends at the timeout and fails the test.
-        cfg = write_tiny_config(tmp_path / "cfg.json")
         (tmp_path / "throughput_001.csv").write_text(
             f"throughput_mbps\n1.0\n{value}\n", encoding="utf-8")
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys; from rateadapt.cli import cli_main; "
              "sys.exit(cli_main(sys.argv[1:]))",
-             "ccdf", "--config", str(cfg), "--run-dir", str(tmp_path)],
+             "ccdf", "--run-dir", str(tmp_path)],
             capture_output=True, text=True, timeout=60, env=subprocess_env(),
             check=False)
         assert proc.returncode == 2
@@ -421,6 +437,20 @@ class TestUsage:
             check=False)
         assert proc.returncode == 1
         assert "error:" in proc.stderr
+
+    def test_each_command_takes_only_the_options_it_reads(self):
+        commands = _build_parser()._subparsers._group_actions[0].choices
+        options = {name: {opt for action in p._actions for opt in action.option_strings
+                          if opt.startswith("--") and opt != "--help"}
+                   for name, p in commands.items()}
+        assert options == {
+            "train": {"--config", "--results", "--seed", "--episodes"},
+            "eval": {"--config", "--results", "--seed", "--checkpoint",
+                     "--allow-fingerprint-mismatch"},
+            "sweep": {"--config", "--results", "--learning-rates",
+                      "--architectures", "--seeds", "--episodes"},
+            "ccdf": {"--run-dir"},
+        }
 
     def test_unknown_flag(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json")

@@ -64,6 +64,10 @@ REJECTED = [
     pytest.param({"sim.duration_s": 10**400}, id="sim.duration_s=10**400"),
     pytest.param({"sim.tx_power_dbm": -10**400}, id="sim.tx_power_dbm=-10**400"),
     pytest.param({"agent.seed": 10**400}, id="agent.seed=10**400"),
+    # the receiver would recede so far that the path loss overflows to inf
+    pytest.param({"sim.phy_rates_mbps": [1e-305, *RATES[1:]]},
+                 id="sim.phy_rates_mbps=1e-305_first_rate"),
+    {"sim.speed_mps": 1e306},
 ]
 
 
@@ -171,6 +175,11 @@ class TestValidation:
             "overhead_s": 0, "phy_rates_mbps": [*RATES[:7], 1e10]}})
         cfg = validate_config(raw)
         assert 50 * cfg.airtime_s().min() >= 60.0 * 2.0**-52
+
+    def test_tiny_rate_accepted_when_the_receiver_stands_still(self):
+        raw = json.dumps({"agent": {}, "gym": {}, "sim": {
+            "speed_mps": 0, "phy_rates_mbps": [1e-305, *RATES[1:]]}})
+        assert validate_config(raw)["sim"]["phy_rates_mbps"][0] == 1e-305
 
     def test_airtime_is_payload_time_plus_overhead(self):
         airtime = default_config().airtime_s()

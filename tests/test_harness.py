@@ -146,10 +146,6 @@ class TestRunSweep:
         assert len(rows) == 3
         assert (tmp_path / "arch" / "sweep_summary.csv").exists()
 
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ConfigError):
-            SweepConfig((), ((4,),), (1,))
-
     def test_winner_recomputable_from_csv(self, tmp_path):
         base = tiny_config(episodes=1)
         rows = run_sweep(SweepConfig((0.05, 0.01), ((4,),), (1, 2)),

@@ -39,11 +39,6 @@ class TestFriis:
         losses = [phy.friis_path_loss(d, DEFAULTS) for d in grid]
         assert all(b > a for a, b in zip(losses, losses[1:]))
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
-    def test_invalid_distance(self, bad):
-        with pytest.raises(ValueError):
-            phy.friis_path_loss(bad, DEFAULTS)
-
 
 class TestNoisePower:
     def test_default_nf(self):
@@ -83,10 +78,6 @@ class TestSnr:
         assert snrs.tobytes() == scalar.tobytes()
         reference = np.array([snr_db_reference(float(d), DEFAULTS) for d in grid])
         np.testing.assert_allclose(snrs, reference, rtol=1e-12, atol=0)
-
-    def test_array_with_non_positive_distance_raises(self):
-        with pytest.raises(ValueError):
-            phy.snr_db(np.array([1.0, 0.0, 2.0]), DEFAULTS)
 
 
 class TestFrameSuccessProb:

@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from rateadapt.errors import RateAdaptError
 from rateadapt.replay import ReplayBuffer
 
 
@@ -73,10 +71,6 @@ class TestSample:
         push_tags(buf, [7])
         batch = buf.sample(5, np.random.default_rng(0))
         assert_columns_equal(batch, columns_of([7] * 5))
-
-    def test_empty_buffer_raises(self):
-        with pytest.raises(RateAdaptError):
-            ReplayBuffer(4).sample(1, np.random.default_rng(0))
 
     def test_uniformity(self):
         buf = ReplayBuffer(10)
