@@ -18,8 +18,6 @@ from .env import StepResult
 from .nn import mlp_forward
 from .phy import McsTable
 
-ALGORITHMS = ("dara", "dara_tabular", "ideal", "minstrel_like", "constant")
-
 
 class GreedyQAgent:
     """Greedy over the Q-values that a subclass's `q(observation)` reads from

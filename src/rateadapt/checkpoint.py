@@ -39,18 +39,17 @@ class Checkpoint:
 
     kind: str  # "dqn" | "tabular"
     params: object  # MlpParams or QTable
-    opt: AdamState | None
+    opt: AdamState | None  # None for a tabular checkpoint
     train_step: int
     fingerprint: str
 
 
-def _dqn_arrays(params: MlpParams, opt: AdamState | None) -> dict:
+def _dqn_arrays(params: MlpParams, opt: AdamState) -> dict:
     """A DQN checkpoint's arrays by name, in file order: w0, b0, w1, b1, ...,
     then adam_mw0, adam_vw0, adam_mb0, adam_vb0, adam_mw1, ..."""
-    groups = [{"w": params.weights, "b": params.biases}]
-    if opt is not None:
-        groups.append({"adam_mw": opt.m_w, "adam_vw": opt.v_w,
-                       "adam_mb": opt.m_b, "adam_vb": opt.v_b})
+    groups = [{"w": params.weights, "b": params.biases},
+              {"adam_mw": opt.m_w, "adam_vw": opt.v_w,
+               "adam_mb": opt.m_b, "adam_vb": opt.v_b}]
     return {f"{prefix}{i}": layers[i] for group in groups
             for i in range(len(params.weights)) for prefix, layers in group.items()}
 
@@ -64,10 +63,9 @@ def save(path, ckpt: Checkpoint):
     }
     if ckpt.kind == "dqn":
         header["layer_sizes"] = ckpt.params.layer_sizes
-        if ckpt.opt is not None:
-            header["adam"] = {"learning_rate": ckpt.opt.learning_rate,
-                              "beta1": ADAM_BETA1, "beta2": ADAM_BETA2,
-                              "eps": ADAM_EPS, "t": ckpt.opt.t}
+        header["adam"] = {"learning_rate": ckpt.opt.learning_rate,
+                          "beta1": ADAM_BETA1, "beta2": ADAM_BETA2,
+                          "eps": ADAM_EPS, "t": ckpt.opt.t}
         arrays = _dqn_arrays(ckpt.params, ckpt.opt)
     else:
         header["n_state_bins"] = ckpt.params.n_state_bins
@@ -150,12 +148,10 @@ def _parse(p: Path, raw: bytes, expected_fingerprint,
         params.validate()
         if params.layer_sizes != sizes:
             raise ValueError(f"layer_sizes {sizes} disagree with the weight shapes")
-        opt = None
-        if "adam" in header:
-            meta = header["adam"]
-            opt = AdamState(_field(meta, "learning_rate", _num(lo=0, lo_open=True)),
-                            _field(meta, "t", _int(lo=0)), layers("adam_mw"),
-                            layers("adam_vw"), layers("adam_mb"), layers("adam_vb"))
+        meta = header["adam"]
+        opt = AdamState(_field(meta, "learning_rate", _num(lo=0, lo_open=True)),
+                        _field(meta, "t", _int(lo=0)), layers("adam_mw"),
+                        layers("adam_vw"), layers("adam_mb"), layers("adam_vb"))
         return Checkpoint("dqn", params, opt, train_step, fingerprint)
     if header["kind"] == "tabular":
         values = arrays["q_values"]

@@ -1,6 +1,6 @@
 """Command-line entry point: train, eval, sweep and ccdf subcommands. Each
-takes only the options its handler reads and checks them before it makes a
-run folder; a bad sweep grid value fails only its cell.
+takes only the options its handler reads and checks them, every sweep cell's
+config included, before it makes a run folder.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 runtime error.
 """
@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from itertools import product
 from pathlib import Path
 
 from . import checkpoint as ckpt_io
 from .config import validate_config
 from .errors import CheckpointError, ConfigError, RateAdaptError
-from .harness import (TRAINABLE, SweepConfig, check_checkpoint_kind,
+from .harness import (TRAINABLE, SweepConfig, cell_config, check_checkpoint_kind,
                       run_evaluation, run_sweep, run_training, trained_kind)
 from .results import ccdf, setup_results_dir, write_ccdf_csv
 
@@ -134,6 +135,14 @@ def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     sweep = _parse_grid(args, cfg)
     trained_kind(cfg["agent"]["algorithm"])  # before the run folder is made
+    problems = []
+    for cell in product(sweep.learning_rates, sweep.architectures, sweep.seeds):
+        try:
+            cell_config(cfg, *cell)
+        except ConfigError as exc:  # one line per distinct violation
+            problems += [v for v in exc.violations if v not in problems]
+    if problems:
+        raise ConfigError(problems)
     run_dir = _new_run_dir(args, cfg, "sweep")
     print(f"results: {run_dir}")
     rows = run_sweep(sweep, cfg, run_dir, progress=print)
@@ -153,8 +162,6 @@ def _cmd_ccdf(args) -> int:
             with open(log, encoding="utf-8", newline="") as f:
                 samples.extend(float(row["throughput_mbps"])
                                for row in csv.DictReader(f))
-        except OSError as exc:
-            raise RateAdaptError(f"cannot read {log}: {exc}") from exc
         except (KeyError, TypeError, ValueError) as exc:
             raise RateAdaptError(f"{log}: bad throughput_mbps column ({exc!r})") from exc
     try:
@@ -179,7 +186,7 @@ def cli_main(argv=None) -> int:
     except (ConfigError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RateAdaptError, MemoryError) as exc:
+    except (RateAdaptError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -23,9 +23,10 @@ from importlib import resources
 import numpy as np
 
 from . import phy
-from .agents import ALGORITHMS
 from .errors import ConfigError
 from .phy import ChannelParams, McsTable
+
+ALGORITHMS = ("dara", "dara_tabular", "ideal", "minstrel_like", "constant")
 
 
 def _num(lo=None, hi=None, lo_open=False, hi_open=False):
@@ -111,7 +112,7 @@ SCHEMA = {
         "ideal_p_min": (0.9, _num(lo=0, hi=1, lo_open=True, hi_open=True)),
         "minstrel_probe_prob": (0.1, _num(lo=0, hi=1)),
         "minstrel_ewma_weight": (0.25, _num(lo=0, hi=1)),
-        "constant_mcs": (0, _int(lo=0, hi=7)),
+        "constant_mcs": (0, _int(lo=0, hi=phy.N_MCS - 1)),
     },
     "gym": {
         "snr_lo_db": (0.0, _num()),
@@ -130,11 +131,11 @@ SCHEMA = {
         "duration_s": (60.0, _num(lo=0, lo_open=True)),
         "log_period_s": (1.0, _num(lo=0, lo_open=True)),
         "phy_rates_mbps": (list(phy.DEFAULT_PHY_RATES_MBPS),
-                           _num_list(length=8, lo=0)),
+                           _num_list(length=phy.N_MCS, lo=0)),
         "per_midpoints_db": (list(phy.DEFAULT_PER_MIDPOINTS_DB),
-                             _num_list(length=8)),
+                             _num_list(length=phy.N_MCS)),
         "per_slopes_per_db": (list(phy.DEFAULT_PER_SLOPES_PER_DB),
-                              _num_list(length=8, lo=0)),
+                              _num_list(length=phy.N_MCS, lo=0)),
     },
 }
 

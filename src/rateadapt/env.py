@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phy
-from .errors import EpisodeEndedError
 from .phy import McsTable
 
 
@@ -79,7 +78,6 @@ class LinkSimEnv:
         self.snr_lo_db = gym["snr_lo_db"]
         self.snr_hi_db = gym["snr_hi_db"]
         self._rng = None
-        self._done = True
 
     def position_at(self, t):
         """Receiver distance from the stationary sender at time t (or at each
@@ -97,8 +95,6 @@ class LinkSimEnv:
         """
         self._rng = rng_streams(seed, episode)[0]
         self.clock = 0.0
-        self._done = False
-        self.total_bits = 0.0
         # End time and delivered bits of every window, for throughput_log().
         self._window_ends = []
         self._window_bits = []
@@ -120,12 +116,11 @@ class LinkSimEnv:
 
     def step(self, action: int) -> StepResult:
         """Simulate one window of frames at MCS `action`."""
-        if self._rng is None:
-            raise RuntimeError("step() before reset()")
-        if self._done:
-            raise EpisodeEndedError("episode is over; call reset()")
+        if self.done:
+            raise RuntimeError("no episode in progress; call reset()")
         if not isinstance(action, (int, np.integer)) or not 0 <= action < phy.N_MCS:
-            raise ValueError(f"action must be an MCS index in [0, 7], got {action!r}")
+            raise ValueError(f"action must be an MCS index in [0, {phy.N_MCS - 1}], "
+                             f"got {action!r}")
 
         w = self.window_frames
         dt = float(self.airtime_s[action])
@@ -150,17 +145,15 @@ class LinkSimEnv:
             observation = self._last_observation
 
         self.clock += window_duration
-        self.total_bits += bits_ok
         self._window_ends.append(self.clock)
         self._window_bits.append(bits_ok)
-        self._done = self.clock >= self.duration_s
 
         # The last ACK instant is the window's end, so snrs[-1] is the SNR
         # at the current distance.
         return StepResult(
             observation=observation,
             reward=dara_reward(fsr, action, self.table),
-            done=self._done,
+            done=self.done,
             fsr=fsr,
             raw_snr_db=snrs[-1],
         )
@@ -175,7 +168,7 @@ class LinkSimEnv:
         k is the running sum of k periods, added one at a time, and bit
         counts are integers, so their sums are exact.
         """
-        if self._rng is None or not self._done:
+        if self._rng is None or not self.done:
             raise RuntimeError("throughput_log() needs a finished episode")
         n_ticks = int(self.duration_s / self.log_period_s) + 2
         ticks = np.cumsum(np.full(n_ticks, self.log_period_s))
@@ -190,9 +183,10 @@ class LinkSimEnv:
 
     @property
     def done(self) -> bool:
-        return self._done
+        """True before the first reset and once the clock reaches duration_s."""
+        return self._rng is None or self.clock >= self.duration_s
 
     @property
     def mean_throughput_mbps(self) -> float:
         """Payload bits delivered over elapsed simulated time, in Mbit/s."""
-        return self.total_bits / self.clock / 1e6 if self.clock > 0 else 0.0
+        return sum(self._window_bits) / self.clock / 1e6 if self.clock > 0 else 0.0

@@ -16,9 +16,5 @@ class ConfigError(RateAdaptError):
         super().__init__("; ".join(self.violations))
 
 
-class EpisodeEndedError(RateAdaptError):
-    """Raised when step() is called after the episode finished."""
-
-
 class CheckpointError(RateAdaptError):
     """Raised on checkpoint load/save failures or fingerprint mismatch."""

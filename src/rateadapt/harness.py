@@ -11,7 +11,7 @@ a greedy agent and no hook, so the policy stays frozen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from pathlib import Path
 
@@ -33,7 +33,6 @@ from .tabular import QTable, q_update_tabular
 # The trainable algorithms and the checkpoint kind each one writes and reads.
 TRAINABLE = {"dara": "dqn", "dara_tabular": "tabular"}
 
-EPISODES_HEADER = ("episode", "cum_reward", "mean_throughput_mbps", "train_steps")
 SWEEP_FIELDS = ("learning_rate", "architecture", "seed", "final_cum_reward",
                 "mean_last3_cum_reward", "error")
 
@@ -46,6 +45,9 @@ class EpisodeSummary:
     train_steps: int
 
 
+EPISODES_HEADER = tuple(f.name for f in fields(EpisodeSummary))
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Cross-product grid of learning rates and hidden-layer architectures."""
@@ -53,6 +55,12 @@ class SweepConfig:
     learning_rates: tuple
     architectures: tuple
     seeds: tuple
+
+
+def cell_config(base: RootConfig, lr, arch, seed) -> RootConfig:
+    """The config of the sweep cell (lr, arch, seed); ConfigError if the
+    config rejects one of the grid values."""
+    return base.with_overrides(learning_rate=lr, hidden_layers=list(arch), seed=seed)
 
 
 def trained_kind(algorithm: str) -> str:
@@ -249,9 +257,8 @@ def run_sweep(sweep: SweepConfig, base: RootConfig, results_dir,
         row = dict.fromkeys(SWEEP_FIELDS, "")
         row.update(learning_rate=lr, architecture="x".join(map(str, arch)), seed=seed)
         try:
-            cfg = base.with_overrides(learning_rate=lr,
-                                      hidden_layers=list(arch), seed=seed)
-            summaries, _ = run_training(cfg, cell_dir, progress=None)
+            summaries, _ = run_training(cell_config(base, lr, arch, seed),
+                                        cell_dir, progress=None)
             finals = [s.cum_reward for s in summaries]
             row["final_cum_reward"] = f"{finals[-1]:.6f}"
             row["mean_last3_cum_reward"] = f"{float(np.mean(finals[-3:])):.6f}"

@@ -38,9 +38,6 @@ class ReplayBuffer:
         self._next = 0
         self.size = 0
 
-    def __len__(self):
-        return self.size
-
     def contents(self):
         """(s, a, r, s_next, done) arrays of the stored rows, oldest first."""
         order = (np.arange(self.size) + self._next - self.size) % self.capacity

@@ -190,10 +190,9 @@ def test_corrupted_checkpoint_is_rejected_or_valid(kind, how):
     assert is_count(ckpt.train_step)
     if ckpt.kind == "dqn":
         ckpt.params.validate()
-        if ckpt.opt is not None:
-            assert is_count(ckpt.opt.t)
-            lr = ckpt.opt.learning_rate
-            assert type(lr) in (int, float) and math.isfinite(lr) and lr > 0
+        assert is_count(ckpt.opt.t)
+        lr = ckpt.opt.learning_rate
+        assert type(lr) in (int, float) and math.isfinite(lr) and lr > 0
         arrays = ckpt_io._dqn_arrays(ckpt.params, ckpt.opt).values()
     else:
         values = ckpt.params.values

@@ -213,6 +213,24 @@ class TestSweepAndCcdf:
         assert_config_error(code, capsys)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("learning_rates,architectures,violation", [
+        ("0", "4", "agent.learning_rate: must be > 0"),
+        ("0.01", "0", "agent.hidden_layers: must be a non-empty list"),
+        ("0,0.01", "4;0;0x4", "agent.learning_rate: must be > 0"),
+    ], ids=["learning_rate_0", "architecture_0", "mixed_grid"])
+    def test_sweep_bad_grid_value_exit_1_without_run_folder(
+            self, tmp_path, capsys, learning_rates, architectures, violation):
+        cfg = write_tiny_config(tmp_path / "cfg.json", episodes=1)
+        code = cli_main(["sweep", "--config", str(cfg),
+                         "--results", str(tmp_path / "out"),
+                         "--learning-rates", learning_rates,
+                         "--architectures", architectures, "--seeds", "1,2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and violation in err
+        assert err.count(violation) == 1  # each distinct violation once
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_seed_prefix_reads_as_seeds(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json", episodes=1)
         code = cli_main(["sweep", "--config", str(cfg), "--seed", "3",
@@ -318,8 +336,10 @@ class TestInputHoles:
         lambda h: h.update(train_step=1.5),
         lambda h: h["adam"].update(t=[]),
         lambda h: h["adam"].update(learning_rate=None),
+        lambda h: h.pop("adam"),
     ], ids=["no_kind", "shape_mismatch", "no_layers", "tabular_shape", "bad_kind",
-            "train_step_x", "train_step_1.5", "adam_t_list", "adam_learning_rate_null"])
+            "train_step_x", "train_step_1.5", "adam_t_list", "adam_learning_rate_null",
+            "no_adam"])
     def test_malformed_checkpoint_header_exit_1(self, tmp_path, capsys, edit):
         path = write_tiny_config(tmp_path / "cfg.json", episodes=1)
         assert cli_main(["train", "--config", str(path),
@@ -392,9 +412,13 @@ class TestInputHoles:
                          "--results", str(tmp_path / "eval")])
         assert_config_error(code, capsys)
 
-    def test_ccdf_log_is_a_directory_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("name", ["throughput_001.csv", "ccdf.csv"])
+    def test_ccdf_log_is_a_directory_exit_2(self, tmp_path, capsys, name):
         run = tmp_path / "run"
-        (run / "throughput_001.csv").mkdir(parents=True)
+        (run / name).mkdir(parents=True)
+        if name == "ccdf.csv":  # a valid log, so only the write fails
+            (run / "throughput_001.csv").write_text(
+                "throughput_mbps\n1.0\n", encoding="utf-8")
         code = cli_main(["ccdf", "--run-dir", str(run)])
         assert code == 2
         assert "error:" in capsys.readouterr().err

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rateadapt
 from rateadapt import phy
 from rateadapt.config import (default_config, reference_config_text,
                               validate_config)
@@ -206,6 +211,19 @@ class TestSingleLayer:
             validate_config(raw)
         key = next(iter(overrides))
         assert any(names_key(v, key) for v in err.value.violations)
+
+    def test_config_loads_no_simulator_or_learner_module(self):
+        # The schema owns the algorithm names; it reads only phy's constants.
+        src = str(Path(rateadapt.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, rateadapt.config; "
+             "print(*sorted(m for m in sys.modules if m.startswith('rateadapt')))"],
+            capture_output=True, text=True, timeout=60, env=env, check=True)
+        loaded = set(proc.stdout.split())
+        assert "rateadapt.config" in loaded
+        assert not loaded & {f"rateadapt.{m}" for m in ("agents", "env", "nn", "dqn")}
 
 
 class TestFingerprint:

@@ -6,7 +6,6 @@ import pytest
 from rateadapt import phy
 from rateadapt.config import default_config, validate_config
 from rateadapt.env import LinkSimEnv, dara_reward, rng_streams
-from rateadapt.errors import EpisodeEndedError
 
 TABLE = default_config().mcs_table()
 CHANNEL = default_config().channel_params()
@@ -97,7 +96,7 @@ class TestStep:
         res = env.step(7)
         assert res.fsr == 0.0
         assert res.reward == 0.0
-        assert env.total_bits == 0.0
+        assert env.mean_throughput_mbps == 0.0
 
     def test_binomial_statistics(self):
         # Distance fixed at the MCS 3 midpoint: p = 0.5 per frame.
@@ -121,8 +120,14 @@ class TestStep:
         env.reset(seed=1)
         res = env.step(7)
         assert res.done
-        with pytest.raises(EpisodeEndedError):
+        with pytest.raises(RuntimeError):
             env.step(7)
+
+    def test_step_before_reset_raises(self):
+        env = make_env()
+        assert env.done
+        with pytest.raises(RuntimeError):
+            env.step(0)
 
     def test_bad_action(self):
         env = make_env()
@@ -138,11 +143,10 @@ class TestStep:
         rng = np.random.default_rng(0)
         while not env.done:
             a = int(rng.integers(0, 8))
-            bits_before = env.total_bits
             res = env.step(a)
             count = res.fsr * 50
             assert count == pytest.approx(round(count), abs=1e-9)
-            window_mbps = (env.total_bits - bits_before) / (50 * env.airtime_s[a]) / 1e6
+            window_mbps = round(count) * env.payload_bits / (50 * env.airtime_s[a]) / 1e6
             cap = env.payload_bits / env.airtime_s[a] / 1e6
             assert window_mbps <= cap + 1e-9
 
@@ -209,10 +213,9 @@ def play(env, seed, actions):
     env.reset(seed=seed)
     ends, bits = [], []
     while not env.done:
-        before = env.total_bits
-        env.step(actions())
+        res = env.step(actions())
         ends.append(env.clock)
-        bits.append(env.total_bits - before)
+        bits.append(round(res.fsr * env.window_frames) * env.payload_bits)
     return ends, bits
 
 
@@ -270,7 +273,8 @@ class TestEpisodeLog:
         play(env, 2, lambda: 4)
         times, _, _, thpt = env.throughput_log().T
         periods = np.diff(times, prepend=0.0)
-        assert np.sum(thpt * periods * 1e6) == pytest.approx(env.total_bits)
+        assert np.sum(thpt * periods * 1e6) == pytest.approx(
+            env.mean_throughput_mbps * env.clock * 1e6)
 
     def test_needs_finished_episode(self):
         env = make_env(duration=5.0)

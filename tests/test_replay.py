@@ -33,9 +33,9 @@ class TestPush:
         buf = ReplayBuffer(5)
         for i in range(3):
             push_tags(buf, [i])
-            assert len(buf) == i + 1
+            assert buf.size == i + 1
         push_tags(buf, range(10))
-        assert len(buf) == 5
+        assert buf.size == 5
 
     def test_large_capacity_accepted(self):
         buf = ReplayBuffer(10**6)
@@ -46,7 +46,7 @@ class TestPush:
         buf = ReplayBuffer(3)
         push_tags(buf, range(5))
         buf.clear()
-        assert len(buf) == 0
+        assert buf.size == 0
         push_tags(buf, (8, 9))
         assert_columns_equal(buf.contents(), columns_of((8, 9)))
 
@@ -55,7 +55,7 @@ class TestPush:
     def test_never_exceeds_capacity_and_keeps_newest(self, cap, n):
         buf = ReplayBuffer(cap)
         push_tags(buf, range(n))
-        assert len(buf) == min(n, cap)
+        assert buf.size == min(n, cap)
         assert_columns_equal(buf.contents(), columns_of(range(max(0, n - cap), n)))
 
 
