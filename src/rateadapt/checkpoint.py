@@ -54,8 +54,17 @@ def _dqn_arrays(params: MlpParams, opt: AdamState) -> dict:
             for i in range(len(params.weights)) for prefix, layers in group.items()}
 
 
+def _require_finite(arrays: dict):
+    """ValueError naming the first array that holds a NaN or an infinity;
+    `save` writes and `load` accepts only checkpoints that pass this."""
+    for name, a in arrays.items():
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"array {name!r} holds non-finite values")
+
+
 def save(path, ckpt: Checkpoint):
-    """Write a checkpoint; the parent directory must exist."""
+    """Write a checkpoint; the parent directory must exist. A checkpoint
+    with a non-finite array raises CheckpointError before the file is opened."""
     header = {
         "kind": ckpt.kind,
         "train_step": int(ckpt.train_step),
@@ -71,6 +80,10 @@ def save(path, ckpt: Checkpoint):
         header["n_state_bins"] = ckpt.params.n_state_bins
         arrays = {"q_values": ckpt.params.values}
 
+    try:
+        _require_finite(arrays)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: not written, {exc}") from exc
     header["arrays"] = [
         {"name": name, "shape": list(a.shape)} for name, a in arrays.items()
     ]
@@ -125,9 +138,7 @@ def _parse(p: Path, raw: bytes, expected_fingerprint,
         offset += nbytes
     if offset != len(blob):
         raise ValueError("trailing bytes after declared arrays")
-    for name, a in arrays.items():
-        if not np.all(np.isfinite(a)):
-            raise ValueError(f"array {name!r} holds non-finite values")
+    _require_finite(arrays)
 
     fingerprint = header.get("fingerprint", "")
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:

@@ -84,13 +84,23 @@ class LinkSimEnv:
         time in an array)."""
         return self.start_distance_m + self.speed_mps * t
 
+    def _window(self, clock, dt, mcs):
+        """The SNRs at the ACK instants clock + dt*(1..window_frames) of a
+        window at MCS `mcs`, with the receiver still moving, and each frame's
+        success probability. Reads only the link's fixed constants."""
+        ack_times = clock + dt * np.arange(1, self.window_frames + 1)
+        ack_snrs = phy.snr_db(self.position_at(ack_times), self.channel)
+        p = phy.frame_success_prob(ack_snrs, self.table.slopes_per_db[mcs],
+                                   self.table.midpoints_db[mcs])
+        return ack_snrs, p
+
     # -- lifecycle ---------------------------------------------------------
 
     def reset(self, seed: int, episode: int = 0) -> StepResult:
         """Start a new episode; returns the initial observation.
 
-        The observation comes from a probe window at the initial MCS run with
-        the clock frozen at t=0, so the episode proper still starts at the
+        The observation comes from a probe window at the initial MCS whose
+        frames all ACK at t=0, so the episode proper still starts at the
         configured distance.
         """
         self._rng = rng_streams(seed, episode)[0]
@@ -99,20 +109,12 @@ class LinkSimEnv:
         self._window_ends = []
         self._window_bits = []
 
-        raw_snr = phy.snr_db(self.start_distance_m, self.channel)
-        mcs = self.INITIAL_MCS
-        p = phy.frame_success_prob(raw_snr, self.table.slopes_per_db[mcs],
-                                   self.table.midpoints_db[mcs])
-        draws = self._rng.random(self.window_frames) < p
-        fsr = float(np.count_nonzero(draws)) / self.window_frames
-        self._last_observation = phy.scale_snr(raw_snr, self.snr_lo_db, self.snr_hi_db)
-        return StepResult(
-            observation=self._last_observation,
-            reward=0.0,
-            done=False,
-            fsr=fsr,
-            raw_snr_db=raw_snr,
-        )
+        ack_snrs, p = self._window(0.0, 0.0, self.INITIAL_MCS)
+        successes = self._rng.random(self.window_frames) < p
+        fsr = int(np.count_nonzero(successes)) / self.window_frames
+        self._last_observation = phy.scale_snr(ack_snrs[-1], self.snr_lo_db,
+                                               self.snr_hi_db)
+        return StepResult(self._last_observation, 0.0, False, fsr, ack_snrs[-1])
 
     def step(self, action: int) -> StepResult:
         """Simulate one window of frames at MCS `action`."""
@@ -125,38 +127,24 @@ class LinkSimEnv:
         w = self.window_frames
         dt = float(self.airtime_s[action])
 
-        # ACK instants of the window's frames; the receiver keeps moving.
-        ack_times = self.clock + dt * np.arange(1, w + 1)
-        snrs = phy.snr_db(self.position_at(ack_times), self.channel)
-        p = phy.frame_success_prob(snrs, self.table.slopes_per_db[action],
-                                   self.table.midpoints_db[action])
+        snrs, p = self._window(self.clock, dt, action)
         successes = self._rng.random(w) < p
 
         n_ok = int(np.count_nonzero(successes))
         fsr = n_ok / w
-        window_duration = w * dt
-        bits_ok = n_ok * self.payload_bits
-
-        if n_ok > 0:
+        if n_ok > 0:  # with no ACKs to measure, the last observation stands
             mean_ack_snr = float(np.mean(snrs[successes]))
-            observation = phy.scale_snr(mean_ack_snr, self.snr_lo_db, self.snr_hi_db)
-            self._last_observation = observation
-        else:
-            observation = self._last_observation
+            self._last_observation = phy.scale_snr(mean_ack_snr, self.snr_lo_db,
+                                                   self.snr_hi_db)
 
-        self.clock += window_duration
+        self.clock += w * dt
         self._window_ends.append(self.clock)
-        self._window_bits.append(bits_ok)
+        self._window_bits.append(n_ok * self.payload_bits)
 
         # The last ACK instant is the window's end, so snrs[-1] is the SNR
         # at the current distance.
-        return StepResult(
-            observation=observation,
-            reward=dara_reward(fsr, action, self.table),
-            done=self.done,
-            fsr=fsr,
-            raw_snr_db=snrs[-1],
-        )
+        return StepResult(self._last_observation, dara_reward(fsr, action, self.table),
+                          self.done, fsr, snrs[-1])
 
     def throughput_log(self) -> np.ndarray:
         """The finished episode's throughput log: one row per log tick

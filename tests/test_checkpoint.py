@@ -87,6 +87,15 @@ class TestFailureModes:
         with pytest.raises(CheckpointError):
             ckpt_io.load(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_array_not_written(self, tmp_path, value):
+        ckpt = make_dqn_checkpoint()
+        ckpt.params.weights[1][0, 0] = value
+        path = tmp_path / "diverged.ckpt"
+        with pytest.raises(CheckpointError, match="'w1' holds non-finite"):
+            ckpt_io.save(path, ckpt)
+        assert not path.exists()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.ckpt"
         path.write_bytes(b"not a checkpoint")

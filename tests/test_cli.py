@@ -367,6 +367,20 @@ class TestInputHoles:
         assert_config_error(code, capsys)
         assert not (tmp_path / "eval").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_diverged_training_writes_no_checkpoint_exit_1(self, tmp_path, capsys):
+        # A step this large drives the weights to non-finite values within
+        # the first episode; load would reject a checkpoint of them.
+        path = write_tiny_config(tmp_path / "cfg.json", learning_rate=1e300,
+                                 warmup=8, batch_size=8, train_every=1)
+        code = cli_main(["train", "--config", str(path),
+                         "--results", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite" in err
+        assert not (run_dir_of(tmp_path / "out") / "policy_ep001.ckpt").exists()
+
     # About 7 PiB each, beyond any address space, so numpy refuses the
     # allocation at once without touching memory.
     @pytest.mark.parametrize("command,algorithm,section,key,value", [

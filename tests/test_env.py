@@ -20,6 +20,15 @@ def make_env(start=1.0, speed=20.0, duration=60.0, window=50, log_period=1.0,
     return LinkSimEnv(validate_config(json.dumps(data)))
 
 
+def distance_at_snr(snr_db):
+    """The distance at which the link's SNR is `snr_db` (Friis inverted)."""
+    return 10 ** ((CHANNEL.tx_power_dbm
+                   - phy.noise_power_dbm(CHANNEL)
+                   - snr_db
+                   - 20 * np.log10(4 * np.pi * CHANNEL.frequency_hz
+                                   / phy.SPEED_OF_LIGHT)) / 20)
+
+
 class TestFrameAirtime:
     def test_mcs7(self):
         assert make_env().airtime_s[7] == pytest.approx(272.31e-6, abs=0.01e-6)
@@ -75,6 +84,19 @@ class TestReset:
         assert res.raw_snr_db == pytest.approx(67.26, abs=0.05)
         assert res.observation == 1.0
 
+    def test_probe_window_acks_at_start_distance(self):
+        # p(MCS 0) is about 0.5 at the start, so the probe's fsr is a real draw.
+        start = distance_at_snr(TABLE.midpoints_db[0])
+        env = make_env(start=start)
+        res = env.reset(seed=11)
+        assert res.raw_snr_db == phy.snr_db(start, CHANNEL)  # bit for bit
+        p = phy.frame_success_prob(res.raw_snr_db, TABLE.slopes_per_db[0],
+                                   TABLE.midpoints_db[0])
+        assert 0.3 < p < 0.7
+        uniforms = rng_streams(11)[0].random(env.window_frames)
+        assert res.fsr == np.count_nonzero(uniforms < p) / env.window_frames
+        assert 0.0 < res.fsr < 1.0 and type(res.fsr) is float
+
     def test_determinism(self):
         a = make_env().reset(seed=123)
         b = make_env().reset(seed=123)
@@ -100,11 +122,7 @@ class TestStep:
 
     def test_binomial_statistics(self):
         # Distance fixed at the MCS 3 midpoint: p = 0.5 per frame.
-        d = 10 ** ((CHANNEL.tx_power_dbm
-                    - phy.noise_power_dbm(CHANNEL)
-                    - TABLE.midpoints_db[3]
-                    - 20 * np.log10(4 * np.pi * CHANNEL.frequency_hz
-                                    / phy.SPEED_OF_LIGHT)) / 20)
+        d = distance_at_snr(TABLE.midpoints_db[3])
         env = make_env(start=d, speed=0.0, duration=1e9, window=50, log_period=1e9)
         env.reset(seed=3)
         p = phy.frame_success_prob(phy.snr_db(d, CHANNEL), TABLE.slopes_per_db[3],
@@ -301,6 +319,20 @@ class TestEpisodeLog:
         want = reference_log(env, ends, bits)
         assert got.shape == want.shape
         assert np.array_equal(got, want)  # bit for bit
+
+
+@pytest.mark.parametrize("window", [1, 7, 50])
+def test_each_window_draws_window_frames_uniforms(window):
+    # reset's probe and every step draw exactly window_frames env uniforms,
+    # whatever the action.
+    env = make_env(window=window)
+    env.reset(seed=4, episode=2)
+    actions = np.random.default_rng(window).integers(0, phy.N_MCS, size=25)
+    for a in actions:
+        env.step(int(a))
+    fresh = rng_streams(4, episode=2)[0]
+    fresh.random((len(actions) + 1) * window)
+    assert env._rng.bit_generator.state == fresh.bit_generator.state
 
 
 class TestRngStreams:
