@@ -43,23 +43,26 @@ class Checkpoint:
     train_step: int
     fingerprint: str
 
+    @property
+    def arrays(self) -> dict:
+        """The arrays by name, in file order: q_values, or w0, b0, w1, ...,
+        then adam_mw0, adam_vw0, adam_mb0, adam_vb0, adam_mw1, ..."""
+        if self.kind == "tabular":
+            return {"q_values": self.params.values}
+        groups = [{"w": self.params.weights, "b": self.params.biases},
+                  {"adam_mw": self.opt.m_w, "adam_vw": self.opt.v_w,
+                   "adam_mb": self.opt.m_b, "adam_vb": self.opt.v_b}]
+        return {f"{prefix}{i}": layers[i] for group in groups
+                for i in range(len(self.params.weights))
+                for prefix, layers in group.items()}
 
-def _dqn_arrays(params: MlpParams, opt: AdamState) -> dict:
-    """A DQN checkpoint's arrays by name, in file order: w0, b0, w1, b1, ...,
-    then adam_mw0, adam_vw0, adam_mb0, adam_vb0, adam_mw1, ..."""
-    groups = [{"w": params.weights, "b": params.biases},
-              {"adam_mw": opt.m_w, "adam_vw": opt.v_w,
-               "adam_mb": opt.m_b, "adam_vb": opt.v_b}]
-    return {f"{prefix}{i}": layers[i] for group in groups
-            for i in range(len(params.weights)) for prefix, layers in group.items()}
 
-
-def _require_finite(arrays: dict):
-    """ValueError naming the first array that holds a NaN or an infinity;
-    `save` writes and `load` accepts only checkpoints that pass this."""
+def require_finite(arrays: dict, context: str):
+    """CheckpointError "<context>, array ... holds non-finite values" for the
+    first array with a NaN or an infinity; save, load and training use this."""
     for name, a in arrays.items():
         if not np.all(np.isfinite(a)):
-            raise ValueError(f"array {name!r} holds non-finite values")
+            raise CheckpointError(f"{context}, array {name!r} holds non-finite values")
 
 
 def save(path, ckpt: Checkpoint):
@@ -75,15 +78,10 @@ def save(path, ckpt: Checkpoint):
         header["adam"] = {"learning_rate": ckpt.opt.learning_rate,
                           "beta1": ADAM_BETA1, "beta2": ADAM_BETA2,
                           "eps": ADAM_EPS, "t": ckpt.opt.t}
-        arrays = _dqn_arrays(ckpt.params, ckpt.opt)
     else:
         header["n_state_bins"] = ckpt.params.n_state_bins
-        arrays = {"q_values": ckpt.params.values}
-
-    try:
-        _require_finite(arrays)
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: not written, {exc}") from exc
+    arrays = ckpt.arrays
+    require_finite(arrays, f"{path}: not written")
     header["arrays"] = [
         {"name": name, "shape": list(a.shape)} for name, a in arrays.items()
     ]
@@ -138,7 +136,7 @@ def _parse(p: Path, raw: bytes, expected_fingerprint,
         offset += nbytes
     if offset != len(blob):
         raise ValueError("trailing bytes after declared arrays")
-    _require_finite(arrays)
+    require_finite(arrays, f"{p}: corrupt checkpoint")
 
     fingerprint = header.get("fingerprint", "")
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:
@@ -152,17 +150,16 @@ def _parse(p: Path, raw: bytes, expected_fingerprint,
     if header["kind"] == "dqn":
         sizes = header["layer_sizes"]
 
-        def layers(prefix):  # _dqn_arrays's prefix0, prefix1, ...
+        def layers(prefix):  # Checkpoint.arrays's prefix0, prefix1, ...
             return [arrays[f"{prefix}{i}"] for i in range(len(sizes) - 1)]
 
-        params = MlpParams(layers("w"), layers("b"))
-        params.validate()
-        if params.layer_sizes != sizes:
-            raise ValueError(f"layer_sizes {sizes} disagree with the weight shapes")
+        params, m, v = (MlpParams(layers(w), layers(b)) for w, b in
+                        (("w", "b"), ("adam_mw", "adam_mb"), ("adam_vw", "adam_vb")))
+        if not sizes == params.layer_sizes == m.layer_sizes == v.layer_sizes:
+            raise ValueError(f"layer_sizes {sizes} disagree with the array shapes")
         meta = header["adam"]
         opt = AdamState(_field(meta, "learning_rate", _num(lo=0, lo_open=True)),
-                        _field(meta, "t", _int(lo=0)), layers("adam_mw"),
-                        layers("adam_vw"), layers("adam_mb"), layers("adam_vb"))
+                        _field(meta, "t", _int(lo=0)), m, v)
         return Checkpoint("dqn", params, opt, train_step, fingerprint)
     if header["kind"] == "tabular":
         values = arrays["q_values"]

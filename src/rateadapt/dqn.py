@@ -44,6 +44,6 @@ def dqn_train_step(online: MlpParams, target_net: MlpParams, opt: AdamState,
     """
     s, a, r, s_next, done = batch
     targets = np.where(done, r, r + gamma * mlp_forward(target_net, s_next).max(axis=1))
-    grads_w, grads_b, loss = mlp_backward(online, s, a, targets)
-    adam_step(opt, online, grads_w, grads_b)
+    grads, loss = mlp_backward(online, s, a, targets)
+    adam_step(opt, online, grads)
     return loss

@@ -172,7 +172,7 @@ def run_training(cfg: RootConfig, results_dir, progress=None):
     """Train the configured learner; returns (summaries, final Checkpoint).
 
     Writes episodes.csv, per-episode throughput logs and checkpoints into
-    `results_dir` as episodes complete.
+    `results_dir` as episodes complete; a diverged episode raises before its output.
     """
     agent_cfg = cfg["agent"]
     kind = trained_kind(agent_cfg["algorithm"])
@@ -200,6 +200,8 @@ def run_training(cfg: RootConfig, results_dir, progress=None):
         writer.writerow(EPISODES_HEADER)
         for ep in range(1, episodes + 1):
             reward = _play_episode(env, agent, seed, ep, learn)
+            ckpt_io.require_finite(make_checkpoint().arrays,
+                                   f"{results_dir}: diverged in episode {ep}")
             summary = EpisodeSummary(ep, reward, env.mean_throughput_mbps,
                                      agent.train_step)
             summaries.append(summary)

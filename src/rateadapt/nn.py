@@ -3,7 +3,8 @@
 The network maps a single scaled observation to one Q-value per MCS. No
 autodiff framework: gradients are written out by hand, which keeps the
 whole training loop dependency-free and lets the tests check them against
-finite differences.
+finite differences. The network, its gradient and each Adam moment are
+one flat vector apiece with per-layer views, so Adam runs once over each.
 """
 
 from __future__ import annotations
@@ -20,37 +21,53 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass
 class MlpParams:
     """Weights and biases of a fully connected ReLU network.
 
     weights[i] has shape (layer_sizes[i], layer_sizes[i+1]); biases[i] has
-    shape (layer_sizes[i+1],). Input width is 1 (the scaled observation),
+    shape (layer_sizes[i+1],). Both are views into one float64 vector `flat`
+    (w0, b0, w1, b1, ...). Input width is 1 (the scaled observation),
     output width is 8 (one Q-value per MCS).
     """
 
-    weights: list
-    biases: list
-
-    @property
-    def layer_sizes(self) -> list:
-        """Layer widths, read from the weight shapes."""
-        return [self.weights[0].shape[0], *(w.shape[1] for w in self.weights)]
-
-    def validate(self):
-        """Raise ValueError unless the layers chain from width 1 to N_MCS."""
+    def __init__(self, weights, biases):
+        """Pack copies of the layers; ValueError unless they chain from 1 to N_MCS."""
+        arrays = [np.asarray(a, dtype=float)
+                  for layer in zip(weights, biases, strict=True) for a in layer]
+        ends = np.cumsum([a.size for a in arrays]).tolist()
+        self._bind(np.concatenate([a.ravel() for a in arrays]),
+                   tuple((slice(e - a.size, e), a.shape) for a, e in zip(arrays, ends)))
         width = 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.ndim != 2 or w.shape[0] != width or b.shape != w.shape[1:]:
                 raise ValueError(f"layer {i}: weight {w.shape} and bias {b.shape} "
                                  f"do not fit input width {width}")
             width = w.shape[1]
-        if len(self.weights) != len(self.biases) or width != N_MCS:
+        if width != N_MCS:
             raise ValueError(f"layers must chain from width 1 to {N_MCS}")
 
+    def _bind(self, flat, layout):  # layout: (slice of flat, shape) per array
+        self._flat, self._layout = flat, layout
+        views = [flat[s].reshape(shape) for s, shape in layout]
+        self._weights, self._biases = tuple(views[::2]), tuple(views[1::2])
+
+    flat = property(lambda self: self._flat)
+    weights = property(lambda self: self._weights)
+    biases = property(lambda self: self._biases)
+
+    @property
+    def layer_sizes(self) -> list:
+        """Layer widths, read from the weight shapes."""
+        return [self.weights[0].shape[0], *(w.shape[1] for w in self.weights)]
+
+    def like(self, flat: np.ndarray) -> "MlpParams":
+        """A network with this one's layout over `flat`, which it does not copy."""
+        twin = object.__new__(MlpParams)
+        twin._bind(flat, self._layout)
+        return twin
+
     def copy(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.weights],
-                         [b.copy() for b in self.biases])
+        return self.like(self._flat.copy())
 
 
 def init_mlp(hidden_sizes, rng: np.random.Generator) -> MlpParams:
@@ -63,14 +80,13 @@ def init_mlp(hidden_sizes, rng: np.random.Generator) -> MlpParams:
     the early episodes.
     """
     sizes = [1, *[int(h) for h in hidden_sizes], N_MCS]
-    weights, biases = [], []
+    weights = []
     last = len(sizes) - 2
     for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
         weights.append(np.zeros((fan_in, fan_out)) if i == last else w)
-        biases.append(np.zeros(fan_out))
-    return MlpParams(weights, biases)
+    return MlpParams(weights, [np.zeros(n) for n in sizes[1:]])
 
 
 def _forward_cached(params: MlpParams, x: np.ndarray):
@@ -95,7 +111,7 @@ def mlp_forward(params: MlpParams, observation) -> np.ndarray:
 def mlp_backward(params: MlpParams, observations, actions, targets):
     """Mean gradient over a batch of per-transition losses
     0.5 * (Q(s)[a] - target)^2, plus the mean loss itself; returns
-    (grads_w, grads_b, loss).
+    (grads, loss), where grads is laid out like params.
 
     Only each transition's chosen action carries output error, so output
     columns no transition chose get exactly zero gradient.
@@ -111,44 +127,44 @@ def mlp_backward(params: MlpParams, observations, actions, targets):
     delta = np.zeros_like(out)
     delta[np.arange(n), actions] = diff / n
 
-    grads_w, grads_b = [], []
+    grads = params.like(np.empty_like(params.flat))
     for i in range(len(params.weights) - 1, -1, -1):
-        grads_w.insert(0, post[i].T @ delta)
-        grads_b.insert(0, delta.sum(axis=0))
+        np.matmul(post[i].T, delta, out=grads.weights[i])
+        np.add.reduce(delta, axis=0, out=grads.biases[i])
         if i > 0:
             # post[i] = relu(pre-activation), positive exactly where it is
             delta = (delta @ params.weights[i].T) * (post[i] > 0)
-    return grads_w, grads_b, loss
+    return grads, loss
 
 
 @dataclass
 class AdamState:
-    """Adam moments, step counter and learning rate for one MlpParams."""
+    """Adam's learning rate, step counter and moments, laid out like params."""
 
     learning_rate: float
     t: int
-    m_w: list
-    v_w: list
-    m_b: list
-    v_b: list
+    m: MlpParams
+    v: MlpParams
+
+    m_w = property(lambda self: self.m.weights)
+    v_w = property(lambda self: self.v.weights)
+    m_b = property(lambda self: self.m.biases)
+    v_b = property(lambda self: self.v.biases)
 
     @classmethod
     def for_params(cls, params: MlpParams, learning_rate: float) -> "AdamState":
-        def zeros(arrays):
-            return [np.zeros_like(a) for a in arrays]
-        return cls(learning_rate, 0, zeros(params.weights), zeros(params.weights),
-                   zeros(params.biases), zeros(params.biases))
+        return cls(learning_rate, 0, params.like(np.zeros_like(params.flat)),
+                   params.like(np.zeros_like(params.flat)))
 
 
-def adam_step(state: AdamState, params: MlpParams, grads_w, grads_b) -> None:
+def adam_step(state: AdamState, params: MlpParams, grads: MlpParams) -> None:
     """One bias-corrected Adam update of params and state, in place."""
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
-    for p, g, m, v in zip(params.weights + params.biases, grads_w + grads_b,
-                          state.m_w + state.m_b, state.v_w + state.v_b):
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    p, g, m, v = params.flat, grads.flat, state.m.flat, state.v.flat
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)

@@ -122,10 +122,10 @@ def test_criterion_5_gradient_suite():
         obs = float(rng.uniform(0, 1))
         action = int(rng.integers(0, 8))
         target = float(rng.uniform(-1, 2))
-        gw, gb, _ = mlp_backward(params, np.array([obs]), np.array([action]),
-                                 np.array([target]))
+        grads, _ = mlp_backward(params, np.array([obs]), np.array([action]),
+                                np.array([target]))
         nw, nb = numeric_grads(params, obs, action, target)
-        for analytic, numeric in zip(gw + gb, nw + nb):
+        for analytic, numeric in zip(grads.weights + grads.biases, nw + nb):
             scale = np.maximum(np.abs(numeric), 1e-3)
             worst = max(worst, float(np.max(np.abs(analytic - numeric) / scale)))
         checked += 1

@@ -42,8 +42,9 @@ def test_checkpoint_arrays_the_benchmark_reads(bench, package, tmp_path):
     params = package.nn.init_mlp([4, 4], np.random.default_rng(0))
     opt = package.nn.AdamState.for_params(params, 0.01)
     # one step makes the four moment lists differ, so a mix-up shows
-    package.nn.adam_step(opt, params, [np.ones_like(w) for w in params.weights],
-                         [np.full_like(b, 0.5) for b in params.biases])
+    package.nn.adam_step(opt, params, package.nn.MlpParams(
+        [np.ones_like(w) for w in params.weights],
+        [np.full_like(b, 0.5) for b in params.biases]))
     ckpt = package.checkpoint.Checkpoint("dqn", params, opt, 3, "fp")
     package.checkpoint.save(tmp_path / "policy.ckpt", ckpt)
     loaded = package.checkpoint.load(tmp_path / "policy.ckpt")

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from rateadapt import checkpoint as ckpt_io
 from rateadapt.checkpoint import Checkpoint
 from rateadapt.errors import CheckpointError
-from rateadapt.nn import AdamState, init_mlp, mlp_forward
+from rateadapt.nn import AdamState, MlpParams, init_mlp, mlp_forward
 from rateadapt.phy import N_MCS
 from rateadapt.tabular import QTable
 
@@ -54,6 +54,21 @@ class TestRoundTrip:
         assert loaded.opt.t == 17
         for a, b in zip(ckpt.opt.m_w, loaded.opt.m_w):
             assert np.array_equal(a, b)
+
+    def test_loaded_dqn_is_flat_backed_and_resaves_same_bytes(self, tmp_path):
+        ckpt = make_dqn_checkpoint(rng_seed=7)
+        ckpt.opt.v.flat[:] = np.random.default_rng(8).uniform(0, 1, ckpt.opt.v.flat.size)
+        ckpt_io.save(tmp_path / "a.ckpt", ckpt)
+        loaded = ckpt_io.load(tmp_path / "a.ckpt")
+        for mem, disk, layers in (
+                (ckpt.params, loaded.params, loaded.params.weights + loaded.params.biases),
+                (ckpt.opt.m, loaded.opt.m, loaded.opt.m_w + loaded.opt.m_b),
+                (ckpt.opt.v, loaded.opt.v, loaded.opt.v_w + loaded.opt.v_b)):
+            assert disk.flat.flags.c_contiguous
+            assert all(np.shares_memory(a, disk.flat) for a in layers)
+            assert disk.flat.tobytes() == mem.flat.tobytes()
+        ckpt_io.save(tmp_path / "b.ckpt", loaded)
+        assert (tmp_path / "b.ckpt").read_bytes() == (tmp_path / "a.ckpt").read_bytes()
 
     def test_tabular_round_trip(self, tmp_path):
         table = QTable(32)
@@ -150,6 +165,16 @@ def header_paths(node, prefix=()):
         yield from header_paths(value, prefix + (key,))
 
 
+def with_header(raw: bytes, edit) -> bytes:
+    """`raw` with its JSON header passed through `edit`, which changes it
+    in place; the array bytes stay as they are."""
+    start = len(ckpt_io.MAGIC)
+    nl = raw.index(b"\n", start)
+    header = json.loads(raw[start:nl])
+    edit(header)
+    return raw[:start] + json.dumps(header).encode() + raw[nl:]
+
+
 def corrupt(raw: bytes, how) -> bytes:
     op, where, arg = how
     if op == "flip":
@@ -157,19 +182,19 @@ def corrupt(raw: bytes, how) -> bytes:
         return raw[:i] + bytes([raw[i] ^ arg]) + raw[i + 1:]
     if op == "truncate":
         return raw[:where % len(raw)]
-    start = len(ckpt_io.MAGIC)
-    nl = raw.index(b"\n", start)
     if op == "float":  # one array element, NaN and infinities included
+        nl = raw.index(b"\n", len(ckpt_io.MAGIC))
         i = nl + 1 + 8 * (where % ((len(raw) - nl - 1) // 8))
         return raw[:i] + np.array([arg], dtype="<f8").tobytes() + raw[i + 8:]
-    header = json.loads(raw[start:nl])
-    paths = list(header_paths(header))
-    *parents, last = paths[where % len(paths)]
-    node = header
-    for key in parents:
-        node = node[key]
-    node[last] = arg
-    return raw[:start] + json.dumps(header).encode() + raw[nl:]
+
+    def set_field(header):
+        paths = list(header_paths(header))
+        *parents, last = paths[where % len(paths)]
+        node = header
+        for key in parents:
+            node = node[key]
+        node[last] = arg
+    return with_header(raw, set_field)
 
 
 CORRUPTIONS = st.one_of(
@@ -186,6 +211,54 @@ def is_count(value):
     return type(value) is int and value >= 0
 
 
+def set_shape(name, shape):
+    def edit(header):
+        (entry,) = [e for e in header["arrays"] if e["name"] == name]
+        entry["shape"] = shape
+    return edit
+
+
+def moments_of_widths(m_width, v_width):
+    """Adam moments for layer_sizes [1, m_width, 8] and [1, v_width, 8]."""
+    def edit(header):
+        for moment, width in (("m", m_width), ("v", v_width)):
+            shapes = {"w0": [1, width], "b0": [width], "w1": [width, 8], "b1": [8]}
+            for key, shape in shapes.items():
+                set_shape(f"adam_{moment}{key}", shape)(header)
+    return edit
+
+
+def rename(name, new_name):
+    def edit(header):
+        (entry,) = [e for e in header["arrays"] if e["name"] == name]
+        entry["name"] = new_name
+    return edit
+
+
+# The small DQN checkpoint has layer_sizes [1, 3, 8]; each edit keeps the
+# array section's length, so only the layer check can catch it.
+BROKEN_LAYERS = {
+    "weights_do_not_chain": set_shape("w0", [3, 1]),
+    "moment_does_not_chain": set_shape("adam_mw1", [8, 3]),
+    "moment_other_layout": set_shape("adam_vb0", [1, 3]),
+    "layer_sizes_disagree": lambda h: h.update(layer_sizes=[1, 3, 3, 8]),
+    "no_layers": lambda h: h.update(layer_sizes=[1]),
+    "one_layer_too_wide": lambda h: h.update(layer_sizes=[1, 8]),
+    # 2 + 2 + 16 + 8 and 4 + 4 + 32 + 8 floats fill the two moments' 2 x 38
+    "moments_chain_other_widths": moments_of_widths(2, 4),
+    "weight_missing": rename("w1", "w9"),
+    "moment_missing": rename("adam_vb1", "adam_vb9"),
+}
+
+
+@pytest.mark.parametrize("edit", BROKEN_LAYERS.values(), ids=BROKEN_LAYERS.keys())
+def test_broken_layers_raise_checkpoint_error(tmp_path, edit):
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(with_header(saved_bytes("dqn"), edit))
+    with pytest.raises(CheckpointError, match="corrupt checkpoint"):
+        ckpt_io.load(path)
+
+
 @settings(max_examples=400, deadline=None)
 @given(kind=st.sampled_from(["dqn", "tabular"]), how=CORRUPTIONS)
 def test_corrupted_checkpoint_is_rejected_or_valid(kind, how):
@@ -198,11 +271,11 @@ def test_corrupted_checkpoint_is_rejected_or_valid(kind, how):
             return
     assert is_count(ckpt.train_step)
     if ckpt.kind == "dqn":
-        ckpt.params.validate()
+        MlpParams(ckpt.params.weights, ckpt.params.biases)  # layers chain
         assert is_count(ckpt.opt.t)
         lr = ckpt.opt.learning_rate
         assert type(lr) in (int, float) and math.isfinite(lr) and lr > 0
-        arrays = ckpt_io._dqn_arrays(ckpt.params, ckpt.opt).values()
+        arrays = ckpt.arrays.values()
     else:
         values = ckpt.params.values
         assert values.ndim == 2 and values.shape[1] == N_MCS and len(values) >= 1

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -380,6 +381,47 @@ class TestInputHoles:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "non-finite" in err
         assert not (run_dir_of(tmp_path / "out") / "policy_ep001.ckpt").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_diverged_episode_ends_training_before_its_output(self, tmp_path,
+                                                              capsys):
+        # With 3 s episodes and warmup 64, learning starts within the
+        # second episode, and the weights go non-finite there.
+        path = write_tiny_config(tmp_path / "cfg.json", learning_rate=1e300,
+                                 warmup=64, train_every=1, episodes=5,
+                                 checkpoint_every=5)
+        data = json.loads(path.read_text())
+        data["sim"]["duration_s"] = 3.0
+        path.write_text(json.dumps(data))
+        code = cli_main(["train", "--config", str(path),
+                         "--results", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "diverged in episode 2, array 'w0' holds non-finite values" in err
+        run = run_dir_of(tmp_path / "out")
+        assert sorted(p.name for p in run.iterdir()) == [
+            "config.resolved.json", "episodes.csv", "throughput_001.csv"]
+        rows = (run / "episodes.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["episode", "1"]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_sweep_records_diverged_cell_as_failed(self, tmp_path):
+        cfg = write_tiny_config(tmp_path / "cfg.json", warmup=8, batch_size=8,
+                                train_every=1, episodes=1)
+        code = cli_main(["sweep", "--config", str(cfg),
+                         "--results", str(tmp_path / "out"),
+                         "--learning-rates", "1e300,0.01",
+                         "--architectures", "4", "--seeds", "1"])
+        assert code == 0
+        with open(run_dir_of(tmp_path / "out") / "sweep_summary.csv",
+                  encoding="utf-8", newline="") as f:
+            diverged, fine = csv.DictReader(f)
+        assert "diverged in episode 1" in diverged["error"]
+        assert diverged["final_cum_reward"] == ""
+        assert fine["error"] == "" and fine["final_cum_reward"] != ""
 
     # About 7 PiB each, beyond any address space, so numpy refuses the
     # allocation at once without touching memory.

@@ -118,9 +118,9 @@ class TestDqnTrainStep:
 
         opt_b = AdamState.for_params(online_b, 0.01)
         tgt = r + gamma * float(np.max(mlp_forward(target, s_next)))
-        gw, gb, _ = mlp_backward(online_b, np.array([s]), np.array([a]),
-                                 np.array([tgt]))
-        adam_step(opt_b, online_b, gw, gb)
+        grads, _ = mlp_backward(online_b, np.array([s]), np.array([a]),
+                                np.array([tgt]))
+        adam_step(opt_b, online_b, grads)
 
         for a, b in zip(online_a.weights + online_a.biases,
                         online_b.weights + online_b.biases):

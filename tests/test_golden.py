@@ -121,7 +121,7 @@ def output_hashes(run_dir: Path) -> dict:
 def checkpoint_arrays(ckpt) -> dict:
     if ckpt.kind == "tabular":
         return {"q_values": ckpt.params.values}
-    arrays = ckpt_io._dqn_arrays(ckpt.params, ckpt.opt)
+    arrays = ckpt.arrays
     arrays["adam_t"] = np.array(float(ckpt.opt.t))
     return arrays
 
