@@ -93,7 +93,7 @@ class MinstrelLikeAgent:
         if self.probe_prob > 0.0 and self.rng.random() < self.probe_prob:
             self._last_action = int(self.rng.integers(0, phy.N_MCS))
         else:
-            self._last_action = int(np.argmax(self.table.rates_mbps * self.ewma))
+            self._last_action = int((self.table.rates_mbps * self.ewma).argmax())
         return self._last_action
 
 

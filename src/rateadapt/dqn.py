@@ -31,7 +31,7 @@ def epsilon_greedy(q_values, epsilon: float, rng: np.random.Generator) -> int:
     otherwise a uniformly random action."""
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(0, N_MCS))
-    return int(np.argmax(q_values))
+    return int(np.asarray(q_values).argmax())
 
 
 def dqn_train_step(online: MlpParams, target_net: MlpParams, opt: AdamState,

@@ -77,6 +77,9 @@ class LinkSimEnv:
         self.log_period_s = sim["log_period_s"]
         self.snr_lo_db = gym["snr_lo_db"]
         self.snr_hi_db = gym["snr_hi_db"]
+        # Row a holds the ACK-time offsets dt*(1..window_frames) of a window
+        # at MCS a, the same products a window would otherwise recompute.
+        self._ack_offsets = self.airtime_s[:, None] * np.arange(1, self.window_frames + 1)
         self._rng = None
 
     def position_at(self, t):
@@ -84,12 +87,11 @@ class LinkSimEnv:
         time in an array)."""
         return self.start_distance_m + self.speed_mps * t
 
-    def _window(self, clock, dt, mcs):
-        """The SNRs at the ACK instants clock + dt*(1..window_frames) of a
-        window at MCS `mcs`, with the receiver still moving, and each frame's
-        success probability. Reads only the link's fixed constants."""
-        ack_times = clock + dt * np.arange(1, self.window_frames + 1)
-        ack_snrs = phy.snr_db(self.position_at(ack_times), self.channel)
+    def _window(self, clock, offsets, mcs):
+        """The SNRs at the ACK instants clock + offsets of a window at MCS
+        `mcs`, with the receiver still moving, and each frame's success
+        probability. Reads only the link's fixed constants."""
+        ack_snrs = phy.snr_db(self.position_at(clock + offsets), self.channel)
         p = phy.frame_success_prob(ack_snrs, self.table.slopes_per_db[mcs],
                                    self.table.midpoints_db[mcs])
         return ack_snrs, p
@@ -109,7 +111,7 @@ class LinkSimEnv:
         self._window_ends = []
         self._window_bits = []
 
-        ack_snrs, p = self._window(0.0, 0.0, self.INITIAL_MCS)
+        ack_snrs, p = self._window(0.0, np.zeros(self.window_frames), self.INITIAL_MCS)
         successes = self._rng.random(self.window_frames) < p
         fsr = int(np.count_nonzero(successes)) / self.window_frames
         self._last_observation = phy.scale_snr(ack_snrs[-1], self.snr_lo_db,
@@ -127,13 +129,14 @@ class LinkSimEnv:
         w = self.window_frames
         dt = float(self.airtime_s[action])
 
-        snrs, p = self._window(self.clock, dt, action)
+        snrs, p = self._window(self.clock, self._ack_offsets[action], action)
         successes = self._rng.random(w) < p
 
         n_ok = int(np.count_nonzero(successes))
         fsr = n_ok / w
         if n_ok > 0:  # with no ACKs to measure, the last observation stands
-            mean_ack_snr = float(np.mean(snrs[successes]))
+            # np.mean's own sum and division, without its per-call wrapper
+            mean_ack_snr = float(np.add.reduce(snrs[successes]) / n_ok)
             self._last_observation = phy.scale_snr(mean_ack_snr, self.snr_lo_db,
                                                    self.snr_hi_db)
 

@@ -89,22 +89,23 @@ def init_mlp(hidden_sizes, rng: np.random.Generator) -> MlpParams:
     return MlpParams(weights, [np.zeros(n) for n in sizes[1:]])
 
 
-def _forward_cached(params: MlpParams, x: np.ndarray):
-    """Batched forward pass returning the output and the list of every
-    layer's input followed by the output."""
-    post = [x]
+def _forward(params: MlpParams, x: np.ndarray, inputs: list | None = None):
+    """Batched forward pass of x, shape (n, 1), returning the output; when
+    given `inputs`, appends each layer's input to it for the backward pass."""
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = post[-1] @ w + b
-        post.append(z if i == last else np.maximum(z, 0.0))
-    return post[-1], post
+        if inputs is not None:
+            inputs.append(x)
+        z = x @ w + b
+        x = z if i == last else np.maximum(z, 0.0)
+    return x
 
 
 def mlp_forward(params: MlpParams, observation) -> np.ndarray:
     """Q-values for one observation (returns shape (8,)) or a batch
     (shape (n, 8) for input shape (n,))."""
     obs = np.asarray(observation, dtype=float)
-    out, _ = _forward_cached(params, obs.reshape(-1, 1))
+    out = _forward(params, obs.reshape(-1, 1))
     return out[0] if obs.ndim == 0 else out
 
 
@@ -118,7 +119,8 @@ def mlp_backward(params: MlpParams, observations, actions, targets):
     """
     n = len(observations)
     x = np.asarray(observations, dtype=float).reshape(-1, 1)
-    out, post = _forward_cached(params, x)
+    post = []  # each layer's input
+    out = _forward(params, x, post)
 
     diff = out[np.arange(n), actions] - targets
     loss = float(np.sum(0.5 * diff * diff) / n)

@@ -8,21 +8,32 @@ import numpy as np
 # Column dtypes in (s, a, r, s_next, done) order.
 _DTYPES = (float, int, float, float, bool)
 
+# Rows of a fresh buffer's columns; they double as pushes fill them.
+_INITIAL_ROWS = 1024
+
 
 class ReplayBuffer:
     """Ring buffer; once full, pushes overwrite strictly oldest-first.
 
-    The columns come from np.empty and are never filled, so a large
-    capacity costs resident memory only for the rows actually written.
+    The columns start small and double, up to `capacity` rows, as pushes
+    fill them, so a large capacity costs memory only in proportion to the
+    rows written.
     """
 
     def __init__(self, capacity: int):
         self.capacity = int(capacity)
-        self._columns = tuple(np.empty(self.capacity, dtype=t) for t in _DTYPES)
+        rows = min(self.capacity, _INITIAL_ROWS)
+        self._columns = tuple(np.empty(rows, dtype=t) for t in _DTYPES)
         self._next = 0
         self.size = 0
 
     def push(self, s: float, a: int, r: float, s_next: float, done: bool):
+        # The cursor reaches the columns' end only while they are shorter
+        # than capacity: at capacity it wraps to 0 first.
+        if self._next == len(self._columns[0]):
+            rows = min(2 * self._next, self.capacity)
+            self._columns = tuple(np.concatenate((c, np.empty(rows - len(c), c.dtype)))
+                                  for c in self._columns)
         for column, value in zip(self._columns, (s, a, r, s_next, done)):
             column[self._next] = value
         self._next = (self._next + 1) % self.capacity

@@ -6,6 +6,7 @@ import pytest
 from rateadapt import phy
 from rateadapt.config import default_config, validate_config
 from rateadapt.env import LinkSimEnv, dara_reward, rng_streams
+from rateadapt.harness import run_evaluation
 
 TABLE = default_config().mcs_table()
 CHANNEL = default_config().channel_params()
@@ -333,6 +334,86 @@ def test_each_window_draws_window_frames_uniforms(window):
     fresh = rng_streams(4, episode=2)[0]
     fresh.random((len(actions) + 1) * window)
     assert env._rng.bit_generator.state == fresh.bit_generator.state
+
+
+def reference_episode(env, seed, actions):
+    """reset and one step per action, written with the plain per-window
+    expressions: ACK times clock + dt * (1..w), the SNR at each receiver
+    position, and np.mean over the acknowledged frames' SNRs. Returns the
+    results and the clock after each."""
+    w, table = env.window_frames, env.table
+    rng = rng_streams(seed)[0]
+    snrs = phy.snr_db(env.position_at(np.zeros(w)), CHANNEL)
+    p = phy.frame_success_prob(snrs, table.slopes_per_db[0], table.midpoints_db[0])
+    fsr = int(np.count_nonzero(rng.random(w) < p)) / w
+    obs = phy.scale_snr(snrs[-1], env.snr_lo_db, env.snr_hi_db)
+    results, clocks, clock = [(obs, 0.0, False, fsr, snrs[-1])], [0.0], 0.0
+    for a in actions:
+        dt = float(env.airtime_s[a])
+        ack_times = clock + dt * np.arange(1, w + 1)
+        snrs = phy.snr_db(env.position_at(ack_times), CHANNEL)
+        p = phy.frame_success_prob(snrs, table.slopes_per_db[a], table.midpoints_db[a])
+        successes = rng.random(w) < p
+        n_ok = int(np.count_nonzero(successes))
+        if n_ok > 0:
+            obs = phy.scale_snr(float(np.mean(snrs[successes])),
+                                env.snr_lo_db, env.snr_hi_db)
+        clock += w * dt
+        fsr = n_ok / w
+        results.append((obs, dara_reward(fsr, a, table), clock >= env.duration_s,
+                        fsr, snrs[-1]))
+        clocks.append(clock)
+    return results, clocks
+
+
+# A receding link whose SNR falls from 30 dB, so windows mix ACKed and lost
+# frames, one where no frame ever succeeds and one where every frame does.
+@pytest.mark.parametrize("start,speed", [(distance_at_snr(30.0), 40.0),
+                                         (5000.0, 0.0), (1.0, 0.0)],
+                         ids=["sweeping", "all_failure", "all_success"])
+@pytest.mark.parametrize("window", [1, 7, 50])
+def test_window_step_bit_identical_to_reference(window, start, speed):
+    env = make_env(start=start, speed=speed, duration=5.0, window=window)
+    actions = np.random.default_rng(window).integers(0, phy.N_MCS, size=300)
+    want, want_clocks = reference_episode(env, 8, actions)
+    got = [env.reset(seed=8)]
+    got_clocks = [env.clock]
+    for a in actions:
+        if env.done:
+            break
+        got.append(env.step(int(a)))
+        got_clocks.append(env.clock)
+    assert len(got) > 50
+    for res, ref in zip(got, want):
+        assert (res.observation, res.reward, res.done, res.fsr, res.raw_snr_db) == ref
+    assert got_clocks == want_clocks[:len(got_clocks)]
+
+
+def test_phy_called_once_per_window_plus_probe(monkeypatch):
+    # perfbench reads phy.snr_db's calls per window: the env reaches each
+    # PHY formula through the phy module, once per window plus once for
+    # reset's probe.
+    counts = {"step": 0, "snr_db": 0, "frame_success_prob": 0}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(LinkSimEnv, "step")
+    counted(phy, "snr_db")
+    counted(phy, "frame_success_prob")
+    data = json.loads(default_config().to_json())
+    data["agent"].update(algorithm="constant", constant_mcs=3)
+    data["sim"]["duration_s"] = 3.0
+    run_evaluation(validate_config(json.dumps(data)), None, seed=1)
+    windows = counts["step"]
+    assert windows > 100
+    assert counts == {"step": windows, "snr_db": windows + 1,
+                      "frame_success_prob": windows + 1}
 
 
 class TestRngStreams:

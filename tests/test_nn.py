@@ -162,6 +162,15 @@ class TestInit:
             assert np.max(np.abs(w)) <= np.sqrt(6.0 / (a + b))
 
 
+def reference_forward(params, obs):
+    """The (n, 8) output for n observations, one layer at a time."""
+    x = obs.reshape(-1, 1)
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = x @ w + b
+        x = z if i == len(params.weights) - 1 else np.maximum(z, 0.0)
+    return x
+
+
 def reference_backward(weights, biases, obs, actions, targets):
     """Per-layer gradients as separate arrays, written out independently of
     mlp_backward's flat gradient buffer."""
@@ -237,6 +246,16 @@ class TestFlatLayout:
         params.flat[:] = 0.0
         twin.weights[0][0, 0] = 7.0
         assert np.all(params.flat == 0.0) and twin.flat[0] == 7.0
+
+    @pytest.mark.parametrize("hidden", [[16, 16, 16], [64, 64]])
+    def test_forward_bit_equal_to_layer_loop(self, hidden):
+        params = random_net(hidden, np.random.default_rng(len(hidden)))
+        xs = np.linspace(-0.25, 1.25, 33)
+        batch = mlp_forward(params, xs)
+        assert batch.tobytes() == reference_forward(params, xs).tobytes()
+        for x in xs:
+            want = reference_forward(params, np.array([x]))[0]
+            assert mlp_forward(params, float(x)).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("hidden", [[16, 16, 16], [64, 64]])
     def test_flat_steps_bit_equal_to_per_layer_reference(self, hidden):

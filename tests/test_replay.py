@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from rateadapt.replay import ReplayBuffer
@@ -79,3 +80,52 @@ class TestSample:
         s, _, _, _, _ = buf.sample(100_000, rng)
         freqs = np.bincount(np.round(s * 100).astype(int), minlength=10) / 100_000
         assert np.all(np.abs(freqs - 0.1) < 0.01)
+
+
+class FixedReplay:
+    """The ring buffer over columns allocated at full capacity up front."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.columns = tuple(np.zeros(capacity, dtype=c.dtype)
+                             for c in columns_of([0]))
+        self.next = self.size = 0
+
+    def push(self, *row):
+        for column, value in zip(self.columns, row):
+            column[self.next] = value
+        self.next = (self.next + 1) % self.capacity
+        self.size = min(self.size + 1, self.capacity)
+
+    def sample(self, batch_size, rng):
+        idx = rng.integers(0, self.size, size=batch_size)
+        return tuple(column[idx] for column in self.columns)
+
+    def contents(self):
+        order = (np.arange(self.size) + self.next - self.size) % self.capacity
+        return tuple(column[order] for column in self.columns)
+
+
+class TestGrowth:
+    def test_fresh_large_buffer_holds_under_one_mb(self):
+        buf = ReplayBuffer(10**6)
+        assert sum(column.nbytes for column in buf._columns) < 2**20
+
+    # Capacities below, at and beyond the initial rows, a power of two and
+    # not; 5,000 pushes wrap each ring, and a clear() midway restarts it.
+    @pytest.mark.parametrize("capacity", [1, 3, 1024, 1500, 4096, 10**6])
+    def test_matches_fixed_capacity_reference(self, capacity):
+        buf, ref = ReplayBuffer(capacity), FixedReplay(capacity)
+        rng_a, rng_b = np.random.default_rng(capacity), np.random.default_rng(capacity)
+        for tag in range(5000):
+            if tag == 2600:
+                buf.clear()
+                ref.next = ref.size = 0
+            row = (tag / 100.0, tag % 8, float(tag), tag / 7.0, tag % 2 == 1)
+            buf.push(*row)
+            ref.push(*row)
+            if tag % 97 == 0 or tag == 4999:
+                assert buf.size == ref.size
+                assert_columns_equal(buf.contents(), ref.contents())
+                assert_columns_equal(buf.sample(64, rng_a), ref.sample(64, rng_b))
+        assert len(buf._columns[0]) <= capacity
