@@ -10,7 +10,8 @@ A checkpoint is a single self-describing file:
 
 The binary section keeps round-trips bit-exact; the header keeps the file
 readable with a text editor's first two lines. Every array must be finite,
-the header's layer_sizes or n_state_bins must match the array shapes, and
+the header's layer_sizes or n_state_bins must match the array shapes, the
+manifest must name exactly the arrays save writes, in its order, and
 train_step and Adam's t and learning_rate pass the config's validators.
 Adam's betas and epsilon are written for reference only; `nn` fixes them.
 """
@@ -160,13 +161,17 @@ def _parse(p: Path, raw: bytes, expected_fingerprint,
         meta = header["adam"]
         opt = AdamState(_field(meta, "learning_rate", _num(lo=0, lo_open=True)),
                         _field(meta, "t", _int(lo=0)), m, v)
-        return Checkpoint("dqn", params, opt, train_step, fingerprint)
-    if header["kind"] == "tabular":
+    elif header["kind"] == "tabular":
         values = arrays["q_values"]
         if not (values.ndim == 2 and values.shape[1] == N_MCS
                 and 1 <= len(values) == header["n_state_bins"]):
             raise ValueError(f"q_values shape {values.shape} disagrees with n_state_bins")
-        table = QTable(len(values))
-        table.values = values
-        return Checkpoint("tabular", table, None, train_step, fingerprint)
-    raise CheckpointError(f"{p}: unknown checkpoint kind {header['kind']!r}")
+        params, opt = QTable(len(values)), None
+        params.values = values
+    else:
+        raise CheckpointError(f"{p}: unknown checkpoint kind {header['kind']!r}")
+    ckpt = Checkpoint(header["kind"], params, opt, train_step, fingerprint)
+    manifest = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+    if manifest != [(name, a.shape) for name, a in ckpt.arrays.items()]:
+        raise ValueError("the array manifest is not the one save writes")
+    return ckpt

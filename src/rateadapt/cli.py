@@ -16,8 +16,8 @@ from pathlib import Path
 from . import checkpoint as ckpt_io
 from .config import validate_config
 from .errors import CheckpointError, ConfigError, RateAdaptError
-from .harness import (TRAINABLE, SweepConfig, cell_config, check_checkpoint_kind,
-                      run_evaluation, run_sweep, run_training, trained_kind)
+from .harness import (SweepConfig, cell_config, check_checkpoint_kind, run_evaluation,
+                      run_sweep, run_training, trained_kind)
 from .results import ccdf, setup_results_dir, write_ccdf_csv
 
 EXIT_OK = 0
@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--episodes", type=int, default=None,
                          help="override agent.episodes from the config")
     p_eval.add_argument("--checkpoint", default=None,
-                        help="checkpoint file (required for dara algorithms)")
+                        help="checkpoint file (dara and dara_tabular only)")
     p_eval.add_argument("--allow-fingerprint-mismatch", action="store_true",
                         help="evaluate even if the checkpoint was trained "
                              "under a different config")
@@ -101,13 +101,9 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     cfg = _load_config(args)
     algorithm = cfg["agent"]["algorithm"]
-    ckpt = None
-    if algorithm in TRAINABLE and args.checkpoint is not None:
-        ckpt = ckpt_io.load(
-            args.checkpoint,
-            expected_fingerprint=cfg.fingerprint(),
-            allow_fingerprint_mismatch=args.allow_fingerprint_mismatch,
-        )
+    ckpt = None if args.checkpoint is None else ckpt_io.load(
+        args.checkpoint, expected_fingerprint=cfg.fingerprint(),
+        allow_fingerprint_mismatch=args.allow_fingerprint_mismatch)
     check_checkpoint_kind(algorithm, ckpt)  # before the run folder is made
     run_dir = _new_run_dir(args, cfg, f"eval_{algorithm}")
     print(f"results: {run_dir}")

@@ -18,7 +18,6 @@ import hashlib
 import json
 import math
 from copy import deepcopy
-from importlib import resources
 
 import numpy as np
 
@@ -290,7 +289,5 @@ def default_config() -> RootConfig:
 
 
 def reference_config_text() -> str:
-    """The shipped reference config, which documents every default."""
-    return resources.files("rateadapt.data").joinpath(
-        "reference_config.json"
-    ).read_text(encoding="utf-8")
+    """The reference config: every default, rendered from SCHEMA."""
+    return json.dumps(default_config().data, indent=2) + "\n"

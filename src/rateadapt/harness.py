@@ -72,8 +72,10 @@ def trained_kind(algorithm: str) -> str:
 
 def check_checkpoint_kind(algorithm: str, checkpoint: Checkpoint | None):
     """Raise ConfigError unless a trainable algorithm has a checkpoint of
-    its own kind; the other algorithms need none."""
+    its own kind and any other algorithm has none."""
     kind = TRAINABLE.get(algorithm)
+    if kind is None and checkpoint is not None:
+        raise ConfigError([f"algorithm {algorithm!r} takes no checkpoint"])
     if kind is not None and (checkpoint is None or checkpoint.kind != kind):
         raise ConfigError([f"algorithm {algorithm!r} needs a {kind} "
                            "checkpoint for evaluation"])

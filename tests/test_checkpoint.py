@@ -259,6 +259,29 @@ def test_broken_layers_raise_checkpoint_error(tmp_path, edit):
         ckpt_io.load(path)
 
 
+def insert_entry(index, name):
+    def edit(header):
+        header["arrays"].insert(index, {"name": name, "shape": [0]})
+    return edit
+
+
+# Each edit adds a manifest entry of shape [0], which holds no bytes, so only
+# the check of the manifest against Checkpoint.arrays can catch it.
+STRAY_ENTRIES = {
+    "tabular_extra_entry": ("tabular", insert_entry(1, "junk")),
+    "tabular_q_values_twice": ("tabular", insert_entry(0, "q_values")),
+    "dqn_extra_array": ("dqn", insert_entry(12, "w2")),
+}
+
+
+@pytest.mark.parametrize("kind,edit", STRAY_ENTRIES.values(), ids=STRAY_ENTRIES.keys())
+def test_manifest_other_than_saved_raises_checkpoint_error(tmp_path, kind, edit):
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(with_header(saved_bytes(kind), edit))
+    with pytest.raises(CheckpointError, match="corrupt checkpoint"):
+        ckpt_io.load(path)
+
+
 @settings(max_examples=400, deadline=None)
 @given(kind=st.sampled_from(["dqn", "tabular"]), how=CORRUPTIONS)
 def test_corrupted_checkpoint_is_rejected_or_valid(kind, how):

@@ -138,6 +138,29 @@ class TestEval:
                          "--results", str(tmp_path / "out")])
         assert code == 0
 
+    def test_ideal_with_missing_checkpoint_exit_1_without_run_folder(self, tmp_path,
+                                                                      capsys):
+        cfg = write_tiny_config(tmp_path / "cfg.json", algorithm="ideal")
+        code = cli_main(["eval", "--config", str(cfg),
+                         "--checkpoint", str(tmp_path / "nonexistent.ckpt"),
+                         "--results", str(tmp_path / "out")])
+        assert_config_error(code, capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_ideal_with_checkpoint_exit_1_without_run_folder(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path / "cfg.json", episodes=1)
+        assert cli_main(["train", "--config", str(cfg),
+                         "--results", str(tmp_path / "train")]) == 0
+        ckpt = run_dir_of(tmp_path / "train") / "policy_ep001.ckpt"
+        ideal = write_tiny_config(tmp_path / "ideal.json", algorithm="ideal")
+        with pytest.warns(UserWarning, match="fingerprint"):
+            code = cli_main(["eval", "--config", str(ideal), "--checkpoint", str(ckpt),
+                             "--allow-fingerprint-mismatch",
+                             "--results", str(tmp_path / "out")])
+        assert code == 1
+        assert "algorithm 'ideal' takes no checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_run_folder_self_contained_reproduction(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json")
         cli_main(["train", "--config", str(cfg),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -99,9 +100,12 @@ class TestValidation:
         assert cfg["agent"]["algorithm"] == "dara"
         assert cfg["sim"]["frequency_mhz"] == 5180.0
 
-    def test_reference_config_documents_every_default(self):
-        reference = json.loads(reference_config_text())
-        assert reference == default_config().data
+    def test_reference_config_text_pinned(self):
+        # Every benchmark workload and the acceptance suite start from this
+        # text, so a changed default must show up here as a deliberate edit.
+        text = reference_config_text().encode("utf-8")
+        assert hashlib.sha256(text).hexdigest() == (
+            "784a892510c79aa40085af2b73fcde487a39f5bbf6885bdf4846812f89ad6ccd")
 
     def test_defaults_resolved_for_empty_sections(self):
         cfg = validate_config('{"agent": {}, "gym": {}, "sim": {}}')
