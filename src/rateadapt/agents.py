@@ -23,7 +23,7 @@ class GreedyQAgent:
     """Greedy over the Q-values that a subclass's `q(observation)` reads from
     `model`, or epsilon-greedy when given an epsilon schedule (read at
     `train_step`) and the RNG it draws from; the state is the scaled mean ACK
-    SNR."""
+    SNR. An explore window computes no Q-values."""
 
     def __init__(self, model, schedule: EpsilonSchedule | None = None,
                  rng: np.random.Generator | None = None):
@@ -34,7 +34,7 @@ class GreedyQAgent:
 
     def select_action(self, result: StepResult) -> int:
         epsilon = 0.0 if self.schedule is None else self.schedule.value(self.train_step)
-        return epsilon_greedy(self.q(result.observation), epsilon, self.rng)
+        return epsilon_greedy(lambda: self.q(result.observation), epsilon, self.rng)
 
 
 class DaraAgent(GreedyQAgent):

@@ -23,7 +23,9 @@ import numpy as np
 
 from . import phy
 from .errors import ConfigError
-from .phy import ChannelParams, McsTable
+# snr_db by its own name: phy.snr_db's call count is the env's alone, once
+# per window plus reset's probe.
+from .phy import ChannelParams, McsTable, snr_db
 
 ALGORITHMS = ("dara", "dara_tabular", "ideal", "minstrel_like", "constant")
 
@@ -268,15 +270,26 @@ def validate_config(raw_json: str) -> RootConfig:
                             "stops before sim.duration_s")
         # The receiver is farthest at the end of a slowest-MCS window that
         # starts just before duration_s; phy needs a finite path loss there.
+        # A window's mean ACK SNR sums window_frames SNRs, and SNR falls with
+        # distance, so the SNRs at the start and the farthest distance bound
+        # every term of every window's sum.
+        channel = cfg.channel_params()
         with np.errstate(over="ignore", invalid="ignore"):
             farthest = sim["start_distance_m"] + sim["speed_mps"] * (
                 sim["duration_s"] + gym["window_frames"] * airtime.max())
-            loss = phy.friis_path_loss(farthest, cfg.channel_params())
+            loss = phy.friis_path_loss(farthest, channel)
+            ends = snr_db(np.array([sim["start_distance_m"], farthest]), channel)
+            snr_sum_bound = gym["window_frames"] * np.abs(ends).max()
         if not np.isfinite(loss):
             problems.append("sim.speed_mps too high for sim.phy_rates_mbps: path loss "
                             "at the farthest distance, sim.start_distance_m + "
                             "sim.speed_mps * (sim.duration_s + gym.window_frames * "
                             "longest airtime), must be finite")
+        elif not np.isfinite(snr_sum_bound):
+            problems.append("sim.tx_power_dbm out of range for sim.noise_figure_db "
+                            "and sim.bandwidth_mhz: gym.window_frames times the "
+                            "larger |SNR| in dB, at sim.start_distance_m or at the "
+                            "farthest distance, must be finite")
 
     if problems:
         raise ConfigError(problems)

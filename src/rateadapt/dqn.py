@@ -26,24 +26,27 @@ class EpsilonSchedule:
         return self.start + (self.end - self.start) * frac
 
 
-def epsilon_greedy(q_values, epsilon: float, rng: np.random.Generator) -> int:
-    """Argmax with probability 1-epsilon (ties break to the lowest index),
-    otherwise a uniformly random action."""
+def epsilon_greedy(q, epsilon: float, rng: np.random.Generator) -> int:
+    """A uniformly random action with probability epsilon, otherwise the
+    argmax of the Q-values that `q()` returns (ties break to the lowest
+    index). The coin comes first, so q is called only when exploiting."""
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(0, N_MCS))
-    return int(np.asarray(q_values).argmax())
+    return int(np.asarray(q()).argmax())
 
 
 def dqn_train_step(online: MlpParams, target_net: MlpParams, opt: AdamState,
-                   batch, gamma: float) -> float:
+                   batch, gamma: float, grads: MlpParams) -> float:
     """One Adam step on the mean per-transition loss 0.5 * (Q(s)[a] - y)^2
     over a (s, a, r, s_next, done) batch of arrays, where y is r on terminal
     transitions and r + gamma * max Q_target(s_next) otherwise.
 
-    Updates `online` and `opt` in place and returns the loss.
+    Updates `online` and `opt` in place, overwrites `grads` (laid out like
+    `online`) with the gradient and returns the loss.
     """
     s, a, r, s_next, done = batch
-    targets = np.where(done, r, r + gamma * mlp_forward(target_net, s_next).max(axis=1))
-    grads, loss = mlp_backward(online, s, a, targets)
+    q_next_max = np.maximum.reduce(mlp_forward(target_net, s_next), axis=1)
+    targets = np.where(done, r, r + gamma * q_next_max)
+    loss = mlp_backward(online, s, a, targets, grads)
     adam_step(opt, online, grads)
     return loss

@@ -12,7 +12,7 @@ ACK instant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from .phy import McsTable
 LOG_FIELDS = ("time_s", "tx_pos_m", "rx_pos_m", "throughput_mbps")
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     """One environment transition as seen by the agent, plus the window's
     frame success ratio and the raw SNR at the receiver's current distance."""
 

@@ -108,6 +108,7 @@ def _dqn_learner(agent_cfg, schedule, agent_rng):
     online = init_mlp(agent_cfg["hidden_layers"], agent_rng)
     target = online.copy()
     opt = AdamState.for_params(online, agent_cfg["learning_rate"])
+    grads = online.like(np.empty_like(online.flat))  # every train step overwrites it
     agent = DaraAgent(online, schedule, agent_rng)
     buffer = ReplayBuffer(agent_cfg["replay_capacity"])
     env_steps = 0
@@ -119,7 +120,7 @@ def _dqn_learner(agent_cfg, schedule, agent_rng):
         if (buffer.size >= agent_cfg["warmup"]
                 and env_steps % agent_cfg["train_every"] == 0):
             batch = buffer.sample(agent_cfg["batch_size"], agent_rng)
-            dqn_train_step(online, target, opt, batch, agent_cfg["discount"])
+            dqn_train_step(online, target, opt, batch, agent_cfg["discount"], grads)
             agent.train_step += 1
             if agent.train_step % agent_cfg["target_sync_every"] == 0:
                 target = online.copy()

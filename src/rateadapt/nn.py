@@ -91,13 +91,20 @@ def init_mlp(hidden_sizes, rng: np.random.Generator) -> MlpParams:
 
 def _forward(params: MlpParams, x: np.ndarray, inputs: list | None = None):
     """Batched forward pass of x, shape (n, 1), returning the output; when
-    given `inputs`, appends each layer's input to it for the backward pass."""
+    given `inputs`, appends each layer's input to it for the backward pass.
+
+    The width-1 input layer is the product x * w0: a k=1 matmul has no sum,
+    so once the bias is added it equals x @ w0 bit for bit.
+    """
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         if inputs is not None:
             inputs.append(x)
-        z = x @ w + b
-        x = z if i == last else np.maximum(z, 0.0)
+        z = x * w if i == 0 else x @ w
+        z += b
+        if i != last:
+            np.maximum(z, 0.0, out=z)
+        x = z
     return x
 
 
@@ -109,34 +116,35 @@ def mlp_forward(params: MlpParams, observation) -> np.ndarray:
     return out[0] if obs.ndim == 0 else out
 
 
-def mlp_backward(params: MlpParams, observations, actions, targets):
+def mlp_backward(params: MlpParams, observations, actions, targets,
+                 grads: MlpParams) -> float:
     """Mean gradient over a batch of per-transition losses
-    0.5 * (Q(s)[a] - target)^2, plus the mean loss itself; returns
-    (grads, loss), where grads is laid out like params.
+    0.5 * (Q(s)[a] - target)^2, written into `grads` (laid out like params);
+    returns the mean loss.
 
     Only each transition's chosen action carries output error, so output
     columns no transition chose get exactly zero gradient.
     """
     n = len(observations)
+    rows = np.arange(n)
     x = np.asarray(observations, dtype=float).reshape(-1, 1)
     post = []  # each layer's input
     out = _forward(params, x, post)
 
-    diff = out[np.arange(n), actions] - targets
-    loss = float(np.sum(0.5 * diff * diff) / n)
+    diff = out[rows, actions] - targets
+    loss = float(np.add.reduce(0.5 * diff * diff) / n)
 
     # dL/d(out): only the chosen action's column carries error.
     delta = np.zeros_like(out)
-    delta[np.arange(n), actions] = diff / n
+    delta[rows, actions] = diff / n
 
-    grads = params.like(np.empty_like(params.flat))
     for i in range(len(params.weights) - 1, -1, -1):
         np.matmul(post[i].T, delta, out=grads.weights[i])
         np.add.reduce(delta, axis=0, out=grads.biases[i])
         if i > 0:
             # post[i] = relu(pre-activation), positive exactly where it is
             delta = (delta @ params.weights[i].T) * (post[i] > 0)
-    return grads, loss
+    return loss
 
 
 @dataclass

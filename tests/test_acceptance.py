@@ -14,9 +14,8 @@ from rateadapt.env import LinkSimEnv
 from rateadapt.harness import run_evaluation, run_training
 from rateadapt.nn import mlp_forward
 from rateadapt.results import CcdfPoint, ccdf
-from tests.test_nn import numeric_grads, random_net
+from tests.test_nn import backward, numeric_grads, random_net
 from tests.test_tabular import run_tabular_convergence
-from rateadapt.nn import mlp_backward
 from rateadapt import checkpoint as ckpt_io
 
 TRAIN_SEEDS = (1, 2, 3, 4, 5)
@@ -122,8 +121,8 @@ def test_criterion_5_gradient_suite():
         obs = float(rng.uniform(0, 1))
         action = int(rng.integers(0, 8))
         target = float(rng.uniform(-1, 2))
-        grads, _ = mlp_backward(params, np.array([obs]), np.array([action]),
-                                np.array([target]))
+        grads, _ = backward(params, np.array([obs]), np.array([action]),
+                            np.array([target]))
         nw, nb = numeric_grads(params, obs, action, target)
         for analytic, numeric in zip(grads.weights + grads.biases, nw + nb):
             scale = np.maximum(np.abs(numeric), 1e-3)

@@ -9,6 +9,7 @@ from rateadapt.dqn import EpsilonSchedule
 from rateadapt.env import StepResult
 from rateadapt.nn import MlpParams
 from rateadapt.tabular import QTable
+from tests.test_nn import random_net
 
 TABLE = default_config().mcs_table()
 
@@ -57,6 +58,45 @@ class TestDaraSelect:
         draws = np.array([agent.select_action(result) for _ in range(80_000)])
         freqs = np.bincount(draws, minlength=8) / len(draws)
         assert np.all(np.abs(freqs - 0.125) < 0.01)
+
+
+class CountingDaraAgent(DaraAgent):
+    """DaraAgent that records each observation it computes Q-values for."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.asked = []
+
+    def q(self, observation):
+        self.asked.append(observation)
+        return super().q(observation)
+
+
+class TestLazyQ:
+    @pytest.mark.parametrize("epsilon,min_exploit,max_exploit",
+                             [(0.0, 2000, 2000), (0.1, 1700, 1900), (1.0, 0, 0)])
+    def test_q_only_on_exploit_windows_in_the_same_draw_order(
+            self, epsilon, min_exploit, max_exploit):
+        params = random_net([16, 16, 16], np.random.default_rng(8))
+        observations = np.random.default_rng(9).uniform(0.0, 1.0, 2000).tolist()
+        schedule = EpsilonSchedule("fixed", epsilon, epsilon, 1)
+        agent = CountingDaraAgent(params, schedule, np.random.default_rng(10))
+        actions = [agent.select_action(step_with(x)) for x in observations]
+
+        # The order before Q became lazy: Q-values first, then the coin.
+        rng = np.random.default_rng(10)
+        want, exploited = [], []
+        for x in observations:
+            q = DaraAgent(params).q(x)
+            if epsilon > 0.0 and rng.random() < epsilon:
+                want.append(int(rng.integers(0, phy.N_MCS)))
+            else:
+                want.append(int(q.argmax()))
+                exploited.append(x)
+        assert actions == want
+        assert agent.rng.bit_generator.state == rng.bit_generator.state
+        assert agent.asked == exploited
+        assert min_exploit <= len(exploited) <= max_exploit
 
 
 class TestIdealSelect:

@@ -4,6 +4,7 @@ running any workload, so a rename that would break the benchmark fails here.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -53,3 +54,27 @@ def test_checkpoint_arrays_the_benchmark_reads(bench, package, tmp_path):
     for m, d in zip(mem, disk):
         assert m.dtype == d.dtype and m.shape == d.shape
         assert m.tobytes() == d.tobytes()
+
+
+def test_traced_forward_counts_one_call_per_greedy_window(bench, package):
+    # perfbench wraps the agents' own binding of mlp_forward; if the agents
+    # reached the forward another way, its per-layer count would read 0.
+    cfg = package.config.default_config()
+    data = json.loads(cfg.to_json())
+    data["sim"]["duration_s"] = 0.5
+    cfg = package.config.validate_config(json.dumps(data))
+    params = package.nn.init_mlp(cfg["agent"]["hidden_layers"],
+                                 np.random.default_rng(0))
+    ckpt = package.checkpoint.Checkpoint(
+        "dqn", params, package.nn.AdamState.for_params(params, 0.01), 0,
+        cfg.fingerprint())
+    tracer, patches = bench.Tracer(), bench.Patches()
+    tracer.install(package, patches)
+    try:
+        package.harness.run_evaluation(cfg, ckpt)
+    finally:
+        patches.restore()
+    windows = tracer.value("env.step", "calls")
+    assert windows > 0
+    assert tracer.value("agents.select_action", "calls") == windows
+    assert tracer.value("nn.mlp_forward", "calls") == windows

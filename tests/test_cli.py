@@ -138,6 +138,18 @@ class TestEval:
                          "--results", str(tmp_path / "out")])
         assert code == 0
 
+    def test_ideal_with_absurd_tx_power_exit_1_without_run_folder(self, tmp_path,
+                                                                  capsys):
+        # accepted, its windows' ACK-SNR sums would overflow to inf
+        cfg = write_tiny_config(tmp_path / "cfg.json", algorithm="ideal")
+        data = json.loads(cfg.read_text())
+        data["sim"]["tx_power_dbm"] = 1e308
+        cfg.write_text(json.dumps(data))
+        code = cli_main(["eval", "--config", str(cfg),
+                         "--results", str(tmp_path / "out")])
+        assert_config_error(code, capsys)
+        assert not (tmp_path / "out").exists()
+
     def test_ideal_with_missing_checkpoint_exit_1_without_run_folder(self, tmp_path,
                                                                       capsys):
         cfg = write_tiny_config(tmp_path / "cfg.json", algorithm="ideal")

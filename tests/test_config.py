@@ -74,6 +74,9 @@ REJECTED = [
     pytest.param({"sim.phy_rates_mbps": [1e-305, *RATES[1:]]},
                  id="sim.phy_rates_mbps=1e-305_first_rate"),
     {"sim.speed_mps": 1e306},
+    # a window's sum of ACK SNRs would overflow to inf
+    {"sim.tx_power_dbm": 1e308},
+    {"sim.tx_power_dbm": -1e308},
 ]
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from rateadapt.dqn import EpsilonSchedule, dqn_train_step, epsilon_greedy
-from rateadapt.nn import AdamState, adam_step, mlp_backward, mlp_forward
-from tests.test_nn import random_net
+from rateadapt.nn import AdamState, adam_step, mlp_forward
+from tests.test_nn import backward, grad_buffer, random_net
 
 
 def batch_of(rows):
@@ -26,7 +26,7 @@ class TestBellmanTarget:
         q = mlp_forward(online, batch[0])[np.arange(len(rows)), batch[1]]
         q_next_max = mlp_forward(target, batch[3]).max(axis=1)
         opt = AdamState.for_params(online, 0.01)
-        loss = dqn_train_step(online, target, opt, batch, gamma)
+        loss = dqn_train_step(online, target, opt, batch, gamma, grad_buffer(online))
         return loss, q, q_next_max
 
     def test_terminal(self):
@@ -51,18 +51,19 @@ class TestEpsilonGreedy:
     def test_pure_exploitation(self):
         rng = np.random.default_rng(0)
         q = [0.0, 0.2, 0.9, 0.1, 0.0, 0.0, 0.0, 0.0]
-        assert all(epsilon_greedy(q, 0.0, rng) == 2 for _ in range(50))
+        assert all(epsilon_greedy(lambda: q, 0.0, rng) == 2 for _ in range(50))
 
     def test_tie_breaks_to_lowest_index(self):
         rng = np.random.default_rng(0)
-        assert epsilon_greedy([0.0] * 8, 0.0, rng) == 0
-        assert epsilon_greedy([1.0, 1.0, 0.5, 1.0, 0.0, 0.0, 0.0, 0.0], 0.0, rng) == 0
-        assert epsilon_greedy([0.0, 3.0, 3.0, 1.0, 0.0, 0.0, 0.0, 0.0], 0.0, rng) == 1
+        for q, want in (([0.0] * 8, 0),
+                        ([1.0, 1.0, 0.5, 1.0, 0.0, 0.0, 0.0, 0.0], 0),
+                        ([0.0, 3.0, 3.0, 1.0, 0.0, 0.0, 0.0, 0.0], 1)):
+            assert epsilon_greedy(lambda: q, 0.0, rng) == want
 
     def test_full_exploration_uniform(self):
         rng = np.random.default_rng(7)
         q = [9.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-        draws = np.array([epsilon_greedy(q, 1.0, rng) for _ in range(80_000)])
+        draws = np.array([epsilon_greedy(lambda: q, 1.0, rng) for _ in range(80_000)])
         freqs = np.bincount(draws, minlength=8) / len(draws)
         assert np.all(np.abs(freqs - 0.125) < 0.01)
 
@@ -99,7 +100,7 @@ class TestDqnTrainStep:
             for i, (s, a) in enumerate(zip(states, actions))
         ])
         before = online.copy()
-        loss = dqn_train_step(online, target, opt, batch, gamma)
+        loss = dqn_train_step(online, target, opt, batch, gamma, grad_buffer(online))
         assert loss == pytest.approx(0.0, abs=1e-24)
         for a, b in zip(before.weights, online.weights):
             assert np.array_equal(a, b)
@@ -114,12 +115,12 @@ class TestDqnTrainStep:
 
         opt_a = AdamState.for_params(online_a, 0.01)
         dqn_train_step(online_a, target, opt_a, batch_of([(s, a, r, s_next, False)]),
-                       gamma)
+                       gamma, grad_buffer(online_a))
 
         opt_b = AdamState.for_params(online_b, 0.01)
         tgt = r + gamma * float(np.max(mlp_forward(target, s_next)))
-        grads, _ = mlp_backward(online_b, np.array([s]), np.array([a]),
-                                np.array([tgt]))
+        grads, _ = backward(online_b, np.array([s]), np.array([a]),
+                            np.array([tgt]))
         adam_step(opt_b, online_b, grads)
 
         for a, b in zip(online_a.weights + online_a.biases,
@@ -135,5 +136,5 @@ class TestDqnTrainStep:
             batch = (rng.uniform(0, 1, 16), rng.integers(0, 8, 16),
                      rng.uniform(0, 1, 16), rng.uniform(0, 1, 16),
                      rng.integers(0, 2, 16).astype(bool))
-            loss = dqn_train_step(online, target, opt, batch, 0.5)
+            loss = dqn_train_step(online, target, opt, batch, 0.5, grad_buffer(online))
             assert np.isfinite(loss) and loss >= 0

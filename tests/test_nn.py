@@ -23,6 +23,18 @@ def random_net(hidden, rng):
     )
 
 
+def grad_buffer(params):
+    """An uninitialized gradient laid out like params."""
+    return params.like(np.empty_like(params.flat))
+
+
+def backward(params, observations, actions, targets):
+    """(gradient, loss) of mlp_backward, into a fresh gradient buffer."""
+    grads = grad_buffer(params)
+    loss = mlp_backward(params, observations, actions, targets, grads)
+    return grads, loss
+
+
 def loss_of(params, obs, action, target):
     q = mlp_forward(params, obs)
     return 0.5 * (q[action] - target) ** 2
@@ -84,16 +96,16 @@ class TestBackward:
     def test_zero_loss_gives_zero_grads(self):
         params = random_net([6], np.random.default_rng(3))
         q = mlp_forward(params, 0.5)
-        grads, loss = mlp_backward(params, np.array([0.5]), np.array([2]),
-                                   np.array([q[2]]))
+        grads, loss = backward(params, np.array([0.5]), np.array([2]),
+                               np.array([q[2]]))
         assert loss == 0.0
         assert all(np.all(g == 0) for g in grads.weights)
         assert all(np.all(g == 0) for g in grads.biases)
 
     def test_nonselected_output_rows_zero(self):
         params = random_net([6, 4], np.random.default_rng(4))
-        grads, _ = mlp_backward(params, np.array([0.3]), np.array([5]),
-                                np.array([1.0]))
+        grads, _ = backward(params, np.array([0.3]), np.array([5]),
+                            np.array([1.0]))
         mask = np.ones(8, dtype=bool)
         mask[5] = False
         assert np.all(grads.weights[-1][:, mask] == 0)
@@ -107,8 +119,8 @@ class TestBackward:
         obs = float(rng.uniform(0, 1))
         action = int(rng.integers(0, 8))
         target = float(rng.uniform(-1, 2))
-        grads, _ = mlp_backward(params, np.array([obs]), np.array([action]),
-                                np.array([target]))
+        grads, _ = backward(params, np.array([obs]), np.array([action]),
+                            np.array([target]))
         nw, nb = numeric_grads(params, obs, action, target)
         for analytic, numeric in zip(grads.weights + grads.biases, nw + nb):
             scale = np.maximum(np.abs(numeric), 1e-3)
@@ -117,8 +129,8 @@ class TestBackward:
     def test_finite_difference_oracle_default_architecture(self):
         rng = np.random.default_rng(999)
         params = random_net([16, 16, 16], rng)
-        grads, _ = mlp_backward(params, np.array([0.37]), np.array([4]),
-                                np.array([0.8]))
+        grads, _ = backward(params, np.array([0.37]), np.array([4]),
+                            np.array([0.8]))
         nw, nb = numeric_grads(params, 0.37, 4, 0.8)
         for analytic, numeric in zip(grads.weights + grads.biases, nw + nb):
             scale = np.maximum(np.abs(numeric), 1e-3)
@@ -249,13 +261,17 @@ class TestFlatLayout:
 
     @pytest.mark.parametrize("hidden", [[16, 16, 16], [64, 64]])
     def test_forward_bit_equal_to_layer_loop(self, hidden):
-        params = random_net(hidden, np.random.default_rng(len(hidden)))
-        xs = np.linspace(-0.25, 1.25, 33)
-        batch = mlp_forward(params, xs)
-        assert batch.tobytes() == reference_forward(params, xs).tobytes()
-        for x in xs:
-            want = reference_forward(params, np.array([x]))[0]
-            assert mlp_forward(params, float(x)).tobytes() == want.tobytes()
+        # The width-1 layer is a product, not a matmul: the clamp ends 0.0
+        # and 1.0 and a fresh net's zero biases and zero output layer are
+        # where a signed zero could tell the two apart.
+        xs = np.append(np.linspace(-0.25, 1.25, 33), [0.0, 1.0])
+        for params in (random_net(hidden, np.random.default_rng(len(hidden))),
+                       init_mlp(hidden, np.random.default_rng(len(hidden)))):
+            batch = mlp_forward(params, xs)
+            assert batch.tobytes() == reference_forward(params, xs).tobytes()
+            for x in xs:
+                want = reference_forward(params, np.array([x]))[0]
+                assert mlp_forward(params, float(x)).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("hidden", [[16, 16, 16], [64, 64]])
     def test_flat_steps_bit_equal_to_per_layer_reference(self, hidden):
@@ -266,11 +282,12 @@ class TestFlatLayout:
         ref_m = [np.zeros_like(a) for a in ref_p]
         ref_v = [np.zeros_like(a) for a in ref_p]
         n_layers = len(params.weights)
+        grads = grad_buffer(params)  # reused, as a learner reuses it
         for t in range(1, 51):
             obs = rng.uniform(0, 1, 64)
             actions = rng.integers(0, 8, 64)
             targets = rng.uniform(-1, 2, 64)
-            grads, _ = mlp_backward(params, obs, actions, targets)
+            mlp_backward(params, obs, actions, targets, grads)
             gw, gb = reference_backward(ref_p[:n_layers], ref_p[n_layers:],
                                         obs, actions, targets)
             assert same_bits(grads.weights + grads.biases, gw + gb)
