@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import AdamState, MlpParams, adam_step, mlp_backward, mlp_forward
+from .nn import AdamState, MlpParams, _forward, adam_step, mlp_backward
 from .phy import N_MCS
 
 
@@ -45,7 +45,7 @@ def dqn_train_step(online: MlpParams, target_net: MlpParams, opt: AdamState,
     `online`) with the gradient and returns the loss.
     """
     s, a, r, s_next, done = batch
-    q_next_max = np.maximum.reduce(mlp_forward(target_net, s_next), axis=1)
+    q_next_max = np.maximum.reduce(_forward(target_net, s_next.reshape(-1, 1)), axis=1)
     targets = np.where(done, r, r + gamma * q_next_max)
     loss = mlp_backward(online, s, a, targets, grads)
     adam_step(opt, online, grads)

@@ -79,7 +79,12 @@ class LinkSimEnv:
         # Row a holds the ACK-time offsets dt*(1..window_frames) of a window
         # at MCS a, the same products a window would otherwise recompute.
         self._ack_offsets = self.airtime_s[:, None] * np.arange(1, self.window_frames + 1)
+        # Per-MCS window advance (window_frames * dt) and rate, as Python floats.
+        self._advance = (self.window_frames * self.airtime_s).tolist()
+        self._rates = self.table.rates_mbps.tolist()
+        self._max_rate = self.table.max_rate_mbps
         self._rng = None
+        self.done = True  # before the first reset and once clock >= duration_s
 
     def position_at(self, t):
         """Receiver distance from the stationary sender at time t (or at each
@@ -106,6 +111,7 @@ class LinkSimEnv:
         """
         self._rng = rng_streams(seed, episode)[0]
         self.clock = 0.0
+        self.done = False  # the config's duration_s is positive
         # End time and delivered bits of every window, for throughput_log().
         self._window_ends = []
         self._window_bits = []
@@ -126,27 +132,26 @@ class LinkSimEnv:
                              f"got {action!r}")
 
         w = self.window_frames
-        dt = float(self.airtime_s[action])
-
         snrs, p = self._window(self.clock, self._ack_offsets[action], action)
-        successes = self._rng.random(w) < p
+        acked = snrs[self._rng.random(w) < p]
 
-        n_ok = int(np.count_nonzero(successes))
+        n_ok = len(acked)
         fsr = n_ok / w
         if n_ok > 0:  # with no ACKs to measure, the last observation stands
             # np.mean's own sum and division, without its per-call wrapper
-            mean_ack_snr = float(np.add.reduce(snrs[successes]) / n_ok)
+            mean_ack_snr = float(np.add.reduce(acked) / n_ok)
             self._last_observation = phy.scale_snr(mean_ack_snr, self.snr_lo_db,
                                                    self.snr_hi_db)
 
-        self.clock += w * dt
+        self.clock += self._advance[action]
+        self.done = self.clock >= self.duration_s
         self._window_ends.append(self.clock)
         self._window_bits.append(n_ok * self.payload_bits)
 
         # The last ACK instant is the window's end, so snrs[-1] is the SNR
-        # at the current distance.
-        return StepResult(self._last_observation, dara_reward(fsr, action, self.table),
-                          self.done, fsr, snrs[-1])
+        # at the current distance; the reward is dara_reward's expression.
+        return StepResult(self._last_observation, fsr * self._rates[action] / self._max_rate,
+                          self.done, fsr, float(snrs[-1]))
 
     def throughput_log(self) -> np.ndarray:
         """The finished episode's throughput log: one row per log tick
@@ -170,11 +175,6 @@ class LinkSimEnv:
         periods = np.diff(times, prepend=0.0)
         return np.column_stack((times, np.zeros_like(times),
                                 self.position_at(times), bits / periods / 1e6))
-
-    @property
-    def done(self) -> bool:
-        """True before the first reset and once the clock reaches duration_s."""
-        return self._rng is None or self.clock >= self.duration_s
 
     @property
     def mean_throughput_mbps(self) -> float:

@@ -111,14 +111,14 @@ def _dqn_learner(agent_cfg, schedule, agent_rng):
     grads = online.like(np.empty_like(online.flat))  # every train step overwrites it
     agent = DaraAgent(online, schedule, agent_rng)
     buffer = ReplayBuffer(agent_cfg["replay_capacity"])
+    warmup, train_every = agent_cfg["warmup"], agent_cfg["train_every"]
     env_steps = 0
 
     def learn(s, action, r, s_next, done):
         nonlocal target, env_steps
         buffer.push(s, action, r, s_next, done)
         env_steps += 1
-        if (buffer.size >= agent_cfg["warmup"]
-                and env_steps % agent_cfg["train_every"] == 0):
+        if buffer.size >= warmup and env_steps % train_every == 0:
             batch = buffer.sample(agent_cfg["batch_size"], agent_rng)
             dqn_train_step(online, target, opt, batch, agent_cfg["discount"], grads)
             agent.train_step += 1

@@ -50,6 +50,7 @@ class MlpParams:
         self._flat, self._layout = flat, layout
         views = [flat[s].reshape(shape) for s, shape in layout]
         self._weights, self._biases = tuple(views[::2]), tuple(views[1::2])
+        self._w0_row = flat[layout[0][0]]  # the width-1 layer as a 1-D view
 
     flat = property(lambda self: self._flat)
     weights = property(lambda self: self._weights)
@@ -89,31 +90,33 @@ def init_mlp(hidden_sizes, rng: np.random.Generator) -> MlpParams:
     return MlpParams(weights, [np.zeros(n) for n in sizes[1:]])
 
 
-def _forward(params: MlpParams, x: np.ndarray, inputs: list | None = None):
-    """Batched forward pass of x, shape (n, 1), returning the output; when
-    given `inputs`, appends each layer's input to it for the backward pass.
+def _forward(params: MlpParams, x, inputs: list | None = None):
+    """Forward pass of a float x to shape (8,), or of a column x, shape
+    (n, 1), to shape (n, 8); when given `inputs`, appends each hidden
+    layer's output, the next layer's input, to it for the backward pass.
 
     The width-1 input layer is the product x * w0: a k=1 matmul has no sum,
-    so once the bias is added it equals x @ w0 bit for bit.
+    so once the bias is added it equals x @ w0 bit for bit. A float stays a
+    1-D row, whose (k,) @ (k, m) products are (1, k) @ (k, m)'s gemv.
     """
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        if inputs is not None:
-            inputs.append(x)
-        z = x * w if i == 0 else x @ w
+    z = x * params._w0_row
+    for w, b in zip(params._weights[1:], params._biases):  # b ends the layer before w
         z += b
-        if i != last:
-            np.maximum(z, 0.0, out=z)
-        x = z
-    return x
+        np.maximum(z, 0.0, out=z)
+        if inputs is not None:
+            inputs.append(z)
+        z = z @ w
+    z += params._biases[-1]
+    return z
 
 
 def mlp_forward(params: MlpParams, observation) -> np.ndarray:
     """Q-values for one observation (returns shape (8,)) or a batch
     (shape (n, 8) for input shape (n,))."""
+    if isinstance(observation, float):
+        return _forward(params, observation)
     obs = np.asarray(observation, dtype=float)
-    out = _forward(params, obs.reshape(-1, 1))
-    return out[0] if obs.ndim == 0 else out
+    return _forward(params, float(obs) if obs.ndim == 0 else obs.reshape(-1, 1))
 
 
 def mlp_backward(params: MlpParams, observations, actions, targets,
@@ -128,7 +131,7 @@ def mlp_backward(params: MlpParams, observations, actions, targets,
     n = len(observations)
     rows = np.arange(n)
     x = np.asarray(observations, dtype=float).reshape(-1, 1)
-    post = []  # each layer's input
+    post = [x]  # each layer's input
     out = _forward(params, x, post)
 
     diff = out[rows, actions] - targets

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,11 @@ class ChannelParams:
     bandwidth_hz: float
     noise_figure_db: float
 
+    @cached_property
+    def noise_power_dbm(self) -> float:
+        """Thermal noise floor plus receiver noise figure, in dBm."""
+        return -174.0 + 10.0 * math.log10(self.bandwidth_hz) + self.noise_figure_db
+
 
 @dataclass(frozen=True)
 class McsTable:
@@ -63,14 +69,14 @@ def friis_path_loss(distance_m, params: ChannelParams):
 
 
 def noise_power_dbm(params: ChannelParams) -> float:
-    """Thermal noise floor plus receiver noise figure, in dBm."""
-    return -174.0 + 10.0 * math.log10(params.bandwidth_hz) + params.noise_figure_db
+    """The link's noise floor in dBm, computed once per ChannelParams."""
+    return params.noise_power_dbm
 
 
 def snr_db(distance_m, params: ChannelParams):
     """Receive SNR in dB at a distance or an array of distances
     (deterministic, no fading)."""
-    return params.tx_power_dbm - friis_path_loss(distance_m, params) - noise_power_dbm(params)
+    return params.tx_power_dbm - friis_path_loss(distance_m, params) - params.noise_power_dbm
 
 
 def _largest_finite_exp_arg() -> float:

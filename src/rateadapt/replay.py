@@ -34,9 +34,10 @@ class ReplayBuffer:
             rows = min(2 * self._next, self.capacity)
             self._columns = tuple(np.concatenate((c, np.empty(rows - len(c), c.dtype)))
                                   for c in self._columns)
-        for column, value in zip(self._columns, (s, a, r, s_next, done)):
-            column[self._next] = value
-        self._next = (self._next + 1) % self.capacity
+        i = self._next
+        s_col, a_col, r_col, s_next_col, done_col = self._columns
+        s_col[i], a_col[i], r_col[i], s_next_col[i], done_col[i] = s, a, r, s_next, done
+        self._next = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
     def sample(self, batch_size: int, rng: np.random.Generator):

@@ -78,3 +78,17 @@ def test_traced_forward_counts_one_call_per_greedy_window(bench, package):
     assert windows > 0
     assert tracer.value("agents.select_action", "calls") == windows
     assert tracer.value("nn.mlp_forward", "calls") == windows
+
+
+def test_untraced_window_count_matches_traced_steps(bench, package, tmp_path):
+    # windows_per_s counts windows through perfbench's untraced hook on
+    # LinkSimEnv.step; a caller that bound the method before the hook went
+    # in would step windows the hook never sees, and the metric would read 0.
+    workload = bench.TrainDefault(package, 1, tiny=True)
+    *_, untraced = bench.timed(lambda: workload.run(tmp_path / "untraced"),
+                               package, polled=False)
+    tracer = bench.Tracer()
+    *_, traced = bench.timed(lambda: workload.run(tmp_path / "traced"),
+                             package, tracer)
+    assert traced == tracer.value("env.step", "calls")
+    assert untraced == traced > 0

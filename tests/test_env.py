@@ -392,7 +392,12 @@ def test_window_step_bit_identical_to_reference(window, start, speed):
 def test_phy_called_once_per_window_plus_probe(monkeypatch):
     # perfbench reads phy.snr_db's calls per window: the env reaches each
     # PHY formula through the phy module, once per window plus once for
-    # reset's probe.
+    # reset's probe. The config is validated before counting, so the count
+    # is the env's alone.
+    data = json.loads(default_config().to_json())
+    data["agent"].update(algorithm="constant", constant_mcs=3)
+    data["sim"]["duration_s"] = 3.0
+    cfg = validate_config(json.dumps(data))
     counts = {"step": 0, "snr_db": 0, "frame_success_prob": 0}
 
     def counted(owner, name):
@@ -406,10 +411,7 @@ def test_phy_called_once_per_window_plus_probe(monkeypatch):
     counted(LinkSimEnv, "step")
     counted(phy, "snr_db")
     counted(phy, "frame_success_prob")
-    data = json.loads(default_config().to_json())
-    data["agent"].update(algorithm="constant", constant_mcs=3)
-    data["sim"]["duration_s"] = 3.0
-    run_evaluation(validate_config(json.dumps(data)), None, seed=1)
+    run_evaluation(cfg, None, seed=1)
     windows = counts["step"]
     assert windows > 100
     assert counts == {"step": windows, "snr_db": windows + 1,

@@ -259,19 +259,26 @@ class TestFlatLayout:
         twin.weights[0][0, 0] = 7.0
         assert np.all(params.flat == 0.0) and twin.flat[0] == 7.0
 
-    @pytest.mark.parametrize("hidden", [[16, 16, 16], [64, 64]])
+    @pytest.mark.parametrize("hidden", [[16, 16, 16], [64, 64], [32, 32]])
     def test_forward_bit_equal_to_layer_loop(self, hidden):
         # The width-1 layer is a product, not a matmul: the clamp ends 0.0
         # and 1.0 and a fresh net's zero biases and zero output layer are
-        # where a signed zero could tell the two apart.
+        # where a signed zero could tell the two apart. A single observation
+        # runs as a 1-D row in whichever form it comes; every form must equal
+        # the (1, 1)-column pass bit for bit.
         xs = np.append(np.linspace(-0.25, 1.25, 33), [0.0, 1.0])
         for params in (random_net(hidden, np.random.default_rng(len(hidden))),
                        init_mlp(hidden, np.random.default_rng(len(hidden)))):
             batch = mlp_forward(params, xs)
             assert batch.tobytes() == reference_forward(params, xs).tobytes()
-            for x in xs:
-                want = reference_forward(params, np.array([x]))[0]
-                assert mlp_forward(params, float(x)).tobytes() == want.tobytes()
+            for x in [*xs.tolist(), 0, 1]:
+                want = reference_forward(params, np.array([float(x)]))
+                for single in (x, np.float64(x), np.array(x, dtype=float)):
+                    q = mlp_forward(params, single)
+                    assert q.shape == (8,) and q.tobytes() == want[0].tobytes()
+                for one in ([x], np.array([x], dtype=float)):
+                    q = mlp_forward(params, one)
+                    assert q.shape == (1, 8) and q.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("hidden", [[16, 16, 16], [64, 64]])
     def test_flat_steps_bit_equal_to_per_layer_reference(self, hidden):

@@ -56,6 +56,20 @@ class TestNoisePower:
         double = phy.noise_power_dbm(replace(DEFAULTS, bandwidth_hz=40e6))
         assert double - single == pytest.approx(10 * math.log10(2), rel=1e-9)
 
+    @pytest.mark.parametrize("params", [
+        DEFAULTS, replace(DEFAULTS, bandwidth_hz=40e6, noise_figure_db=0.0)])
+    def test_snr_bit_equal_to_per_call_noise_floor(self, params):
+        # The noise floor is computed once per ChannelParams; snr_db must
+        # equal the expression that recomputed it on every call.
+        def per_call(d):
+            noise = (-174.0 + 10.0 * math.log10(params.bandwidth_hz)
+                     + params.noise_figure_db)
+            return params.tx_power_dbm - phy.friis_path_loss(d, params) - noise
+
+        grid = np.geomspace(0.1, 1e5, 500)
+        assert phy.snr_db(grid, params).tobytes() == per_call(grid).tobytes()
+        assert all(phy.snr_db(d, params) == per_call(d) for d in grid.tolist())
+
 
 class TestSnr:
     def test_at_100m(self):
