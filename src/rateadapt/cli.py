@@ -14,7 +14,7 @@ from itertools import product
 from pathlib import Path
 
 from . import checkpoint as ckpt_io
-from .config import validate_config
+from .config import check_work_budget, validate_config
 from .errors import CheckpointError, ConfigError, RateAdaptError
 from .harness import (SweepConfig, cell_config, check_checkpoint_kind, run_evaluation,
                       run_sweep, run_training, trained_kind)
@@ -75,6 +75,7 @@ def _load_config(args):
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read config: {exc}"]) from exc
     cfg = validate_config(text)
+    check_work_budget(cfg)  # before any command makes a run folder
     overrides = {key: getattr(args, key) for key in ("seed", "episodes")
                  if getattr(args, key, None) is not None}
     return cfg.with_overrides(**overrides) if overrides else cfg

@@ -148,6 +148,10 @@ FINGERPRINT_EXCLUDE = {("agent", "seed"), ("agent", "episodes"),
 # The throughput log holds one row per sim.log_period_s tick in memory.
 MAX_LOG_RECORDS = 1_000_000
 
+# An episode keeps each window's end time and bits in memory; a default
+# episode plays about 1,650 windows.
+MAX_WINDOWS = 1_000_000
+
 
 class RootConfig:
     """A fully resolved, validated configuration."""
@@ -294,6 +298,19 @@ def validate_config(raw_json: str) -> RootConfig:
     if problems:
         raise ConfigError(problems)
     return RootConfig(resolved)
+
+
+def check_work_budget(cfg: RootConfig):
+    """Raise ConfigError if an episode could play more than MAX_WINDOWS
+    windows: duration_s over the shortest window, plus the one that crosses
+    it. Kept out of validate_config, which also serves envs driven directly
+    for longer."""
+    sim, gym = cfg["sim"], cfg["gym"]
+    windows = sim["duration_s"] / (gym["window_frames"] * cfg.airtime_s().min()) + 1
+    if not windows <= MAX_WINDOWS:
+        raise ConfigError([f"sim.duration_s too long: an episode could play {windows:.3g} "
+                           f"windows of gym.window_frames frames at the shortest "
+                           f"airtime, more than {MAX_WINDOWS}"])
 
 
 def default_config() -> RootConfig:

@@ -23,6 +23,12 @@ from .phy import McsTable
 # The fields of an episode log record, in throughput_*.csv column order.
 LOG_FIELDS = ("time_s", "tx_pos_m", "rx_pos_m", "throughput_mbps")
 
+# A run block holds the PHY rows of the next windows at one MCS. The first
+# block of a run has _BLOCK_FIRST_ROWS rows and each refill in the same run
+# doubles that, up to _BLOCK_FRAMES frames per block (one row at the least).
+_BLOCK_FIRST_ROWS = 4
+_BLOCK_FRAMES = 64 * 50
+
 
 class StepResult(NamedTuple):
     """One environment transition as seen by the agent, plus the window's
@@ -94,7 +100,8 @@ class LinkSimEnv:
     def _window(self, clock, offsets, mcs):
         """The SNRs at the ACK instants clock + offsets of a window at MCS
         `mcs`, with the receiver still moving, and each frame's success
-        probability. Reads only the link's fixed constants."""
+        probability. Reads only the link's fixed constants. A (k, 1) column
+        of clocks gives the (k, window) rows of k windows."""
         ack_snrs = phy.snr_db(self.position_at(clock + offsets), self.channel)
         p = phy.frame_success_prob(ack_snrs, self.table.slopes_per_db[mcs],
                                    self.table.midpoints_db[mcs])
@@ -115,6 +122,7 @@ class LinkSimEnv:
         # End time and delivered bits of every window, for throughput_log().
         self._window_ends = []
         self._window_bits = []
+        self._block_action, self._block_clocks, self._block_next = None, [], 0
 
         ack_snrs, p = self._window(0.0, np.zeros(self.window_frames), self.INITIAL_MCS)
         successes = self._rng.random(self.window_frames) < p
@@ -132,7 +140,15 @@ class LinkSimEnv:
                              f"got {action!r}")
 
         w = self.window_frames
-        snrs, p = self._window(self.clock, self._ack_offsets[action], action)
+        i = self._block_next
+        # A row serves only the clock it was computed for, so a clock set
+        # from outside refills the block instead of reading a stale row.
+        if (action != self._block_action or i == len(self._block_clocks)
+                or self.clock != self._block_clocks[i]):
+            self._fill_block(action)
+            i = 0
+        self._block_next = i + 1
+        snrs, p = self._block_snrs[i], self._block_p[i]
         acked = snrs[self._rng.random(w) < p]
 
         n_ok = len(acked)
@@ -152,6 +168,20 @@ class LinkSimEnv:
         # at the current distance; the reward is dara_reward's expression.
         return StepResult(self._last_observation, fsr * self._rates[action] / self._max_rate,
                           self.done, fsr, float(snrs[-1]))
+
+    def _fill_block(self, action):
+        """Compute the run block at MCS `action` from the current clock. Its
+        clocks come from the same sequential adds `step` makes, and it stops
+        before the first clock at or past duration_s, a window never played."""
+        grow = action == self._block_action and self._block_next == len(self._block_clocks)
+        rows = min(2 * len(self._block_clocks) if grow else _BLOCK_FIRST_ROWS,
+                   max(1, _BLOCK_FRAMES // self.window_frames))
+        advance, clocks = self._advance[action], [self.clock]
+        while len(clocks) < rows and (c := clocks[-1] + advance) < self.duration_s:
+            clocks.append(c)
+        self._block_snrs, self._block_p = self._window(
+            np.array(clocks)[:, None], self._ack_offsets[action], action)
+        self._block_action, self._block_clocks = action, clocks
 
     def throughput_log(self) -> np.ndarray:
         """The finished episode's throughput log: one row per log tick

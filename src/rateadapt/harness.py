@@ -21,7 +21,7 @@ from . import checkpoint as ckpt_io
 from .agents import (ConstantAgent, DaraAgent, IdealAgent, MinstrelLikeAgent,
                      TabularDaraAgent)
 from .checkpoint import Checkpoint
-from .config import RootConfig
+from .config import RootConfig, check_work_budget
 from .dqn import EpsilonSchedule, dqn_train_step
 from .env import LOG_FIELDS, LinkSimEnv, rng_streams
 from .errors import ConfigError
@@ -179,6 +179,7 @@ def run_training(cfg: RootConfig, results_dir, progress=None):
     """
     agent_cfg = cfg["agent"]
     kind = trained_kind(agent_cfg["algorithm"])
+    check_work_budget(cfg)
 
     results_dir = Path(results_dir)
     results_dir.mkdir(parents=True, exist_ok=True)
@@ -228,6 +229,7 @@ def run_evaluation(cfg: RootConfig, checkpoint: Checkpoint | None,
                    results_dir=None, seed: int | None = None):
     """One frozen-policy episode; returns (EpisodeSummary, throughput log
     array in LOG_FIELDS column order)."""
+    check_work_budget(cfg)
     if seed is None:
         seed = cfg["agent"]["seed"]
     env = LinkSimEnv(cfg)

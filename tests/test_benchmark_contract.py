@@ -92,3 +92,25 @@ def test_untraced_window_count_matches_traced_steps(bench, package, tmp_path):
                              package, tracer)
     assert traced == tracer.value("env.step", "calls")
     assert untraced == traced > 0
+
+
+@pytest.mark.parametrize("name", ["train_default", "eval_grid", "sweep_dense"])
+def test_untraced_windows_are_the_windows_simulated(bench, package, tmp_path,
+                                                    monkeypatch, name):
+    # windows_per_s divides by the LinkSimEnv.step calls that the untraced
+    # hook counts. That is honest only while one call plays one window: the
+    # count must equal the windows every env actually simulated, the
+    # lengths of each episode's _window_ends.
+    workload = bench.WORKLOAD_CLASSES[name](package, 1, tiny=True)
+    workload.setup(tmp_path / "work")
+    episodes = []
+    reset = package.env.LinkSimEnv.reset
+
+    def recorded(self, *args, **kwargs):
+        result = reset(self, *args, **kwargs)
+        episodes.append(self._window_ends)
+        return result
+    monkeypatch.setattr(package.env.LinkSimEnv, "reset", recorded)
+    *_, windows = bench.timed(lambda: workload.run(tmp_path / "out"), package,
+                              polled=False)
+    assert windows == sum(map(len, episodes)) > 0

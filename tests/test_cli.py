@@ -475,6 +475,23 @@ class TestInputHoles:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,algorithm", [
+        ("train", "dara"), ("eval", "constant"), ("sweep", "dara")])
+    def test_episode_over_the_work_budget_exit_1(self, tmp_path, capsys,
+                                                 command, algorithm):
+        # 1e9 s of MCS 7's 14 ms windows is about 7e10 windows, and the log
+        # bound holds; without the budget the run grows its per-window lists
+        # until memory runs out.
+        path = write_tiny_config(tmp_path / "cfg.json", algorithm=algorithm,
+                                 constant_mcs=7)
+        data = json.loads(path.read_text())
+        data["sim"].update(duration_s=1e9, log_period_s=1e3)
+        path.write_text(json.dumps(data))
+        code = cli_main([command, "--config", str(path),
+                         "--results", str(tmp_path / "out")])
+        assert_config_error(code, capsys)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("content", [
         b'{"agent": {"algorithm": "\xff"}, "gym": {}, "sim": {}}',
         b"[" * 100_000,

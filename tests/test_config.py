@@ -10,8 +10,8 @@ import pytest
 
 import rateadapt
 from rateadapt import phy
-from rateadapt.config import (default_config, reference_config_text,
-                              validate_config)
+from rateadapt.config import (MAX_WINDOWS, check_work_budget, default_config,
+                              reference_config_text, validate_config)
 from rateadapt.errors import ConfigError
 
 RATES = list(phy.DEFAULT_PHY_RATES_MBPS)
@@ -207,6 +207,31 @@ class TestValidation:
         cfg = validate_config(reference_config_text())
         again = validate_config(cfg.to_json())
         assert again.data == cfg.data
+
+
+class TestWorkBudget:
+    @staticmethod
+    def config_of(windows):
+        """The default config with a duration of about `windows` windows at
+        the shortest airtime."""
+        data = json.loads(default_config().to_json())
+        shortest = 50 * default_config().airtime_s().min()
+        data["sim"].update(duration_s=windows * shortest, log_period_s=1e3)
+        return validate_config(json.dumps(data))
+
+    def test_default_and_reference_configs_within_budget(self):
+        check_work_budget(default_config())
+        check_work_budget(validate_config(reference_config_text()))
+
+    def test_just_under_budget_accepted(self):
+        check_work_budget(self.config_of(0.99 * MAX_WINDOWS))
+
+    @pytest.mark.parametrize("windows", [1.01 * MAX_WINDOWS, 7e10])
+    def test_over_budget_rejected(self, windows):
+        # validate_config accepts it: envs driven directly may run longer
+        cfg = self.config_of(windows)
+        with pytest.raises(ConfigError, match="sim.duration_s too long"):
+            check_work_budget(cfg)
 
 
 class TestSingleLayer:

@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from rateadapt import env as env_module
 from rateadapt import phy
 from rateadapt.config import default_config, validate_config
 from rateadapt.env import LinkSimEnv, dara_reward, rng_streams
@@ -336,11 +338,12 @@ def test_each_window_draws_window_frames_uniforms(window):
     assert env._rng.bit_generator.state == fresh.bit_generator.state
 
 
-def reference_episode(env, seed, actions):
+def reference_episode(env, seed, actions, set_clock=None):
     """reset and one step per action, written with the plain per-window
     expressions: ACK times clock + dt * (1..w), the SNR at each receiver
-    position, and np.mean over the acknowledged frames' SNRs. Returns the
-    results and the clock after each."""
+    position, and np.mean over the acknowledged frames' SNRs; `set_clock`
+    maps an action's index to the clock set before it. Returns the results
+    and the clock after each."""
     w, table = env.window_frames, env.table
     rng = rng_streams(seed)[0]
     snrs = phy.snr_db(env.position_at(np.zeros(w)), CHANNEL)
@@ -348,7 +351,8 @@ def reference_episode(env, seed, actions):
     fsr = int(np.count_nonzero(rng.random(w) < p)) / w
     obs = phy.scale_snr(snrs[-1], env.snr_lo_db, env.snr_hi_db)
     results, clocks, clock = [(obs, 0.0, False, fsr, snrs[-1])], [0.0], 0.0
-    for a in actions:
+    for i, a in enumerate(actions):
+        clock = (set_clock or {}).get(i, clock)
         dt = float(env.airtime_s[a])
         ack_times = clock + dt * np.arange(1, w + 1)
         snrs = phy.snr_db(env.position_at(ack_times), CHANNEL)
@@ -389,11 +393,13 @@ def test_window_step_bit_identical_to_reference(window, start, speed):
     assert got_clocks == want_clocks[:len(got_clocks)]
 
 
-def test_phy_called_once_per_window_plus_probe(monkeypatch):
+def test_phy_called_once_per_block_plus_probe(monkeypatch):
     # perfbench reads phy.snr_db's calls per window: the env reaches each
-    # PHY formula through the phy module, once per window plus once for
-    # reset's probe. The config is validated before counting, so the count
-    # is the env's alone.
+    # PHY formula through the phy module. A run of one MCS is computed in
+    # blocks whose length doubles, so this constant-MCS episode, shorter
+    # than the block cap, makes O(log windows) calls; an MCS that changes
+    # every window makes one call per window. reset's probe adds one. The
+    # config is validated before counting, so the count is the env's alone.
     data = json.loads(default_config().to_json())
     data["agent"].update(algorithm="constant", constant_mcs=3)
     data["sim"]["duration_s"] = 3.0
@@ -414,8 +420,130 @@ def test_phy_called_once_per_window_plus_probe(monkeypatch):
     run_evaluation(cfg, None, seed=1)
     windows = counts["step"]
     assert windows > 100
+    assert counts["snr_db"] == counts["frame_success_prob"]
+    assert 2 <= counts["snr_db"] <= 1 + math.log2(windows)
+
+    counts.update(dict.fromkeys(counts, 0))
+    env = LinkSimEnv(cfg)
+    env.reset(seed=1)
+    while not env.done:
+        env.step(2 + counts["step"] % 2)
+    windows = counts["step"]
+    assert windows > 50
     assert counts == {"step": windows, "snr_db": windows + 1,
                       "frame_success_prob": windows + 1}
+
+
+def runs_of_actions(rng, n):
+    """n actions in runs of one MCS, each 1-300 windows long (log-uniform,
+    so short runs and MCS changes are common)."""
+    actions = []
+    while len(actions) < n:
+        actions += [int(rng.integers(0, phy.N_MCS))] * int(301 ** rng.random())
+    return actions[:n]
+
+
+@pytest.mark.parametrize("start,speed", [(distance_at_snr(30.0), 40.0),
+                                         (5000.0, 0.0), (1.0, 0.0)],
+                         ids=["sweeping", "all_failure", "all_success"])
+@pytest.mark.parametrize("window", [1, 7, 50])
+def test_run_blocks_bit_identical_to_reference(window, start, speed):
+    # Each run block computes many windows' PHY in one call; every window
+    # still equals the per-window reference, through to the episode end.
+    env = make_env(start=start, speed=speed, duration=5.0, window=window)
+    longest = int(env.duration_s / (window * env.airtime_s.min())) + 1
+    actions = runs_of_actions(np.random.default_rng(window), longest)
+    got, got_clocks = [env.reset(seed=8)], [env.clock]
+    for a in actions:
+        got.append(env.step(a))
+        got_clocks.append(env.clock)
+        if env.done:
+            break
+    assert env.done and len(got) > 50
+    want, want_clocks = reference_episode(env, 8, actions[:len(got) - 1])
+    assert [tuple(res) for res in got] == want
+    assert got_clocks == want_clocks
+
+
+def receding_env(window):
+    return make_env(start=distance_at_snr(30.0), speed=40.0, duration=5.0,
+                    window=window)
+
+
+@pytest.mark.parametrize("window", [1, 7, 50])
+def test_reset_mid_run_serves_no_stale_row(window):
+    # Ten windows into a run the block holds rows for later clocks; the new
+    # episode must start from clock 0 all the same.
+    env = receding_env(window)
+    env.reset(seed=8)
+    for _ in range(10):
+        env.step(5)
+    got = [env.reset(seed=8)] + [env.step(5) for _ in range(30)]
+    want, _ = reference_episode(env, 8, [5] * 30)
+    assert [tuple(res) for res in got] == want
+
+
+@pytest.mark.parametrize("window", [1, 7, 50])
+def test_clock_set_mid_run_serves_no_stale_row(window):
+    # Rewind to the start of window 3 after window 10, then jump past every
+    # computed row after window 20.
+    env = receding_env(window)
+    _, clocks = reference_episode(env, 8, [5] * 20)
+    jumps = {10: clocks[3], 20: clocks[20] + 0.25}
+    env.reset(seed=8)
+    got, got_clocks = [], []
+    for i in range(30):
+        env.clock = jumps.get(i, env.clock)
+        got.append(env.step(5))
+        got_clocks.append(env.clock)
+    want, want_clocks = reference_episode(env, 8, [5] * 30, jumps)
+    assert [tuple(res) for res in got] == want[1:]
+    assert got_clocks == want_clocks[1:]
+
+
+def test_run_block_memory_is_bounded():
+    blocks = []
+
+    def recording(env):
+        window = env._window
+
+        def recorded(clock, offsets, mcs):
+            if np.ndim(clock) == 2:  # a run block, not reset's probe
+                blocks.append((clock[:, 0].tolist(), env._advance[mcs]))
+            return window(clock, offsets, mcs)
+        env._window = recorded
+        return env
+
+    # A window wider than the frame budget gets one-row blocks, however
+    # long the run.
+    env = recording(make_env(window=20_000, duration=60.0))
+    env.reset(seed=1)
+    while not env.done:
+        env.step(7)
+    assert len(blocks) > 5
+    assert all(len(clocks) == 1 for clocks, _ in blocks)
+
+    # The default link: a whole-episode run grows its blocks to the budget,
+    # and runs of random length stay within it.
+    blocks.clear()
+    env = recording(LinkSimEnv(default_config()))
+    w = env.window_frames
+    env.reset(seed=1)
+    while not env.done:
+        env.step(3)
+    assert max(len(clocks) for clocks, _ in blocks) * w == env_module._BLOCK_FRAMES
+    rng = np.random.default_rng(2)
+    env.reset(seed=2)
+    for a in runs_of_actions(rng, 10**5):
+        env.step(a)
+        if env.done:
+            break
+    assert all(len(clocks) * w <= env_module._BLOCK_FRAMES for clocks, _ in blocks)
+    # Every row is a window that starts before duration_s; only a block's
+    # last row may be the window that crosses it.
+    for clocks, advance in blocks:
+        assert max(clocks) < env.duration_s
+        assert all(c + advance < env.duration_s for c in clocks[:-1])
 
 
 class TestRngStreams:

@@ -82,6 +82,19 @@ class TestRunTraining:
         assert int(rows[0].split(",")[3]) == summaries[0].train_steps
 
 
+@pytest.mark.parametrize("algorithm,run", [
+    ("dara", lambda cfg, out: run_training(cfg, out)),
+    ("constant", lambda cfg, out: run_evaluation(cfg, None, out)),
+], ids=["run_training", "run_evaluation"])
+def test_episode_over_the_work_budget_refused_before_any_output(tmp_path, algorithm,
+                                                                run):
+    data = json.loads(tiny_config(algorithm=algorithm, constant_mcs=7).to_json())
+    data["sim"].update(duration_s=1e9, log_period_s=1e3)
+    with pytest.raises(ConfigError, match="sim.duration_s too long"):
+        run(validate_config(json.dumps(data)), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 class TestRunEvaluation:
     def test_frozen_policy_deterministic(self, tmp_path):
         cfg = tiny_config(episodes=1)
