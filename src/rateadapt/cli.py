@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from itertools import product
 from pathlib import Path
 
 from . import checkpoint as ckpt_io
 from .config import check_work_budget, validate_config
 from .errors import CheckpointError, ConfigError, RateAdaptError
-from .harness import (SweepConfig, cell_config, check_checkpoint_kind, run_evaluation,
-                      run_sweep, run_training, trained_kind)
+from .harness import (SweepConfig, check_checkpoint_kind, grid_configs,
+                      run_evaluation, run_sweep, run_training, trained_kind)
 from .results import ccdf, setup_results_dir, write_ccdf_csv
 
 EXIT_OK = 0
@@ -131,21 +130,13 @@ def _parse_grid(args, cfg) -> SweepConfig:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     sweep = _parse_grid(args, cfg)
-    trained_kind(cfg["agent"]["algorithm"])  # before the run folder is made
-    problems = []
-    for cell in product(sweep.learning_rates, sweep.architectures, sweep.seeds):
-        try:
-            cell_config(cfg, *cell)
-        except ConfigError as exc:  # one line per distinct violation
-            problems += [v for v in exc.violations if v not in problems]
-    if problems:
-        raise ConfigError(problems)
+    grid_configs(sweep, cfg)  # before the run folder is made
     run_dir = _new_run_dir(args, cfg, "sweep")
     print(f"results: {run_dir}")
     rows = run_sweep(sweep, cfg, run_dir, progress=print)
-    done = [r for r in rows if r["final_cum_reward"]]
+    done = [r for r in rows if r["summaries"]]
     if done:
-        best = max(done, key=lambda r: float(r["final_cum_reward"]))
+        best = max(done, key=lambda r: r["summaries"][-1].cum_reward)
         print(f"winner: lr={best['learning_rate']} arch={best['architecture']} "
               f"seed={best['seed']} final_cum_reward={best['final_cum_reward']}")
     return EXIT_OK

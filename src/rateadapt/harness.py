@@ -57,17 +57,29 @@ class SweepConfig:
     seeds: tuple
 
 
-def cell_config(base: RootConfig, lr, arch, seed) -> RootConfig:
-    """The config of the sweep cell (lr, arch, seed); ConfigError if the
-    config rejects one of the grid values."""
-    return base.with_overrides(learning_rate=lr, hidden_layers=list(arch), seed=seed)
-
-
 def trained_kind(algorithm: str) -> str:
     """The checkpoint kind a trainable algorithm writes; ConfigError if none."""
     if algorithm not in TRAINABLE:
         raise ConfigError([f"algorithm {algorithm!r} is not trainable"])
     return TRAINABLE[algorithm]
+
+
+def grid_configs(sweep: SweepConfig, base: RootConfig):
+    """Every sweep cell's (lr, arch, seed, config), in grid order; one
+    ConfigError if the algorithm is not trainable or the config rejects grid
+    values, listing each distinct violation once."""
+    trained_kind(base["agent"]["algorithm"])
+    cells, problems = [], []
+    for lr, arch, seed in product(sweep.learning_rates, sweep.architectures,
+                                  sweep.seeds):
+        try:
+            cells.append((lr, arch, seed, base.with_overrides(
+                learning_rate=lr, hidden_layers=list(arch), seed=seed)))
+        except ConfigError as exc:
+            problems += [v for v in exc.violations if v not in problems]
+    if problems:
+        raise ConfigError(problems)
+    return cells
 
 
 def check_checkpoint_kind(algorithm: str, checkpoint: Checkpoint | None):
@@ -250,23 +262,23 @@ def run_sweep(sweep: SweepConfig, base: RootConfig, results_dir,
               progress=None):
     """One training run per (learning rate, architecture, seed) cell.
 
-    Failed cells are recorded in the summary with empty metrics and the
-    sweep continues. Returns the summary rows; the winner is the row with
-    the highest final-episode cumulative reward.
+    A grid the config rejects raises ConfigError before anything is written.
+    A cell that fails while it trains is recorded with empty metrics and the
+    sweep continues. Returns the summary rows in grid order; each also holds
+    the cell's EpisodeSummary list under "summaries", or None if it failed.
     """
+    cells = grid_configs(sweep, base)
     results_dir = Path(results_dir)
     results_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for i, (lr, arch, seed) in enumerate(
-        product(sweep.learning_rates, sweep.architectures, sweep.seeds)
-    ):
-        cell_dir = results_dir / f"cell_{i:03d}_lr{lr}_arch{'x'.join(map(str, arch))}_seed{seed}"
+    for i, (lr, arch, seed, cfg) in enumerate(cells):
+        arch_name = "x".join(map(str, arch))
         row = dict.fromkeys(SWEEP_FIELDS, "")
-        row.update(learning_rate=lr, architecture="x".join(map(str, arch)), seed=seed)
+        row.update(learning_rate=lr, architecture=arch_name, seed=seed, summaries=None)
         try:
-            summaries, _ = run_training(cell_config(base, lr, arch, seed),
-                                        cell_dir, progress=None)
-            finals = [s.cum_reward for s in summaries]
+            row["summaries"], _ = run_training(
+                cfg, results_dir / f"cell_{i:03d}_lr{lr}_arch{arch_name}_seed{seed}")
+            finals = [s.cum_reward for s in row["summaries"]]
             row["final_cum_reward"] = f"{finals[-1]:.6f}"
             row["mean_last3_cum_reward"] = f"{float(np.mean(finals[-3:])):.6f}"
         except Exception as exc:  # noqa: BLE001 - sweep must survive bad cells

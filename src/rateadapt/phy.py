@@ -68,11 +68,6 @@ def friis_path_loss(distance_m, params: ChannelParams):
     return 20.0 * np.log10(4.0 * math.pi * distance_m * params.frequency_hz / SPEED_OF_LIGHT)
 
 
-def noise_power_dbm(params: ChannelParams) -> float:
-    """The link's noise floor in dBm, computed once per ChannelParams."""
-    return params.noise_power_dbm
-
-
 def snr_db(distance_m, params: ChannelParams):
     """Receive SNR in dB at a distance or an array of distances
     (deterministic, no fading)."""

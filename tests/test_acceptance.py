@@ -11,7 +11,7 @@ import pytest
 from rateadapt import phy
 from rateadapt.config import default_config, validate_config
 from rateadapt.env import LinkSimEnv
-from rateadapt.harness import run_evaluation, run_training
+from rateadapt.harness import SweepConfig, run_evaluation, run_sweep, run_training
 from rateadapt.nn import mlp_forward
 from rateadapt.results import CcdfPoint, ccdf
 from tests.test_nn import backward, numeric_grads, random_net
@@ -31,28 +31,27 @@ def report(number, name, ok, detail=""):
 def trained_runs(tmp_path_factory):
     """One full training run per seed with the final configuration
     (LR 0.01, three hidden layers of 16 units, gamma 0.5, epsilon 0.1,
-    batch 64, 15 episodes of 60 s)."""
-    base = tmp_path_factory.mktemp("train")
-    runs = {}
-    for seed in TRAIN_SEEDS:
-        cfg = default_config().with_overrides(seed=seed)
-        summaries, ckpt = run_training(cfg, base / f"seed{seed}")
-        runs[seed] = (summaries, ckpt)
-    return runs
+    batch 64, 15 episodes of 60 s), as a sweep over the seeds; returns the
+    sweep folder and its rows."""
+    out = tmp_path_factory.mktemp("train")
+    rows = run_sweep(SweepConfig((0.01,), ((16, 16, 16),), TRAIN_SEEDS),
+                     default_config(), out)
+    assert [row["error"] for row in rows] == [""] * len(TRAIN_SEEDS)
+    return out, rows
 
 
 def test_criterion_1_training_convergence(trained_runs):
     start = time.monotonic()
     passing = 0
     details = []
-    for seed, (summaries, _) in trained_runs.items():
-        rewards = [s.cum_reward for s in summaries]
+    for row in trained_runs[1]:
+        rewards = [s.cum_reward for s in row["summaries"]]
         assert len(rewards) == 15
         first3 = float(np.mean(rewards[:3]))
         last3 = float(np.mean(rewards[-3:]))
         ratio = last3 / first3
         passing += ratio >= 1.5
-        details.append(f"seed{seed}:{ratio:.2f}x")
+        details.append(f"seed{row['seed']}:{ratio:.2f}x")
     elapsed = time.monotonic() - start
     report(1, "training convergence", passing >= 4,
            f"ratios [{', '.join(details)}], {passing}/5 seeds >= 1.5x")
@@ -61,15 +60,14 @@ def test_criterion_1_training_convergence(trained_runs):
 
 def test_criterion_2_learning_rate_ordering(tmp_path):
     rates = (0.1, 0.01, 0.001, 0.0001)
+    rows = run_sweep(SweepConfig(rates, ((32, 32),), TRAIN_SEEDS),
+                     default_config(), tmp_path)
+    assert [row["error"] for row in rows] == [""] * len(rows)
     wins = 0
     per_seed = []
     for seed in TRAIN_SEEDS:
-        finals = {}
-        for lr in rates:
-            cfg = default_config().with_overrides(
-                seed=seed, learning_rate=lr, hidden_layers=[32, 32])
-            summaries, _ = run_training(cfg, tmp_path / f"s{seed}_lr{lr}")
-            finals[lr] = summaries[-1].cum_reward
+        finals = {row["learning_rate"]: row["summaries"][-1].cum_reward
+                  for row in rows if row["seed"] == seed}
         best = max(finals, key=finals.get)
         wins += best == 0.01
         per_seed.append(f"seed{seed}:best={best}")
@@ -79,7 +77,8 @@ def test_criterion_2_learning_rate_ordering(tmp_path):
 
 def test_criterion_3_algorithm_ordering(trained_runs):
     start = time.monotonic()
-    _, dara_ckpt = trained_runs[TRAIN_SEEDS[0]]
+    dara_ckpt = ckpt_io.load(
+        trained_runs[0] / "cell_000_lr0.01_arch16x16x16_seed1" / "policy_ep015.ckpt")
     means = {}
     for algo in ("dara", "ideal", "minstrel_like"):
         cfg = default_config().with_overrides(algorithm=algo)
@@ -165,7 +164,7 @@ def test_criterion_7_statistical_phy():
         # distance placing the link exactly at the target SNR
         offset = 20 * np.log10(4 * np.pi * channel.frequency_hz
                                / phy.SPEED_OF_LIGHT)
-        d = 10 ** ((channel.tx_power_dbm - phy.noise_power_dbm(channel)
+        d = 10 ** ((channel.tx_power_dbm - channel.noise_power_dbm
                     - target_snr - offset) / 20)
         assert phy.snr_db(d, channel) == pytest.approx(target_snr, abs=1e-9)
         data = json.loads(cfg.to_json())

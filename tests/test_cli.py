@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rateadapt
-from rateadapt import checkpoint as ckpt_io
+from rateadapt import checkpoint as ckpt_io, harness
 from rateadapt.cli import _build_parser, cli_main
 from rateadapt.config import default_config
 from tests.test_config import REJECTED, apply_overrides, row_id
@@ -202,6 +202,25 @@ class TestSweepAndCcdf:
         run = run_dir_of(tmp_path / "out")
         rows = (run / "sweep_summary.csv").read_text().splitlines()
         assert len(rows) == 3  # header + 2 cells
+
+    def test_sweep_winner_from_unrounded_rewards(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # Both finals read 1.000000 at six decimals; the second is larger.
+        finals = {0.1: 1.0000001, 0.01: 1.0000004}
+
+        def fake_training(cfg, results_dir, progress=None):
+            reward = finals[cfg["agent"]["learning_rate"]]
+            return [harness.EpisodeSummary(1, reward, 0.0, 0)], None
+
+        monkeypatch.setattr(harness, "run_training", fake_training)
+        cfg = write_tiny_config(tmp_path / "cfg.json", episodes=1)
+        code = cli_main(["sweep", "--config", str(cfg),
+                         "--results", str(tmp_path / "out"),
+                         "--learning-rates", "0.1,0.01",
+                         "--architectures", "4", "--seeds", "1"])
+        assert code == 0
+        assert ("winner: lr=0.01 arch=4 seed=1 final_cum_reward=1.000000\n"
+                in capsys.readouterr().out)
 
     def test_ccdf_from_logs(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json")

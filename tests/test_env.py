@@ -26,7 +26,7 @@ def make_env(start=1.0, speed=20.0, duration=60.0, window=50, log_period=1.0,
 def distance_at_snr(snr_db):
     """The distance at which the link's SNR is `snr_db` (Friis inverted)."""
     return 10 ** ((CHANNEL.tx_power_dbm
-                   - phy.noise_power_dbm(CHANNEL)
+                   - CHANNEL.noise_power_dbm
                    - snr_db
                    - 20 * np.log10(4 * np.pi * CHANNEL.frequency_hz
                                    / phy.SPEED_OF_LIGHT)) / 20)

@@ -7,12 +7,15 @@ One evaluation episode per algorithm (eval seed 100, the same 20 s config;
 dara and dara_tabular greedy over the dara_wrap and tabular reference
 checkpoints) must reproduce byte-identical episodes.csv and
 throughput_eval.csv, and so must one more minstrel_like evaluation at
-sim.log_period_s 0.3.
+sim.log_period_s 0.3. A two-cell learning-rate sweep on the same 20 s config
+must reproduce byte-identical sweep_summary.csv and per-cell episodes.csv.
 
 The training references were produced before the replay buffer stored its
 transitions as numpy columns, and the evaluation pins before training and
 evaluation shared one episode loop, the 0.3 s pin before the throughput log
-was built from per-window arrays; those refactors left them unchanged. To
+was built from per-window arrays, and the sweep pin before one function
+built and checked every sweep cell's config; those refactors left them
+unchanged. To
 regenerate them after an output change announced in CHANGES.md, run
 `python -m tests.test_golden` from the repository root with `src` on
 PYTHONPATH; it rewrites the .ckpt files and prints the hashes.
@@ -29,7 +32,8 @@ import pytest
 
 from rateadapt import checkpoint as ckpt_io
 from rateadapt.config import default_config, validate_config
-from rateadapt.harness import run_evaluation, run_training
+from rateadapt.harness import (SweepConfig, run_evaluation, run_sweep,
+                               run_training)
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -105,6 +109,16 @@ LOG_PERIOD_EXPECTED = {
     "throughput_eval.csv": "6cce0dbe820f8f936a80348ee1466efa0e090fdbfc01314b44d83129e24b5ec6",
 }
 
+# Two learning rates on one small network; warmup 200, so both cells train
+# from the first episode and their rows differ.
+SWEEP = SweepConfig((0.01, 0.001), ((8, 8),), (1,))
+SWEEP_OVERRIDES = {"warmup": 200}
+SWEEP_EXPECTED = {
+    "sweep_summary.csv": "7ded07f9bd42865915e05d300082dc4b1cda2f96bae74f1f39cbced8e2a52245",
+    "cell_000_lr0.01_arch8x8_seed1/episodes.csv": "41239fc238eec5ede6bead3c9d90f44127a3325249b37789a38c4eb9a98c03b0",
+    "cell_001_lr0.001_arch8x8_seed1/episodes.csv": "dae9a3511f9cbe778d3feefe29e0647db89e03533ee3a11c139bdb4d5b216ba0",
+}
+
 
 def golden_config(overrides, log_period_s=1.0):
     data = json.loads(default_config().to_json())
@@ -116,6 +130,13 @@ def golden_config(overrides, log_period_s=1.0):
 def output_hashes(run_dir: Path) -> dict:
     files = [run_dir / "episodes.csv", *sorted(run_dir.glob("throughput_*.csv"))]
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+
+
+def sweep_hashes(sweep_dir: Path) -> dict:
+    files = [sweep_dir / "sweep_summary.csv",
+             *sorted(sweep_dir.glob("cell_*/episodes.csv"))]
+    return {p.relative_to(sweep_dir).as_posix():
+            hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
 
 
 def checkpoint_arrays(ckpt) -> dict:
@@ -160,6 +181,11 @@ def test_golden_evaluation_log_period(tmp_path):
     assert output_hashes(tmp_path) == LOG_PERIOD_EXPECTED
 
 
+def test_golden_sweep(tmp_path):
+    run_sweep(SWEEP, golden_config(SWEEP_OVERRIDES), tmp_path)
+    assert sweep_hashes(tmp_path) == SWEEP_EXPECTED
+
+
 def _regenerate(scratch: Path):
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for name, overrides in sorted(CASES.items()):
@@ -177,6 +203,10 @@ def _regenerate(scratch: Path):
     run_golden_evaluation(LOG_PERIOD_ALGORITHM, run_dir, LOG_PERIOD_S)
     print(f"eval {LOG_PERIOD_ALGORITHM} at log_period_s {LOG_PERIOD_S}:")
     print(json.dumps(output_hashes(run_dir), indent=4))
+    run_dir = scratch / "sweep"
+    run_sweep(SWEEP, golden_config(SWEEP_OVERRIDES), run_dir)
+    print("sweep:")
+    print(json.dumps(sweep_hashes(run_dir), indent=4))
 
 
 if __name__ == "__main__":

@@ -24,6 +24,12 @@ def tiny_config(**agent_overrides):
     return validate_config(json.dumps(base))
 
 
+def diverging_base():
+    """One episode that trains after every transition from the 8th on, so a
+    huge learning rate diverges within it."""
+    return tiny_config(episodes=1, warmup=8, batch_size=8, train_every=1)
+
+
 def params_digest(params):
     h = hashlib.sha256()
     for a in params.weights + params.biases:
@@ -169,19 +175,51 @@ class TestRunSweep:
         best_rows = max(rows, key=lambda r: float(r["final_cum_reward"]))
         assert float(best_csv[3]) == float(best_rows["final_cum_reward"])
 
-    def test_cell_failure_recorded_and_sweep_continues(self, tmp_path):
-        base = tiny_config(episodes=1)
-        # learning rate 0 is rejected by validation inside the cell
-        rows = run_sweep(SweepConfig((0.0, 0.01), ((4,),), (1,)),
-                         base, tmp_path)
-        assert rows[0]["error"] != ""
-        assert rows[1]["error"] == "" and rows[1]["final_cum_reward"] != ""
+    @pytest.mark.parametrize("overrides,learning_rates,architectures,violations", [
+        ({}, (0.0, 0.01), ((4,), (0, 0)), [
+            "agent.learning_rate: must be > 0 (got 0.0)",
+            "agent.hidden_layers: must be a non-empty list of integers >= 1 "
+            "(got [0, 0])"]),
+        ({"algorithm": "ideal"}, (0.0,), ((4,),),
+         ["algorithm 'ideal' is not trainable"]),
+    ], ids=["grid_values", "not_trainable"])
+    def test_bad_grid_refused_before_any_output(
+            self, tmp_path, overrides, learning_rates, architectures, violations):
+        sweep = SweepConfig(learning_rates, architectures, (1, 2))
+        with pytest.raises(ConfigError) as info:
+            run_sweep(sweep, tiny_config(episodes=1, **overrides), tmp_path / "out")
+        assert info.value.violations == violations  # each one once
+        assert not (tmp_path / "out").exists()
 
+    def test_rows_carry_the_cells_summaries(self, tmp_path):
+        rows = run_sweep(SweepConfig((0.01,), ((4,),), (1,)),
+                         tiny_config(), tmp_path)
+        summaries, _ = run_training(
+            tiny_config(learning_rate=0.01, hidden_layers=[4], seed=1),
+            tmp_path / "solo")
+        assert rows[0]["summaries"] == summaries
+        assert rows[0]["final_cum_reward"] == f"{summaries[-1].cum_reward:.6f}"
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_cell_failure_recorded_and_sweep_continues(self, tmp_path):
+        # learning rate 1e300 passes validation; the weights go non-finite
+        # in the first episode, once training starts after 8 transitions
+        rows = run_sweep(SweepConfig((1e300, 0.01), ((4,),), (1,)),
+                         diverging_base(), tmp_path)
+        assert "diverged in episode 1" in rows[0]["error"]
+        assert rows[0]["final_cum_reward"] == "" and rows[0]["summaries"] is None
+        assert rows[1]["error"] == "" and rows[1]["final_cum_reward"] != ""
+        assert len(rows[1]["summaries"]) == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_error_with_commas_reads_back_intact(self, tmp_path):
-        rows = run_sweep(SweepConfig((0.01,), ((0, 0),), (1,)),
-                         tiny_config(episodes=1), tmp_path)
-        assert "(got [0, 0])" in rows[0]["error"]
+        rows = run_sweep(SweepConfig((1e300,), ((4,),), (1,)),
+                         diverging_base(), tmp_path)
+        assert ("diverged in episode 1, array 'w0' holds non-finite values"
+                in rows[0]["error"])
         with open(tmp_path / "sweep_summary.csv", encoding="utf-8", newline="") as f:
             (written,) = csv.DictReader(f)
         assert written["error"] == rows[0]["error"]
-        assert written["architecture"] == "0x0"
+        assert written["learning_rate"] == "1e+300"

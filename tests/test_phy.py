@@ -45,15 +45,15 @@ class TestFriis:
 
 class TestNoisePower:
     def test_default_nf(self):
-        assert phy.noise_power_dbm(DEFAULTS) == pytest.approx(-93.99, abs=0.01)
+        assert DEFAULTS.noise_power_dbm == pytest.approx(-93.99, abs=0.01)
 
     def test_zero_nf(self):
         params = replace(DEFAULTS, noise_figure_db=0.0)
-        assert phy.noise_power_dbm(params) == pytest.approx(-100.99, abs=0.01)
+        assert params.noise_power_dbm == pytest.approx(-100.99, abs=0.01)
 
     def test_doubling_bandwidth_adds_3dB(self):
-        single = phy.noise_power_dbm(replace(DEFAULTS, bandwidth_hz=20e6))
-        double = phy.noise_power_dbm(replace(DEFAULTS, bandwidth_hz=40e6))
+        single = replace(DEFAULTS, bandwidth_hz=20e6).noise_power_dbm
+        double = replace(DEFAULTS, bandwidth_hz=40e6).noise_power_dbm
         assert double - single == pytest.approx(10 * math.log10(2), rel=1e-9)
 
     @pytest.mark.parametrize("params", [
