@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import phy
-from .dqn import EpsilonSchedule, epsilon_greedy
+from .dqn import EpsilonSchedule
 from .env import StepResult
 from .nn import mlp_forward
 from .phy import McsTable
@@ -21,9 +21,10 @@ from .phy import McsTable
 
 class GreedyQAgent:
     """Greedy over the Q-values that a subclass's `q(observation)` reads from
-    `model`, or epsilon-greedy when given an epsilon schedule (read at
-    `train_step`) and the RNG it draws from; the state is the scaled mean ACK
-    SNR. An explore window computes no Q-values."""
+    `model` (ties break to the lowest index), or epsilon-greedy when given an
+    epsilon schedule (read at `train_step`) and the RNG it draws from; the
+    state is the scaled mean ACK SNR. The coin is drawn first, so an explore
+    window computes no Q-values."""
 
     def __init__(self, model, schedule: EpsilonSchedule | None = None,
                  rng: np.random.Generator | None = None):
@@ -33,8 +34,11 @@ class GreedyQAgent:
         self.train_step = 0
 
     def select_action(self, result: StepResult) -> int:
-        epsilon = 0.0 if self.schedule is None else self.schedule.value(self.train_step)
-        return epsilon_greedy(lambda: self.q(result.observation), epsilon, self.rng)
+        if self.schedule is not None:
+            epsilon = self.schedule.value(self.train_step)
+            if epsilon > 0.0 and self.rng.random() < epsilon:
+                return int(self.rng.integers(0, phy.N_MCS))
+        return int(self.q(result.observation).argmax())
 
 
 class DaraAgent(GreedyQAgent):

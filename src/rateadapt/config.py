@@ -81,15 +81,18 @@ def _num_list(length=None, lo=None):
     return check
 
 
-def _int_list_nonempty(v):
+def _layer_widths(v):
     if (not isinstance(v, list) or not v
             or not all(isinstance(x, int) and not isinstance(x, bool) and x >= 1
                        for x in v)):
         return "must be a non-empty list of integers >= 1"
+    if len(v) > 8 or max(v) > 1024:
+        return "must have at most 8 entries, each <= 1024"
     return None
 
 
-# Schema: section -> key -> (default, validator).
+# Schema: section -> key -> (default, validator). The caps on window_frames,
+# hidden_layers and n_state_bins keep every array a run allocates small.
 SCHEMA = {
     "agent": {
         "algorithm": ("dara", _choice(ALGORITHMS)),
@@ -104,12 +107,12 @@ SCHEMA = {
         "batch_size": (64, _int(lo=1)),
         "replay_capacity": (1_000_000, _int(lo=1)),
         "replay_persist_across_episodes": (True, _bool),
-        "hidden_layers": ([16, 16, 16], _int_list_nonempty),
+        "hidden_layers": ([16, 16, 16], _layer_widths),
         "train_every": (8, _int(lo=1)),
         "warmup": (1000, _int(lo=1)),
         "target_sync_every": (200, _int(lo=1)),
         "checkpoint_every": (5, _int(lo=1)),
-        "n_state_bins": (32, _int(lo=1)),
+        "n_state_bins": (32, _int(lo=1, hi=100_000)),
         "ideal_p_min": (0.9, _num(lo=0, hi=1, lo_open=True, hi_open=True)),
         "minstrel_probe_prob": (0.1, _num(lo=0, hi=1)),
         "minstrel_ewma_weight": (0.25, _num(lo=0, hi=1)),
@@ -118,7 +121,7 @@ SCHEMA = {
     "gym": {
         "snr_lo_db": (0.0, _num()),
         "snr_hi_db": (40.0, _num()),
-        "window_frames": (50, _int(lo=1)),
+        "window_frames": (50, _int(lo=1, hi=100_000)),
     },
     "sim": {
         "frequency_mhz": (5180.0, _num(lo=0, lo_open=True)),

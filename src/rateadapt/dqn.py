@@ -1,4 +1,4 @@
-"""DQN training step, epsilon-greedy policy and the epsilon schedule."""
+"""DQN training step and the epsilon schedule."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import AdamState, MlpParams, _forward, adam_step, mlp_backward
-from .phy import N_MCS
 
 
 @dataclass(frozen=True)
@@ -24,15 +23,6 @@ class EpsilonSchedule:
             return self.start
         frac = min(max(train_step / self.decay_steps, 0.0), 1.0)
         return self.start + (self.end - self.start) * frac
-
-
-def epsilon_greedy(q, epsilon: float, rng: np.random.Generator) -> int:
-    """A uniformly random action with probability epsilon, otherwise the
-    argmax of the Q-values that `q()` returns (ties break to the lowest
-    index). The coin comes first, so q is called only when exploiting."""
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return int(rng.integers(0, N_MCS))
-    return int(np.asarray(q()).argmax())
 
 
 def dqn_train_step(online: MlpParams, target_net: MlpParams, opt: AdamState,

@@ -30,9 +30,6 @@ from .replay import ReplayBuffer
 from .results import csv_writer, write_csv
 from .tabular import QTable, q_update_tabular
 
-# The trainable algorithms and the checkpoint kind each one writes and reads.
-TRAINABLE = {"dara": "dqn", "dara_tabular": "tabular"}
-
 SWEEP_FIELDS = ("learning_rate", "architecture", "seed", "final_cum_reward",
                 "mean_last3_cum_reward", "error")
 
@@ -61,7 +58,7 @@ def trained_kind(algorithm: str) -> str:
     """The checkpoint kind a trainable algorithm writes; ConfigError if none."""
     if algorithm not in TRAINABLE:
         raise ConfigError([f"algorithm {algorithm!r} is not trainable"])
-    return TRAINABLE[algorithm]
+    return TRAINABLE[algorithm][0]
 
 
 def grid_configs(sweep: SweepConfig, base: RootConfig):
@@ -85,7 +82,7 @@ def grid_configs(sweep: SweepConfig, base: RootConfig):
 def check_checkpoint_kind(algorithm: str, checkpoint: Checkpoint | None):
     """Raise ConfigError unless a trainable algorithm has a checkpoint of
     its own kind and any other algorithm has none."""
-    kind = TRAINABLE.get(algorithm)
+    kind = TRAINABLE[algorithm][0] if algorithm in TRAINABLE else None
     if kind is None and checkpoint is not None:
         raise ConfigError([f"algorithm {algorithm!r} takes no checkpoint"])
     if kind is not None and (checkpoint is None or checkpoint.kind != kind):
@@ -101,8 +98,7 @@ def build_eval_agent(cfg: RootConfig, checkpoint: Checkpoint | None,
     name = agent["algorithm"]
     check_checkpoint_kind(name, checkpoint)
     if name in TRAINABLE:
-        q_agent = DaraAgent if checkpoint.kind == "dqn" else TabularDaraAgent
-        return q_agent(checkpoint.params)
+        return TRAINABLE[name][1](checkpoint.params)
     if name == "ideal":
         return IdealAgent(cfg.mcs_table(), agent["ideal_p_min"])
     if name == "minstrel_like":
@@ -155,6 +151,11 @@ def _tabular_learner(agent_cfg, schedule, agent_rng):
     return agent, learn, None
 
 
+# Trainable algorithm -> (checkpoint kind, greedy agent class, learner builder).
+TRAINABLE = {"dara": ("dqn", DaraAgent, _dqn_learner),
+             "dara_tabular": ("tabular", TabularDaraAgent, _tabular_learner)}
+
+
 def _play_episode(env: LinkSimEnv, agent, seed: int, episode: int,
                   learn=None) -> float:
     """Run one episode from env.reset(seed, episode) to done, passing each
@@ -201,7 +202,7 @@ def run_training(cfg: RootConfig, results_dir, progress=None):
         agent_cfg["epsilon_mode"], agent_cfg["epsilon_start"],
         agent_cfg["epsilon_end"], agent_cfg["epsilon_decay_steps"],
     )
-    build_learner = _dqn_learner if kind == "dqn" else _tabular_learner
+    build_learner = TRAINABLE[agent_cfg["algorithm"]][2]
     agent, learn, opt = build_learner(agent_cfg, schedule, rng_streams(seed)[1])
     fingerprint = cfg.fingerprint()
 

@@ -74,28 +74,11 @@ def snr_db(distance_m, params: ChannelParams):
     return params.tx_power_dbm - friis_path_loss(distance_m, params) - params.noise_power_dbm
 
 
-def _largest_finite_exp_arg() -> float:
-    """The largest float64 x whose exp(x) is finite."""
-    with np.errstate(over="ignore"):
-        x = np.log(np.finfo(float).max)
-        while not np.isfinite(np.exp(x)):
-            x = np.nextafter(x, -np.inf)
-        while np.isfinite(np.exp(np.nextafter(x, np.inf))):
-            x = np.nextafter(x, np.inf)
-    return float(x)
-
-
-#: Exponents above this overflow exp to inf, which saturates p to 0.
-EXP_ARG_MAX = _largest_finite_exp_arg()
-
-
 def frame_success_prob(snr, slope_per_db, midpoint_db):
     """Probability that one frame succeeds at the given SNR (dB) on the
     success curve with this slope and midpoint; broadcasts over arrays, so
     one call covers a window of SNRs or every MCS."""
     exponent = -slope_per_db * (snr - midpoint_db)
-    if np.fmax.reduce(exponent, axis=None) <= EXP_ARG_MAX:
-        return 1.0 / (1.0 + np.exp(exponent))
     with np.errstate(over="ignore"):  # exp overflow saturates to p = 0
         return 1.0 / (1.0 + np.exp(exponent))
 

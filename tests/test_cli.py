@@ -354,6 +354,7 @@ class TestInputHoles:
         code = cli_main(["train", "--config", str(path),
                          "--results", str(tmp_path / "out")])
         assert_config_error(code, capsys)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,algorithm,seed", [
         ("train", "dara", "-1"),
@@ -476,23 +477,6 @@ class TestInputHoles:
         assert "diverged in episode 1" in diverged["error"]
         assert diverged["final_cum_reward"] == ""
         assert fine["error"] == "" and fine["final_cum_reward"] != ""
-
-    # About 7 PiB each, beyond any address space, so numpy refuses the
-    # allocation at once without touching memory.
-    @pytest.mark.parametrize("command,algorithm,section,key,value", [
-        ("eval", "constant", "gym", "window_frames", 10**15),
-        ("train", "dara", "agent", "hidden_layers", [10**15]),
-    ], ids=["eval_window_frames", "train_hidden_layers"])
-    def test_unallocatable_size_exit_2(self, tmp_path, capsys, command,
-                                       algorithm, section, key, value):
-        path = write_tiny_config(tmp_path / "cfg.json", algorithm=algorithm)
-        data = json.loads(path.read_text())
-        data[section][key] = value
-        path.write_text(json.dumps(data))
-        code = cli_main([command, "--config", str(path),
-                         "--results", str(tmp_path / "out")])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,algorithm", [
         ("train", "dara"), ("eval", "constant"), ("sweep", "dara")])

@@ -42,6 +42,14 @@ REJECTED = [
     # one log record per period, so this would ask for ~1e300 records
     {"sim.log_period_s": 1e-300},
     {"gym.window_frames": 0},
+    # one past each size cap
+    {"gym.window_frames": 100_001},
+    {"agent.n_state_bins": 100_001},
+    pytest.param({"agent.hidden_layers": [16] * 9}, id="agent.hidden_layers=nine_layers"),
+    pytest.param({"agent.hidden_layers": [16, 1025]}, id="agent.hidden_layers=width_1025"),
+    # about 7 PiB of floats each: refused before anything is allocated
+    pytest.param({"gym.window_frames": 10**15}, id="gym.window_frames=10**15"),
+    pytest.param({"agent.hidden_layers": [10**15]}, id="agent.hidden_layers=[10**15]"),
     {"gym.snr_lo_db": 40.0},
     {"gym.snr_hi_db": -1.0},
     {"agent.epsilon_mode": "exponential"},
@@ -181,6 +189,20 @@ class TestValidation:
         raw = json.dumps({"agent": {}, "gym": {},
                           "sim": {"duration_s": 1.0, "log_period_s": 1e-6}})
         assert validate_config(raw)["sim"]["log_period_s"] == 1e-6
+
+    @pytest.mark.parametrize("overrides", [
+        {"gym.window_frames": 100_000},
+        {"agent.n_state_bins": 100_000},
+        pytest.param({"agent.hidden_layers": [1024] * 8},
+                     id="agent.hidden_layers=8x1024"),
+    ], ids=row_id)
+    def test_size_at_cap_accepted(self, overrides):
+        # validates only: no env or network is built at the cap
+        cfg = validate_config(json.dumps(
+            apply_overrides({"agent": {}, "gym": {}, "sim": {}}, overrides)))
+        (dotted, value), = overrides.items()
+        section, key = dotted.split(".")
+        assert cfg[section][key] == value
 
     def test_short_airtime_above_clock_bound_accepted(self):
         raw = json.dumps({"agent": {}, "gym": {}, "sim": {

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from rateadapt.dqn import EpsilonSchedule, dqn_train_step, epsilon_greedy
+from rateadapt.agents import GreedyQAgent
+from rateadapt.dqn import EpsilonSchedule, dqn_train_step
+from rateadapt.env import StepResult
 from rateadapt.nn import AdamState, adam_step, mlp_forward
 from tests.test_nn import backward, grad_buffer, random_net
 
@@ -47,23 +49,37 @@ class TestBellmanTarget:
         assert loss == pytest.approx(0.5 * (q[0] - 0.3) ** 2, rel=1e-12)
 
 
+class FixedQAgent(GreedyQAgent):
+    """A GreedyQAgent whose Q-values are `model`, whatever the observation."""
+
+    def q(self, observation: float) -> np.ndarray:
+        return np.asarray(self.model)
+
+
+def fixed_q_agent(q, epsilon, rng):
+    return FixedQAgent(q, EpsilonSchedule("fixed", epsilon, epsilon, 1), rng)
+
+
+RESULT = StepResult(0.5, 0.0, False, 1.0, 30.0)
+
+
 class TestEpsilonGreedy:
     def test_pure_exploitation(self):
-        rng = np.random.default_rng(0)
         q = [0.0, 0.2, 0.9, 0.1, 0.0, 0.0, 0.0, 0.0]
-        assert all(epsilon_greedy(lambda: q, 0.0, rng) == 2 for _ in range(50))
+        agent = fixed_q_agent(q, 0.0, np.random.default_rng(0))
+        assert all(agent.select_action(RESULT) == 2 for _ in range(50))
 
     def test_tie_breaks_to_lowest_index(self):
         rng = np.random.default_rng(0)
         for q, want in (([0.0] * 8, 0),
                         ([1.0, 1.0, 0.5, 1.0, 0.0, 0.0, 0.0, 0.0], 0),
                         ([0.0, 3.0, 3.0, 1.0, 0.0, 0.0, 0.0, 0.0], 1)):
-            assert epsilon_greedy(lambda: q, 0.0, rng) == want
+            assert fixed_q_agent(q, 0.0, rng).select_action(RESULT) == want
 
     def test_full_exploration_uniform(self):
-        rng = np.random.default_rng(7)
         q = [9.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-        draws = np.array([epsilon_greedy(lambda: q, 1.0, rng) for _ in range(80_000)])
+        agent = fixed_q_agent(q, 1.0, np.random.default_rng(7))
+        draws = np.array([agent.select_action(RESULT) for _ in range(80_000)])
         freqs = np.bincount(draws, minlength=8) / len(draws)
         assert np.all(np.abs(freqs - 0.125) < 0.01)
 
