@@ -14,7 +14,7 @@ import numpy as np
 
 from . import phy
 from .dqn import EpsilonSchedule
-from .env import StepResult
+from .env import LinkSimEnv, StepResult
 from .nn import mlp_forward
 from .phy import McsTable
 
@@ -59,17 +59,31 @@ class IdealAgent:
     """SNR-threshold baseline reading the true SNR from the simulator
     side-channel: the highest MCS whose predicted frame success probability
     is at least p_min, else MCS 0. It is a reference rule, not an upper
-    bound on throughput."""
+    bound on throughput.
 
-    def __init__(self, table: McsTable, p_min: float):
-        self.table = table
+    The decision is a pure function of the raw SNR, so the agent keeps a
+    table {raw SNR: MCS} for one run block of `env`. A raw SNR the table
+    does not hold is decided together with every row of
+    `env.block_raw_snr_db()` in one call, and that table replaces the last;
+    each row is the same elementwise expression as a one-SNR call, so every
+    action is the same whether the table holds its SNR or not."""
+
+    def __init__(self, env: LinkSimEnv, p_min: float):
+        self.env = env
         self.p_min = p_min
+        self._decisions = {}
 
     def select_action(self, result: StepResult) -> int:
-        p = phy.frame_success_prob(result.raw_snr_db, self.table.slopes_per_db,
-                                   self.table.midpoints_db)
-        feasible = np.flatnonzero(p >= self.p_min)
-        return int(feasible[-1]) if feasible.size else 0
+        action = self._decisions.get(result.raw_snr_db)
+        if action is None:
+            snrs = np.append(result.raw_snr_db, self.env.block_raw_snr_db())
+            table = self.env.table
+            p = phy.frame_success_prob(snrs[:, None], table.slopes_per_db,
+                                       table.midpoints_db)
+            actions = ((p >= self.p_min) * np.arange(phy.N_MCS)).max(axis=1).tolist()
+            self._decisions = dict(zip(snrs.tolist(), actions))
+            action = actions[0]
+        return action
 
 
 class MinstrelLikeAgent:

@@ -91,6 +91,7 @@ class LinkSimEnv:
         self._max_rate = self.table.max_rate_mbps
         self._rng = None
         self.done = True  # before the first reset and once clock >= duration_s
+        self._drop_block()
 
     def position_at(self, t):
         """Receiver distance from the stationary sender at time t (or at each
@@ -122,7 +123,7 @@ class LinkSimEnv:
         # End time and delivered bits of every window, for throughput_log().
         self._window_ends = []
         self._window_bits = []
-        self._block_action, self._block_clocks, self._block_next = None, [], 0
+        self._drop_block()
 
         ack_snrs, p = self._window(0.0, np.zeros(self.window_frames), self.INITIAL_MCS)
         successes = self._rng.random(self.window_frames) < p
@@ -168,6 +169,19 @@ class LinkSimEnv:
         # at the current distance; the reward is dara_reward's expression.
         return StepResult(self._last_observation, fsr * self._rates[action] / self._max_rate,
                           self.done, fsr, float(snrs[-1]))
+
+    def _drop_block(self):
+        """Forget the run block, so the next step fills a new one."""
+        self._block_action, self._block_clocks, self._block_next = None, [], 0
+        self._block_snrs = self._block_p = np.empty((0, self.window_frames))
+
+    def block_raw_snr_db(self) -> np.ndarray:
+        """A read-only view of the run block's last-ACK SNRs: row i is the
+        `raw_snr_db` that the block's window i reports. Empty before the
+        first block and after `reset`."""
+        column = self._block_snrs[:, -1]
+        column.flags.writeable = False
+        return column
 
     def _fill_block(self, action):
         """Compute the run block at MCS `action` from the current clock. Its

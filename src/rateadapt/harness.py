@@ -91,16 +91,16 @@ def check_checkpoint_kind(algorithm: str, checkpoint: Checkpoint | None):
 
 
 def build_eval_agent(cfg: RootConfig, checkpoint: Checkpoint | None,
-                     agent_rng: np.random.Generator):
-    """Adapter for one evaluation episode; a trainable algorithm is greedy
-    over its checkpoint's model."""
+                     agent_rng: np.random.Generator, env: LinkSimEnv):
+    """Adapter for one evaluation episode in `env`; a trainable algorithm is
+    greedy over its checkpoint's model."""
     agent = cfg["agent"]
     name = agent["algorithm"]
     check_checkpoint_kind(name, checkpoint)
     if name in TRAINABLE:
         return TRAINABLE[name][1](checkpoint.params)
     if name == "ideal":
-        return IdealAgent(cfg.mcs_table(), agent["ideal_p_min"])
+        return IdealAgent(env, agent["ideal_p_min"])
     if name == "minstrel_like":
         return MinstrelLikeAgent(
             cfg.mcs_table(), agent_rng,
@@ -246,7 +246,7 @@ def run_evaluation(cfg: RootConfig, checkpoint: Checkpoint | None,
     if seed is None:
         seed = cfg["agent"]["seed"]
     env = LinkSimEnv(cfg)
-    agent = build_eval_agent(cfg, checkpoint, rng_streams(seed)[1])
+    agent = build_eval_agent(cfg, checkpoint, rng_streams(seed)[1], env)
     reward = _play_episode(env, agent, seed, 0)
     summary = EpisodeSummary(1, reward, env.mean_throughput_mbps, 0)
     log = env.throughput_log()

@@ -6,7 +6,7 @@ from rateadapt.agents import (ConstantAgent, DaraAgent, IdealAgent,
                               MinstrelLikeAgent, TabularDaraAgent)
 from rateadapt.config import default_config
 from rateadapt.dqn import EpsilonSchedule
-from rateadapt.env import StepResult
+from rateadapt.env import LinkSimEnv, StepResult
 from rateadapt.nn import MlpParams
 from rateadapt.tabular import QTable
 from tests.test_nn import random_net
@@ -31,7 +31,8 @@ def biased_net(favored: int) -> MlpParams:
 
 
 def ideal(snr, p_min=0.9):
-    return IdealAgent(TABLE, p_min).select_action(step_with(raw_snr_db=float(snr)))
+    return IdealAgent(LinkSimEnv(default_config()), p_min).select_action(
+        step_with(raw_snr_db=float(snr)))
 
 
 def minstrel(ewma_weight=0.25, probe_prob=0.0, ewma=None, seed=0):
@@ -132,9 +133,114 @@ class TestIdealSelect:
                 assert success_probs(snr)[a] >= 0.9
 
     def test_reads_only_the_raw_snr(self):
-        agent = IdealAgent(TABLE, 0.9)
+        agent = IdealAgent(LinkSimEnv(default_config()), 0.9)
         assert agent.select_action(StepResult(0.0, 0.0, False, 0.0, 100.0)) == 7
         assert agent.select_action(StepResult(1.0, 1.0, True, 1.0, -50.0)) == 0
+
+
+def reference_ideal(snr, p_min):
+    """The per-window Ideal rule: one call over the 8 MCS entries at `snr`."""
+    p = phy.frame_success_prob(snr, TABLE.slopes_per_db, TABLE.midpoints_db)
+    feasible = np.flatnonzero(p >= p_min)
+    return int(feasible[-1]) if feasible.size else 0
+
+
+class BlockEnv:
+    """An env stand-in whose run block holds the given raw SNRs."""
+
+    table = TABLE
+
+    def __init__(self, snrs):
+        self.snrs = np.array(snrs, dtype=float)
+
+    def block_raw_snr_db(self):
+        return self.snrs
+
+
+def crossings(p_min):
+    """Each MCS's p_min crossing, the least raw SNR at which its success
+    probability is at least p_min (bisection over floats), preceded by the
+    float one ulp below and followed by the one above: 3 per MCS."""
+    snrs = []
+    for slope, mid in zip(TABLE.slopes_per_db, TABLE.midpoints_db):
+        below, at = mid - 100.0, mid + 100.0
+        while (half := (below + at) / 2) not in (below, at):
+            if phy.frame_success_prob(half, slope, mid) >= p_min:
+                at = half
+            else:
+                below = half
+        snrs += [below, at, np.nextafter(at, np.inf)]
+    return np.array(snrs)
+
+
+def counting_calls(monkeypatch):
+    calls = []
+    fn = phy.frame_success_prob
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    monkeypatch.setattr(phy, "frame_success_prob", counted)
+    return calls
+
+
+class TestIdealDecisionTable:
+    @pytest.mark.parametrize("p_min", [0.1, 0.5, 0.9, 0.99, 0.999999])
+    def test_table_decisions_equal_the_reference_at_every_crossing(
+            self, p_min, monkeypatch):
+        snrs = crossings(p_min)
+        want = [reference_ideal(s, p_min) for s in snrs]
+        # MCS i's crossing is where the decision turns from i - 1 to i.
+        assert want == [d for i in range(phy.N_MCS) for d in (max(i - 1, 0), i, i)]
+        calls = counting_calls(monkeypatch)
+        agent = IdealAgent(BlockEnv(snrs), p_min)
+        got = [agent.select_action(step_with(raw_snr_db=float(s))) for s in snrs]
+        assert got == want
+        assert len(calls) == 1  # the first window decided the whole block
+        assert np.shape(calls[0][0]) == (len(snrs) + 1, 1)
+
+    @pytest.mark.parametrize("p_min", [0.5, 0.9])
+    def test_a_raw_snr_outside_the_block_gets_the_reference(self, p_min, monkeypatch):
+        agent = IdealAgent(BlockEnv(crossings(p_min)), p_min)
+        outside = np.random.default_rng(4).uniform(-30.0, 70.0, 200)
+        want = [reference_ideal(snr, p_min) for snr in outside]
+        calls = counting_calls(monkeypatch)
+        got = [agent.select_action(step_with(raw_snr_db=float(snr))) for snr in outside]
+        assert got == want
+        assert len(calls) == len(outside)
+        monkeypatch.undo()
+        # A synthetic result between two windows of a real episode.
+        env = LinkSimEnv(default_config())
+        agent = IdealAgent(env, p_min)
+        result = env.reset(seed=3)
+        for _ in range(20):
+            result = env.step(agent.select_action(result))
+        for snr in outside[:20]:
+            assert agent.select_action(step_with(raw_snr_db=float(snr))) == (
+                reference_ideal(snr, p_min))
+            result = env.step(agent.select_action(result))
+            assert agent.select_action(result) == reference_ideal(
+                result.raw_snr_db, p_min)
+
+    @pytest.mark.parametrize("p_min", [0.5, 0.9])
+    def test_episode_with_outside_clocks_matches_the_reference(self, p_min):
+        # Whole episodes of the default link, with the clock moved from
+        # outside now and then; the table never holds more than one block
+        # plus the result's own raw SNR.
+        env = LinkSimEnv(default_config())
+        agent = IdealAgent(env, p_min)
+        rng = np.random.default_rng(6)
+        for seed in (1, 2):
+            result, windows = env.reset(seed=seed), 0
+            while not result.done:
+                action = agent.select_action(result)
+                assert action == reference_ideal(result.raw_snr_db, p_min)
+                assert len(agent._decisions) <= len(env.block_raw_snr_db()) + 1
+                if rng.random() < 0.01:
+                    env.clock = max(0.0, env.clock + rng.uniform(-0.5, 0.5))
+                result = env.step(action)
+                windows += 1
+            assert windows > 500
 
 
 class TestMinstrelLike:
@@ -206,7 +312,7 @@ class TestAllAdaptersInRange:
         adapters = [
             DaraAgent(biased_net(3), schedule, np.random.default_rng(1)),
             TabularDaraAgent(qt, schedule, np.random.default_rng(2)),
-            IdealAgent(TABLE, 0.9),
+            IdealAgent(LinkSimEnv(default_config()), 0.9),
             MinstrelLikeAgent(TABLE, np.random.default_rng(3), 0.25, 0.1),
             ConstantAgent(4),
         ]

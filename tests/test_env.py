@@ -433,6 +433,19 @@ def test_phy_called_once_per_block_plus_probe(monkeypatch):
     assert counts == {"step": windows, "snr_db": windows + 1,
                       "frame_success_prob": windows + 1}
 
+    # Ideal decides each block in one call of its own, and reset's raw SNR
+    # in one more, so it doubles the env's frame-success calls.
+    data["agent"]["algorithm"] = "ideal"
+    for duration, snr_calls in ((3.0, 16), (60.0, 112)):
+        data["sim"]["duration_s"] = duration
+        cfg = validate_config(json.dumps(data))
+        counts.update(dict.fromkeys(counts, 0))
+        for seed in (1, 2):
+            run_evaluation(cfg, None, seed=seed)
+        assert counts["step"] > 20 * snr_calls
+        assert counts["snr_db"] == snr_calls
+        assert counts["frame_success_prob"] == 2 * snr_calls
+
 
 def runs_of_actions(rng, n):
     """n actions in runs of one MCS, each 1-300 windows long (log-uniform,
@@ -468,6 +481,36 @@ def test_run_blocks_bit_identical_to_reference(window, start, speed):
 def receding_env(window):
     return make_env(start=distance_at_snr(30.0), speed=40.0, duration=5.0,
                     window=window)
+
+
+@pytest.mark.parametrize("window", [1, 7, 50])
+def test_block_raw_snr_db_is_the_raw_snr_each_window_reports(window):
+    # Right after each refill the column holds the raw SNRs that the block's
+    # windows report, in order; it is empty before the first block and after
+    # every reset.
+    env = receding_env(window)
+    assert env.block_raw_snr_db().shape == (0,)
+    one_run = [3] * 10**5
+    for seed, actions in enumerate([one_run, runs_of_actions(np.random.default_rng(3), 10**5)]):
+        env.reset(seed=seed)
+        assert env.block_raw_snr_db().shape == (0,)
+        blocks = []  # (column after the refill, raw SNRs reported from it)
+        for a in actions:
+            raw = env.step(a).raw_snr_db
+            if env._block_next == 1:  # this step filled a new block
+                blocks.append((env.block_raw_snr_db().tolist(), []))
+            blocks[-1][1].append(raw)
+            if env.done:
+                break
+        assert env.done and len(blocks) >= 5
+        for column, reported in blocks:
+            assert reported == column[:len(reported)]
+        if actions is one_run:  # every growth refill's rows are all played
+            assert all(len(column) == len(reported) for column, reported in blocks)
+        env.reset(seed=seed)
+        assert env.block_raw_snr_db().shape == (0,)
+    with pytest.raises(ValueError):
+        env.block_raw_snr_db()[0] = 0.0
 
 
 @pytest.mark.parametrize("window", [1, 7, 50])

@@ -124,14 +124,22 @@ class TestFrameSuccessProb:
             assert np.all(np.diff(ps) <= 0)
 
     def test_table_arrays_match_single_mcs_calls(self):
-        # IdealAgent evaluates every MCS in one call; it must agree bit for
-        # bit with one call per MCS.
+        # IdealAgent evaluates every MCS of a whole run block in one call, a
+        # (k, 1) column of SNRs against the table arrays; each row must agree
+        # bit for bit with the one-SNR call, and that with one call per MCS.
         slopes = np.array([0.5, 1.0, 1.0, 1.5, 0.8, 1.0, 2.0, 1.0])
-        for snr in np.linspace(-30, 70, 401):
+        snrs = np.linspace(-30, 70, 401)
+        for snr in snrs:
             together = phy.frame_success_prob(snr, slopes, TABLE.midpoints_db)
             single = np.array([phy.frame_success_prob(snr, s, m)
                                for s, m in zip(slopes, TABLE.midpoints_db)])
             assert together.tobytes() == single.tobytes()
+        for k in (1, 2, 3, 5, 17, 64, 401):
+            column = phy.frame_success_prob(snrs[:k, None], slopes, TABLE.midpoints_db)
+            assert column.shape == (k, phy.N_MCS)
+            for snr, row in zip(snrs[:k], column):
+                one = phy.frame_success_prob(snr, slopes, TABLE.midpoints_db)
+                assert row.tobytes() == one.tobytes()
 
 
 class TestFrameSuccessProbOverflow:
