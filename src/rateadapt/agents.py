@@ -3,9 +3,12 @@ and constant-rate baselines.
 
 Every adapter is one call, select_action(result), that maps the StepResult
 the environment just returned (the reset result included) to the next
-window's MCS. The Q-value agents explore only when given an epsilon
-schedule; without one they are greedy. Learning happens outside the agents,
-in the harness's per-transition hook.
+window's MCS. The frozen policies (greedy Q-value agents, Ideal, constant)
+are pure functions of the result and also decide many results in one call,
+select_actions(results), each exactly as select_action would. The Q-value
+agents explore only when given an epsilon schedule; without one they are
+greedy. Learning happens outside the agents, in the harness's
+per-transition hook.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from . import phy
 from .dqn import EpsilonSchedule
-from .env import LinkSimEnv, StepResult
+from .env import StepResult
 from .nn import mlp_forward
 from .phy import McsTable
 
@@ -40,12 +43,23 @@ class GreedyQAgent:
                 return int(self.rng.integers(0, phy.N_MCS))
         return int(self.q(result.observation).argmax())
 
+    def select_actions(self, results) -> list:
+        """The greedy action after each result, from one `q_rows` call; each
+        row equals its one-observation `q`, so each action is a greedy
+        select_action's. The epsilon schedule is not read: an agent that
+        explores decides one window at a time."""
+        observations = np.array([r.observation for r in results])
+        return self.q_rows(observations).argmax(axis=1).tolist()
+
 
 class DaraAgent(GreedyQAgent):
     """DQN-based adapter; `model` is the MlpParams Q-network."""
 
     def q(self, observation: float) -> np.ndarray:
         return mlp_forward(self.model, observation)
+
+    def q_rows(self, observations: np.ndarray) -> np.ndarray:
+        return mlp_forward(self.model, observations[:, None])
 
 
 class TabularDaraAgent(GreedyQAgent):
@@ -54,6 +68,9 @@ class TabularDaraAgent(GreedyQAgent):
     def q(self, observation: float) -> np.ndarray:
         return self.model.row(observation)
 
+    def q_rows(self, observations: np.ndarray) -> np.ndarray:
+        return self.model.values[self.model.bins_of(observations)]
+
 
 class IdealAgent:
     """SNR-threshold baseline reading the true SNR from the simulator
@@ -61,29 +78,23 @@ class IdealAgent:
     is at least p_min, else MCS 0. It is a reference rule, not an upper
     bound on throughput.
 
-    The decision is a pure function of the raw SNR, so the agent keeps a
-    table {raw SNR: MCS} for one run block of `env`. A raw SNR the table
-    does not hold is decided together with every row of
-    `env.block_raw_snr_db()` in one call, and that table replaces the last;
-    each row is the same elementwise expression as a one-SNR call, so every
-    action is the same whether the table holds its SNR or not."""
+    One raw SNR is decided in one `frame_success_prob` call over the 8 MCS
+    entries, and k raw SNRs in one (k, 8) call whose rows are that same
+    elementwise expression."""
 
-    def __init__(self, env: LinkSimEnv, p_min: float):
-        self.env = env
+    def __init__(self, table: McsTable, p_min: float):
+        self.table = table
         self.p_min = p_min
-        self._decisions = {}
+
+    def _decide(self, snr):
+        p = phy.frame_success_prob(snr, self.table.slopes_per_db, self.table.midpoints_db)
+        return ((p >= self.p_min) * np.arange(phy.N_MCS)).max(axis=-1)
 
     def select_action(self, result: StepResult) -> int:
-        action = self._decisions.get(result.raw_snr_db)
-        if action is None:
-            snrs = np.append(result.raw_snr_db, self.env.block_raw_snr_db())
-            table = self.env.table
-            p = phy.frame_success_prob(snrs[:, None], table.slopes_per_db,
-                                       table.midpoints_db)
-            actions = ((p >= self.p_min) * np.arange(phy.N_MCS)).max(axis=1).tolist()
-            self._decisions = dict(zip(snrs.tolist(), actions))
-            action = actions[0]
-        return action
+        return int(self._decide(result.raw_snr_db))
+
+    def select_actions(self, results) -> list:
+        return self._decide(np.array([[r.raw_snr_db] for r in results])).tolist()
 
 
 class MinstrelLikeAgent:
@@ -123,3 +134,6 @@ class ConstantAgent:
 
     def select_action(self, result: StepResult) -> int:
         return self.fixed_mcs
+
+    def select_actions(self, results) -> list:
+        return [self.fixed_mcs] * len(results)

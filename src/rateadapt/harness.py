@@ -1,12 +1,14 @@
 """Episode orchestration: training runs, evaluation runs and grid sweeps.
 
-Every episode runs through one loop, `_play_episode`. Training adds a
-per-transition `learn(s, a, r, s_next, done)` hook, built once per run, that
-fills the replay buffer and trains (DQN) or updates the table (tabular), and
-counts train steps on the agent, whose epsilon schedule reads them. Training
-also writes a checkpoint every `checkpoint_every` episodes and appends each
-episode's row to episodes.csv as it completes. Evaluation runs the loop with
-a greedy agent and no hook, so the policy stays frozen.
+Every episode runs through `_play_episode`. Training adds a per-transition
+`learn(s, a, r, s_next, done)` hook, built once per run, that fills the
+replay buffer and trains (DQN) or updates the table (tabular), and counts
+train steps on the agent, whose epsilon schedule reads them; each window is
+decided and stepped in turn. Training also writes a checkpoint every
+`checkpoint_every` episodes and appends each episode's row to episodes.csv
+as it completes. Evaluation runs without a hook, so the policy stays
+frozen, and a frozen policy with `select_actions` decides the windows of a
+run block in one call before they are stepped.
 """
 
 from __future__ import annotations
@@ -91,16 +93,16 @@ def check_checkpoint_kind(algorithm: str, checkpoint: Checkpoint | None):
 
 
 def build_eval_agent(cfg: RootConfig, checkpoint: Checkpoint | None,
-                     agent_rng: np.random.Generator, env: LinkSimEnv):
-    """Adapter for one evaluation episode in `env`; a trainable algorithm is
-    greedy over its checkpoint's model."""
+                     agent_rng: np.random.Generator):
+    """Adapter for one evaluation episode; a trainable algorithm is greedy
+    over its checkpoint's model."""
     agent = cfg["agent"]
     name = agent["algorithm"]
     check_checkpoint_kind(name, checkpoint)
     if name in TRAINABLE:
         return TRAINABLE[name][1](checkpoint.params)
     if name == "ideal":
-        return IdealAgent(env, agent["ideal_p_min"])
+        return IdealAgent(cfg.mcs_table(), agent["ideal_p_min"])
     if name == "minstrel_like":
         return MinstrelLikeAgent(
             cfg.mcs_table(), agent_rng,
@@ -160,8 +162,12 @@ def _play_episode(env: LinkSimEnv, agent, seed: int, episode: int,
                   learn=None) -> float:
     """Run one episode from env.reset(seed, episode) to done, passing each
     transition to `learn` if given; returns the cumulative reward, summed
-    left to right."""
+    left to right. Without `learn`, an agent that has select_actions and no
+    epsilon schedule, a frozen policy, plays through _play_frozen."""
     result = env.reset(seed, episode=episode)
+    if (learn is None and getattr(agent, "schedule", None) is None
+            and hasattr(agent, "select_actions")):
+        return _play_frozen(env, agent, result)
     total = 0.0
     while not result.done:
         obs = result.observation
@@ -170,6 +176,24 @@ def _play_episode(env: LinkSimEnv, agent, seed: int, episode: int,
         total += result.reward
         if learn is not None:
             learn(obs, action, result.reward, result.observation, result.done)
+    return total
+
+
+def _play_frozen(env: LinkSimEnv, agent, result) -> float:
+    """_play_episode for a frozen policy, from the reset `result`: look the
+    run block ahead at the decided MCS, decide its rows in one call, then
+    step each window until the decision changes or the episode ends. Each
+    env.step serves a looked-ahead row, so the episode is the per-window
+    loop's, window for window."""
+    total = 0.0
+    action = agent.select_action(result)
+    while not result.done:
+        for next_action in agent.select_actions(env.lookahead(action)):
+            result = env.step(action)
+            total += result.reward
+            if next_action != action:
+                break
+        action = next_action
     return total
 
 
@@ -246,7 +270,7 @@ def run_evaluation(cfg: RootConfig, checkpoint: Checkpoint | None,
     if seed is None:
         seed = cfg["agent"]["seed"]
     env = LinkSimEnv(cfg)
-    agent = build_eval_agent(cfg, checkpoint, rng_streams(seed)[1], env)
+    agent = build_eval_agent(cfg, checkpoint, rng_streams(seed)[1])
     reward = _play_episode(env, agent, seed, 0)
     summary = EpisodeSummary(1, reward, env.mean_throughput_mbps, 0)
     log = env.throughput_log()

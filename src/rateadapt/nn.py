@@ -91,9 +91,10 @@ def init_mlp(hidden_sizes, rng: np.random.Generator) -> MlpParams:
 
 
 def _forward(params: MlpParams, x, inputs: list | None = None):
-    """Forward pass of a float x to shape (8,), or of a column x, shape
-    (n, 1), to shape (n, 8); when given `inputs`, appends each hidden
-    layer's output, the next layer's input, to it for the backward pass.
+    """Forward pass of a float x to shape (8,), of a column x, shape
+    (n, 1), to shape (n, 8), or of a stack x, shape (k, 1, 1), to shape
+    (k, 1, 8); when given `inputs`, appends each hidden layer's output, the
+    next layer's input, to it for the backward pass.
 
     The width-1 input layer is the product x * w0: a k=1 matmul has no sum,
     so once the bias is added it equals x @ w0 bit for bit. A float stays a
@@ -111,12 +112,22 @@ def _forward(params: MlpParams, x, inputs: list | None = None):
 
 
 def mlp_forward(params: MlpParams, observation) -> np.ndarray:
-    """Q-values for one observation (returns shape (8,)) or a batch
-    (shape (n, 8) for input shape (n,))."""
+    """Q-values for one observation (returns shape (8,)), for a batch of
+    shape (n,) (shape (n, 8), one matmul per layer) or for a column of shape
+    (k, 1) (shape (k, 8)).
+
+    A column runs as k stacked one-observation passes: each layer's
+    (k, 1, h) @ (h, m) is k of the (h,) @ (h, m) products a single
+    observation makes, so row i equals the Q-values of observation i bit
+    for bit, which a batch's (n, h) @ (h, m) product does not promise."""
     if isinstance(observation, float):
         return _forward(params, observation)
     obs = np.asarray(observation, dtype=float)
-    return _forward(params, float(obs) if obs.ndim == 0 else obs.reshape(-1, 1))
+    if obs.ndim == 0:
+        return _forward(params, float(obs))
+    if obs.ndim == 2 and obs.shape[1] == 1:
+        return _forward(params, obs[:, :, None])[:, 0]
+    return _forward(params, obs.reshape(-1, 1))
 
 
 def mlp_backward(params: MlpParams, observations, actions, targets,

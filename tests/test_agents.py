@@ -7,7 +7,7 @@ from rateadapt.agents import (ConstantAgent, DaraAgent, IdealAgent,
 from rateadapt.config import default_config
 from rateadapt.dqn import EpsilonSchedule
 from rateadapt.env import LinkSimEnv, StepResult
-from rateadapt.nn import MlpParams
+from rateadapt.nn import MlpParams, init_mlp, mlp_forward
 from rateadapt.tabular import QTable
 from tests.test_nn import random_net
 
@@ -31,8 +31,7 @@ def biased_net(favored: int) -> MlpParams:
 
 
 def ideal(snr, p_min=0.9):
-    return IdealAgent(LinkSimEnv(default_config()), p_min).select_action(
-        step_with(raw_snr_db=float(snr)))
+    return IdealAgent(TABLE, p_min).select_action(step_with(raw_snr_db=float(snr)))
 
 
 def minstrel(ewma_weight=0.25, probe_prob=0.0, ewma=None, seed=0):
@@ -133,7 +132,7 @@ class TestIdealSelect:
                 assert success_probs(snr)[a] >= 0.9
 
     def test_reads_only_the_raw_snr(self):
-        agent = IdealAgent(LinkSimEnv(default_config()), 0.9)
+        agent = IdealAgent(TABLE, 0.9)
         assert agent.select_action(StepResult(0.0, 0.0, False, 0.0, 100.0)) == 7
         assert agent.select_action(StepResult(1.0, 1.0, True, 1.0, -50.0)) == 0
 
@@ -143,18 +142,6 @@ def reference_ideal(snr, p_min):
     p = phy.frame_success_prob(snr, TABLE.slopes_per_db, TABLE.midpoints_db)
     feasible = np.flatnonzero(p >= p_min)
     return int(feasible[-1]) if feasible.size else 0
-
-
-class BlockEnv:
-    """An env stand-in whose run block holds the given raw SNRs."""
-
-    table = TABLE
-
-    def __init__(self, snrs):
-        self.snrs = np.array(snrs, dtype=float)
-
-    def block_raw_snr_db(self):
-        return self.snrs
 
 
 def crossings(p_min):
@@ -184,7 +171,23 @@ def counting_calls(monkeypatch):
     return calls
 
 
+def decide_both_ways(agent, results, calls):
+    """The agent's actions for `results`, one select_action call each and
+    one select_actions call for all; asserts that they agree and that the
+    select_actions call made one frame_success_prob call."""
+    one_by_one = [agent.select_action(r) for r in results]
+    before = len(calls)
+    together = agent.select_actions(results)
+    assert len(calls) == before + 1
+    assert np.shape(calls[-1][0]) == (len(results), 1)
+    assert together == one_by_one
+    return together
+
+
 class TestIdealDecisionTable:
+    """Ideal decides k raw SNRs in one (k, 8) call exactly as it decides
+    each alone."""
+
     @pytest.mark.parametrize("p_min", [0.1, 0.5, 0.9, 0.99, 0.999999])
     def test_table_decisions_equal_the_reference_at_every_crossing(
             self, p_min, monkeypatch):
@@ -193,25 +196,22 @@ class TestIdealDecisionTable:
         # MCS i's crossing is where the decision turns from i - 1 to i.
         assert want == [d for i in range(phy.N_MCS) for d in (max(i - 1, 0), i, i)]
         calls = counting_calls(monkeypatch)
-        agent = IdealAgent(BlockEnv(snrs), p_min)
-        got = [agent.select_action(step_with(raw_snr_db=float(s))) for s in snrs]
-        assert got == want
-        assert len(calls) == 1  # the first window decided the whole block
-        assert np.shape(calls[0][0]) == (len(snrs) + 1, 1)
+        results = [step_with(raw_snr_db=float(s)) for s in snrs]
+        assert decide_both_ways(IdealAgent(TABLE, p_min), results, calls) == want
 
     @pytest.mark.parametrize("p_min", [0.5, 0.9])
     def test_a_raw_snr_outside_the_block_gets_the_reference(self, p_min, monkeypatch):
-        agent = IdealAgent(BlockEnv(crossings(p_min)), p_min)
+        # Raw SNRs anywhere, not only a receding link's, in batches of 1 to
+        # 200, and synthetic results between the windows of a real episode.
+        agent = IdealAgent(TABLE, p_min)
         outside = np.random.default_rng(4).uniform(-30.0, 70.0, 200)
         want = [reference_ideal(snr, p_min) for snr in outside]
         calls = counting_calls(monkeypatch)
-        got = [agent.select_action(step_with(raw_snr_db=float(snr))) for snr in outside]
-        assert got == want
-        assert len(calls) == len(outside)
+        results = [step_with(raw_snr_db=float(snr)) for snr in outside]
+        for k in (1, 7, 200):
+            assert decide_both_ways(agent, results[:k], calls) == want[:k]
         monkeypatch.undo()
-        # A synthetic result between two windows of a real episode.
         env = LinkSimEnv(default_config())
-        agent = IdealAgent(env, p_min)
         result = env.reset(seed=3)
         for _ in range(20):
             result = env.step(agent.select_action(result))
@@ -223,24 +223,88 @@ class TestIdealDecisionTable:
                 result.raw_snr_db, p_min)
 
     @pytest.mark.parametrize("p_min", [0.5, 0.9])
-    def test_episode_with_outside_clocks_matches_the_reference(self, p_min):
-        # Whole episodes of the default link, with the clock moved from
-        # outside now and then; the table never holds more than one block
-        # plus the result's own raw SNR.
+    def test_episode_with_outside_clocks_matches_the_reference(self, p_min, monkeypatch):
+        # Whole episodes of the default link, each run block looked ahead and
+        # decided in one call, with the clock moved from outside now and then.
         env = LinkSimEnv(default_config())
-        agent = IdealAgent(env, p_min)
+        agent = IdealAgent(TABLE, p_min)
         rng = np.random.default_rng(6)
+        calls = counting_calls(monkeypatch)
         for seed in (1, 2):
             result, windows = env.reset(seed=seed), 0
+            action = agent.select_action(result)
             while not result.done:
-                action = agent.select_action(result)
-                assert action == reference_ideal(result.raw_snr_db, p_min)
-                assert len(agent._decisions) <= len(env.block_raw_snr_db()) + 1
-                if rng.random() < 0.01:
+                ahead = env.lookahead(action)
+                decided = decide_both_ways(agent, ahead, calls)
+                assert decided == [reference_ideal(r.raw_snr_db, p_min) for r in ahead]
+                for next_action in decided:
+                    result = env.step(action)
+                    windows += 1
+                    if next_action != action or rng.random() < 0.01:
+                        break
+                action = next_action
+                if not result.done and rng.random() < 0.05:
                     env.clock = max(0.0, env.clock + rng.uniform(-0.5, 0.5))
-                result = env.step(action)
-                windows += 1
+                    result = env.step(action)
+                    windows += 1
+                    action = agent.select_action(result)
             assert windows > 500
+
+
+def q_rows_one_by_one(agent, observations):
+    return np.array([agent.q(x) for x in observations])
+
+
+class TestSelectActions:
+    """A frozen policy's select_actions(results) is select_action of each
+    result. The DQN's rows come from one stacked forward whose products are
+    the one-observation forward's gemvs, which BLAS keeps bit-equal."""
+
+    OBSERVATIONS = np.append(np.linspace(-0.25, 1.25, 61),
+                             [0.0, 1.0, 0.5, 1 / 3, np.nextafter(1.0, 0.0)])
+
+    def results(self, observations):
+        return [step_with(float(x), raw_snr_db=float(40 * x)) for x in observations]
+
+    @pytest.mark.parametrize("hidden", [[16, 16, 16], [32, 32], [64, 64], [33, 17]])
+    def test_dqn_rows_bit_equal_to_single_forwards(self, hidden):
+        rng = np.random.default_rng(len(hidden) + hidden[0])
+        for params in (random_net(hidden, rng), init_mlp(hidden, rng)):
+            agent = DaraAgent(params)
+            for k in (1, 2, 7, len(self.OBSERVATIONS)):
+                xs = self.OBSERVATIONS[:k]
+                rows = agent.q_rows(xs)
+                assert rows.shape == (k, phy.N_MCS)
+                assert rows.tobytes() == q_rows_one_by_one(agent, xs).tobytes()
+                assert rows.tobytes() == mlp_forward(params, xs[:, None]).tobytes()
+                results = self.results(xs)
+                assert agent.select_actions(results) == [
+                    agent.select_action(r) for r in results]
+
+    def test_fresh_net_ties_go_to_mcs_0(self):
+        agent = DaraAgent(init_mlp([16, 16, 16], np.random.default_rng(0)))
+        assert agent.select_actions(self.results(self.OBSERVATIONS)) == (
+            [0] * len(self.OBSERVATIONS))
+
+    @pytest.mark.parametrize("n_bins", [1, 3, 10, 17])
+    def test_tabular_bins_and_rows(self, n_bins):
+        table = QTable(n_bins)
+        table.values[:] = np.random.default_rng(n_bins).normal(size=table.values.shape)
+        table.values[0, :] = 0.0  # a tied row
+        edges = np.arange(n_bins + 1) / n_bins
+        xs = np.concatenate([self.OBSERVATIONS, edges, np.nextafter(edges, -1.0),
+                             np.nextafter(edges, 2.0)])
+        assert table.bins_of(xs).tolist() == [table.bin_of(float(x)) for x in xs]
+        agent = TabularDaraAgent(table)
+        assert agent.q_rows(xs).tobytes() == q_rows_one_by_one(agent, xs).tobytes()
+        results = self.results(xs)
+        assert agent.select_actions(results) == [agent.select_action(r) for r in results]
+
+    def test_ideal_and_constant(self):
+        results = self.results(self.OBSERVATIONS)
+        for agent in (IdealAgent(TABLE, 0.9), ConstantAgent(4)):
+            assert agent.select_actions(results) == [agent.select_action(r) for r in results]
+            assert agent.select_actions(results[:1]) == [agent.select_action(results[0])]
 
 
 class TestMinstrelLike:
@@ -312,7 +376,7 @@ class TestAllAdaptersInRange:
         adapters = [
             DaraAgent(biased_net(3), schedule, np.random.default_rng(1)),
             TabularDaraAgent(qt, schedule, np.random.default_rng(2)),
-            IdealAgent(LinkSimEnv(default_config()), 0.9),
+            IdealAgent(TABLE, 0.9),
             MinstrelLikeAgent(TABLE, np.random.default_rng(3), 0.25, 0.1),
             ConstantAgent(4),
         ]

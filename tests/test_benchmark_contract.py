@@ -56,9 +56,12 @@ def test_checkpoint_arrays_the_benchmark_reads(bench, package, tmp_path):
         assert m.tobytes() == d.tobytes()
 
 
-def test_traced_forward_counts_one_call_per_greedy_window(bench, package):
+def test_traced_greedy_evaluation_reaches_the_forward_binding(bench, package,
+                                                             monkeypatch):
     # perfbench wraps the agents' own binding of mlp_forward; if the agents
-    # reached the forward another way, its per-layer count would read 0.
+    # reached the forward another way, its per-layer count would read 0. A
+    # greedy evaluation decides many windows per forward, so the Q rows
+    # returned through the binding, not the calls, cover every window.
     cfg = package.config.default_config()
     data = json.loads(cfg.to_json())
     data["sim"]["duration_s"] = 0.5
@@ -68,6 +71,14 @@ def test_traced_forward_counts_one_call_per_greedy_window(bench, package):
     ckpt = package.checkpoint.Checkpoint(
         "dqn", params, package.nn.AdamState.for_params(params, 0.01), 0,
         cfg.fingerprint())
+    rows = []
+    forward = package.agents.mlp_forward
+
+    def counted(params, observation):
+        q = forward(params, observation)
+        rows.append(len(np.atleast_2d(q)))
+        return q
+    monkeypatch.setattr(package.agents, "mlp_forward", counted)
     tracer, patches = bench.Tracer(), bench.Patches()
     tracer.install(package, patches)
     try:
@@ -76,8 +87,8 @@ def test_traced_forward_counts_one_call_per_greedy_window(bench, package):
         patches.restore()
     windows = tracer.value("env.step", "calls")
     assert windows > 0
-    assert tracer.value("agents.select_action", "calls") == windows
-    assert tracer.value("nn.mlp_forward", "calls") == windows
+    assert tracer.value("nn.mlp_forward", "calls") == len(rows) >= 1
+    assert sum(rows) >= windows
 
 
 def test_untraced_window_count_matches_traced_steps(bench, package, tmp_path):

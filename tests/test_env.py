@@ -327,15 +327,44 @@ class TestEpisodeLog:
 @pytest.mark.parametrize("window", [1, 7, 50])
 def test_each_window_draws_window_frames_uniforms(window):
     # reset's probe and every step draw exactly window_frames env uniforms,
-    # whatever the action.
+    # whatever the action, and so does each played window of a lookahead
+    # whose other rows are given back: by a step at another MCS, a clock set
+    # from outside, a second lookahead or a reset.
     env = make_env(window=window)
+
+    def assert_drawn(windows):  # windows stepped since the reset's probe
+        fresh = rng_streams(4, episode=2)[0]
+        fresh.random((windows + 1) * window)
+        assert env._rng.bit_generator.state == fresh.bit_generator.state
+
     env.reset(seed=4, episode=2)
     actions = np.random.default_rng(window).integers(0, phy.N_MCS, size=25)
     for a in actions:
         env.step(int(a))
-    fresh = rng_streams(4, episode=2)[0]
-    fresh.random((len(actions) + 1) * window)
-    assert env._rng.bit_generator.state == fresh.bit_generator.state
+    assert_drawn(len(actions))
+
+    def outside_clock():
+        env.clock += 0.01
+        env.step(3)
+
+    def second_lookahead():
+        assert env.lookahead(3) == ahead[2:]  # the given-back rows, redrawn
+        env.lookahead(6)
+        env.step(2)
+
+    for abandon in (lambda: env.step(6), outside_clock, second_lookahead):
+        env.reset(seed=4, episode=2)
+        for _ in range(5):
+            env.step(3)
+        ahead = env.lookahead(3)
+        assert len(ahead) > 2
+        assert [env.step(3), env.step(3)] == list(ahead[:2])
+        abandon()
+        assert_drawn(5 + 2 + 1)
+    env.lookahead(3)
+    env.step(3)
+    env.reset(seed=4, episode=2)
+    assert_drawn(0)
 
 
 def reference_episode(env, seed, actions, set_clock=None):
@@ -433,8 +462,9 @@ def test_phy_called_once_per_block_plus_probe(monkeypatch):
     assert counts == {"step": windows, "snr_db": windows + 1,
                       "frame_success_prob": windows + 1}
 
-    # Ideal decides each block in one call of its own, and reset's raw SNR
-    # in one more, so it doubles the env's frame-success calls.
+    # Every block is filled by a lookahead, which Ideal decides in one call
+    # of its own, and reset's raw SNR takes one more, so Ideal doubles the
+    # env's frame-success calls.
     data["agent"]["algorithm"] = "ideal"
     for duration, snr_calls in ((3.0, 16), (60.0, 112)):
         data["sim"]["duration_s"] = duration
@@ -481,36 +511,6 @@ def test_run_blocks_bit_identical_to_reference(window, start, speed):
 def receding_env(window):
     return make_env(start=distance_at_snr(30.0), speed=40.0, duration=5.0,
                     window=window)
-
-
-@pytest.mark.parametrize("window", [1, 7, 50])
-def test_block_raw_snr_db_is_the_raw_snr_each_window_reports(window):
-    # Right after each refill the column holds the raw SNRs that the block's
-    # windows report, in order; it is empty before the first block and after
-    # every reset.
-    env = receding_env(window)
-    assert env.block_raw_snr_db().shape == (0,)
-    one_run = [3] * 10**5
-    for seed, actions in enumerate([one_run, runs_of_actions(np.random.default_rng(3), 10**5)]):
-        env.reset(seed=seed)
-        assert env.block_raw_snr_db().shape == (0,)
-        blocks = []  # (column after the refill, raw SNRs reported from it)
-        for a in actions:
-            raw = env.step(a).raw_snr_db
-            if env._block_next == 1:  # this step filled a new block
-                blocks.append((env.block_raw_snr_db().tolist(), []))
-            blocks[-1][1].append(raw)
-            if env.done:
-                break
-        assert env.done and len(blocks) >= 5
-        for column, reported in blocks:
-            assert reported == column[:len(reported)]
-        if actions is one_run:  # every growth refill's rows are all played
-            assert all(len(column) == len(reported) for column, reported in blocks)
-        env.reset(seed=seed)
-        assert env.block_raw_snr_db().shape == (0,)
-    with pytest.raises(ValueError):
-        env.block_raw_snr_db()[0] = 0.0
 
 
 @pytest.mark.parametrize("window", [1, 7, 50])

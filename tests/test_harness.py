@@ -1,17 +1,23 @@
 import csv
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from rateadapt import checkpoint as ckpt_io
+from rateadapt.agents import ConstantAgent, DaraAgent, IdealAgent, TabularDaraAgent
 from rateadapt.config import default_config, validate_config
+from rateadapt.dqn import EpsilonSchedule
 from rateadapt.env import LinkSimEnv
 from rateadapt.errors import ConfigError
-from rateadapt.harness import (SweepConfig, run_evaluation, run_sweep,
-                               run_training)
+from rateadapt.harness import (SweepConfig, _play_episode, run_evaluation,
+                               run_sweep, run_training)
 from rateadapt.nn import mlp_forward
+from rateadapt.tabular import QTable
+from tests.test_env import TABLE, distance_at_snr, make_env
+from tests.test_nn import random_net
 
 
 def tiny_config(**agent_overrides):
@@ -152,6 +158,106 @@ class TestRunEvaluation:
             res = env.step(action)
             total += res.reward
         assert summary.cum_reward == total
+
+
+def climbing_net(rng):
+    """A random [16, 16, 16] net whose first hidden unit carries the
+    observation x through and whose greedy MCS is about 8x."""
+    net = random_net([16, 16, 16], rng)
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        w[:, 0], w[0, 0], b[0] = 0.0, 1.0, 0.0
+    mcs = np.arange(8)
+    net.weights[-1][:] *= 0.01
+    net.weights[-1][0] = 10.0 * mcs
+    net.biases[-1][:] = -10.0 * mcs ** 2 / 16
+    return net
+
+
+def frozen_agents():
+    rng = np.random.default_rng(12)
+    table = QTable(20)
+    table.values[:] = rng.normal(size=table.values.shape)
+    return {"dara": DaraAgent(climbing_net(rng)),
+            "dara_tabular": TabularDaraAgent(table),
+            "ideal": IdealAgent(TABLE, 0.9),
+            "constant": ConstantAgent(5)}
+
+
+def per_window(agent):
+    """`agent` without select_actions, so that it plays window by window."""
+    return SimpleNamespace(select_action=agent.select_action)
+
+
+def recorded_episode(env, agent, monkeypatch):
+    """One _play_episode of seed 8 without a learn hook: every action,
+    StepResult and clock after it, the summed reward, the throughput log,
+    the env generator's final state and the number of lookahead calls."""
+    actions, results, clocks, lookaheads = [], [], [], []
+    step, lookahead = env.step, env.lookahead
+
+    def stepped(action):
+        actions.append(action)
+        results.append(step(action))
+        clocks.append(env.clock)
+        return results[-1]
+
+    def looked(action):
+        lookaheads.append(action)
+        return lookahead(action)
+    monkeypatch.setattr(env, "step", stepped)
+    monkeypatch.setattr(env, "lookahead", looked)
+    total = _play_episode(env, agent, 8, 0)
+    monkeypatch.undo()
+    return (actions, results, clocks, total, env.throughput_log().tobytes(),
+            env._rng.bit_generator.state, len(lookaheads))
+
+
+@pytest.mark.parametrize("start,travel", [(distance_at_snr(30.0), 200.0),
+                                          (5000.0, 0.0), (1.0, 0.0)],
+                         ids=["sweeping", "all_failure", "all_success"])
+@pytest.mark.parametrize("window", [1, 7, 50])
+def test_frozen_loop_equals_the_per_window_loop(window, start, travel, monkeypatch):
+    # Without a learn hook a frozen policy looks each run block ahead and
+    # decides it in one call; without select_actions it plays window by
+    # window. Both must play the same episode, window for window.
+    # The receiver moves `travel` metres in an episode of window / 10 s.
+    duration = window / 10
+    for name, agent in frozen_agents().items():
+        env = make_env(start=start, speed=travel / duration, duration=duration,
+                       window=window)
+        *frozen, frozen_lookaheads = recorded_episode(env, agent, monkeypatch)
+        *window_by_window, lookaheads = recorded_episode(env, per_window(agent),
+                                                         monkeypatch)
+        assert frozen == window_by_window, name
+        assert frozen_lookaheads > 0 and lookaheads == 0
+        actions, results = frozen[:2]
+        assert len(results) > 30 and results[-1].done
+        if travel > 0 and name != "constant":
+            assert len(set(actions)) > 1, name
+
+
+def test_epsilon_greedy_without_learning_plays_window_by_window(monkeypatch):
+    # An exploring agent draws a coin per window, so it never looks ahead,
+    # hook or not, and plays as it does without select_actions.
+    def explorer():
+        schedule = EpsilonSchedule("fixed", 0.3, 0.3, 1)
+        return DaraAgent(climbing_net(np.random.default_rng(12)), schedule,
+                         np.random.default_rng(5))
+    env = make_env(start=distance_at_snr(30.0), speed=400.0, duration=0.5, window=7)
+    *played, lookaheads = recorded_episode(env, explorer(), monkeypatch)
+    *window_by_window, _ = recorded_episode(env, per_window(explorer()), monkeypatch)
+    assert lookaheads == 0 and played == window_by_window
+    assert len(set(played[0])) > 1
+
+
+@pytest.mark.parametrize("algorithm", ["dara", "dara_tabular"])
+def test_training_never_looks_ahead(tmp_path, monkeypatch, algorithm):
+    def refused(self, action):
+        raise AssertionError("training looked ahead")
+    monkeypatch.setattr(LinkSimEnv, "lookahead", refused)
+    cfg = tiny_config(algorithm=algorithm, episodes=1, warmup=8, batch_size=8)
+    summaries, _ = run_training(cfg, tmp_path)
+    assert summaries[0].train_steps > 0
 
 
 class TestRunSweep:
