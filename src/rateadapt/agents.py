@@ -94,7 +94,7 @@ class IdealAgent:
         return int(self._decide(result.raw_snr_db))
 
     def select_actions(self, results) -> list:
-        return self._decide(np.array([[r.raw_snr_db] for r in results])).tolist()
+        return self._decide(np.array([r.raw_snr_db for r in results]).reshape(-1, 1)).tolist()
 
 
 class MinstrelLikeAgent:

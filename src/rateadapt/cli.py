@@ -150,7 +150,7 @@ def _cmd_ccdf(args) -> int:
             with open(log, encoding="utf-8", newline="") as f:
                 samples.extend(float(row["throughput_mbps"])
                                for row in csv.DictReader(f))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, csv.Error) as exc:
             raise RateAdaptError(f"{log}: bad throughput_mbps column ({exc!r})") from exc
     try:
         points = ccdf(samples)

@@ -23,8 +23,8 @@ from .phy import McsTable
 # The fields of an episode log record, in throughput_*.csv column order.
 LOG_FIELDS = ("time_s", "tx_pos_m", "rx_pos_m", "throughput_mbps")
 
-# A run block holds the PHY rows of the next windows at one MCS. The first
-# block of a run has _BLOCK_FIRST_ROWS rows and each refill in the same run
+# A run block holds the next windows' PHY rows and success masks at one MCS.
+# A run's first block has _BLOCK_FIRST_ROWS rows and each refill in the run
 # doubles that, up to _BLOCK_FRAMES frames per block (one row at the least).
 _BLOCK_FIRST_ROWS = 4
 _BLOCK_FRAMES = 64 * 50
@@ -134,7 +134,7 @@ class LinkSimEnv:
 
     def step(self, action: int) -> StepResult:
         """Simulate one window of frames at MCS `action`; a window that
-        `lookahead` drew is served as drawn."""
+        `lookahead` built is served as built."""
         self._check_step(action)
         i = self._block_row(action)
         self._block_next = i + 1
@@ -145,7 +145,7 @@ class LinkSimEnv:
             result, n_ok = self._ahead[j], self._ahead_n_ok[j]
         else:
             snrs = self._block_snrs[i]
-            acked = snrs[self._rng.random(self.window_frames) < self._block_p[i]]
+            acked = snrs[self._block_ok[i]]
             n_ok = len(acked)
             result = self._result(acked, self._last_observation, self._rates[action],
                                   self.done, float(snrs[-1]))
@@ -159,18 +159,13 @@ class LinkSimEnv:
         rest of the run block (filling a block as `step` does), without
         playing them.
 
-        The rows' uniforms are drawn in one call, and a `step` at the next
-        row's MCS and clock serves that row without drawing. Any other step,
-        a refill, another lookahead or a `reset` gives back the draws of the
-        rows not played. So every window uses the uniforms it would use
-        without the lookahead, and once every drawn row is played or given
-        back, the generator is where it would be."""
+        The rows are read from the block's success masks, so a lookahead
+        draws nothing, and a `step` at the next row's MCS and clock serves
+        that row as built. Rows left unplayed keep their uniforms for the
+        windows that follow."""
         self._check_step(action)
-        self._give_back()
         i = self._block_row(action)
-        w, clocks, snrs = self.window_frames, self._block_clocks[i:], self._block_snrs[i:]
-        self._ahead_state = self._rng.bit_generator.state
-        ok = self._rng.random(len(clocks) * w).reshape(-1, w) < self._block_p[i:]
+        clocks, snrs, ok = self._block_clocks[i:], self._block_snrs[i:], self._block_ok[i:]
         n_oks = np.count_nonzero(ok, axis=1).tolist()
         # `acked` holds the rows' ACK SNRs in row order, so row r's are the
         # n_oks[r] that follow the rows before it.
@@ -218,37 +213,35 @@ class LinkSimEnv:
             i = 0
         return i
 
-    def _give_back(self):
-        """Undo a lookahead's draws of the rows not played: restore the
-        generator and redraw the played rows' uniforms."""
-        if self._ahead:
-            played = self._block_next - self._ahead_from
-            if played < len(self._ahead):
-                self._rng.bit_generator.state = self._ahead_state
-                self._rng.random(played * self.window_frames)
-            self._ahead = ()
-
     def _drop_block(self):
-        """Forget the run block and any lookahead, so the next step fills a
-        new block."""
+        """Forget the run block, its uniforms and any lookahead, so the next
+        step fills a new block from the generator."""
         self._block_action, self._block_clocks, self._block_next = None, [], 0
-        self._block_snrs = self._block_p = np.empty((0, self.window_frames))
+        self._block_snrs = self._block_ok = self._uniforms = np.empty(0)
         self._ahead = ()
 
     def _fill_block(self, action):
         """Compute the run block at MCS `action` from the current clock. Its
         clocks come from the same sequential adds `step` makes, and it stops
-        before the first clock at or past duration_s, a window never played."""
-        self._give_back()
+        before the first clock at or past duration_s, a window never played.
+        Its masks take the stream's next uniforms: those held for the last
+        block's unplayed rows, then the shortfall in one draw."""
         grow = action == self._block_action and self._block_next == len(self._block_clocks)
         rows = min(2 * len(self._block_clocks) if grow else _BLOCK_FIRST_ROWS,
                    max(1, _BLOCK_FRAMES // self.window_frames))
         advance, clocks = self._advance[action], [self.clock]
         while len(clocks) < rows and (c := clocks[-1] + advance) < self.duration_s:
             clocks.append(c)
-        self._block_snrs, self._block_p = self._window(
+        n = len(clocks) * self.window_frames
+        uniforms = self._uniforms[self._block_next * self.window_frames:]
+        if len(uniforms) < n:
+            uniforms = np.concatenate((uniforms, self._rng.random(n - len(uniforms))))
+        self._block_snrs, p = self._window(
             np.array(clocks)[:, None], self._ack_offsets[action], action)
+        self._block_ok = uniforms[:n].reshape(p.shape) < p
+        self._uniforms = uniforms
         self._block_action, self._block_clocks, self._block_next = action, clocks, 0
+        self._ahead = ()
 
     def throughput_log(self) -> np.ndarray:
         """The finished episode's throughput log: one row per log tick

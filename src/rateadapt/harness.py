@@ -65,9 +65,11 @@ def trained_kind(algorithm: str) -> str:
 
 def grid_configs(sweep: SweepConfig, base: RootConfig):
     """Every sweep cell's (lr, arch, seed, config), in grid order; one
-    ConfigError if the algorithm is not trainable or the config rejects grid
-    values, listing each distinct violation once."""
+    ConfigError if the algorithm is not trainable, an episode is over the
+    work budget (the cells share `sim` and `gym` with `base`) or the config
+    rejects grid values, listing each distinct violation once."""
     trained_kind(base["agent"]["algorithm"])
+    check_work_budget(base)
     cells, problems = [], []
     for lr, arch, seed in product(sweep.learning_rates, sweep.architectures,
                                   sweep.seeds):

@@ -306,6 +306,11 @@ class TestSelectActions:
             assert agent.select_actions(results) == [agent.select_action(r) for r in results]
             assert agent.select_actions(results[:1]) == [agent.select_action(results[0])]
 
+    def test_no_results_no_actions(self):
+        for agent in (DaraAgent(init_mlp([4], np.random.default_rng(0))),
+                      TabularDaraAgent(QTable(3)), IdealAgent(TABLE, 0.9), ConstantAgent(4)):
+            assert agent.select_actions(()) == []
+
 
 class TestMinstrelLike:
     def test_all_optimistic_picks_top_rate(self):

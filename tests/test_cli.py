@@ -247,7 +247,8 @@ class TestSweepAndCcdf:
         "time_s,throughput_mbps\n",
         "time_s,throughput_mbps\n1.0,fast\n",
         "time_s,throughput_mbps\n1.0\n",
-    ], ids=["no_column", "no_rows", "not_a_number", "short_row"])
+        "time_s,throughput_mbps\n1.0," + "9" * 131_073 + "\n",
+    ], ids=["no_column", "no_rows", "not_a_number", "short_row", "field_over_csv_limit"])
     def test_ccdf_bad_log_exit_2(self, tmp_path, capsys, text):
         (tmp_path / "throughput_001.csv").write_text(text, encoding="utf-8")
         code = cli_main(["ccdf", "--run-dir", str(tmp_path)])

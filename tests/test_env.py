@@ -324,49 +324,6 @@ class TestEpisodeLog:
         assert np.array_equal(got, want)  # bit for bit
 
 
-@pytest.mark.parametrize("window", [1, 7, 50])
-def test_each_window_draws_window_frames_uniforms(window):
-    # reset's probe and every step draw exactly window_frames env uniforms,
-    # whatever the action, and so does each played window of a lookahead
-    # whose other rows are given back: by a step at another MCS, a clock set
-    # from outside, a second lookahead or a reset.
-    env = make_env(window=window)
-
-    def assert_drawn(windows):  # windows stepped since the reset's probe
-        fresh = rng_streams(4, episode=2)[0]
-        fresh.random((windows + 1) * window)
-        assert env._rng.bit_generator.state == fresh.bit_generator.state
-
-    env.reset(seed=4, episode=2)
-    actions = np.random.default_rng(window).integers(0, phy.N_MCS, size=25)
-    for a in actions:
-        env.step(int(a))
-    assert_drawn(len(actions))
-
-    def outside_clock():
-        env.clock += 0.01
-        env.step(3)
-
-    def second_lookahead():
-        assert env.lookahead(3) == ahead[2:]  # the given-back rows, redrawn
-        env.lookahead(6)
-        env.step(2)
-
-    for abandon in (lambda: env.step(6), outside_clock, second_lookahead):
-        env.reset(seed=4, episode=2)
-        for _ in range(5):
-            env.step(3)
-        ahead = env.lookahead(3)
-        assert len(ahead) > 2
-        assert [env.step(3), env.step(3)] == list(ahead[:2])
-        abandon()
-        assert_drawn(5 + 2 + 1)
-    env.lookahead(3)
-    env.step(3)
-    env.reset(seed=4, episode=2)
-    assert_drawn(0)
-
-
 def reference_episode(env, seed, actions, set_clock=None):
     """reset and one step per action, written with the plain per-window
     expressions: ACK times clock + dt * (1..w), the SNR at each receiver
@@ -486,62 +443,80 @@ def runs_of_actions(rng, n):
     return actions[:n]
 
 
+@pytest.mark.parametrize("window", [1, 7, 50])
+def test_stream_position_is_windows_played_plus_held(window):
+    # Window n of an episode uses the uniforms [(n+1)w, (n+2)w) of its env
+    # stream, after reset's probe. So after any mix of steps, lookaheads,
+    # outside clock moves and resets, the generator has drawn the probe's
+    # and the played windows' uniforms plus those the run block holds for
+    # windows not yet played, never more than one block's worth.
+    env = make_env(window=window)
+    rng = np.random.default_rng(window)
+    actions, windows = runs_of_actions(rng, 800), 0
+    env.reset(seed=4, episode=2)
+    for op in rng.integers(0, 40, size=800):
+        if op == 0 or env.done:
+            env.reset(seed=4, episode=2)
+            windows = 0
+        elif op < 3:
+            env.clock += 0.01
+        elif op < 6:
+            env.lookahead(actions[windows])
+        else:
+            env.step(actions[windows])
+            windows += 1
+        held = len(env._uniforms) - env._block_next * window
+        assert 0 <= held <= max(window, env_module._BLOCK_FRAMES)
+        fresh = rng_streams(4, episode=2)[0]
+        fresh.random((1 + windows) * window + held)
+        assert env._rng.bit_generator.state == fresh.bit_generator.state
+
+
+def drive(env, way, actions, jumps):
+    """reset(seed=8), then one step per action to the episode end, setting
+    the clock to jumps[i] before window i. Every way but "runs" looks
+    ahead before window 5, and "lookahead" also before every third window,
+    at another MCS first every sixth. Returns the results and the clock
+    after each."""
+    got, got_clocks = [env.reset(seed=8)], [env.clock]
+    for i, a in enumerate(actions):
+        env.clock = jumps.get(i, env.clock)
+        if way == "lookahead" and i % 3 == 0 or way != "runs" and i == 5:
+            if way == "lookahead" and i % 6 == 0:
+                env.lookahead((a + 1) % phy.N_MCS)
+            env.lookahead(a)
+        got.append(env.step(a))
+        got_clocks.append(env.clock)
+        if env.done:
+            break
+    return got, got_clocks
+
+
 @pytest.mark.parametrize("start,speed", [(distance_at_snr(30.0), 40.0),
                                          (5000.0, 0.0), (1.0, 0.0)],
                          ids=["sweeping", "all_failure", "all_success"])
 @pytest.mark.parametrize("window", [1, 7, 50])
 def test_run_blocks_bit_identical_to_reference(window, start, speed):
-    # Each run block computes many windows' PHY in one call; every window
-    # still equals the per-window reference, through to the episode end.
+    # Each run block computes many windows' PHY in one call and takes their
+    # success masks from the stream ahead of play; every window still equals
+    # the per-window reference, through to the episode end, however blocks
+    # and looked-ahead rows are left: by a step at another MCS or a second
+    # lookahead ("lookahead"), by a reset ten windows into a run ("reset"),
+    # or by rewinding the clock to window 3 after window 10 and jumping past
+    # every computed row after window 20 ("clock_set").
     env = make_env(start=start, speed=speed, duration=5.0, window=window)
     longest = int(env.duration_s / (window * env.airtime_s.min())) + 1
-    actions = runs_of_actions(np.random.default_rng(window), longest)
-    got, got_clocks = [env.reset(seed=8)], [env.clock]
-    for a in actions:
-        got.append(env.step(a))
-        got_clocks.append(env.clock)
-        if env.done:
-            break
-    assert env.done and len(got) > 50
-    want, want_clocks = reference_episode(env, 8, actions[:len(got) - 1])
-    assert [tuple(res) for res in got] == want
-    assert got_clocks == want_clocks
-
-
-def receding_env(window):
-    return make_env(start=distance_at_snr(30.0), speed=40.0, duration=5.0,
-                    window=window)
-
-
-@pytest.mark.parametrize("window", [1, 7, 50])
-def test_reset_mid_run_serves_no_stale_row(window):
-    # Ten windows into a run the block holds rows for later clocks; the new
-    # episode must start from clock 0 all the same.
-    env = receding_env(window)
-    env.reset(seed=8)
-    for _ in range(10):
-        env.step(5)
-    got = [env.reset(seed=8)] + [env.step(5) for _ in range(30)]
-    want, _ = reference_episode(env, 8, [5] * 30)
-    assert [tuple(res) for res in got] == want
-
-
-@pytest.mark.parametrize("window", [1, 7, 50])
-def test_clock_set_mid_run_serves_no_stale_row(window):
-    # Rewind to the start of window 3 after window 10, then jump past every
-    # computed row after window 20.
-    env = receding_env(window)
-    _, clocks = reference_episode(env, 8, [5] * 20)
-    jumps = {10: clocks[3], 20: clocks[20] + 0.25}
-    env.reset(seed=8)
-    got, got_clocks = [], []
-    for i in range(30):
-        env.clock = jumps.get(i, env.clock)
-        got.append(env.step(5))
-        got_clocks.append(env.clock)
-    want, want_clocks = reference_episode(env, 8, [5] * 30, jumps)
-    assert [tuple(res) for res in got] == want[1:]
-    assert got_clocks == want_clocks[1:]
+    actions = [5] * 30 + runs_of_actions(np.random.default_rng(window), longest)
+    _, clocks = reference_episode(env, 8, actions[:20])
+    for way in ("runs", "lookahead", "reset", "clock_set"):
+        jumps = {10: clocks[3], 20: clocks[20] + 0.25} if way == "clock_set" else {}
+        if way == "reset":
+            drive(env, way, actions[:10], {})
+        got, got_clocks = drive(env, way, actions, jumps)
+        assert env.done and len(got) > 50, way
+        if way in ("runs", "clock_set"):  # the others play the runs episode
+            want = reference_episode(env, 8, actions[:len(got) - 1], jumps)
+        assert ([tuple(res) for res in got], got_clocks) == want, way
 
 
 def test_run_block_memory_is_bounded():

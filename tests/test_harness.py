@@ -97,7 +97,8 @@ class TestRunTraining:
 @pytest.mark.parametrize("algorithm,run", [
     ("dara", lambda cfg, out: run_training(cfg, out)),
     ("constant", lambda cfg, out: run_evaluation(cfg, None, out)),
-], ids=["run_training", "run_evaluation"])
+    ("dara", lambda cfg, out: run_sweep(SweepConfig((0.01,), ((4,),), (1,)), cfg, out)),
+], ids=["run_training", "run_evaluation", "run_sweep"])
 def test_episode_over_the_work_budget_refused_before_any_output(tmp_path, algorithm,
                                                                 run):
     data = json.loads(tiny_config(algorithm=algorithm, constant_mcs=7).to_json())
