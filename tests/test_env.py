@@ -519,6 +519,42 @@ def test_run_blocks_bit_identical_to_reference(window, start, speed):
         assert ([tuple(res) for res in got], got_clocks) == want, way
 
 
+def receding_env(window):
+    return make_env(start=distance_at_snr(30.0), speed=40.0, duration=5.0,
+                    window=window)
+
+
+@pytest.mark.parametrize("window", [1, 7, 50])
+def test_reset_mid_run_serves_no_stale_row(window):
+    # Ten windows into a run the block holds rows for later clocks; the new
+    # episode must start from clock 0 all the same.
+    env = receding_env(window)
+    env.reset(seed=8)
+    for _ in range(10):
+        env.step(5)
+    got = [env.reset(seed=8)] + [env.step(5) for _ in range(30)]
+    want, _ = reference_episode(env, 8, [5] * 30)
+    assert [tuple(res) for res in got] == want
+
+
+@pytest.mark.parametrize("window", [1, 7, 50])
+def test_clock_set_mid_run_serves_no_stale_row(window):
+    # Rewind to the start of window 3 after window 10, then jump past every
+    # computed row after window 20.
+    env = receding_env(window)
+    _, clocks = reference_episode(env, 8, [5] * 20)
+    jumps = {10: clocks[3], 20: clocks[20] + 0.25}
+    env.reset(seed=8)
+    got, got_clocks = [], []
+    for i in range(30):
+        env.clock = jumps.get(i, env.clock)
+        got.append(env.step(5))
+        got_clocks.append(env.clock)
+    want, want_clocks = reference_episode(env, 8, [5] * 30, jumps)
+    assert [tuple(res) for res in got] == want[1:]
+    assert got_clocks == want_clocks[1:]
+
+
 def test_run_block_memory_is_bounded():
     blocks = []
 
