@@ -2,21 +2,21 @@
 PASS/FAIL line. Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
-import json
 import time
 
 import numpy as np
 import pytest
 
 from rateadapt import phy
-from rateadapt.config import default_config, validate_config
-from rateadapt.env import LinkSimEnv
+from rateadapt.config import default_config
 from rateadapt.harness import SweepConfig, run_evaluation, run_sweep, run_training
 from rateadapt.nn import mlp_forward
 from rateadapt.results import CcdfPoint, ccdf
-from tests.test_nn import backward, numeric_grads, random_net
-from tests.test_tabular import run_tabular_convergence
+from tests.reference import (distance_at_snr, gradient_error, make_env, random_net,
+                             run_tabular_convergence, tiny_config)
 from rateadapt import checkpoint as ckpt_io
+
+pytestmark = pytest.mark.acceptance
 
 TRAIN_SEEDS = (1, 2, 3, 4, 5)
 EVAL_SEEDS = tuple(range(100, 110))
@@ -120,23 +120,14 @@ def test_criterion_5_gradient_suite():
         obs = float(rng.uniform(0, 1))
         action = int(rng.integers(0, 8))
         target = float(rng.uniform(-1, 2))
-        grads, _ = backward(params, np.array([obs]), np.array([action]),
-                            np.array([target]))
-        nw, nb = numeric_grads(params, obs, action, target)
-        for analytic, numeric in zip(grads.weights + grads.biases, nw + nb):
-            scale = np.maximum(np.abs(numeric), 1e-3)
-            worst = max(worst, float(np.max(np.abs(analytic - numeric) / scale)))
+        worst = max(worst, gradient_error(params, obs, action, target))
         checked += 1
     report(5, "gradients vs finite differences", worst < 1e-4,
            f"{checked} networks, worst relative error {worst:.2e}")
 
 
 def test_criterion_6_determinism(tmp_path):
-    data = json.loads(default_config().to_json())
-    data["sim"]["duration_s"] = 10.0
-    data["agent"]["episodes"] = 3
-    data["agent"]["warmup"] = 64
-    cfg = validate_config(json.dumps(data))
+    cfg = tiny_config({"duration_s": 10.0}, episodes=3, warmup=64)
     run_training(cfg, tmp_path / "a")
     run_training(cfg, tmp_path / "b")
     identical = ((tmp_path / "a" / "episodes.csv").read_bytes()
@@ -161,16 +152,9 @@ def test_criterion_7_statistical_phy():
     results = []
     ok = True
     for label, target_snr in (("low", 10.0), ("mid", 14.0), ("high", 18.0)):
-        # distance placing the link exactly at the target SNR
-        offset = 20 * np.log10(4 * np.pi * channel.frequency_hz
-                               / phy.SPEED_OF_LIGHT)
-        d = 10 ** ((channel.tx_power_dbm - channel.noise_power_dbm
-                    - target_snr - offset) / 20)
+        d = distance_at_snr(target_snr)  # the link exactly at the target SNR
         assert phy.snr_db(d, channel) == pytest.approx(target_snr, abs=1e-9)
-        data = json.loads(cfg.to_json())
-        data["sim"].update(start_distance_m=d, speed_mps=0.0, duration_s=1e9,
-                           log_period_s=1e9)
-        env = LinkSimEnv(validate_config(json.dumps(data)))
+        env = make_env(start=d, speed=0.0, duration=1e9, log_period=1e9)
         env.reset(seed=11)
         windows = 1000
         successes = sum(env.step(mcs).fsr * 50 for _ in range(windows))

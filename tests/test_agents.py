@@ -9,9 +9,7 @@ from rateadapt.dqn import EpsilonSchedule
 from rateadapt.env import LinkSimEnv, StepResult
 from rateadapt.nn import MlpParams, init_mlp, mlp_forward
 from rateadapt.tabular import QTable
-from tests.test_nn import random_net
-
-TABLE = default_config().mcs_table()
+from tests.reference import TABLE, crossings, random_net, reference_ideal
 
 
 def step_with(observation=0.5, fsr=1.0, raw_snr_db=30.0):
@@ -137,29 +135,6 @@ class TestIdealSelect:
         assert agent.select_action(StepResult(1.0, 1.0, True, 1.0, -50.0)) == 0
 
 
-def reference_ideal(snr, p_min):
-    """The per-window Ideal rule: one call over the 8 MCS entries at `snr`."""
-    p = phy.frame_success_prob(snr, TABLE.slopes_per_db, TABLE.midpoints_db)
-    feasible = np.flatnonzero(p >= p_min)
-    return int(feasible[-1]) if feasible.size else 0
-
-
-def crossings(p_min):
-    """Each MCS's p_min crossing, the least raw SNR at which its success
-    probability is at least p_min (bisection over floats), preceded by the
-    float one ulp below and followed by the one above: 3 per MCS."""
-    snrs = []
-    for slope, mid in zip(TABLE.slopes_per_db, TABLE.midpoints_db):
-        below, at = mid - 100.0, mid + 100.0
-        while (half := (below + at) / 2) not in (below, at):
-            if phy.frame_success_prob(half, slope, mid) >= p_min:
-                at = half
-            else:
-                below = half
-        snrs += [below, at, np.nextafter(at, np.inf)]
-    return np.array(snrs)
-
-
 def counting_calls(monkeypatch):
     calls = []
     fn = phy.frame_success_prob
@@ -184,9 +159,11 @@ def decide_both_ways(agent, results, calls):
     return together
 
 
-class TestIdealDecisionTable:
-    """Ideal decides k raw SNRs in one (k, 8) call exactly as it decides
-    each alone."""
+class TestIdealSelectActions:
+    """IdealAgent.select_actions decides k raw SNRs in one (k, 8) call, each
+    as select_action and reference_ideal decide it alone: at every p_min
+    crossing, anywhere off a link, and through episodes with outside clock
+    moves."""
 
     @pytest.mark.parametrize("p_min", [0.1, 0.5, 0.9, 0.99, 0.999999])
     def test_table_decisions_equal_the_reference_at_every_crossing(

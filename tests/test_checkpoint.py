@@ -1,5 +1,4 @@
 import functools
-import json
 import math
 import tempfile
 from pathlib import Path
@@ -14,6 +13,7 @@ from rateadapt.errors import CheckpointError
 from rateadapt.nn import AdamState, MlpParams, init_mlp, mlp_forward
 from rateadapt.phy import N_MCS
 from rateadapt.tabular import QTable
+from tests.reference import with_header
 
 
 def make_dqn_checkpoint(rng_seed=0, train_step=321, fingerprint="abc123",
@@ -163,16 +163,6 @@ def header_paths(node, prefix=()):
     for key, value in items:
         yield prefix + (key,)
         yield from header_paths(value, prefix + (key,))
-
-
-def with_header(raw: bytes, edit) -> bytes:
-    """`raw` with its JSON header passed through `edit`, which changes it
-    in place; the array bytes stay as they are."""
-    start = len(ckpt_io.MAGIC)
-    nl = raw.index(b"\n", start)
-    header = json.loads(raw[start:nl])
-    edit(header)
-    return raw[:start] + json.dumps(header).encode() + raw[nl:]
 
 
 def corrupt(raw: bytes, how) -> bytes:

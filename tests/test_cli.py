@@ -1,35 +1,27 @@
 import csv
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import rateadapt
 from rateadapt import checkpoint as ckpt_io, harness
 from rateadapt.cli import _build_parser, cli_main
-from rateadapt.config import default_config
-from tests.test_config import REJECTED, apply_overrides, row_id
+from tests.reference import (REJECTED, apply_overrides, row_id, subprocess_env, tiny_data,
+                             with_header)
 
 
-def write_tiny_config(path, **agent_overrides):
-    data = json.loads(default_config().to_json())
-    data["sim"]["duration_s"] = 2.0
-    data["agent"]["episodes"] = 2
-    data["agent"]["checkpoint_every"] = 1
-    data["agent"].update(agent_overrides)
-    path.write_text(json.dumps(data), encoding="utf-8")
+def write_tiny_config(path, sim=(), gym=(), **agent):
+    path.write_text(json.dumps(tiny_data(sim, gym, **agent)), encoding="utf-8")
     return path
 
 
-def subprocess_env():
-    """The environment for a child Python that imports this package."""
-    src = str(Path(rateadapt.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+def trained_run(config, out):
+    """The run folder `rateadapt train` makes in `out` with the config file
+    `config`."""
+    assert cli_main(["train", "--config", str(config), "--results", str(out)]) == 0
+    return run_dir_of(out)
 
 
 def run_dir_of(base):
@@ -53,9 +45,7 @@ class TestTrain:
 
     def test_resolved_config_provenance(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json")
-        cli_main(["train", "--config", str(cfg),
-                  "--results", str(tmp_path / "out")])
-        run = run_dir_of(tmp_path / "out")
+        run = trained_run(cfg, tmp_path / "out")
         from rateadapt.config import validate_config
         resolved = (run / "config.resolved.json").read_text()
         assert validate_config(resolved).to_json() == resolved
@@ -71,9 +61,8 @@ class TestTrain:
     def test_non_trainable_algorithm_exit_1_without_run_folder(self, tmp_path,
                                                                capsys):
         cfg = write_tiny_config(tmp_path / "cfg.json", algorithm="constant")
-        code = cli_main(["train", "--config", str(cfg),
-                         "--results", str(tmp_path / "out")])
-        assert_config_error(code, capsys)
+        assert_config_error(capsys, ["train", "--config", str(cfg),
+                                     "--results", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 
     def test_seed_and_episode_overrides(self, tmp_path):
@@ -98,9 +87,7 @@ class TestEval:
 
     def test_eval_trained_checkpoint(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json")
-        cli_main(["train", "--config", str(cfg),
-                  "--results", str(tmp_path / "train")])
-        ckpt = run_dir_of(tmp_path / "train") / "policy_ep002.ckpt"
+        ckpt = trained_run(cfg, tmp_path / "train") / "policy_ep002.ckpt"
         code = cli_main(["eval", "--config", str(cfg), "--checkpoint",
                          str(ckpt), "--results", str(tmp_path / "eval")])
         assert code == 0
@@ -108,9 +95,7 @@ class TestEval:
 
     def test_fingerprint_mismatch_exit_1(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path / "cfg.json")
-        cli_main(["train", "--config", str(cfg),
-                  "--results", str(tmp_path / "train")])
-        ckpt = run_dir_of(tmp_path / "train") / "policy_ep002.ckpt"
+        ckpt = trained_run(cfg, tmp_path / "train") / "policy_ep002.ckpt"
         other = write_tiny_config(tmp_path / "other.json",
                                   hidden_layers=[4, 4])
         code = cli_main(["eval", "--config", str(other), "--checkpoint",
@@ -121,15 +106,13 @@ class TestEval:
     def test_wrong_checkpoint_kind_exit_1_without_run_folder(self, tmp_path, capsys):
         tabular = write_tiny_config(tmp_path / "tabular.json",
                                     algorithm="dara_tabular", episodes=1)
-        assert cli_main(["train", "--config", str(tabular),
-                         "--results", str(tmp_path / "train")]) == 0
-        ckpt = run_dir_of(tmp_path / "train") / "policy_ep001.ckpt"
+        ckpt = trained_run(tabular, tmp_path / "train") / "policy_ep001.ckpt"
         dqn = write_tiny_config(tmp_path / "dqn.json")
         with pytest.warns(UserWarning, match="fingerprint"):
-            code = cli_main(["eval", "--config", str(dqn), "--checkpoint", str(ckpt),
-                             "--allow-fingerprint-mismatch",
-                             "--results", str(tmp_path / "eval")])
-        assert_config_error(code, capsys)
+            assert_config_error(capsys, ["eval", "--config", str(dqn),
+                                         "--checkpoint", str(ckpt),
+                                         "--allow-fingerprint-mismatch",
+                                         "--results", str(tmp_path / "eval")])
         assert not (tmp_path / "eval").exists()
 
     def test_ideal_eval_without_checkpoint(self, tmp_path):
@@ -141,29 +124,23 @@ class TestEval:
     def test_ideal_with_absurd_tx_power_exit_1_without_run_folder(self, tmp_path,
                                                                   capsys):
         # accepted, its windows' ACK-SNR sums would overflow to inf
-        cfg = write_tiny_config(tmp_path / "cfg.json", algorithm="ideal")
-        data = json.loads(cfg.read_text())
-        data["sim"]["tx_power_dbm"] = 1e308
-        cfg.write_text(json.dumps(data))
-        code = cli_main(["eval", "--config", str(cfg),
-                         "--results", str(tmp_path / "out")])
-        assert_config_error(code, capsys)
+        cfg = write_tiny_config(tmp_path / "cfg.json", {"tx_power_dbm": 1e308},
+                                algorithm="ideal")
+        assert_config_error(capsys, ["eval", "--config", str(cfg),
+                                     "--results", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 
     def test_ideal_with_missing_checkpoint_exit_1_without_run_folder(self, tmp_path,
                                                                       capsys):
         cfg = write_tiny_config(tmp_path / "cfg.json", algorithm="ideal")
-        code = cli_main(["eval", "--config", str(cfg),
-                         "--checkpoint", str(tmp_path / "nonexistent.ckpt"),
-                         "--results", str(tmp_path / "out")])
-        assert_config_error(code, capsys)
+        assert_config_error(capsys, ["eval", "--config", str(cfg),
+                                     "--checkpoint", str(tmp_path / "nonexistent.ckpt"),
+                                     "--results", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 
     def test_ideal_with_checkpoint_exit_1_without_run_folder(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path / "cfg.json", episodes=1)
-        assert cli_main(["train", "--config", str(cfg),
-                         "--results", str(tmp_path / "train")]) == 0
-        ckpt = run_dir_of(tmp_path / "train") / "policy_ep001.ckpt"
+        ckpt = trained_run(cfg, tmp_path / "train") / "policy_ep001.ckpt"
         ideal = write_tiny_config(tmp_path / "ideal.json", algorithm="ideal")
         with pytest.warns(UserWarning, match="fingerprint"):
             code = cli_main(["eval", "--config", str(ideal), "--checkpoint", str(ckpt),
@@ -175,9 +152,7 @@ class TestEval:
 
     def test_run_folder_self_contained_reproduction(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json")
-        cli_main(["train", "--config", str(cfg),
-                  "--results", str(tmp_path / "train")])
-        train_run = run_dir_of(tmp_path / "train")
+        train_run = trained_run(cfg, tmp_path / "train")
         ckpt = train_run / "policy_ep002.ckpt"
 
         def evaluate(dest):
@@ -224,9 +199,7 @@ class TestSweepAndCcdf:
 
     def test_ccdf_from_logs(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json")
-        cli_main(["train", "--config", str(cfg),
-                  "--results", str(tmp_path / "train")])
-        run = run_dir_of(tmp_path / "train")
+        run = trained_run(cfg, tmp_path / "train")
         code = cli_main(["ccdf", "--run-dir", str(run)])
         assert code == 0
         lines = (run / "ccdf.csv").read_text().splitlines()
@@ -263,10 +236,9 @@ class TestSweepAndCcdf:
     def test_sweep_non_trainable_exit_1_without_run_folder(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path / "cfg.json", algorithm="constant",
                                 episodes=1)
-        code = cli_main(["sweep", "--config", str(cfg),
-                         "--results", str(tmp_path / "out"),
-                         "--learning-rates", "0.01", "--architectures", "4"])
-        assert_config_error(code, capsys)
+        assert_config_error(capsys, ["sweep", "--config", str(cfg),
+                                     "--results", str(tmp_path / "out"),
+                                     "--learning-rates", "0.01", "--architectures", "4"])
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("learning_rates,architectures,violation", [
@@ -297,18 +269,8 @@ class TestSweepAndCcdf:
         assert rows.splitlines()[1].split(",")[2] == "3"
 
 
-def rewrite_header(path, edit):
-    """Apply `edit` to a checkpoint's JSON header in place."""
-    raw = path.read_bytes()
-    start = len(ckpt_io.MAGIC)
-    nl = raw.index(b"\n", start)
-    header = json.loads(raw[start:nl])
-    edit(header)
-    path.write_bytes(raw[:start] + json.dumps(header).encode() + raw[nl:])
-
-
-def assert_config_error(code, capsys):
-    assert code == 1
+def assert_config_error(capsys, argv):
+    assert cli_main(argv) == 1
     assert "error:" in capsys.readouterr().err
 
 
@@ -343,18 +305,16 @@ class TestInputHoles:
         data = json.loads(path.read_text())
         data[section][key] = value
         path.write_text(json.dumps(data))  # writes NaN / Infinity literals
-        code = cli_main(["train", "--config", str(path),
-                         "--results", str(tmp_path / "out")])
-        assert_config_error(code, capsys)
+        assert_config_error(capsys, ["train", "--config", str(path),
+                                     "--results", str(tmp_path / "out")])
 
     @pytest.mark.parametrize("overrides", REJECTED, ids=row_id)
     def test_config_layer_rejection_exit_1(self, tmp_path, capsys, overrides):
         path = write_tiny_config(tmp_path / "cfg.json")
         data = apply_overrides(json.loads(path.read_text()), overrides)
         path.write_text(json.dumps(data))
-        code = cli_main(["train", "--config", str(path),
-                         "--results", str(tmp_path / "out")])
-        assert_config_error(code, capsys)
+        assert_config_error(capsys, ["train", "--config", str(path),
+                                     "--results", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,algorithm,seed", [
@@ -363,25 +323,22 @@ class TestInputHoles:
     ])
     def test_negative_seed_exit_1(self, tmp_path, capsys, command, algorithm, seed):
         path = write_tiny_config(tmp_path / "cfg.json", algorithm=algorithm)
-        code = cli_main([command, "--config", str(path), "--seed", seed,
-                         "--results", str(tmp_path / "out")])
-        assert_config_error(code, capsys)
+        assert_config_error(capsys, [command, "--config", str(path), "--seed", seed,
+                                     "--results", str(tmp_path / "out")])
 
     @pytest.mark.parametrize("command,algorithm", [("train", "dara"),
                                                    ("eval", "constant")])
     def test_seed_beyond_float_range_exit_1(self, tmp_path, capsys, command,
                                             algorithm):
         path = write_tiny_config(tmp_path / "cfg.json", algorithm=algorithm)
-        code = cli_main([command, "--config", str(path), "--seed", str(10**400),
-                         "--results", str(tmp_path / "out")])
-        assert_config_error(code, capsys)
+        assert_config_error(capsys, [command, "--config", str(path), "--seed", str(10**400),
+                                     "--results", str(tmp_path / "out")])
 
     def test_tabular_learning_rate_above_one_exit_1(self, tmp_path, capsys):
         path = write_tiny_config(tmp_path / "cfg.json", algorithm="dara_tabular",
                                  learning_rate=2)
-        code = cli_main(["train", "--config", str(path),
-                         "--results", str(tmp_path / "out")])
-        assert_config_error(code, capsys)
+        assert_config_error(capsys, ["train", "--config", str(path),
+                                     "--results", str(tmp_path / "out")])
 
     @pytest.mark.parametrize("edit", [
         lambda h: h.pop("kind"),
@@ -399,13 +356,11 @@ class TestInputHoles:
             "no_adam"])
     def test_malformed_checkpoint_header_exit_1(self, tmp_path, capsys, edit):
         path = write_tiny_config(tmp_path / "cfg.json", episodes=1)
-        assert cli_main(["train", "--config", str(path),
-                         "--results", str(tmp_path / "train")]) == 0
-        ckpt = run_dir_of(tmp_path / "train") / "policy_ep001.ckpt"
-        rewrite_header(ckpt, edit)
-        code = cli_main(["eval", "--config", str(path), "--checkpoint", str(ckpt),
-                         "--results", str(tmp_path / "eval")])
-        assert_config_error(code, capsys)
+        ckpt = trained_run(path, tmp_path / "train") / "policy_ep001.ckpt"
+        ckpt.write_bytes(with_header(ckpt.read_bytes(), edit))
+        assert_config_error(capsys, ["eval", "--config", str(path),
+                                     "--checkpoint", str(ckpt),
+                                     "--results", str(tmp_path / "eval")])
 
     @pytest.mark.parametrize("algorithm,array", [
         ("dara_tabular", "q_values"),
@@ -415,13 +370,11 @@ class TestInputHoles:
                                                 algorithm, array):
         path = write_tiny_config(tmp_path / "cfg.json", algorithm=algorithm,
                                  episodes=1)
-        assert cli_main(["train", "--config", str(path),
-                         "--results", str(tmp_path / "train")]) == 0
-        ckpt = run_dir_of(tmp_path / "train") / "policy_ep001.ckpt"
+        ckpt = trained_run(path, tmp_path / "train") / "policy_ep001.ckpt"
         poison_array(ckpt, array)
-        code = cli_main(["eval", "--config", str(path), "--checkpoint", str(ckpt),
-                         "--results", str(tmp_path / "eval")])
-        assert_config_error(code, capsys)
+        assert_config_error(capsys, ["eval", "--config", str(path),
+                                     "--checkpoint", str(ckpt),
+                                     "--results", str(tmp_path / "eval")])
         assert not (tmp_path / "eval").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -446,10 +399,7 @@ class TestInputHoles:
         # second episode, and the weights go non-finite there.
         path = write_tiny_config(tmp_path / "cfg.json", learning_rate=1e300,
                                  warmup=64, train_every=1, episodes=5,
-                                 checkpoint_every=5)
-        data = json.loads(path.read_text())
-        data["sim"]["duration_s"] = 3.0
-        path.write_text(json.dumps(data))
+                                 checkpoint_every=5, sim={"duration_s": 3.0})
         code = cli_main(["train", "--config", str(path),
                          "--results", str(tmp_path / "out")])
         assert code == 1
@@ -486,14 +436,11 @@ class TestInputHoles:
         # 1e9 s of MCS 7's 14 ms windows is about 7e10 windows, and the log
         # bound holds; without the budget the run grows its per-window lists
         # until memory runs out.
-        path = write_tiny_config(tmp_path / "cfg.json", algorithm=algorithm,
-                                 constant_mcs=7)
-        data = json.loads(path.read_text())
-        data["sim"].update(duration_s=1e9, log_period_s=1e3)
-        path.write_text(json.dumps(data))
-        code = cli_main([command, "--config", str(path),
-                         "--results", str(tmp_path / "out")])
-        assert_config_error(code, capsys)
+        path = write_tiny_config(tmp_path / "cfg.json",
+                                 {"duration_s": 1e9, "log_period_s": 1e3},
+                                 algorithm=algorithm, constant_mcs=7)
+        assert_config_error(capsys, [command, "--config", str(path),
+                                     "--results", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("content", [
@@ -505,24 +452,22 @@ class TestInputHoles:
     def test_unparseable_config_exit_1(self, tmp_path, capsys, content):
         path = tmp_path / "cfg.json"
         path.write_bytes(content)
-        code = cli_main(["train", "--config", str(path),
-                         "--results", str(tmp_path / "out")])
-        assert_config_error(code, capsys)
+        assert_config_error(capsys, ["train", "--config", str(path),
+                                     "--results", str(tmp_path / "out")])
 
     @pytest.mark.parametrize("results", ["taken", "taken/sub"],
                              ids=["a_file", "under_a_file"])
     def test_results_not_a_directory_exit_1(self, tmp_path, capsys, results):
         path = write_tiny_config(tmp_path / "cfg.json")
         (tmp_path / "taken").write_text("not a directory", encoding="utf-8")
-        code = cli_main(["train", "--config", str(path),
-                         "--results", str(tmp_path / results)])
-        assert_config_error(code, capsys)
+        assert_config_error(capsys, ["train", "--config", str(path),
+                                     "--results", str(tmp_path / results)])
 
     def test_checkpoint_is_a_directory_exit_1(self, tmp_path, capsys):
         path = write_tiny_config(tmp_path / "cfg.json")
-        code = cli_main(["eval", "--config", str(path), "--checkpoint", str(tmp_path),
-                         "--results", str(tmp_path / "eval")])
-        assert_config_error(code, capsys)
+        assert_config_error(capsys, ["eval", "--config", str(path),
+                                     "--checkpoint", str(tmp_path),
+                                     "--results", str(tmp_path / "eval")])
 
     @pytest.mark.parametrize("name", ["throughput_001.csv", "ccdf.csv"])
     def test_ccdf_log_is_a_directory_exit_2(self, tmp_path, capsys, name):
@@ -556,9 +501,9 @@ class TestInputHoles:
         path = write_tiny_config(tmp_path / "cfg.json")
         ckpt = tmp_path / "nested.ckpt"
         ckpt.write_bytes(ckpt_io.MAGIC + b"[" * 100_000 + b"\n")
-        code = cli_main(["eval", "--config", str(path), "--checkpoint", str(ckpt),
-                         "--results", str(tmp_path / "eval")])
-        assert_config_error(code, capsys)
+        assert_config_error(capsys, ["eval", "--config", str(path),
+                                     "--checkpoint", str(ckpt),
+                                     "--results", str(tmp_path / "eval")])
 
 
 class TestUsage:

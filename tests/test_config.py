@@ -9,96 +9,10 @@ import numpy as np
 import pytest
 
 import rateadapt
-from rateadapt import phy
 from rateadapt.config import (MAX_WINDOWS, check_work_budget, default_config,
                               reference_config_text, validate_config)
 from rateadapt.errors import ConfigError
-
-RATES = list(phy.DEFAULT_PHY_RATES_MBPS)
-
-# Values the library cannot run with. The config is the only layer that
-# checks them, so each one must fail here, with a violation naming the first
-# key of its row.
-REJECTED = [
-    {"sim.frequency_mhz": 0.0},
-    {"sim.bandwidth_mhz": 0.0},
-    {"sim.noise_figure_db": -0.1},
-    pytest.param({"sim.per_slopes_per_db": [1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0]},
-                 id="sim.per_slopes_per_db=zero_slope"),
-    pytest.param({"sim.phy_rates_mbps": RATES[:7]},
-                 id="sim.phy_rates_mbps=seven_rates"),
-    pytest.param({"sim.phy_rates_mbps": [6.5, 13.0, 12.0, *RATES[3:]]},
-                 id="sim.phy_rates_mbps=non_increasing"),
-    pytest.param({"sim.per_midpoints_db": [5.0, 8.0, 11.0, 11.0, 18.0, 21.0, 24.0, 26.0]},
-                 id="sim.per_midpoints_db=non_increasing"),
-    {"sim.start_distance_m": 0.01},
-    {"sim.start_distance_m": float("nan")},
-    {"sim.start_distance_m": float("inf")},
-    {"sim.speed_mps": -1.0},
-    {"sim.payload_bytes": 0},
-    {"sim.overhead_s": -1e-6},
-    {"sim.duration_s": 0.0},
-    {"sim.log_period_s": 0.0},
-    # one log record per period, so this would ask for ~1e300 records
-    {"sim.log_period_s": 1e-300},
-    {"gym.window_frames": 0},
-    # one past each size cap
-    {"gym.window_frames": 100_001},
-    {"agent.n_state_bins": 100_001},
-    pytest.param({"agent.hidden_layers": [16] * 9}, id="agent.hidden_layers=nine_layers"),
-    pytest.param({"agent.hidden_layers": [16, 1025]}, id="agent.hidden_layers=width_1025"),
-    # about 7 PiB of floats each: refused before anything is allocated
-    pytest.param({"gym.window_frames": 10**15}, id="gym.window_frames=10**15"),
-    pytest.param({"agent.hidden_layers": [10**15]}, id="agent.hidden_layers=[10**15]"),
-    {"gym.snr_lo_db": 40.0},
-    {"gym.snr_hi_db": -1.0},
-    {"agent.epsilon_mode": "exponential"},
-    {"agent.epsilon_start": 1.1},
-    {"agent.epsilon_end": -0.1},
-    {"agent.epsilon_decay_steps": 0},
-    {"agent.n_state_bins": 0},
-    pytest.param({"agent.learning_rate": 1.5, "agent.algorithm": "dara_tabular"},
-                 id="agent.learning_rate=1.5_tabular"),
-    {"agent.discount": -0.1},
-    {"agent.ideal_p_min": 0.0},
-    {"agent.ideal_p_min": 1.0},
-    {"agent.minstrel_probe_prob": 1.5},
-    {"agent.minstrel_ewma_weight": -0.1},
-    {"agent.constant_mcs": 8},
-    {"agent.replay_capacity": 0},
-    {"agent.seed": -1},
-    # a rate beyond float range gives a frame airtime of exactly 0 s, and a
-    # tiny one stops the clock once clock + window == clock in float64
-    pytest.param({"sim.overhead_s": 0, "sim.phy_rates_mbps": [*RATES[:7], 1e303]},
-                 id="sim.overhead_s=0_zero_airtime"),
-    pytest.param({"sim.overhead_s": 0, "sim.phy_rates_mbps": [*RATES[:7], 1e290]},
-                 id="sim.overhead_s=0_clock_stalls"),
-    # integers that no float can hold
-    pytest.param({"sim.speed_mps": 10**400}, id="sim.speed_mps=10**400"),
-    pytest.param({"sim.duration_s": 10**400}, id="sim.duration_s=10**400"),
-    pytest.param({"sim.tx_power_dbm": -10**400}, id="sim.tx_power_dbm=-10**400"),
-    pytest.param({"agent.seed": 10**400}, id="agent.seed=10**400"),
-    # the receiver would recede so far that the path loss overflows to inf
-    pytest.param({"sim.phy_rates_mbps": [1e-305, *RATES[1:]]},
-                 id="sim.phy_rates_mbps=1e-305_first_rate"),
-    {"sim.speed_mps": 1e306},
-    # a window's sum of ACK SNRs would overflow to inf
-    {"sim.tx_power_dbm": 1e308},
-    {"sim.tx_power_dbm": -1e308},
-]
-
-
-def row_id(overrides):
-    key, value = next(iter(overrides.items()))
-    return f"{key}={value}"
-
-
-def apply_overrides(data, overrides):
-    """Set each dotted `section.key` of `overrides` in the config dict."""
-    for dotted, value in overrides.items():
-        section, key = dotted.split(".")
-        data[section][key] = value
-    return data
+from tests.reference import RATES, REJECTED, apply_overrides, row_id
 
 
 def names_key(violation, key):

@@ -4,8 +4,8 @@ import pytest
 from rateadapt.agents import GreedyQAgent
 from rateadapt.dqn import EpsilonSchedule, dqn_train_step
 from rateadapt.env import StepResult
-from rateadapt.nn import AdamState, adam_step, mlp_forward
-from tests.test_nn import backward, grad_buffer, random_net
+from rateadapt.nn import AdamState, mlp_forward
+from tests.reference import grad_buffer, random_net
 
 
 def batch_of(rows):
@@ -119,28 +119,6 @@ class TestDqnTrainStep:
         loss = dqn_train_step(online, target, opt, batch, gamma, grad_buffer(online))
         assert loss == pytest.approx(0.0, abs=1e-24)
         for a, b in zip(before.weights, online.weights):
-            assert np.array_equal(a, b)
-
-    def test_single_transition_matches_composition(self):
-        rng = np.random.default_rng(12)
-        online_a = random_net([8, 5], rng)
-        online_b = online_a.copy()
-        target = random_net([8, 5], np.random.default_rng(13))
-        gamma = 0.5
-        s, a, r, s_next = 0.4, 3, 0.7, 0.6
-
-        opt_a = AdamState.for_params(online_a, 0.01)
-        dqn_train_step(online_a, target, opt_a, batch_of([(s, a, r, s_next, False)]),
-                       gamma, grad_buffer(online_a))
-
-        opt_b = AdamState.for_params(online_b, 0.01)
-        tgt = r + gamma * float(np.max(mlp_forward(target, s_next)))
-        grads, _ = backward(online_b, np.array([s]), np.array([a]),
-                            np.array([tgt]))
-        adam_step(opt_b, online_b, grads)
-
-        for a, b in zip(online_a.weights + online_a.biases,
-                        online_b.weights + online_b.biases):
             assert np.array_equal(a, b)
 
     def test_loss_finite_nonnegative_random_batches(self):

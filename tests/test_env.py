@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,30 +5,11 @@ import pytest
 
 from rateadapt import env as env_module
 from rateadapt import phy
-from rateadapt.config import default_config, validate_config
+from rateadapt.config import default_config
 from rateadapt.env import LinkSimEnv, dara_reward, rng_streams
 from rateadapt.harness import run_evaluation
-
-TABLE = default_config().mcs_table()
-CHANNEL = default_config().channel_params()
-
-
-def make_env(start=1.0, speed=20.0, duration=60.0, window=50, log_period=1.0,
-             overhead=100e-6):
-    data = json.loads(default_config().to_json())
-    data["sim"].update(start_distance_m=start, speed_mps=speed, duration_s=duration,
-                       log_period_s=log_period, overhead_s=overhead)
-    data["gym"]["window_frames"] = window
-    return LinkSimEnv(validate_config(json.dumps(data)))
-
-
-def distance_at_snr(snr_db):
-    """The distance at which the link's SNR is `snr_db` (Friis inverted)."""
-    return 10 ** ((CHANNEL.tx_power_dbm
-                   - CHANNEL.noise_power_dbm
-                   - snr_db
-                   - 20 * np.log10(4 * np.pi * CHANNEL.frequency_hz
-                                   / phy.SPEED_OF_LIGHT)) / 20)
+from tests.reference import (CHANNEL, LINKS, TABLE, distance_at_snr, make_env,
+                             reference_episode, reference_log, runs_of_actions, tiny_config)
 
 
 class TestFrameAirtime:
@@ -197,36 +177,6 @@ class TestStep:
         quarter = len(obs) // 4
         assert np.mean(obs[:quarter]) >= np.mean(obs[-quarter:])
 
-    def test_raw_snr_is_snr_at_window_end(self):
-        env = make_env(duration=5.0)
-        env.reset(seed=6)
-        rng = np.random.default_rng(1)
-        while not env.done:
-            res = env.step(int(rng.integers(0, 8)))
-            assert res.raw_snr_db == phy.snr_db(env.position_at(env.clock),
-                                                CHANNEL)
-
-    def test_empty_window_carries_observation_forward(self):
-        env = make_env(start=5000.0, speed=0.0)
-        first = env.reset(seed=1)
-        res = env.step(7)  # zero successes at -6.7 dB
-        assert res.observation == first.observation
-
-    def test_determinism_full_episode(self):
-        def run():
-            env = make_env(duration=5.0)
-            res = env.reset(seed=42)
-            seq = [res]
-            while not res.done:
-                res = env.step(4)
-                seq.append(res)
-            return seq, env.throughput_log()
-
-        seq_a, log_a = run()
-        seq_b, log_b = run()
-        assert seq_a == seq_b
-        assert np.array_equal(log_a, log_b)
-
 
 def play(env, seed, actions):
     """Step `env` to the episode end, choosing each MCS with `actions()`;
@@ -238,29 +188,6 @@ def play(env, seed, actions):
         ends.append(env.clock)
         bits.append(round(res.fsr * env.window_frames) * env.payload_bits)
     return ends, bits
-
-
-def reference_log(env, ends, bits):
-    """The log accumulated one window at a time: after each window, every
-    tick before duration_s that the window reached gets the bits gathered
-    since the previous record; the episode end gets the rest."""
-    records, pending, next_tick = [], 0.0, env.log_period_s
-
-    def emit(now):
-        nonlocal pending
-        period = now - (records[-1][0] if records else 0.0)
-        thpt = pending / period / 1e6 if period > 0 else 0.0
-        records.append((now, 0.0, env.position_at(now), thpt))
-        pending = 0.0
-
-    for end, b in zip(ends, bits):
-        pending += b
-        while next_tick <= end and next_tick < env.duration_s:
-            emit(next_tick)
-            next_tick += env.log_period_s
-    if ends[-1] > (records[-1][0] if records else 0.0):
-        emit(ends[-1])
-    return np.array(records)
 
 
 class TestEpisodeLog:
@@ -324,59 +251,15 @@ class TestEpisodeLog:
         assert np.array_equal(got, want)  # bit for bit
 
 
-def reference_episode(env, seed, actions, set_clock=None):
-    """reset and one step per action, written with the plain per-window
-    expressions: ACK times clock + dt * (1..w), the SNR at each receiver
-    position, and np.mean over the acknowledged frames' SNRs; `set_clock`
-    maps an action's index to the clock set before it. Returns the results
-    and the clock after each."""
-    w, table = env.window_frames, env.table
-    rng = rng_streams(seed)[0]
-    snrs = phy.snr_db(env.position_at(np.zeros(w)), CHANNEL)
-    p = phy.frame_success_prob(snrs, table.slopes_per_db[0], table.midpoints_db[0])
-    fsr = int(np.count_nonzero(rng.random(w) < p)) / w
-    obs = phy.scale_snr(snrs[-1], env.snr_lo_db, env.snr_hi_db)
-    results, clocks, clock = [(obs, 0.0, False, fsr, snrs[-1])], [0.0], 0.0
-    for i, a in enumerate(actions):
-        clock = (set_clock or {}).get(i, clock)
-        dt = float(env.airtime_s[a])
-        ack_times = clock + dt * np.arange(1, w + 1)
-        snrs = phy.snr_db(env.position_at(ack_times), CHANNEL)
-        p = phy.frame_success_prob(snrs, table.slopes_per_db[a], table.midpoints_db[a])
-        successes = rng.random(w) < p
-        n_ok = int(np.count_nonzero(successes))
-        if n_ok > 0:
-            obs = phy.scale_snr(float(np.mean(snrs[successes])),
-                                env.snr_lo_db, env.snr_hi_db)
-        clock += w * dt
-        fsr = n_ok / w
-        results.append((obs, dara_reward(fsr, a, table), clock >= env.duration_s,
-                        fsr, snrs[-1]))
-        clocks.append(clock)
-    return results, clocks
-
-
-# A receding link whose SNR falls from 30 dB, so windows mix ACKed and lost
-# frames, one where no frame ever succeeds and one where every frame does.
-@pytest.mark.parametrize("start,speed", [(distance_at_snr(30.0), 40.0),
-                                         (5000.0, 0.0), (1.0, 0.0)],
-                         ids=["sweeping", "all_failure", "all_success"])
+@pytest.mark.parametrize("start,travel", LINKS)
 @pytest.mark.parametrize("window", [1, 7, 50])
-def test_window_step_bit_identical_to_reference(window, start, speed):
-    env = make_env(start=start, speed=speed, duration=5.0, window=window)
-    actions = np.random.default_rng(window).integers(0, phy.N_MCS, size=300)
-    want, want_clocks = reference_episode(env, 8, actions)
-    got = [env.reset(seed=8)]
-    got_clocks = [env.clock]
-    for a in actions:
-        if env.done:
-            break
-        got.append(env.step(int(a)))
-        got_clocks.append(env.clock)
-    assert len(got) > 50
-    for res, ref in zip(got, want):
-        assert (res.observation, res.reward, res.done, res.fsr, res.raw_snr_db) == ref
-    assert got_clocks == want_clocks[:len(got_clocks)]
+def test_window_step_bit_identical_to_reference(window, start, travel):
+    # A random MCS every window: each window is computed on its own.
+    env = make_env(start=start, speed=travel / 5.0, duration=5.0, window=window)
+    actions = np.random.default_rng(window).integers(0, phy.N_MCS, size=300).tolist()
+    got = drive(env, "runs", actions, {})
+    assert len(got[0]) > 50
+    assert got == reference_episode(env, 8, actions[:len(got[0]) - 1])
 
 
 def test_phy_called_once_per_block_plus_probe(monkeypatch):
@@ -386,10 +269,7 @@ def test_phy_called_once_per_block_plus_probe(monkeypatch):
     # than the block cap, makes O(log windows) calls; an MCS that changes
     # every window makes one call per window. reset's probe adds one. The
     # config is validated before counting, so the count is the env's alone.
-    data = json.loads(default_config().to_json())
-    data["agent"].update(algorithm="constant", constant_mcs=3)
-    data["sim"]["duration_s"] = 3.0
-    cfg = validate_config(json.dumps(data))
+    cfg = tiny_config({"duration_s": 3.0}, algorithm="constant", constant_mcs=3)
     counts = {"step": 0, "snr_db": 0, "frame_success_prob": 0}
 
     def counted(owner, name):
@@ -422,25 +302,14 @@ def test_phy_called_once_per_block_plus_probe(monkeypatch):
     # Every block is filled by a lookahead, which Ideal decides in one call
     # of its own, and reset's raw SNR takes one more, so Ideal doubles the
     # env's frame-success calls.
-    data["agent"]["algorithm"] = "ideal"
     for duration, snr_calls in ((3.0, 16), (60.0, 112)):
-        data["sim"]["duration_s"] = duration
-        cfg = validate_config(json.dumps(data))
+        cfg = tiny_config({"duration_s": duration}, algorithm="ideal")
         counts.update(dict.fromkeys(counts, 0))
         for seed in (1, 2):
             run_evaluation(cfg, None, seed=seed)
         assert counts["step"] > 20 * snr_calls
         assert counts["snr_db"] == snr_calls
         assert counts["frame_success_prob"] == 2 * snr_calls
-
-
-def runs_of_actions(rng, n):
-    """n actions in runs of one MCS, each 1-300 windows long (log-uniform,
-    so short runs and MCS changes are common)."""
-    actions = []
-    while len(actions) < n:
-        actions += [int(rng.integers(0, phy.N_MCS))] * int(301 ** rng.random())
-    return actions[:n]
 
 
 @pytest.mark.parametrize("window", [1, 7, 50])
@@ -492,11 +361,9 @@ def drive(env, way, actions, jumps):
     return got, got_clocks
 
 
-@pytest.mark.parametrize("start,speed", [(distance_at_snr(30.0), 40.0),
-                                         (5000.0, 0.0), (1.0, 0.0)],
-                         ids=["sweeping", "all_failure", "all_success"])
+@pytest.mark.parametrize("start,travel", LINKS)
 @pytest.mark.parametrize("window", [1, 7, 50])
-def test_run_blocks_bit_identical_to_reference(window, start, speed):
+def test_run_blocks_bit_identical_to_reference(window, start, travel):
     # Each run block computes many windows' PHY in one call and takes their
     # success masks from the stream ahead of play; every window still equals
     # the per-window reference, through to the episode end, however blocks
@@ -504,7 +371,7 @@ def test_run_blocks_bit_identical_to_reference(window, start, speed):
     # lookahead ("lookahead"), by a reset ten windows into a run ("reset"),
     # or by rewinding the clock to window 3 after window 10 and jumping past
     # every computed row after window 20 ("clock_set").
-    env = make_env(start=start, speed=speed, duration=5.0, window=window)
+    env = make_env(start=start, speed=travel / 5.0, duration=5.0, window=window)
     longest = int(env.duration_s / (window * env.airtime_s.min())) + 1
     actions = [5] * 30 + runs_of_actions(np.random.default_rng(window), longest)
     _, clocks = reference_episode(env, 8, actions[:20])
@@ -516,7 +383,7 @@ def test_run_blocks_bit_identical_to_reference(window, start, speed):
         assert env.done and len(got) > 50, way
         if way in ("runs", "clock_set"):  # the others play the runs episode
             want = reference_episode(env, 8, actions[:len(got) - 1], jumps)
-        assert ([tuple(res) for res in got], got_clocks) == want, way
+        assert (got, got_clocks) == want, way
 
 
 def receding_env(window):
@@ -533,8 +400,7 @@ def test_reset_mid_run_serves_no_stale_row(window):
     for _ in range(10):
         env.step(5)
     got = [env.reset(seed=8)] + [env.step(5) for _ in range(30)]
-    want, _ = reference_episode(env, 8, [5] * 30)
-    assert [tuple(res) for res in got] == want
+    assert got == reference_episode(env, 8, [5] * 30)[0]
 
 
 @pytest.mark.parametrize("window", [1, 7, 50])
@@ -551,8 +417,7 @@ def test_clock_set_mid_run_serves_no_stale_row(window):
         got.append(env.step(5))
         got_clocks.append(env.clock)
     want, want_clocks = reference_episode(env, 8, [5] * 30, jumps)
-    assert [tuple(res) for res in got] == want[1:]
-    assert got_clocks == want_clocks[1:]
+    assert (got, got_clocks) == (want[1:], want_clocks[1:])
 
 
 def test_run_block_memory_is_bounded():

@@ -1,46 +1,27 @@
 import csv
 import hashlib
-import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from rateadapt import checkpoint as ckpt_io
-from rateadapt.agents import ConstantAgent, DaraAgent, IdealAgent, TabularDaraAgent
-from rateadapt.config import default_config, validate_config
+from rateadapt import env as env_module
+from rateadapt.agents import DaraAgent
 from rateadapt.dqn import EpsilonSchedule
-from rateadapt.env import LinkSimEnv
+from rateadapt.env import LinkSimEnv, rng_streams
 from rateadapt.errors import ConfigError
-from rateadapt.harness import (SweepConfig, _play_episode, run_evaluation,
-                               run_sweep, run_training)
-from rateadapt.nn import mlp_forward
-from rateadapt.tabular import QTable
-from tests.test_env import TABLE, distance_at_snr, make_env
-from tests.test_nn import random_net
-
-
-def tiny_config(**agent_overrides):
-    """Short episodes so harness tests stay fast."""
-    base = json.loads(default_config().to_json())
-    base["sim"]["duration_s"] = 2.0
-    base["agent"]["episodes"] = 2
-    base["agent"]["checkpoint_every"] = 1
-    base["agent"].update(agent_overrides)
-    return validate_config(json.dumps(base))
+from rateadapt.harness import (TRAINABLE, SweepConfig, _play_episode, build_eval_agent,
+                               run_evaluation, run_sweep, run_training)
+from tests.reference import (LINKS, ReferenceLearner, ReferenceLink, distance_at_snr,
+                             make_env, random_net, reference_forward, reference_ideal,
+                             tiny_config)
 
 
 def diverging_base():
     """One episode that trains after every transition from the 8th on, so a
     huge learning rate diverges within it."""
     return tiny_config(episodes=1, warmup=8, batch_size=8, train_every=1)
-
-
-def params_digest(params):
-    h = hashlib.sha256()
-    for a in params.weights + params.biases:
-        h.update(a.tobytes())
-    return h.hexdigest()
 
 
 class TestRunTraining:
@@ -101,10 +82,10 @@ class TestRunTraining:
 ], ids=["run_training", "run_evaluation", "run_sweep"])
 def test_episode_over_the_work_budget_refused_before_any_output(tmp_path, algorithm,
                                                                 run):
-    data = json.loads(tiny_config(algorithm=algorithm, constant_mcs=7).to_json())
-    data["sim"].update(duration_s=1e9, log_period_s=1e3)
+    cfg = tiny_config({"duration_s": 1e9, "log_period_s": 1e3}, algorithm=algorithm,
+                      constant_mcs=7)
     with pytest.raises(ConfigError, match="sim.duration_s too long"):
-        run(validate_config(json.dumps(data)), tmp_path / "out")
+        run(cfg, tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
 
@@ -120,9 +101,9 @@ class TestRunEvaluation:
     def test_no_parameter_updates(self, tmp_path):
         cfg = tiny_config(episodes=1)
         _, ckpt = run_training(cfg, tmp_path)
-        before = params_digest(ckpt.params)
+        before = ckpt.params.flat.tobytes()
         run_evaluation(cfg, ckpt, seed=9)
-        assert params_digest(ckpt.params) == before
+        assert ckpt.params.flat.tobytes() == before
 
     def test_checkpoint_file_untouched(self, tmp_path):
         cfg = tiny_config(episodes=1)
@@ -143,23 +124,6 @@ class TestRunEvaluation:
         with pytest.raises(ConfigError):
             run_evaluation(tiny_config(), None)
 
-    def test_cumulative_reward_matches_replayed_rewards(self, tmp_path):
-        # independent recomputation: drive the env with the same frozen
-        # policy and seed, summing rewards by hand, left to right (sum() of
-        # floats is compensated from Python 3.12 on, so it is not used)
-        cfg = tiny_config(episodes=1)
-        _, ckpt = run_training(cfg, tmp_path)
-        summary, _ = run_evaluation(cfg, ckpt, seed=3)
-
-        env = LinkSimEnv(cfg)
-        res = env.reset(3)
-        total = 0.0
-        while not res.done:
-            action = int(np.argmax(mlp_forward(ckpt.params, res.observation)))
-            res = env.step(action)
-            total += res.reward
-        assert summary.cum_reward == total
-
 
 def climbing_net(rng):
     """A random [16, 16, 16] net whose first hidden unit carries the
@@ -174,14 +138,130 @@ def climbing_net(rng):
     return net
 
 
-def frozen_agents():
-    rng = np.random.default_rng(12)
-    table = QTable(20)
-    table.values[:] = rng.normal(size=table.values.shape)
-    return {"dara": DaraAgent(climbing_net(rng)),
-            "dara_tabular": TabularDaraAgent(table),
-            "ideal": IdealAgent(TABLE, 0.9),
-            "constant": ConstantAgent(5)}
+SEED = 8
+
+
+def played(env, agent, episode, learn=None):
+    """One _play_episode of seed SEED: its actions, the reset's and every
+    step's StepResult, the clock after each step, the summed reward, the
+    throughput log's bytes, the env generator's state and the MCS of each
+    lookahead call."""
+    actions, results, clocks, lookaheads = [], [], [], []
+    reset, step, lookahead = env.reset, env.step, env.lookahead
+
+    def reset_(*args, **kwargs):
+        results.append(reset(*args, **kwargs))
+        return results[-1]
+
+    def step_(action):
+        actions.append(action)
+        results.append(step(action))
+        clocks.append(env.clock)
+        return results[-1]
+
+    def lookahead_(action):
+        lookaheads.append(action)
+        return lookahead(action)
+    env.reset, env.step, env.lookahead = reset_, step_, lookahead_
+    try:
+        total = _play_episode(env, agent, SEED, episode, learn)
+    finally:
+        del env.reset, env.step, env.lookahead
+    return (actions, results, clocks, total, env.throughput_log().tobytes(),
+            env._rng.bit_generator.state, lookaheads)
+
+
+def reference_played(link, decide, episode, learn=None):
+    """played()'s results, clocks, reward and log for the reference link,
+    deciding each window with `decide` and passing each transition to
+    `learn`, reward summed left to right."""
+    results, clocks, total = [link.reset(SEED, episode)], [], 0.0
+    while not results[-1].done:
+        s, action = results[-1].observation, decide(results[-1])
+        results.append(link.step(action))
+        clocks.append(link.clock)
+        total += results[-1].reward
+        if learn is not None:
+            learn(s, action, results[-1].reward, results[-1].observation, results[-1].done)
+    return results, clocks, total, link.log().tobytes()
+
+
+def assert_same_episode(env, link, got, want):
+    """Every StepResult and clock, the reward and the log, bit for bit, and
+    the env generator: the played windows' uniforms plus those its run block
+    holds for windows not yet played, at most one block's."""
+    _, results, clocks, total, log, rng_state, _ = got
+    assert len(results) > 20 and results[-1].done
+    assert np.array(results).tobytes() == np.array(want[0]).tobytes()
+    assert np.array(clocks).tobytes() == np.array(want[1]).tobytes()
+    assert (total, log) == want[2:]
+    held = len(env._uniforms) - env._block_next * env.window_frames
+    assert 0 <= held <= max(env.window_frames, env_module._BLOCK_FRAMES)
+    link.rng.random(held)
+    assert rng_state == link.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("start,travel", LINKS)
+@pytest.mark.parametrize("window", [1, 7, 50])
+@pytest.mark.parametrize("algorithm", ["dara", "dara_tabular", "ideal", "minstrel_like",
+                                       "constant"])
+def test_harness_equals_reference(algorithm, window, start, travel):
+    # The equivalence matrix. Each algorithm plays episodes of one env
+    # through the real _play_episode, and each equals the reference link's,
+    # window for window. A learner trains in episodes 1 and 2 through its
+    # learn hook, never looking ahead, and then holds the reference
+    # learner's parameters and Adam moments (or Q-table); in episode 0 its
+    # greedy policy plays frozen, and for dara, whose trained net keeps one
+    # MCS, a greedy net whose MCS climbs with the observation plays episode
+    # 3. The baselines play episodes 1 and 0: ideal and constant look
+    # each run block ahead and decide it in one call, and minstrel_like,
+    # which the reference drives through a twin of itself, plays window by
+    # window. Episodes last window / 20 s, 28 to 184 windows.
+    duration = window / 20
+    cfg = tiny_config(
+        sim={"start_distance_m": start, "speed_mps": travel / duration,
+             "duration_s": duration, "log_period_s": duration / 25},
+        gym={"window_frames": window}, algorithm=algorithm, constant_mcs=5,
+        warmup=8, batch_size=8, train_every=4, target_sync_every=5, replay_capacity=64,
+        epsilon_mode="linear", epsilon_start=0.5, epsilon_end=0.05, epsilon_decay_steps=100)
+    a = cfg["agent"]
+    env = LinkSimEnv(cfg)
+    link = ReferenceLink(env)
+    if algorithm in TRAINABLE:
+        schedule = EpsilonSchedule(a["epsilon_mode"], a["epsilon_start"], a["epsilon_end"],
+                                   a["epsilon_decay_steps"])
+        agent, learn, opt = TRAINABLE[algorithm][2](a, schedule, rng_streams(SEED)[1])
+        ref = ReferenceLearner(a, rng_streams(SEED)[1])
+        for episode in (1, 2):
+            got = played(env, agent, episode, learn)
+            assert_same_episode(env, link, got,
+                                reference_played(link, ref.act, episode, ref.learn))
+            assert got[-1] == [] and agent.train_step == ref.train_step
+            assert ref.state() == ((agent.model.flat.tobytes(), opt.t, opt.m.flat.tobytes(),
+                                    opt.v.flat.tobytes()) if opt
+                                   else (agent.model.values.tobytes(),))
+        # the DQN has synced its target at least once
+        assert ref.train_step >= (a["target_sync_every"] if opt else 1)
+        plays = [(TRAINABLE[algorithm][1](agent.model), ref.greedy, 0)]
+        if algorithm == "dara":
+            net = climbing_net(np.random.default_rng(12))
+            plays.append((DaraAgent(net), lambda r: int(np.argmax(reference_forward(
+                net.weights, net.biases, [r.observation])[0])), 3))
+    else:
+        twin = build_eval_agent(cfg, None, rng_streams(SEED)[1])
+        decide = {"ideal": lambda r: reference_ideal(r.raw_snr_db, a["ideal_p_min"]),
+                  "constant": lambda r: a["constant_mcs"],
+                  "minstrel_like": twin.select_action}[algorithm]
+        agent = build_eval_agent(cfg, None, rng_streams(SEED)[1])
+        plays = [(agent, decide, episode) for episode in (1, 0)]
+    changes = False
+    for agent, decide, episode in plays:
+        got = played(env, agent, episode)
+        assert_same_episode(env, link, got, reference_played(link, decide, episode))
+        assert (got[-1] != []) == (algorithm != "minstrel_like")
+        changes |= len(set(got[-1])) > 1
+    if travel > 0 and algorithm not in ("minstrel_like", "constant"):
+        assert changes  # a frozen policy's decision changes on the moving link
 
 
 def per_window(agent):
@@ -189,55 +269,7 @@ def per_window(agent):
     return SimpleNamespace(select_action=agent.select_action)
 
 
-def recorded_episode(env, agent, monkeypatch):
-    """One _play_episode of seed 8 without a learn hook: every action,
-    StepResult and clock after it, the summed reward, the throughput log,
-    the env generator's final state and the number of lookahead calls."""
-    actions, results, clocks, lookaheads = [], [], [], []
-    step, lookahead = env.step, env.lookahead
-
-    def stepped(action):
-        actions.append(action)
-        results.append(step(action))
-        clocks.append(env.clock)
-        return results[-1]
-
-    def looked(action):
-        lookaheads.append(action)
-        return lookahead(action)
-    monkeypatch.setattr(env, "step", stepped)
-    monkeypatch.setattr(env, "lookahead", looked)
-    total = _play_episode(env, agent, 8, 0)
-    monkeypatch.undo()
-    return (actions, results, clocks, total, env.throughput_log().tobytes(),
-            env._rng.bit_generator.state, len(lookaheads))
-
-
-@pytest.mark.parametrize("start,travel", [(distance_at_snr(30.0), 200.0),
-                                          (5000.0, 0.0), (1.0, 0.0)],
-                         ids=["sweeping", "all_failure", "all_success"])
-@pytest.mark.parametrize("window", [1, 7, 50])
-def test_frozen_loop_equals_the_per_window_loop(window, start, travel, monkeypatch):
-    # Without a learn hook a frozen policy looks each run block ahead and
-    # decides it in one call; without select_actions it plays window by
-    # window. Both must play the same episode, window for window.
-    # The receiver moves `travel` metres in an episode of window / 10 s.
-    duration = window / 10
-    for name, agent in frozen_agents().items():
-        env = make_env(start=start, speed=travel / duration, duration=duration,
-                       window=window)
-        *frozen, frozen_lookaheads = recorded_episode(env, agent, monkeypatch)
-        *window_by_window, lookaheads = recorded_episode(env, per_window(agent),
-                                                         monkeypatch)
-        assert frozen == window_by_window, name
-        assert frozen_lookaheads > 0 and lookaheads == 0
-        actions, results = frozen[:2]
-        assert len(results) > 30 and results[-1].done
-        if travel > 0 and name != "constant":
-            assert len(set(actions)) > 1, name
-
-
-def test_epsilon_greedy_without_learning_plays_window_by_window(monkeypatch):
+def test_epsilon_greedy_without_learning_plays_window_by_window():
     # An exploring agent draws a coin per window, so it never looks ahead,
     # hook or not, and plays as it does without select_actions.
     def explorer():
@@ -245,20 +277,10 @@ def test_epsilon_greedy_without_learning_plays_window_by_window(monkeypatch):
         return DaraAgent(climbing_net(np.random.default_rng(12)), schedule,
                          np.random.default_rng(5))
     env = make_env(start=distance_at_snr(30.0), speed=400.0, duration=0.5, window=7)
-    *played, lookaheads = recorded_episode(env, explorer(), monkeypatch)
-    *window_by_window, _ = recorded_episode(env, per_window(explorer()), monkeypatch)
-    assert lookaheads == 0 and played == window_by_window
-    assert len(set(played[0])) > 1
-
-
-@pytest.mark.parametrize("algorithm", ["dara", "dara_tabular"])
-def test_training_never_looks_ahead(tmp_path, monkeypatch, algorithm):
-    def refused(self, action):
-        raise AssertionError("training looked ahead")
-    monkeypatch.setattr(LinkSimEnv, "lookahead", refused)
-    cfg = tiny_config(algorithm=algorithm, episodes=1, warmup=8, batch_size=8)
-    summaries, _ = run_training(cfg, tmp_path)
-    assert summaries[0].train_steps > 0
+    *explored, lookaheads = played(env, explorer(), 0)
+    *window_by_window, _ = played(env, per_window(explorer()), 0)
+    assert lookaheads == [] and explored == window_by_window
+    assert len(set(explored[0])) > 1
 
 
 class TestRunSweep:

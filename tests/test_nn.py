@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from rateadapt.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
-                          MlpParams, adam_step, init_mlp, mlp_backward,
+from rateadapt.nn import (AdamState, MlpParams, adam_step, init_mlp, mlp_backward,
                           mlp_forward)
+from tests.reference import (backward, grad_buffer, gradient_error, random_net,
+                             reference_adam, reference_backward, reference_forward)
 
 
 def zero_net(hidden=(4,)):
@@ -12,51 +13,6 @@ def zero_net(hidden=(4,)):
         [np.zeros((a, b)) for a, b in zip(sizes, sizes[1:])],
         [np.zeros(b) for b in sizes[1:]],
     )
-
-
-def random_net(hidden, rng):
-    """Fully random network (including output layer) for gradient checks."""
-    sizes = [1, *hidden, 8]
-    return MlpParams(
-        [rng.normal(size=(a, b)) * 0.7 for a, b in zip(sizes, sizes[1:])],
-        [rng.normal(size=b) * 0.1 for b in sizes[1:]],
-    )
-
-
-def grad_buffer(params):
-    """An uninitialized gradient laid out like params."""
-    return params.like(np.empty_like(params.flat))
-
-
-def backward(params, observations, actions, targets):
-    """(gradient, loss) of mlp_backward, into a fresh gradient buffer."""
-    grads = grad_buffer(params)
-    loss = mlp_backward(params, observations, actions, targets, grads)
-    return grads, loss
-
-
-def loss_of(params, obs, action, target):
-    q = mlp_forward(params, obs)
-    return 0.5 * (q[action] - target) ** 2
-
-
-def numeric_grads(params, obs, action, target, h=1e-5):
-    """Central finite differences over every parameter."""
-    gw = [np.zeros_like(w) for w in params.weights]
-    gb = [np.zeros_like(b) for b in params.biases]
-    for grads, arrays in ((gw, params.weights), (gb, params.biases)):
-        for g, a in zip(grads, arrays):
-            it = np.nditer(a, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = a[idx]
-                a[idx] = orig + h
-                up = loss_of(params, obs, action, target)
-                a[idx] = orig - h
-                down = loss_of(params, obs, action, target)
-                a[idx] = orig
-                g[idx] = (up - down) / (2 * h)
-    return gw, gb
 
 
 class TestForward:
@@ -119,22 +75,12 @@ class TestBackward:
         obs = float(rng.uniform(0, 1))
         action = int(rng.integers(0, 8))
         target = float(rng.uniform(-1, 2))
-        grads, _ = backward(params, np.array([obs]), np.array([action]),
-                            np.array([target]))
-        nw, nb = numeric_grads(params, obs, action, target)
-        for analytic, numeric in zip(grads.weights + grads.biases, nw + nb):
-            scale = np.maximum(np.abs(numeric), 1e-3)
-            assert np.max(np.abs(analytic - numeric) / scale) < 1e-4
+        assert gradient_error(params, obs, action, target) < 1e-4
 
     def test_finite_difference_oracle_default_architecture(self):
         rng = np.random.default_rng(999)
         params = random_net([16, 16, 16], rng)
-        grads, _ = backward(params, np.array([0.37]), np.array([4]),
-                            np.array([0.8]))
-        nw, nb = numeric_grads(params, 0.37, 4, 0.8)
-        for analytic, numeric in zip(grads.weights + grads.biases, nw + nb):
-            scale = np.maximum(np.abs(numeric), 1e-3)
-            assert np.max(np.abs(analytic - numeric) / scale) < 1e-4
+        assert gradient_error(params, 0.37, 4, 0.8) < 1e-4
 
 
 class TestAdam:
@@ -172,45 +118,6 @@ class TestInit:
         for w, (a, b) in zip(params.weights[:-1],
                              zip(params.layer_sizes, params.layer_sizes[1:])):
             assert np.max(np.abs(w)) <= np.sqrt(6.0 / (a + b))
-
-
-def reference_forward(params, obs):
-    """The (n, 8) output for n observations, one layer at a time."""
-    x = obs.reshape(-1, 1)
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = x @ w + b
-        x = z if i == len(params.weights) - 1 else np.maximum(z, 0.0)
-    return x
-
-
-def reference_backward(weights, biases, obs, actions, targets):
-    """Per-layer gradients as separate arrays, written out independently of
-    mlp_backward's flat gradient buffer."""
-    n = len(obs)
-    post = [obs.reshape(-1, 1)]
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        z = post[-1] @ w + b
-        post.append(z if i == len(weights) - 1 else np.maximum(z, 0.0))
-    delta = np.zeros_like(post[-1])
-    delta[np.arange(n), actions] = (post[-1][np.arange(n), actions] - targets) / n
-    gw, gb = [None] * len(weights), [None] * len(weights)
-    for i in range(len(weights) - 1, -1, -1):
-        gw[i] = post[i].T @ delta
-        gb[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ weights[i].T) * (post[i] > 0)
-    return gw, gb
-
-
-def reference_adam(t, lr, params, grads, m, v):
-    """Adam step t on lists of separate per-layer arrays, in place."""
-    bc1, bc2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
-    for p, g, mm, vv in zip(params, grads, m, v):
-        mm *= ADAM_BETA1
-        mm += (1.0 - ADAM_BETA1) * g
-        vv *= ADAM_BETA2
-        vv += (1.0 - ADAM_BETA2) * g * g
-        p -= lr * (mm / bc1) / (np.sqrt(vv / bc2) + ADAM_EPS)
 
 
 def same_bits(arrays_a, arrays_b):
@@ -270,9 +177,9 @@ class TestFlatLayout:
         for params in (random_net(hidden, np.random.default_rng(len(hidden))),
                        init_mlp(hidden, np.random.default_rng(len(hidden)))):
             batch = mlp_forward(params, xs)
-            assert batch.tobytes() == reference_forward(params, xs).tobytes()
+            assert batch.tobytes() == reference_forward(params.weights, params.biases, xs).tobytes()
             for x in [*xs.tolist(), 0, 1]:
-                want = reference_forward(params, np.array([float(x)]))
+                want = reference_forward(params.weights, params.biases, [float(x)])
                 for single in (x, np.float64(x), np.array(x, dtype=float)):
                     q = mlp_forward(params, single)
                     assert q.shape == (8,) and q.tobytes() == want[0].tobytes()

@@ -7,55 +7,43 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rateadapt import phy
-from rateadapt.config import default_config
-
-
-DEFAULTS = default_config().channel_params()
-TABLE = default_config().mcs_table()
-
-
-def snr_db_reference(distance_m, params):
-    """The scalar math.log10 formula snr_db evaluated before it took arrays."""
-    friis = 20.0 * math.log10(4.0 * math.pi * distance_m * params.frequency_hz
-                              / phy.SPEED_OF_LIGHT)
-    noise = -174.0 + 10.0 * math.log10(params.bandwidth_hz) + params.noise_figure_db
-    return params.tx_power_dbm - friis - noise
+from tests.reference import CHANNEL, TABLE, snr_db_reference
 
 
 class TestFriis:
     def test_one_meter(self):
-        assert phy.friis_path_loss(1.0, DEFAULTS) == pytest.approx(46.73, abs=0.01)
+        assert phy.friis_path_loss(1.0, CHANNEL) == pytest.approx(46.73, abs=0.01)
 
     def test_ten_meters(self):
         # +20 dB per decade
-        assert phy.friis_path_loss(10.0, DEFAULTS) == pytest.approx(66.73, abs=0.01)
+        assert phy.friis_path_loss(10.0, CHANNEL) == pytest.approx(66.73, abs=0.01)
 
     @given(st.floats(min_value=0.1, max_value=1e6))
     def test_doubling_distance_adds_6dB(self, d):
-        delta = phy.friis_path_loss(2 * d, DEFAULTS) - phy.friis_path_loss(d, DEFAULTS)
+        delta = phy.friis_path_loss(2 * d, CHANNEL) - phy.friis_path_loss(d, CHANNEL)
         assert delta == pytest.approx(20 * math.log10(2), rel=1e-9)
 
     def test_strictly_increasing(self):
         grid = np.geomspace(0.1, 1e4, 200)
-        losses = [phy.friis_path_loss(d, DEFAULTS) for d in grid]
+        losses = [phy.friis_path_loss(d, CHANNEL) for d in grid]
         assert all(b > a for a, b in zip(losses, losses[1:]))
 
 
 class TestNoisePower:
     def test_default_nf(self):
-        assert DEFAULTS.noise_power_dbm == pytest.approx(-93.99, abs=0.01)
+        assert CHANNEL.noise_power_dbm == pytest.approx(-93.99, abs=0.01)
 
     def test_zero_nf(self):
-        params = replace(DEFAULTS, noise_figure_db=0.0)
+        params = replace(CHANNEL, noise_figure_db=0.0)
         assert params.noise_power_dbm == pytest.approx(-100.99, abs=0.01)
 
     def test_doubling_bandwidth_adds_3dB(self):
-        single = replace(DEFAULTS, bandwidth_hz=20e6).noise_power_dbm
-        double = replace(DEFAULTS, bandwidth_hz=40e6).noise_power_dbm
+        single = replace(CHANNEL, bandwidth_hz=20e6).noise_power_dbm
+        double = replace(CHANNEL, bandwidth_hz=40e6).noise_power_dbm
         assert double - single == pytest.approx(10 * math.log10(2), rel=1e-9)
 
     @pytest.mark.parametrize("params", [
-        DEFAULTS, replace(DEFAULTS, bandwidth_hz=40e6, noise_figure_db=0.0)])
+        CHANNEL, replace(CHANNEL, bandwidth_hz=40e6, noise_figure_db=0.0)])
     def test_snr_bit_equal_to_per_call_noise_floor(self, params):
         # The noise floor is computed once per ChannelParams; snr_db must
         # equal the expression that recomputed it on every call.
@@ -71,14 +59,14 @@ class TestNoisePower:
 
 class TestSnr:
     def test_at_100m(self):
-        assert phy.snr_db(100.0, DEFAULTS) == pytest.approx(27.26, abs=0.05)
+        assert phy.snr_db(100.0, CHANNEL) == pytest.approx(27.26, abs=0.05)
 
     def test_at_1m(self):
-        assert phy.snr_db(1.0, DEFAULTS) == pytest.approx(67.26, abs=0.05)
+        assert phy.snr_db(1.0, CHANNEL) == pytest.approx(67.26, abs=0.05)
 
     def test_strictly_decreasing_in_distance(self):
         grid = np.geomspace(0.1, 1e4, 300)
-        snrs = [phy.snr_db(d, DEFAULTS) for d in grid]
+        snrs = [phy.snr_db(d, CHANNEL) for d in grid]
         assert all(b < a for a, b in zip(snrs, snrs[1:]))
 
     def test_array_matches_scalar_calls_and_reference(self):
@@ -88,10 +76,10 @@ class TestSnr:
         grid = np.concatenate([np.geomspace(0.1, 1e5, 2000),
                                rng.uniform(0.1, 3000.0, 2000),
                                1.0 + 20.0 * np.arange(1, 51) * 272.31e-6])
-        snrs = phy.snr_db(grid, DEFAULTS)
-        scalar = np.array([phy.snr_db(float(d), DEFAULTS) for d in grid])
+        snrs = phy.snr_db(grid, CHANNEL)
+        scalar = np.array([phy.snr_db(float(d), CHANNEL) for d in grid])
         assert snrs.tobytes() == scalar.tobytes()
-        reference = np.array([snr_db_reference(float(d), DEFAULTS) for d in grid])
+        reference = np.array([snr_db_reference(float(d), CHANNEL) for d in grid])
         np.testing.assert_allclose(snrs, reference, rtol=1e-12, atol=0)
 
 

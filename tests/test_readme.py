@@ -1,6 +1,8 @@
-"""README's CLI examples must parse with the real argument parser. Nothing
-is run: each line only goes through `parse_args`."""
+"""README's CLI examples must parse with the real argument parser (nothing
+is run: each line only goes through `parse_args`), and each test it cites
+must exist."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -34,3 +36,16 @@ def test_example_parses(line):
         _build_parser().parse_args(argv)
     except SystemExit as exc:
         pytest.fail(f"README example does not parse (exit {exc.code}): {line}")
+
+
+def test_every_cited_test_exists():
+    # A fold or rename that retires a pin README cites fails here until
+    # README cites the pin that replaces it.
+    cited = re.findall(r"tests/(\w+\.py)::(\w+)", README.read_text(encoding="utf-8"))
+    assert cited
+    for file, name in cited:
+        tree = ast.parse((README.parent / "tests" / file).read_text(encoding="utf-8"))
+        tests = {node.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and node.name.startswith(("test_", "Test"))}
+        assert name in tests, f"README cites tests/{file}::{name}, which is not a test"

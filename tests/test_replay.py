@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rateadapt.replay import ReplayBuffer
+from tests.reference import ReferenceReplay
 
 
 def push_tags(buf: ReplayBuffer, tags):
@@ -82,30 +83,6 @@ class TestSample:
         assert np.all(np.abs(freqs - 0.1) < 0.01)
 
 
-class FixedReplay:
-    """The ring buffer over columns allocated at full capacity up front."""
-
-    def __init__(self, capacity):
-        self.capacity = capacity
-        self.columns = tuple(np.zeros(capacity, dtype=c.dtype)
-                             for c in columns_of([0]))
-        self.next = self.size = 0
-
-    def push(self, *row):
-        for column, value in zip(self.columns, row):
-            column[self.next] = value
-        self.next = (self.next + 1) % self.capacity
-        self.size = min(self.size + 1, self.capacity)
-
-    def sample(self, batch_size, rng):
-        idx = rng.integers(0, self.size, size=batch_size)
-        return tuple(column[idx] for column in self.columns)
-
-    def contents(self):
-        order = (np.arange(self.size) + self.next - self.size) % self.capacity
-        return tuple(column[order] for column in self.columns)
-
-
 class TestGrowth:
     def test_fresh_large_buffer_holds_under_one_mb(self):
         buf = ReplayBuffer(10**6)
@@ -115,17 +92,17 @@ class TestGrowth:
     # not; 5,000 pushes wrap each ring, and a clear() midway restarts it.
     @pytest.mark.parametrize("capacity", [1, 3, 1024, 1500, 4096, 10**6])
     def test_matches_fixed_capacity_reference(self, capacity):
-        buf, ref = ReplayBuffer(capacity), FixedReplay(capacity)
+        buf, ref = ReplayBuffer(capacity), ReferenceReplay(capacity)
         rng_a, rng_b = np.random.default_rng(capacity), np.random.default_rng(capacity)
         for tag in range(5000):
             if tag == 2600:
                 buf.clear()
-                ref.next = ref.size = 0
+                ref.clear()
             row = (tag / 100.0, tag % 8, float(tag), tag / 7.0, tag % 2 == 1)
             buf.push(*row)
             ref.push(*row)
             if tag % 97 == 0 or tag == 4999:
-                assert buf.size == ref.size
+                assert buf.size == len(ref.rows)
                 assert_columns_equal(buf.contents(), ref.contents())
                 assert_columns_equal(buf.sample(64, rng_a), ref.sample(64, rng_b))
         assert len(buf._columns[0]) <= capacity

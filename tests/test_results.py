@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rateadapt.results import CcdfPoint, ccdf, setup_results_dir, write_ccdf_csv
-from tests.test_cli import subprocess_env
+from tests.reference import subprocess_env
 
 
 class TestCcdf:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rateadapt.tabular import QTable, q_update_tabular
+from tests.reference import MDP_GAMMA, MDP_NEXT, MDP_REWARDS, run_tabular_convergence, value_iteration
 
 
 class TestQUpdate:
@@ -55,57 +56,6 @@ class TestQUpdate:
         before = q.values.copy()
         q_update_tabular(q, 0.1, 0, r, 0.9, alpha, gamma, False)
         assert np.allclose(q.values, before, atol=1e-12)
-
-
-def value_iteration(rewards, transitions, gamma, iters=10_000, tol=1e-12):
-    """Independent Q* oracle for a deterministic finite MDP.
-
-    rewards[s][a] and transitions[s][a] give the reward and next state for
-    action a in state s.
-    """
-    n_s = len(rewards)
-    n_a = len(rewards[0])
-    q = np.zeros((n_s, n_a))
-    for _ in range(iters):
-        new = np.array([
-            [rewards[s][a] + gamma * np.max(q[transitions[s][a]])
-             for a in range(n_a)]
-            for s in range(n_s)
-        ])
-        if np.max(np.abs(new - q)) < tol:
-            return new
-        q = new
-    return q
-
-
-# 2-state, 2-action deterministic MDP used by the convergence oracle.
-MDP_REWARDS = [[1.0, 0.0], [0.0, 2.0]]
-MDP_NEXT = [[0, 1], [0, 1]]
-MDP_GAMMA = 0.5
-
-
-def run_tabular_convergence(max_updates=10_000, alpha=0.5):
-    """Sweep q_update_tabular over all (s, a) pairs until close to Q*.
-
-    States 0 and 1 are mapped onto observations 0.1 and 0.9 in a 2-bin
-    table. Returns (updates used, max abs error vs value iteration).
-    """
-    q_star = value_iteration(MDP_REWARDS, MDP_NEXT, MDP_GAMMA)
-    obs = [0.1, 0.9]
-    q = QTable(2)
-    bins = [q.bin_of(o) for o in obs]
-    assert bins == [0, 1]
-    updates = 0
-    while updates < max_updates:
-        for s in (0, 1):
-            for a in (0, 1):
-                q_update_tabular(q, obs[s], a, MDP_REWARDS[s][a],
-                                 obs[MDP_NEXT[s][a]], alpha, MDP_GAMMA, False)
-                updates += 1
-        err = np.max(np.abs(q.values[:, :2] - q_star))
-        if err < 1e-3:
-            return updates, err
-    return updates, np.max(np.abs(q.values[:, :2] - q_star))
 
 
 class TestConvergenceOracle:
