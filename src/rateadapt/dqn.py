@@ -1,4 +1,4 @@
-"""DQN training step and the epsilon schedule."""
+"""DQN Bellman targets, training step and the epsilon schedule."""
 
 from __future__ import annotations
 
@@ -25,18 +25,20 @@ class EpsilonSchedule:
         return self.start + (self.end - self.start) * frac
 
 
-def dqn_train_step(online: MlpParams, target_net: MlpParams, opt: AdamState,
-                   batch, gamma: float, grads: MlpParams) -> float:
+def bellman_targets(target_net: MlpParams, r, s_next, done, gamma: float):
+    """y = r on terminal transitions and r + gamma * max Q_target(s_next)
+    otherwise, for arrays of rows, from one forward of the target network."""
+    q_next_max = np.maximum.reduce(_forward(target_net, s_next.reshape(-1, 1)), axis=1)
+    return np.where(done, r, r + gamma * q_next_max)
+
+
+def dqn_train_step(online: MlpParams, opt: AdamState, s, a, y, grads: MlpParams) -> float:
     """One Adam step on the mean per-transition loss 0.5 * (Q(s)[a] - y)^2
-    over a (s, a, r, s_next, done) batch of arrays, where y is r on terminal
-    transitions and r + gamma * max Q_target(s_next) otherwise.
+    over arrays of states, actions and targets (see `bellman_targets`).
 
     Updates `online` and `opt` in place, overwrites `grads` (laid out like
     `online`) with the gradient and returns the loss.
     """
-    s, a, r, s_next, done = batch
-    q_next_max = np.maximum.reduce(_forward(target_net, s_next.reshape(-1, 1)), axis=1)
-    targets = np.where(done, r, r + gamma * q_next_max)
-    loss = mlp_backward(online, s, a, targets, grads)
+    loss = mlp_backward(online, s, a, y, grads)
     adam_step(opt, online, grads)
     return loss

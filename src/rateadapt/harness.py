@@ -24,7 +24,7 @@ from .agents import (ConstantAgent, DaraAgent, IdealAgent, MinstrelLikeAgent,
                      TabularDaraAgent)
 from .checkpoint import Checkpoint
 from .config import RootConfig, check_work_budget
-from .dqn import EpsilonSchedule, dqn_train_step
+from .dqn import EpsilonSchedule, bellman_targets, dqn_train_step
 from .env import LOG_FIELDS, LinkSimEnv, rng_streams
 from .errors import ConfigError
 from .nn import AdamState, init_mlp
@@ -131,11 +131,13 @@ def _dqn_learner(agent_cfg, schedule, agent_rng):
         buffer.push(s, action, r, s_next, done)
         env_steps += 1
         if buffer.size >= warmup and env_steps % train_every == 0:
-            batch = buffer.sample(agent_cfg["batch_size"], agent_rng)
-            dqn_train_step(online, target, opt, batch, agent_cfg["discount"], grads)
+            s_b, a_b, y_b = buffer.sample(agent_cfg["batch_size"], agent_rng, lambda *rows:
+                                          bellman_targets(target, *rows, agent_cfg["discount"]))
+            dqn_train_step(online, opt, s_b, a_b, y_b, grads)
             agent.train_step += 1
             if agent.train_step % agent_cfg["target_sync_every"] == 0:
                 target = online.copy()
+                buffer.mark_stale()
         if done and not agent_cfg["replay_persist_across_episodes"]:
             buffer.clear()
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rateadapt.agents import GreedyQAgent
-from rateadapt.dqn import EpsilonSchedule, dqn_train_step
+from rateadapt.dqn import EpsilonSchedule, bellman_targets, dqn_train_step
 from rateadapt.env import StepResult
 from rateadapt.nn import AdamState, mlp_forward
 from tests.reference import grad_buffer, random_net
@@ -17,9 +17,18 @@ def batch_of(rows):
             np.array(done, dtype=bool))
 
 
+def train_on(online, target, opt, batch, gamma):
+    """dqn_train_step on the batch's states and actions with bellman_targets'
+    y; returns the loss."""
+    s, a, r, s_next, done = batch
+    y = bellman_targets(target, r, s_next, done, gamma)
+    return dqn_train_step(online, opt, s, a, y, grad_buffer(online))
+
+
 class TestBellmanTarget:
-    """The targets dqn_train_step regresses on, read back through its loss
-    0.5 * mean((Q(s)[a] - y)^2) against hand-computed y."""
+    """The targets bellman_targets gives, read back through the loss
+    0.5 * mean((Q(s)[a] - y)^2) of a dqn_train_step on them against
+    hand-computed y."""
 
     def loss_and_q(self, rows, gamma):
         online = random_net([8, 5], np.random.default_rng(21))
@@ -28,7 +37,7 @@ class TestBellmanTarget:
         q = mlp_forward(online, batch[0])[np.arange(len(rows)), batch[1]]
         q_next_max = mlp_forward(target, batch[3]).max(axis=1)
         opt = AdamState.for_params(online, 0.01)
-        loss = dqn_train_step(online, target, opt, batch, gamma, grad_buffer(online))
+        loss = train_on(online, target, opt, batch, gamma)
         return loss, q, q_next_max
 
     def test_terminal(self):
@@ -116,7 +125,7 @@ class TestDqnTrainStep:
             for i, (s, a) in enumerate(zip(states, actions))
         ])
         before = online.copy()
-        loss = dqn_train_step(online, target, opt, batch, gamma, grad_buffer(online))
+        loss = train_on(online, target, opt, batch, gamma)
         assert loss == pytest.approx(0.0, abs=1e-24)
         for a, b in zip(before.weights, online.weights):
             assert np.array_equal(a, b)
@@ -130,5 +139,5 @@ class TestDqnTrainStep:
             batch = (rng.uniform(0, 1, 16), rng.integers(0, 8, 16),
                      rng.uniform(0, 1, 16), rng.uniform(0, 1, 16),
                      rng.integers(0, 2, 16).astype(bool))
-            loss = dqn_train_step(online, target, opt, batch, 0.5, grad_buffer(online))
+            loss = train_on(online, target, opt, batch, 0.5)
             assert np.isfinite(loss) and loss >= 0

@@ -393,9 +393,12 @@ def receding_env(window):
 
 @pytest.mark.parametrize("window", [1, 7, 50])
 def test_reset_mid_run_serves_no_stale_row(window):
-    # Ten windows into a run the block holds rows for later clocks; the new
-    # episode must start from clock 0 all the same.
-    env = receding_env(window)
+    # Ten windows into a run the block holds rows for later clocks and their
+    # uniforms; the new episode must start from clock 0 and its own stream
+    # all the same. The link starts at MCS 5's midpoint, where p is near
+    # 0.5, so a uniform left from the old stream would flip frames.
+    env = make_env(start=distance_at_snr(TABLE.midpoints_db[5]), speed=40.0,
+                   duration=5.0, window=window)
     env.reset(seed=8)
     for _ in range(10):
         env.step(5)

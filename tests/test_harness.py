@@ -13,6 +13,7 @@ from rateadapt.env import LinkSimEnv, rng_streams
 from rateadapt.errors import ConfigError
 from rateadapt.harness import (TRAINABLE, SweepConfig, _play_episode, build_eval_agent,
                                run_evaluation, run_sweep, run_training)
+from rateadapt.nn import MlpParams
 from tests.reference import (LINKS, ReferenceLearner, ReferenceLink, distance_at_snr,
                              make_env, random_net, reference_forward, reference_ideal,
                              tiny_config)
@@ -73,6 +74,18 @@ class TestRunTraining:
         rows = (tmp_path / "episodes.csv").read_text().splitlines()[1:]
         assert summaries[0].train_steps > 0  # training did start after warmup
         assert int(rows[0].split(",")[3]) == summaries[0].train_steps
+
+    def test_one_network_copy_per_target_sync(self, tmp_path, monkeypatch):
+        # The benchmark counts target syncs as MlpParams.copy calls less
+        # init_mlp calls: the first target, then one copy per sync and none
+        # for the replay's cached targets.
+        copies = []
+        copy = MlpParams.copy
+        monkeypatch.setattr(MlpParams, "copy", lambda net: copies.append(net) or copy(net))
+        cfg = tiny_config(warmup=8, batch_size=8, train_every=1, target_sync_every=7)
+        summaries, _ = run_training(cfg, tmp_path)
+        steps = summaries[-1].train_steps
+        assert steps > 3 * 7 and len(copies) == 1 + steps // 7
 
 
 @pytest.mark.parametrize("algorithm,run", [
@@ -203,9 +216,16 @@ def assert_same_episode(env, link, got, want):
 
 @pytest.mark.parametrize("start,travel", LINKS)
 @pytest.mark.parametrize("window", [1, 7, 50])
-@pytest.mark.parametrize("algorithm", ["dara", "dara_tabular", "ideal", "minstrel_like",
-                                       "constant"])
-def test_harness_equals_reference(algorithm, window, start, travel):
+@pytest.mark.parametrize("algorithm,learner", [
+    *(pytest.param(name, {}, id=name)
+      for name in ("dara", "dara_tabular", "ideal", "minstrel_like", "constant")),
+    # the replay's cached targets from 1-row target forwards, and from
+    # 2-row forwards that leave a lone stale row, which goes in twice: an
+    # odd ring that every sync makes all stale, sampled often
+    pytest.param("dara", {"batch_size": 1}, id="dara_batch1"),
+    pytest.param("dara", {"batch_size": 2, "train_every": 3, "replay_capacity": 9},
+                 id="dara_batch2")])
+def test_harness_equals_reference(algorithm, learner, window, start, travel):
     # The equivalence matrix. Each algorithm plays episodes of one env
     # through the real _play_episode, and each equals the reference link's,
     # window for window. A learner trains in episodes 1 and 2 through its
@@ -222,8 +242,9 @@ def test_harness_equals_reference(algorithm, window, start, travel):
         sim={"start_distance_m": start, "speed_mps": travel / duration,
              "duration_s": duration, "log_period_s": duration / 25},
         gym={"window_frames": window}, algorithm=algorithm, constant_mcs=5,
-        warmup=8, batch_size=8, train_every=4, target_sync_every=5, replay_capacity=64,
-        epsilon_mode="linear", epsilon_start=0.5, epsilon_end=0.05, epsilon_decay_steps=100)
+        **{"warmup": 8, "batch_size": 8, "train_every": 4, "target_sync_every": 5,
+           "replay_capacity": 64, "epsilon_mode": "linear", "epsilon_start": 0.5,
+           "epsilon_end": 0.05, "epsilon_decay_steps": 100, **learner})
     a = cfg["agent"]
     env = LinkSimEnv(cfg)
     link = ReferenceLink(env)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from rateadapt.nn import (AdamState, MlpParams, adam_step, init_mlp, mlp_backward,
-                          mlp_forward)
+from rateadapt.nn import (AdamState, MlpParams, _forward, adam_step, init_mlp,
+                          mlp_backward, mlp_forward)
 from tests.reference import (backward, grad_buffer, gradient_error, random_net,
                              reference_adam, reference_backward, reference_forward)
 
@@ -41,6 +41,19 @@ class TestForward:
             # agreement to near machine precision, not bit equality
             assert np.allclose(batch[i], mlp_forward(params, x),
                                rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("hidden", [(16, 16, 16), (32, 32), (64, 64), (300,)])
+    def test_rows_of_two_or_more_do_not_depend_on_the_batch(self, hidden):
+        # The replay caches each row's Bellman target from target forwards
+        # of 2 to batch_size rows, so a row must get the same bits from any
+        # such forward as from the full 64-row batch.
+        net = random_net(hidden, np.random.default_rng(len(hidden)))
+        x = np.random.default_rng(33).uniform(0.0, 1.0, (64, 1))
+        full = _forward(net, x)
+        for m in range(2, 65):
+            for start in {0, (7 * m) % (65 - m), 64 - m}:
+                got = _forward(net, x[start:start + m])
+                assert got.tobytes() == full[start:start + m].tobytes(), (m, start)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -106,3 +106,33 @@ class TestGrowth:
                 assert_columns_equal(buf.contents(), ref.contents())
                 assert_columns_equal(buf.sample(64, rng_a), ref.sample(64, rng_b))
         assert len(buf._columns[0]) <= capacity
+
+
+@pytest.mark.parametrize("batch_size", [1, 2, 5, 64])
+def test_cached_targets_are_fresh_and_computed_in_chunks(batch_size):
+    # y is r plus the target "version", which each mark_stale bumps. A row's
+    # y is computed at most once after each push and each mark_stale, in
+    # calls of at most batch_size rows and, unless batch_size is 1, at least
+    # 2; a 37-row ring wraps and is cleared.
+    buf, rng, version, calls = ReplayBuffer(37), np.random.default_rng(batch_size), [0], []
+
+    def targets(r, s_next, done):
+        calls.append((len(r), len(set(r.tolist()))))
+        return r + version[0]
+
+    stale_events = 0
+    for tag in range(300):
+        push_tags(buf, [tag])
+        stale_events += 1
+        if tag == 150:
+            buf.clear()
+        elif tag % 3 == 0:
+            s, _, y = buf.sample(batch_size, rng, targets)
+            assert np.array_equal(y, np.round(s * 100) + version[0])
+        if tag % 50 == 49:
+            version[0] += 1000
+            stale_events += buf.size
+            buf.mark_stale()
+    sizes, rows = zip(*calls)
+    assert all(2 <= n <= batch_size if batch_size > 1 else n == 1 for n in sizes)
+    assert sum(rows) <= stale_events
