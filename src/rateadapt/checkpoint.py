@@ -19,6 +19,7 @@ Adam's betas and epsilon are written for reference only; `nn` fixes them.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -109,7 +110,7 @@ def load(path, expected_fingerprint: str | None = None,
         raise CheckpointError(f"{p}: not a checkpoint file (bad magic)")
     try:
         return _parse(p, raw, expected_fingerprint, allow_fingerprint_mismatch)
-    except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise CheckpointError(f"{p}: corrupt checkpoint ({exc!r})") from exc
 
 
@@ -129,7 +130,7 @@ def _parse(p: Path, raw: bytes, expected_fingerprint,
     arrays = {}
     offset = 0
     for entry in header["arrays"]:
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
+        count = math.prod(map(int, entry["shape"]))
         nbytes = count * 8
         arrays[entry["name"]] = np.frombuffer(
             blob[offset:offset + nbytes], dtype="<f8"

@@ -17,7 +17,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import phy
-from .phy import McsTable
 
 
 # The fields of an episode log record, in throughput_*.csv column order.
@@ -39,12 +38,6 @@ class StepResult(NamedTuple):
     done: bool
     fsr: float
     raw_snr_db: float
-
-
-def dara_reward(fsr: float, mcs: int, table: McsTable) -> float:
-    """Reward favouring the highest MCS that still succeeds: FSR weighted by
-    the chosen rate relative to the top rate, so it lives in [0, 1]."""
-    return fsr * float(table.rates_mbps[mcs]) / table.max_rate_mbps
 
 
 def rng_streams(seed: int, episode: int = 0):
@@ -191,7 +184,7 @@ class LinkSimEnv:
             observation = phy.scale_snr(float(np.add.reduce(acked)) / n_ok,
                                         self.snr_lo_db, self.snr_hi_db)
         fsr = n_ok / self.window_frames
-        # the reward is dara_reward's expression
+        # reward: FSR times the chosen rate over the top rate, in [0, 1]
         return StepResult(observation, fsr * rate / self._max_rate, done, fsr, raw_snr_db)
 
     def _check_step(self, action):

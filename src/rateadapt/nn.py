@@ -112,22 +112,13 @@ def _forward(params: MlpParams, x, inputs: list | None = None):
 
 
 def mlp_forward(params: MlpParams, observation) -> np.ndarray:
-    """Q-values for one observation (returns shape (8,)), for a batch of
-    shape (n,) (shape (n, 8), one matmul per layer) or for a column of shape
-    (k, 1) (shape (k, 8)).
-
-    A column runs as k stacked one-observation passes: each layer's
-    (k, 1, h) @ (h, m) is k of the (h,) @ (h, m) products a single
-    observation makes, so row i equals the Q-values of observation i bit
-    for bit, which a batch's (n, h) @ (h, m) product does not promise."""
+    """Q-values for a float observation (shape (8,)) or a (k, 1) column
+    (shape (k, 8)), which runs as k stacked one-observation passes: each
+    layer's (k, 1, h) @ (h, m) is k of the (h,) @ (h, m) products a single
+    observation makes, so row i equals observation i's Q-values bit for bit."""
     if isinstance(observation, float):
         return _forward(params, observation)
-    obs = np.asarray(observation, dtype=float)
-    if obs.ndim == 0:
-        return _forward(params, float(obs))
-    if obs.ndim == 2 and obs.shape[1] == 1:
-        return _forward(params, obs[:, :, None])[:, 0]
-    return _forward(params, obs.reshape(-1, 1))
+    return _forward(params, observation[:, :, None])[:, 0]
 
 
 def mlp_backward(params: MlpParams, observations, actions, targets,

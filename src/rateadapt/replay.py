@@ -44,20 +44,18 @@ class ReplayBuffer:
         self.size = min(self.size + 1, self.capacity)
         self._stale += 1
 
-    def sample(self, batch_size: int, rng: np.random.Generator, targets=None):
-        """(s, a, r, s_next, done) arrays of batch_size rows drawn uniformly
-        with replacement; the buffer must hold at least one row.
+    def sample(self, batch_size: int, rng: np.random.Generator, targets):
+        """(s, a, y) arrays of batch_size rows drawn uniformly with
+        replacement; the buffer must hold at least one row.
 
-        Given `targets`, a function from (r, s_next, done) arrays to their y,
-        returns (s, a, y) with y cached per row until a push overwrites the row
-        or `mark_stale`, so the stale rows are the newest. A draw that hits one
-        first computes all their y in calls of 2 to batch_size rows, which give
-        each row the same bits (a lone row goes twice), or of 1 at batch_size 1.
+        `targets` maps (r, s_next, done) arrays to their y, which is cached
+        per row until a push overwrites the row or `mark_stale`, so the stale
+        rows are the newest. A draw that hits one first computes all their y
+        in calls of 2 to batch_size rows, which give each row the same bits
+        (a lone row goes twice), or of 1 at batch_size 1.
         """
         idx = rng.integers(0, self.size, size=batch_size)
         s, a, r, s_next, done, y = self._columns
-        if targets is None:
-            return s[idx], a[idx], r[idx], s_next[idx], done[idx]
         if self._stale and ((self._next - 1 - idx) % self.capacity < self._stale).any():
             first = self._next - min(self._stale, self.size)  # may wrap below 0
             for start in range(first, self._next, batch_size):
@@ -75,8 +73,3 @@ class ReplayBuffer:
     def clear(self):
         self._next = 0
         self.size = 0
-
-    def contents(self):
-        """(s, a, r, s_next, done) arrays of the stored rows, oldest first."""
-        order = (np.arange(self.size) + self._next - self.size) % self.capacity
-        return tuple(column[order] for column in self._columns[:5])

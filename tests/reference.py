@@ -19,7 +19,7 @@ import pytest
 import rateadapt
 from rateadapt import checkpoint as ckpt_io, phy
 from rateadapt.config import default_config, validate_config
-from rateadapt.env import LinkSimEnv, StepResult, dara_reward, rng_streams
+from rateadapt.env import LinkSimEnv, StepResult, rng_streams
 from rateadapt.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, MlpParams,
                           mlp_backward, mlp_forward)
 from rateadapt.tabular import QTable, q_update_tabular
@@ -190,6 +190,11 @@ def snr_db_reference(distance_m, params):
                               / phy.SPEED_OF_LIGHT)
     noise = -174.0 + 10.0 * math.log10(params.bandwidth_hz) + params.noise_figure_db
     return params.tx_power_dbm - friis - noise
+
+
+def dara_reward(fsr, mcs, table):
+    """The DARA reward: FSR times the chosen rate over the top rate, in [0, 1]."""
+    return fsr * float(table.rates_mbps[mcs]) / table.max_rate_mbps
 
 
 class ReferenceLink:
@@ -411,18 +416,11 @@ class ReferenceReplay:
     def clear(self):
         self.rows, self.next = [], 0
 
-    @staticmethod
-    def columns(rows):
-        """(s, a, r, s_next, done) arrays of `rows`."""
-        return tuple(np.array(c, dtype=t)
-                     for c, t in zip(zip(*rows), (float, int, float, float, bool)))
-
     def sample(self, batch_size, rng):
-        return self.columns([self.rows[i] for i in rng.integers(0, len(self.rows), batch_size)])
-
-    def contents(self):
-        """The stored rows' columns, oldest first."""
-        return self.columns(self.rows[self.next:] + self.rows[:self.next])
+        """(s, a, r, s_next, done) arrays of the drawn slots' rows."""
+        rows = [self.rows[i] for i in rng.integers(0, len(self.rows), batch_size)]
+        return tuple(np.array([row[j] for row in rows], dtype=t)
+                     for j, t in enumerate((float, int, float, float, bool)))
 
 
 class ReferenceLearner:

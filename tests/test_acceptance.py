@@ -136,7 +136,7 @@ def test_criterion_6_determinism(tmp_path):
     ckpt = ckpt_io.load(tmp_path / "a" / "policy_ep003.ckpt")
     ckpt_io.save(tmp_path / "roundtrip.ckpt", ckpt)
     again = ckpt_io.load(tmp_path / "roundtrip.ckpt")
-    probes = np.linspace(0, 1, 100)
+    probes = np.linspace(0, 1, 100)[:, None]
     max_dq = float(np.max(np.abs(mlp_forward(ckpt.params, probes)
                                  - mlp_forward(again.params, probes))))
     report(6, "determinism and checkpoint round-trip",

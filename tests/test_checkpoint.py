@@ -36,7 +36,7 @@ class TestRoundTrip:
         path = tmp_path / "policy_ep001.ckpt"
         ckpt_io.save(path, ckpt)
         loaded = ckpt_io.load(path)
-        probes = np.linspace(0, 1, 100)
+        probes = np.linspace(0, 1, 100)[:, None]
         q_before = mlp_forward(ckpt.params, probes)
         q_after = mlp_forward(loaded.params, probes)
         assert np.max(np.abs(q_before - q_after)) == 0.0
@@ -193,7 +193,7 @@ CORRUPTIONS = st.one_of(
     st.tuples(st.just("float"), st.integers(0, 10**6),
               st.sampled_from([np.nan, np.inf, -np.inf]) | st.floats()),
     st.tuples(st.just("field"), st.integers(0, 10**6),
-              st.sampled_from([None, -1, 1.5, "x", [], {}, 10**20])),
+              st.sampled_from([None, -1, 1.5, "x", [], {}, 10**20, 1e308, float("inf")])),
 )
 
 

@@ -351,9 +351,10 @@ class TestInputHoles:
         lambda h: h["adam"].update(t=[]),
         lambda h: h["adam"].update(learning_rate=None),
         lambda h: h.pop("adam"),
+        lambda h: h["arrays"][0].update(shape=[1e308, 1e308]),
     ], ids=["no_kind", "shape_mismatch", "no_layers", "tabular_shape", "bad_kind",
             "train_step_x", "train_step_1.5", "adam_t_list", "adam_learning_rate_null",
-            "no_adam"])
+            "no_adam", "shape_inf"])
     def test_malformed_checkpoint_header_exit_1(self, tmp_path, capsys, edit):
         path = write_tiny_config(tmp_path / "cfg.json", episodes=1)
         ckpt = trained_run(path, tmp_path / "train") / "policy_ep001.ckpt"
@@ -361,6 +362,7 @@ class TestInputHoles:
         assert_config_error(capsys, ["eval", "--config", str(path),
                                      "--checkpoint", str(ckpt),
                                      "--results", str(tmp_path / "eval")])
+        assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("algorithm,array", [
         ("dara_tabular", "q_values"),

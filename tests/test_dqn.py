@@ -5,21 +5,17 @@ from rateadapt.agents import GreedyQAgent
 from rateadapt.dqn import EpsilonSchedule, bellman_targets, dqn_train_step
 from rateadapt.env import StepResult
 from rateadapt.nn import AdamState, mlp_forward
-from tests.reference import grad_buffer, random_net
+from tests.reference import grad_buffer, random_net, reference_forward
 
 
 def batch_of(rows):
-    """(s, a, r, s_next, done) column arrays, as ReplayBuffer.sample returns,
-    from a list of per-transition tuples."""
-    s, a, r, s_next, done = zip(*rows)
-    return (np.array(s, dtype=float), np.array(a, dtype=int),
-            np.array(r, dtype=float), np.array(s_next, dtype=float),
-            np.array(done, dtype=bool))
+    """(s, a, r, s_next, done) column arrays of per-transition tuples."""
+    return tuple(np.array(c, dtype=t)
+                 for c, t in zip(zip(*rows), (float, int, float, float, bool)))
 
 
 def train_on(online, target, opt, batch, gamma):
-    """dqn_train_step on the batch's states and actions with bellman_targets'
-    y; returns the loss."""
+    """dqn_train_step on the batch with bellman_targets' y; returns the loss."""
     s, a, r, s_next, done = batch
     y = bellman_targets(target, r, s_next, done, gamma)
     return dqn_train_step(online, opt, s, a, y, grad_buffer(online))
@@ -34,8 +30,8 @@ class TestBellmanTarget:
         online = random_net([8, 5], np.random.default_rng(21))
         target = random_net([8, 5], np.random.default_rng(22))
         batch = batch_of(rows)
-        q = mlp_forward(online, batch[0])[np.arange(len(rows)), batch[1]]
-        q_next_max = mlp_forward(target, batch[3]).max(axis=1)
+        q = mlp_forward(online, batch[0][:, None])[np.arange(len(rows)), batch[1]]
+        q_next_max = mlp_forward(target, batch[3][:, None]).max(axis=1)
         opt = AdamState.for_params(online, 0.01)
         loss = train_on(online, target, opt, batch, gamma)
         return loss, q, q_next_max
@@ -115,11 +111,11 @@ class TestDqnTrainStep:
         gamma = 0.5
         # terminal transitions with r equal to the prediction make the
         # bellman target hit Q(s)[a] exactly; predictions are taken from the
-        # same batched forward the train step uses, so the residual is a
-        # true float zero, not just close
+        # layer loop, which gives the train step's batched forward bit for
+        # bit, so the residual is a true float zero, not just close
         states = [0.2, 0.2, 0.2, 0.7, 0.7, 0.7]
         actions = [0, 1, 2, 0, 1, 2]
-        q_batch = mlp_forward(online, np.asarray(states))
+        q_batch = reference_forward(online.weights, online.biases, states)
         batch = batch_of([
             (s, a, float(q_batch[i, a]), 0.5, True)
             for i, (s, a) in enumerate(zip(states, actions))

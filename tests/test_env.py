@@ -6,9 +6,9 @@ import pytest
 from rateadapt import env as env_module
 from rateadapt import phy
 from rateadapt.config import default_config
-from rateadapt.env import LinkSimEnv, dara_reward, rng_streams
+from rateadapt.env import LinkSimEnv, rng_streams
 from rateadapt.harness import run_evaluation
-from tests.reference import (CHANNEL, LINKS, TABLE, distance_at_snr, make_env,
+from tests.reference import (CHANNEL, LINKS, TABLE, dara_reward, distance_at_snr, make_env,
                              reference_episode, reference_log, runs_of_actions, tiny_config)
 
 
@@ -36,21 +36,31 @@ class TestPosition:
 
 
 class TestDaraReward:
+    """The env's rewards at each MCS where every frame succeeds or none does."""
+
+    @staticmethod
+    def rewards(link):
+        start, travel = next(p.values for p in LINKS if p.id == link)
+        env = make_env(start=start, speed=travel / 60.0)
+        env.reset(seed=3)
+        results = [env.step(m) for m in range(phy.N_MCS)]
+        assert {r.fsr for r in results} == {1.0 if link == "all_success" else 0.0}
+        return [r.reward for r in results]
+
     def test_max(self):
-        assert dara_reward(1.0, 7, TABLE) == 1.0
+        assert self.rewards("all_success")[7] == 1.0
 
     def test_zero_fsr(self):
-        assert all(dara_reward(0.0, m, TABLE) == 0.0 for m in range(phy.N_MCS))
+        assert self.rewards("all_failure") == [0.0] * phy.N_MCS
 
     def test_mcs3(self):
-        assert dara_reward(0.9, 3, TABLE) == pytest.approx(0.9 * 26 / 65)
+        assert self.rewards("all_success")[3] == pytest.approx(26 / 65)
 
     def test_monotone_in_fsr_and_mcs(self):
-        for m in range(phy.N_MCS):
-            rewards = [dara_reward(f, m, TABLE) for f in np.linspace(0, 1, 11)]
-            assert all(b >= a for a, b in zip(rewards, rewards[1:]))
-        at_fixed_fsr = [dara_reward(0.7, m, TABLE) for m in range(phy.N_MCS)]
-        assert all(b > a for a, b in zip(at_fixed_fsr, at_fixed_fsr[1:]))
+        top, none = self.rewards("all_success"), self.rewards("all_failure")
+        assert all(b > a for a, b in zip(top, top[1:]))
+        assert all(t > n for t, n in zip(top, none))
+        assert top == [dara_reward(1.0, m, TABLE) for m in range(phy.N_MCS)]
 
 
 class TestReset:

