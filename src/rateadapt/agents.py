@@ -3,12 +3,14 @@ and constant-rate baselines.
 
 Every adapter is one call, select_action(result), that maps the StepResult
 the environment just returned (the reset result included) to the next
-window's MCS. The frozen policies (greedy Q-value agents, Ideal, constant)
-are pure functions of the result and also decide many results in one call,
-select_actions(results), each exactly as select_action would. The Q-value
-agents explore only when given an epsilon schedule; without one they are
-greedy. Learning happens outside the agents, in the harness's
-per-transition hook.
+window's MCS. The greedy DQN and Ideal also decide many results in one call,
+select_actions(results), each exactly as select_action would: their
+one-result decision is a forward or an 8-MCS PHY call, which one stacked
+call amortizes. A tabular row lookup or a constant is so cheap that
+deciding a run block at once saves nothing measurable, so those play window
+by window. The Q-value agents explore only when given an epsilon schedule;
+without one they are greedy. Learning happens outside the agents, in the
+harness's per-transition hook.
 """
 
 from __future__ import annotations
@@ -43,14 +45,6 @@ class GreedyQAgent:
                 return int(self.rng.integers(0, phy.N_MCS))
         return int(self.q(result.observation).argmax())
 
-    def select_actions(self, results) -> list:
-        """The greedy action after each result, from one `q_rows` call; each
-        row equals its one-observation `q`, so each action is a greedy
-        select_action's. The epsilon schedule is not read: an agent that
-        explores decides one window at a time."""
-        observations = np.array([r.observation for r in results])
-        return self.q_rows(observations).argmax(axis=1).tolist()
-
 
 class DaraAgent(GreedyQAgent):
     """DQN-based adapter; `model` is the MlpParams Q-network."""
@@ -58,8 +52,13 @@ class DaraAgent(GreedyQAgent):
     def q(self, observation: float) -> np.ndarray:
         return mlp_forward(self.model, observation)
 
-    def q_rows(self, observations: np.ndarray) -> np.ndarray:
-        return mlp_forward(self.model, observations[:, None])
+    def select_actions(self, results) -> list:
+        """The greedy action after each result, from one stacked forward
+        whose rows equal their one-observation `q`, so each action is a
+        greedy select_action's. The epsilon schedule is not read: an agent
+        that explores decides one window at a time."""
+        observations = np.array([r.observation for r in results])
+        return mlp_forward(self.model, observations[:, None]).argmax(axis=1).tolist()
 
 
 class TabularDaraAgent(GreedyQAgent):
@@ -67,9 +66,6 @@ class TabularDaraAgent(GreedyQAgent):
 
     def q(self, observation: float) -> np.ndarray:
         return self.model.row(observation)
-
-    def q_rows(self, observations: np.ndarray) -> np.ndarray:
-        return self.model.values[self.model.bins_of(observations)]
 
 
 class IdealAgent:
@@ -134,6 +130,3 @@ class ConstantAgent:
 
     def select_action(self, result: StepResult) -> int:
         return self.fixed_mcs
-
-    def select_actions(self, results) -> list:
-        return [self.fixed_mcs] * len(results)

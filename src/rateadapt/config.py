@@ -248,7 +248,9 @@ def validate_config(raw_json: str) -> RootConfig:
             out[key] = value
         resolved[section] = out
 
-    # Cross-field checks only make sense on well-typed values.
+    # Cross-field checks only make sense on well-typed values. Their float
+    # expressions may overflow or divide by zero, and each check reads the
+    # non-finite result, so no numpy warning is raised.
     if not problems:
         agent, gym, sim = resolved["agent"], resolved["gym"], resolved["sim"]
         if gym["snr_lo_db"] >= gym["snr_hi_db"]:
@@ -268,35 +270,38 @@ def validate_config(raw_json: str) -> RootConfig:
             problems.append("sim.per_midpoints_db must be strictly increasing")
         # The clock must advance by at least one float64 ulp per window for
         # every clock value short of duration_s, or the episode never ends.
-        cfg = RootConfig(resolved)
-        airtime = cfg.airtime_s()
-        if not gym["window_frames"] * airtime.min() >= sim["duration_s"] * 2.0**-52:
-            problems.append("sim.overhead_s too small for sim.phy_rates_mbps: "
-                            "gym.window_frames times the shortest frame airtime "
-                            "must be >= sim.duration_s * 2**-52, or the clock "
-                            "stops before sim.duration_s")
         # The receiver is farthest at the end of a slowest-MCS window that
         # starts just before duration_s; phy needs a finite path loss there.
         # A window's mean ACK SNR sums window_frames SNRs, and SNR falls with
         # distance, so the SNRs at the start and the farthest distance bound
         # every term of every window's sum.
-        channel = cfg.channel_params()
-        with np.errstate(over="ignore", invalid="ignore"):
+        cfg = RootConfig(resolved)
+        channel, airtime = cfg.channel_params(), cfg.airtime_s()
+        with np.errstate(all="ignore"):
+            clock_ok = gym["window_frames"] * airtime.min() >= sim["duration_s"] * 2.0**-52
             farthest = sim["start_distance_m"] + sim["speed_mps"] * (
                 sim["duration_s"] + gym["window_frames"] * airtime.max())
             loss = phy.friis_path_loss(farthest, channel)
             ends = snr_db(np.array([sim["start_distance_m"], farthest]), channel)
             snr_sum_bound = gym["window_frames"] * np.abs(ends).max()
+        airtime_text = ("frame airtime sim.overhead_s + sim.payload_bytes * 8 / a "
+                        "sim.phy_rates_mbps entry")
+        farthest_text = ("the farthest distance sim.start_distance_m + sim.speed_mps * T at "
+                         "T = sim.duration_s + gym.window_frames * the longest "
+                         + airtime_text)
+        if not clock_ok:
+            problems.append("sim.overhead_s too small for sim.phy_rates_mbps: "
+                            "gym.window_frames times the shortest " + airtime_text
+                            + " must be >= sim.duration_s * 2**-52, or the clock "
+                            "stops before sim.duration_s")
         if not np.isfinite(loss):
-            problems.append("sim.speed_mps too high for sim.phy_rates_mbps: path loss "
-                            "at the farthest distance, sim.start_distance_m + "
-                            "sim.speed_mps * (sim.duration_s + gym.window_frames * "
-                            "longest airtime), must be finite")
+            problems.append("sim.speed_mps too high for sim.phy_rates_mbps: the path "
+                            "loss at sim.frequency_mhz must be finite at " + farthest_text)
         elif not np.isfinite(snr_sum_bound):
             problems.append("sim.tx_power_dbm out of range for sim.noise_figure_db "
-                            "and sim.bandwidth_mhz: gym.window_frames times the "
-                            "larger |SNR| in dB, at sim.start_distance_m or at the "
-                            "farthest distance, must be finite")
+                            "sim.bandwidth_mhz and sim.frequency_mhz: gym.window_frames "
+                            "times the larger |SNR| in dB must be finite at "
+                            "sim.start_distance_m and at " + farthest_text)
 
     if problems:
         raise ConfigError(problems)

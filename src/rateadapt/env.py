@@ -121,9 +121,9 @@ class LinkSimEnv:
         ack_snrs, p = self._window(0.0, np.zeros(self.window_frames), self.INITIAL_MCS)
         successes = self._rng.random(self.window_frames) < p
         fsr = int(np.count_nonzero(successes)) / self.window_frames
-        self._last_observation = phy.scale_snr(ack_snrs[-1], self.snr_lo_db,
-                                               self.snr_hi_db)
-        return StepResult(self._last_observation, 0.0, False, fsr, ack_snrs[-1])
+        raw = float(ack_snrs[-1])
+        self._last_observation = phy.scale_snr(raw, self.snr_lo_db, self.snr_hi_db)
+        return StepResult(self._last_observation, 0.0, False, fsr, raw)
 
     def step(self, action: int) -> StepResult:
         """Simulate one window of frames at MCS `action`; a window that
@@ -249,7 +249,8 @@ class LinkSimEnv:
         if self._rng is None or not self.done:
             raise RuntimeError("throughput_log() needs a finished episode")
         n_ticks = int(self.duration_s / self.log_period_s) + 2
-        ticks = np.cumsum(np.full(n_ticks, self.log_period_s))
+        with np.errstate(over="ignore"):  # an infinite tick is dropped below
+            ticks = np.cumsum(np.full(n_ticks, self.log_period_s))
         times = np.append(ticks[ticks < self.duration_s], self.clock)
         # A record closes with the first window ending at or after its time;
         # for the last record that is the last window.

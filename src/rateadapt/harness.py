@@ -7,8 +7,10 @@ train steps on the agent, whose epsilon schedule reads them; each window is
 decided and stepped in turn. Training also writes a checkpoint every
 `checkpoint_every` episodes and appends each episode's row to episodes.csv
 as it completes. Evaluation runs without a hook, so the policy stays
-frozen, and a frozen policy with `select_actions` decides the windows of a
-run block in one call before they are stepped.
+frozen. The greedy DQN and Ideal, whose one-window decision costs a forward
+or a PHY call, have `select_actions` and decide the windows of a run block
+in one call before they are stepped; the other policies decide each window
+in turn, as training does.
 """
 
 from __future__ import annotations
@@ -166,8 +168,9 @@ def _play_episode(env: LinkSimEnv, agent, seed: int, episode: int,
                   learn=None) -> float:
     """Run one episode from env.reset(seed, episode) to done, passing each
     transition to `learn` if given; returns the cumulative reward, summed
-    left to right. Without `learn`, an agent that has select_actions and no
-    epsilon schedule, a frozen policy, plays through _play_frozen."""
+    left to right. Without `learn`, an agent that has select_actions (the
+    greedy DQN or Ideal, whose batched decision pays for the lookahead) and
+    no epsilon schedule, a frozen policy, plays through _play_frozen."""
     result = env.reset(seed, episode=episode)
     if (learn is None and getattr(agent, "schedule", None) is None
             and hasattr(agent, "select_actions")):

@@ -78,9 +78,9 @@ def frame_success_prob(snr, slope_per_db, midpoint_db):
     """Probability that one frame succeeds at the given SNR (dB) on the
     success curve with this slope and midpoint; broadcasts over arrays, so
     one call covers a window of SNRs or every MCS."""
-    exponent = -slope_per_db * (snr - midpoint_db)
-    with np.errstate(over="ignore"):  # exp overflow saturates to p = 0
-        return 1.0 / (1.0 + np.exp(exponent))
+    # An exponent or exp that overflows to inf saturates to p = 0 (or 1).
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-slope_per_db * (snr - midpoint_db)))
 
 
 def scale_snr(snr: float, lo_db: float, hi_db: float) -> float:

@@ -20,12 +20,6 @@ class QTable:
     def bin_of(self, observation: float) -> int:
         return min(max(int(observation * self.n_state_bins), 0), self.n_state_bins - 1)
 
-    def bins_of(self, observations: np.ndarray) -> np.ndarray:
-        """bin_of of each observation; clamping before truncating gives the
-        same bin for every finite observation."""
-        n = self.n_state_bins
-        return np.clip(observations * n, 0, n - 1).astype(int)
-
     def row(self, observation: float) -> np.ndarray:
         return self.values[self.bin_of(observation)]
 

@@ -149,6 +149,10 @@ REJECTED = [
     # a window's sum of ACK SNRs would overflow to inf
     {"sim.tx_power_dbm": 1e308},
     {"sim.tx_power_dbm": -1e308},
+    # every airtime overflows the farthest distance, and a subnormal
+    # frequency the path loss at the start; the messages name these keys
+    {"sim.overhead_s": 1.7e308},
+    {"sim.frequency_mhz": 5e-324},
 ]
 
 

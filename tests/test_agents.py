@@ -228,14 +228,15 @@ class TestIdealSelectActions:
             assert windows > 500
 
 
-def q_rows_one_by_one(agent, observations):
+def q_one_by_one(agent, observations):
     return np.array([agent.q(x) for x in observations])
 
 
 class TestSelectActions:
-    """A frozen policy's select_actions(results) is select_action of each
-    result. The DQN's rows come from one stacked forward whose products are
-    the one-observation forward's gemvs, which BLAS keeps bit-equal."""
+    """Only the greedy DQN and Ideal decide many results in one call, and
+    their select_actions(results) is select_action of each result. The
+    DQN's rows come from one stacked forward whose products are the
+    one-observation forward's gemvs, which BLAS keeps bit-equal."""
 
     OBSERVATIONS = np.append(np.linspace(-0.25, 1.25, 61),
                              [0.0, 1.0, 0.5, 1 / 3, np.nextafter(1.0, 0.0)])
@@ -250,10 +251,9 @@ class TestSelectActions:
             agent = DaraAgent(params)
             for k in (1, 2, 7, len(self.OBSERVATIONS)):
                 xs = self.OBSERVATIONS[:k]
-                rows = agent.q_rows(xs)
+                rows = mlp_forward(params, xs[:, None])
                 assert rows.shape == (k, phy.N_MCS)
-                assert rows.tobytes() == q_rows_one_by_one(agent, xs).tobytes()
-                assert rows.tobytes() == mlp_forward(params, xs[:, None]).tobytes()
+                assert rows.tobytes() == q_one_by_one(agent, xs).tobytes()
                 results = self.results(xs)
                 assert agent.select_actions(results) == [
                     agent.select_action(r) for r in results]
@@ -263,29 +263,18 @@ class TestSelectActions:
         assert agent.select_actions(self.results(self.OBSERVATIONS)) == (
             [0] * len(self.OBSERVATIONS))
 
-    @pytest.mark.parametrize("n_bins", [1, 3, 10, 17])
-    def test_tabular_bins_and_rows(self, n_bins):
-        table = QTable(n_bins)
-        table.values[:] = np.random.default_rng(n_bins).normal(size=table.values.shape)
-        table.values[0, :] = 0.0  # a tied row
-        edges = np.arange(n_bins + 1) / n_bins
-        xs = np.concatenate([self.OBSERVATIONS, edges, np.nextafter(edges, -1.0),
-                             np.nextafter(edges, 2.0)])
-        assert table.bins_of(xs).tolist() == [table.bin_of(float(x)) for x in xs]
-        agent = TabularDaraAgent(table)
-        assert agent.q_rows(xs).tobytes() == q_rows_one_by_one(agent, xs).tobytes()
-        results = self.results(xs)
-        assert agent.select_actions(results) == [agent.select_action(r) for r in results]
-
     def test_ideal_and_constant(self):
         results = self.results(self.OBSERVATIONS)
-        for agent in (IdealAgent(TABLE, 0.9), ConstantAgent(4)):
-            assert agent.select_actions(results) == [agent.select_action(r) for r in results]
-            assert agent.select_actions(results[:1]) == [agent.select_action(results[0])]
+        agent = IdealAgent(TABLE, 0.9)
+        assert agent.select_actions(results) == [agent.select_action(r) for r in results]
+        assert agent.select_actions(results[:1]) == [agent.select_action(results[0])]
+        # a tabular row or a constant is decided window by window
+        for agent in (ConstantAgent(4), TabularDaraAgent(QTable(3))):
+            assert not hasattr(agent, "select_actions")
 
     def test_no_results_no_actions(self):
         for agent in (DaraAgent(init_mlp([4], np.random.default_rng(0))),
-                      TabularDaraAgent(QTable(3)), IdealAgent(TABLE, 0.9), ConstantAgent(4)):
+                      IdealAgent(TABLE, 0.9)):
             assert agent.select_actions(()) == []
 
 

@@ -121,6 +121,20 @@ class TestEval:
                          "--results", str(tmp_path / "out")])
         assert code == 0
 
+    @pytest.mark.parametrize("sim,gym", [
+        ({"per_slopes_per_db": [1e308] * 8}, {}),
+        ({}, {"snr_lo_db": 0.0, "snr_hi_db": 1e-320}),
+        ({"log_period_s": 1.7e308}, {}),
+    ], ids=["per_slopes_per_db=1e308", "snr_hi_db=1e-320", "log_period_s=1.7e308"])
+    def test_extreme_accepted_config_runs_without_warning(self, tmp_path, capsys,
+                                                          sim, gym):
+        # Each overflows a float expression on the way to a finite result;
+        # pyproject turns a numpy warning into an error.
+        cfg = write_tiny_config(tmp_path / "cfg.json", sim, gym, algorithm="ideal")
+        assert cli_main(["eval", "--config", str(cfg),
+                         "--results", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_ideal_with_absurd_tx_power_exit_1_without_run_folder(self, tmp_path,
                                                                   capsys):
         # accepted, its windows' ACK-SNR sums would overflow to inf

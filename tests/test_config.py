@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rateadapt
-from rateadapt.config import (MAX_WINDOWS, check_work_budget, default_config,
+from rateadapt.config import (MAX_WINDOWS, SCHEMA, check_work_budget, default_config,
                               reference_config_text, validate_config)
 from rateadapt.errors import ConfigError
 from tests.reference import RATES, REJECTED, apply_overrides, row_id
@@ -168,6 +168,44 @@ class TestWorkBudget:
         cfg = self.config_of(windows)
         with pytest.raises(ConfigError, match="sim.duration_s too long"):
             check_work_budget(cfg)
+
+
+# Extreme values for the sweep over every numeric key: the float range's
+# edges, subnormals, zero and values that overflow once multiplied.
+EXTREME_FLOATS = (1.7e308, -1.7e308, 5e-324, -5e-324, 1e-320, -1e-320, 0.0,
+                  1e300, -1e300, 1e-300, -1e-300)
+EXTREME_INTS = (0, 1, 2**63, 10**300)
+
+
+def extreme_overrides():
+    """One {key: value} per numeric SCHEMA key and extreme value; a list key
+    takes 8 equal entries and 8 entries scaled by 1..8, which increase."""
+    for section, keys in SCHEMA.items():
+        for key, (default, _) in keys.items():
+            sample = default[0] if isinstance(default, list) else default
+            if isinstance(sample, (bool, str)):
+                continue
+            for v in EXTREME_INTS if isinstance(sample, int) else EXTREME_FLOATS:
+                if isinstance(default, list):
+                    yield {f"{section}.{key}": [v] * 8}
+                    yield {f"{section}.{key}": [v * k for k in range(1, 9)]}
+                else:
+                    yield {f"{section}.{key}": v}
+
+
+def test_every_numeric_key_at_extreme_values_returns_or_raises_config_error():
+    # A warning, which pyproject turns into an error, or any exception other
+    # than ConfigError is collected.
+    failures = []
+    for overrides in extreme_overrides():
+        raw = json.dumps(apply_overrides({"agent": {}, "gym": {}, "sim": {}}, overrides))
+        try:
+            check_work_budget(validate_config(raw))
+        except ConfigError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - collected and reported
+            failures.append((overrides, repr(exc)))
+    assert failures == []
 
 
 class TestSingleLayer:
