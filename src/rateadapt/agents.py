@@ -3,17 +3,19 @@ and constant-rate baselines.
 
 Every adapter is one call, select_action(result), that maps the StepResult
 the environment just returned (the reset result included) to the next
-window's MCS. The greedy DQN and Ideal also decide many results in one call,
-select_actions(results), each exactly as select_action would: their
-one-result decision is a forward or an 8-MCS PHY call, which one stacked
-call amortizes. A tabular row lookup or a constant is so cheap that
-deciding a run block at once saves nothing measurable, so those play window
-by window. The Q-value agents explore only when given an epsilon schedule;
-without one they are greedy. Learning happens outside the agents, in the
-harness's per-transition hook.
+window's MCS. The greedy DQN also decides many results in one call,
+select_actions(results), each exactly as select_action would: its
+one-result decision is a forward, which one stacked forward amortizes. A
+tabular row lookup, a bisect over Ideal's eight thresholds or a constant is
+so cheap that deciding a run block at once saves nothing measurable, so
+those play window by window. The Q-value agents explore only when given an
+epsilon schedule; without one they are greedy. Learning happens outside the
+agents, in the harness's per-transition hook.
 """
 
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 
@@ -21,7 +23,14 @@ from . import phy
 from .dqn import EpsilonSchedule
 from .env import StepResult
 from .nn import mlp_forward
-from .phy import McsTable
+# By its own name, so that phy.frame_success_prob counts the env's calls alone.
+from .phy import McsTable, frame_success_prob
+
+
+def _float(key):
+    """The float64 of each uint64 key in float order: a non-negative float's
+    bits with the top bit set, or a negative float's bits flipped."""
+    return np.where(key >> 63, key ^ (1 << 63), ~key).view(np.float64)
 
 
 class GreedyQAgent:
@@ -74,23 +83,24 @@ class IdealAgent:
     is at least p_min, else MCS 0. It is a reference rule, not an upper
     bound on throughput.
 
-    One raw SNR is decided in one `frame_success_prob` call over the 8 MCS
-    entries, and k raw SNRs in one (k, 8) call whose rows are that same
-    elementwise expression."""
+    As numpy's exp is monotone, each MCS's probability never falls as the
+    SNR rises, so the rule is a step function of the raw SNR. `thresholds[a]`
+    is the least float64 SNR at which MCS a or a higher one has p >= p_min
+    (+inf where only +inf does), and a raw SNR is decided by one bisect."""
 
     def __init__(self, table: McsTable, p_min: float):
-        self.table = table
-        self.p_min = p_min
-
-    def _decide(self, snr):
-        p = phy.frame_success_prob(snr, self.table.slopes_per_db, self.table.midpoints_db)
-        return ((p >= self.p_min) * np.arange(phy.N_MCS)).max(axis=-1)
+        # Bisect each MCS over the keys of (-inf, +inf], where p(-inf) = 0 is
+        # below p_min and p(+inf) = 1 is not, then take the suffix minimum.
+        lo = np.full(phy.N_MCS, 0x000F_FFFF_FFFF_FFFF, dtype=np.uint64)  # -inf
+        hi = np.full(phy.N_MCS, 0xFFF0_0000_0000_0000, dtype=np.uint64)  # +inf
+        while np.any(hi - lo > 1):
+            mid = lo + (hi - lo) // 2
+            ok = frame_success_prob(_float(mid), table.slopes_per_db, table.midpoints_db) >= p_min
+            lo, hi = np.where(ok, lo, mid), np.where(ok, mid, hi)
+        self.thresholds = np.minimum.accumulate(_float(hi)[::-1])[::-1].tolist()
 
     def select_action(self, result: StepResult) -> int:
-        return int(self._decide(result.raw_snr_db))
-
-    def select_actions(self, results) -> list:
-        return self._decide(np.array([r.raw_snr_db for r in results]).reshape(-1, 1)).tolist()
+        return max(bisect.bisect_right(self.thresholds, result.raw_snr_db) - 1, 0)
 
 
 class MinstrelLikeAgent:

@@ -105,7 +105,7 @@ SCHEMA = {
         "epsilon_end": (0.1, _num(lo=0, hi=1)),
         "epsilon_decay_steps": (10_000, _int(lo=1)),
         "batch_size": (64, _int(lo=1)),
-        "replay_capacity": (1_000_000, _int(lo=1)),
+        "replay_capacity": (1_000_000, _int(lo=1, hi=2**63 - 1)),
         "replay_persist_across_episodes": (True, _bool),
         "hidden_layers": ([16, 16, 16], _layer_widths),
         "train_every": (8, _int(lo=1)),

@@ -130,6 +130,8 @@ REJECTED = [
     {"agent.minstrel_ewma_weight": -0.1},
     {"agent.constant_mcs": 8},
     {"agent.replay_capacity": 0},
+    # the replay's ring arithmetic would overflow a C long
+    {"agent.replay_capacity": 2**63},
     {"agent.seed": -1},
     # a rate beyond float range gives a frame airtime of exactly 0 s, and a
     # tiny one stops the clock once clock + window == clock in float64
@@ -290,6 +292,16 @@ def reference_ideal(snr, p_min, table=TABLE):
     p = phy.frame_success_prob(snr, table.slopes_per_db, table.midpoints_db)
     feasible = np.flatnonzero(p >= p_min)
     return int(feasible[-1]) if feasible.size else 0
+
+
+def ideal_mismatches(agent, p_min, table=TABLE, snrs=()):
+    """The raw SNRs at which an IdealAgent decides otherwise than
+    reference_ideal, among `snrs` and each finite threshold and the floats
+    one ulp either side of it."""
+    edges = [np.nextafter(t, to) for t in agent.thresholds if math.isfinite(t)
+             for to in (-np.inf, t, np.inf)]
+    return [s for s in [*edges, *snrs] if reference_ideal(s, p_min, table) != (
+        agent.select_action(StepResult(0.0, 0.0, False, 0.0, float(s))))]
 
 
 def crossings(p_min):

@@ -1,3 +1,5 @@
+from functools import cache
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,9 @@ from rateadapt.config import default_config
 from rateadapt.dqn import EpsilonSchedule
 from rateadapt.env import LinkSimEnv, StepResult
 from rateadapt.nn import MlpParams, init_mlp, mlp_forward
+from rateadapt.phy import McsTable
 from rateadapt.tabular import QTable
-from tests.reference import TABLE, crossings, random_net, reference_ideal
+from tests.reference import TABLE, crossings, ideal_mismatches, random_net, reference_ideal
 
 
 def step_with(observation=0.5, fsr=1.0, raw_snr_db=30.0):
@@ -28,8 +31,13 @@ def biased_net(favored: int) -> MlpParams:
     return params
 
 
+@cache
+def ideal_agent(p_min):
+    return IdealAgent(TABLE, p_min)
+
+
 def ideal(snr, p_min=0.9):
-    return IdealAgent(TABLE, p_min).select_action(step_with(raw_snr_db=float(snr)))
+    return ideal_agent(p_min).select_action(step_with(raw_snr_db=float(snr)))
 
 
 def minstrel(ewma_weight=0.25, probe_prob=0.0, ewma=None, seed=0):
@@ -135,97 +143,63 @@ class TestIdealSelect:
         assert agent.select_action(StepResult(1.0, 1.0, True, 1.0, -50.0)) == 0
 
 
-def counting_calls(monkeypatch):
-    calls = []
-    fn = phy.frame_success_prob
-
-    def counted(*args):
-        calls.append(args)
-        return fn(*args)
-    monkeypatch.setattr(phy, "frame_success_prob", counted)
-    return calls
-
-
-def decide_both_ways(agent, results, calls):
-    """The agent's actions for `results`, one select_action call each and
-    one select_actions call for all; asserts that they agree and that the
-    select_actions call made one frame_success_prob call."""
-    one_by_one = [agent.select_action(r) for r in results]
-    before = len(calls)
-    together = agent.select_actions(results)
-    assert len(calls) == before + 1
-    assert np.shape(calls[-1][0]) == (len(results), 1)
-    assert together == one_by_one
-    return together
-
-
 class TestIdealSelectActions:
-    """IdealAgent.select_actions decides k raw SNRs in one (k, 8) call, each
-    as select_action and reference_ideal decide it alone: at every p_min
-    crossing, anywhere off a link, and through episodes with outside clock
-    moves."""
+    """IdealAgent decides each raw SNR as reference_ideal does: at every
+    p_min crossing, which is its threshold, anywhere, and through episodes
+    with outside clock moves."""
 
     @pytest.mark.parametrize("p_min", [0.1, 0.5, 0.9, 0.99, 0.999999])
-    def test_table_decisions_equal_the_reference_at_every_crossing(
-            self, p_min, monkeypatch):
+    def test_table_decisions_equal_the_reference_at_every_crossing(self, p_min):
         snrs = crossings(p_min)
         want = [reference_ideal(s, p_min) for s in snrs]
         # MCS i's crossing is where the decision turns from i - 1 to i.
         assert want == [d for i in range(phy.N_MCS) for d in (max(i - 1, 0), i, i)]
-        calls = counting_calls(monkeypatch)
-        results = [step_with(raw_snr_db=float(s)) for s in snrs]
-        assert decide_both_ways(IdealAgent(TABLE, p_min), results, calls) == want
+        assert [ideal(s, p_min) for s in snrs] == want
+        assert ideal_agent(p_min).thresholds == snrs[1::3].tolist()
 
     @pytest.mark.parametrize("p_min", [0.5, 0.9])
-    def test_a_raw_snr_outside_the_block_gets_the_reference(self, p_min, monkeypatch):
-        # Raw SNRs anywhere, not only a receding link's, in batches of 1 to
-        # 200, and synthetic results between the windows of a real episode.
-        agent = IdealAgent(TABLE, p_min)
+    def test_a_raw_snr_outside_the_block_gets_the_reference(self, p_min):
+        # Raw SNRs anywhere, not only a receding link's.
         outside = np.random.default_rng(4).uniform(-30.0, 70.0, 200)
-        want = [reference_ideal(snr, p_min) for snr in outside]
-        calls = counting_calls(monkeypatch)
-        results = [step_with(raw_snr_db=float(snr)) for snr in outside]
-        for k in (1, 7, 200):
-            assert decide_both_ways(agent, results[:k], calls) == want[:k]
-        monkeypatch.undo()
-        env = LinkSimEnv(default_config())
-        result = env.reset(seed=3)
-        for _ in range(20):
-            result = env.step(agent.select_action(result))
-        for snr in outside[:20]:
-            assert agent.select_action(step_with(raw_snr_db=float(snr))) == (
-                reference_ideal(snr, p_min))
-            result = env.step(agent.select_action(result))
-            assert agent.select_action(result) == reference_ideal(
-                result.raw_snr_db, p_min)
+        assert [ideal(s, p_min) for s in outside] == [reference_ideal(s, p_min) for s in outside]
 
     @pytest.mark.parametrize("p_min", [0.5, 0.9])
-    def test_episode_with_outside_clocks_matches_the_reference(self, p_min, monkeypatch):
-        # Whole episodes of the default link, each run block looked ahead and
-        # decided in one call, with the clock moved from outside now and then.
+    def test_episode_with_outside_clocks_matches_the_reference(self, p_min):
+        # Whole episodes of the default link, decided window by window, with
+        # the clock moved from outside now and then.
         env = LinkSimEnv(default_config())
         agent = IdealAgent(TABLE, p_min)
         rng = np.random.default_rng(6)
-        calls = counting_calls(monkeypatch)
         for seed in (1, 2):
             result, windows = env.reset(seed=seed), 0
-            action = agent.select_action(result)
             while not result.done:
-                ahead = env.lookahead(action)
-                decided = decide_both_ways(agent, ahead, calls)
-                assert decided == [reference_ideal(r.raw_snr_db, p_min) for r in ahead]
-                for next_action in decided:
-                    result = env.step(action)
-                    windows += 1
-                    if next_action != action or rng.random() < 0.01:
-                        break
-                action = next_action
-                if not result.done and rng.random() < 0.05:
+                action = agent.select_action(result)
+                assert action == reference_ideal(result.raw_snr_db, p_min)
+                if rng.random() < 0.05:
                     env.clock = max(0.0, env.clock + rng.uniform(-0.5, 0.5))
-                    result = env.step(action)
-                    windows += 1
-                    action = agent.select_action(result)
+                result = env.step(action)
+                windows += 1
             assert windows > 500
+
+
+# The default midpoints with shallow and steep slopes mixed, so that at most
+# values of p_min some MCS reaches p_min at a lower SNR than a lower MCS.
+MIXED_SLOPES = McsTable(TABLE.rates_mbps, TABLE.midpoints_db,
+                        np.array([0.2, 1.0, 1.0, 1.0, 0.3, 3.0, 1.0, 1.0]))
+
+
+class TestIdealThresholds:
+    """thresholds[a] is the least raw SNR at which MCS a or a higher one
+    has p >= p_min, so one bisect over them decides as the 8-MCS rule."""
+
+    @pytest.mark.parametrize("table", [TABLE, MIXED_SLOPES], ids=["default", "mixed_slopes"])
+    def test_every_edge_and_random_snr_decides_as_the_reference(self, table):
+        rng = np.random.default_rng(13)
+        snrs = rng.uniform(-40.0, 80.0, 500)
+        for p_min in rng.uniform(0.0, 1.0, 10):
+            agent = IdealAgent(table, p_min)
+            assert agent.thresholds == sorted(agent.thresholds)
+            assert ideal_mismatches(agent, p_min, table, snrs) == []
 
 
 def q_one_by_one(agent, observations):
@@ -233,16 +207,16 @@ def q_one_by_one(agent, observations):
 
 
 class TestSelectActions:
-    """Only the greedy DQN and Ideal decide many results in one call, and
-    their select_actions(results) is select_action of each result. The
-    DQN's rows come from one stacked forward whose products are the
-    one-observation forward's gemvs, which BLAS keeps bit-equal."""
+    """Only the greedy DQN decides many results in one call, and its
+    select_actions(results) is select_action of each result. Its rows come
+    from one stacked forward whose products are the one-observation
+    forward's gemvs, which BLAS keeps bit-equal."""
 
     OBSERVATIONS = np.append(np.linspace(-0.25, 1.25, 61),
                              [0.0, 1.0, 0.5, 1 / 3, np.nextafter(1.0, 0.0)])
 
     def results(self, observations):
-        return [step_with(float(x), raw_snr_db=float(40 * x)) for x in observations]
+        return [step_with(float(x)) for x in observations]
 
     @pytest.mark.parametrize("hidden", [[16, 16, 16], [32, 32], [64, 64], [33, 17]])
     def test_dqn_rows_bit_equal_to_single_forwards(self, hidden):
@@ -264,18 +238,14 @@ class TestSelectActions:
             [0] * len(self.OBSERVATIONS))
 
     def test_ideal_and_constant(self):
-        results = self.results(self.OBSERVATIONS)
-        agent = IdealAgent(TABLE, 0.9)
-        assert agent.select_actions(results) == [agent.select_action(r) for r in results]
-        assert agent.select_actions(results[:1]) == [agent.select_action(results[0])]
-        # a tabular row or a constant is decided window by window
-        for agent in (ConstantAgent(4), TabularDaraAgent(QTable(3))):
+        # a bisect, a tabular row, an EWMA or a constant is decided window
+        # by window
+        for agent in (IdealAgent(TABLE, 0.9), ConstantAgent(4), TabularDaraAgent(QTable(3)),
+                      minstrel()):
             assert not hasattr(agent, "select_actions")
 
     def test_no_results_no_actions(self):
-        for agent in (DaraAgent(init_mlp([4], np.random.default_rng(0))),
-                      IdealAgent(TABLE, 0.9)):
-            assert agent.select_actions(()) == []
+        assert DaraAgent(init_mlp([4], np.random.default_rng(0))).select_actions(()) == []
 
 
 class TestMinstrelLike:

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import rateadapt
+from rateadapt.agents import IdealAgent
 from rateadapt.config import (MAX_WINDOWS, SCHEMA, check_work_budget, default_config,
                               reference_config_text, validate_config)
 from rateadapt.errors import ConfigError
-from tests.reference import RATES, REJECTED, apply_overrides, row_id
+from tests.reference import RATES, REJECTED, apply_overrides, ideal_mismatches, row_id
 
 
 def names_key(violation, key):
@@ -195,12 +196,20 @@ def extreme_overrides():
 
 def test_every_numeric_key_at_extreme_values_returns_or_raises_config_error():
     # A warning, which pyproject turns into an error, or any exception other
-    # than ConfigError is collected.
+    # than ConfigError is collected. Where the override reaches the MCS table
+    # or p_min, Ideal's thresholds are built, and they must never decrease and
+    # must decide each edge as the 8-MCS rule does.
     failures = []
     for overrides in extreme_overrides():
         raw = json.dumps(apply_overrides({"agent": {}, "gym": {}, "sim": {}}, overrides))
         try:
-            check_work_budget(validate_config(raw))
+            cfg = validate_config(raw)
+            check_work_budget(cfg)
+            if next(iter(overrides)).startswith(("sim.per_", "sim.phy_rates", "agent.ideal_p")):
+                table, p_min = cfg.mcs_table(), cfg["agent"]["ideal_p_min"]
+                agent = IdealAgent(table, p_min)
+                assert agent.thresholds == sorted(agent.thresholds)
+                assert ideal_mismatches(agent, p_min, table) == []
         except ConfigError:
             pass
         except Exception as exc:  # noqa: BLE001 - collected and reported

@@ -309,9 +309,9 @@ def test_phy_called_once_per_block_plus_probe(monkeypatch):
     assert counts == {"step": windows, "snr_db": windows + 1,
                       "frame_success_prob": windows + 1}
 
-    # Every block is filled by a lookahead, which Ideal decides in one call
-    # of its own, and reset's raw SNR takes one more, so Ideal doubles the
-    # env's frame-success calls.
+    # Ideal decides each window by a bisect over thresholds it found once,
+    # through its own binding of frame_success_prob, so its episodes make
+    # as many frame-success calls as the env's SNR calls, no more.
     for duration, snr_calls in ((3.0, 16), (60.0, 112)):
         cfg = tiny_config({"duration_s": duration}, algorithm="ideal")
         counts.update(dict.fromkeys(counts, 0))
@@ -319,7 +319,7 @@ def test_phy_called_once_per_block_plus_probe(monkeypatch):
             run_evaluation(cfg, None, seed=seed)
         assert counts["step"] > 20 * snr_calls
         assert counts["snr_db"] == snr_calls
-        assert counts["frame_success_prob"] == 2 * snr_calls
+        assert counts["frame_success_prob"] == snr_calls
 
 
 @pytest.mark.parametrize("window", [1, 7, 50])
@@ -371,7 +371,9 @@ def drive(env, way, actions, jumps):
     return got, got_clocks
 
 
-@pytest.mark.parametrize("start,travel", LINKS)
+# The sweeping link only: with p at 0 or 1 and a receiver that stands still,
+# a stale row or uniform is indistinguishable from a fresh one.
+@pytest.mark.parametrize("start,travel", LINKS[:1])
 @pytest.mark.parametrize("window", [1, 7, 50])
 def test_run_blocks_bit_identical_to_reference(window, start, travel):
     # Each run block computes many windows' PHY in one call and takes their

@@ -233,10 +233,10 @@ def test_harness_equals_reference(algorithm, learner, window, start, travel):
     # learner's parameters and Adam moments (or Q-table); in episode 0 its
     # greedy policy plays frozen, and for dara, whose trained net keeps one
     # MCS, a greedy net whose MCS climbs with the observation plays episode
-    # 3. The baselines play episodes 1 and 0. Only dara and ideal look each
-    # run block ahead and decide it in one call; dara_tabular, constant and
-    # minstrel_like, which the reference drives through a twin of itself,
-    # play window by window. Episodes last window / 20 s, 28 to 184 windows.
+    # 3. The baselines play episodes 1 and 0. Only dara looks each run block
+    # ahead and decides it in one call; the others play window by window,
+    # minstrel_like against a twin of itself. Episodes last window / 20 s,
+    # 28 to 184 windows.
     duration = window / 20
     cfg = tiny_config(
         sim={"start_distance_m": start, "speed_mps": travel / duration,
@@ -279,9 +279,9 @@ def test_harness_equals_reference(algorithm, learner, window, start, travel):
     for agent, decide, episode in plays:
         got = played(env, agent, episode)
         assert_same_episode(env, link, got, reference_played(link, decide, episode))
-        assert (got[-1] != []) == (algorithm in {"dara", "ideal"})
+        assert (got[-1] != []) == (algorithm == "dara")
         changes |= len(set(got[-1])) > 1
-    if travel > 0 and algorithm in {"dara", "ideal"}:
+    if travel > 0 and algorithm == "dara":
         assert changes  # a looked-ahead decision changes on the moving link
 
 

@@ -112,22 +112,16 @@ class TestFrameSuccessProb:
             assert np.all(np.diff(ps) <= 0)
 
     def test_table_arrays_match_single_mcs_calls(self):
-        # IdealAgent evaluates every MCS of a whole run block in one call, a
-        # (k, 1) column of SNRs against the table arrays; each row must agree
-        # bit for bit with the one-SNR call, and that with one call per MCS.
+        # reference_ideal evaluates the 8 MCS at one SNR in one call, and
+        # IdealAgent's threshold bisection at 8 SNRs, one per MCS; each entry
+        # must agree bit for bit with one call per MCS.
         slopes = np.array([0.5, 1.0, 1.0, 1.5, 0.8, 1.0, 2.0, 1.0])
-        snrs = np.linspace(-30, 70, 401)
-        for snr in snrs:
-            together = phy.frame_success_prob(snr, slopes, TABLE.midpoints_db)
-            single = np.array([phy.frame_success_prob(snr, s, m)
-                               for s, m in zip(slopes, TABLE.midpoints_db)])
-            assert together.tobytes() == single.tobytes()
-        for k in (1, 2, 3, 5, 17, 64, 401):
-            column = phy.frame_success_prob(snrs[:k, None], slopes, TABLE.midpoints_db)
-            assert column.shape == (k, phy.N_MCS)
-            for snr, row in zip(snrs[:k], column):
-                one = phy.frame_success_prob(snr, slopes, TABLE.midpoints_db)
-                assert row.tobytes() == one.tobytes()
+        for snr in np.linspace(-30, 70, 401):
+            for at in (np.full(phy.N_MCS, snr), snr + np.linspace(-3.0, 3.0, phy.N_MCS)):
+                together = phy.frame_success_prob(at, slopes, TABLE.midpoints_db)
+                single = np.array([phy.frame_success_prob(x, s, m)
+                                   for x, s, m in zip(at.tolist(), slopes, TABLE.midpoints_db)])
+                assert together.tobytes() == single.tobytes()
 
 
 class TestFrameSuccessProbOverflow:
