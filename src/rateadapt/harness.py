@@ -1,16 +1,16 @@
 """Episode orchestration: training runs, evaluation runs and grid sweeps.
 
-Every episode runs through `_play_episode`. Training adds a per-transition
-`learn(s, a, r, s_next, done)` hook, built once per run, that fills the
-replay buffer and trains (DQN) or updates the table (tabular), and counts
-train steps on the agent, whose epsilon schedule reads them; each window is
-decided and stepped in turn. Training also writes a checkpoint every
-`checkpoint_every` episodes and appends each episode's row to episodes.csv
-as it completes. Evaluation runs without a hook, so the policy stays
-frozen. The greedy DQN, whose one-window decision costs a forward, has
-`select_actions` and decides the windows of a run block in one forward
-before they are stepped; the other policies decide each window in turn, as
-training does.
+Every episode runs through one loop, `_play_episode`. Training adds a
+per-transition `learn(s, a, r, s_next, done)` hook, built once per run,
+that fills the replay buffer and trains (DQN) or updates the table
+(tabular), and counts train steps on the agent, whose epsilon schedule
+reads them. Training also writes a checkpoint every `checkpoint_every`
+episodes and appends each episode's row to episodes.csv as it completes.
+Evaluation runs without a hook, so the policy stays frozen. Only where the
+next MCS comes from differs: the frozen greedy DQN, whose one-window
+decision costs a forward, decides the windows of a run block in one
+forward before they are stepped; every other agent, training included,
+decides each window after the one before.
 """
 
 from __future__ import annotations
@@ -168,40 +168,31 @@ def _play_episode(env: LinkSimEnv, agent, seed: int, episode: int,
                   learn=None) -> float:
     """Run one episode from env.reset(seed, episode) to done, passing each
     transition to `learn` if given; returns the cumulative reward, summed
-    left to right. Without `learn`, an agent that has select_actions (the
-    DQN, whose stacked forward pays for the lookahead) and no epsilon
-    schedule, a frozen greedy policy, plays through _play_frozen."""
+    left to right. A frozen greedy policy (no `learn`, no epsilon schedule,
+    and select_actions: the DQN, whose stacked forward pays for the
+    lookahead) looks the run block ahead at its MCS, decides every row in
+    one call, and plays those decisions until one changes; each env.step
+    serves a looked-ahead row. Every other agent decides each window after
+    the one before, and none after the last."""
     result = env.reset(seed, episode=episode)
-    if (learn is None and getattr(agent, "schedule", None) is None
-            and hasattr(agent, "select_actions")):
-        return _play_frozen(env, agent, result)
-    total = 0.0
-    while not result.done:
+    frozen = (learn is None and getattr(agent, "schedule", None) is None
+              and hasattr(agent, "select_actions"))
+    action, total, ahead = agent.select_action(result), 0.0, []
+    while True:
+        if frozen and not ahead:
+            # reversed, so that pop() gives the next window's decision
+            ahead = agent.select_actions(env.lookahead(action))[::-1]
         obs = result.observation
-        action = agent.select_action(result)
         result = env.step(action)
         total += result.reward
         if learn is not None:
             learn(obs, action, result.reward, result.observation, result.done)
-    return total
-
-
-def _play_frozen(env: LinkSimEnv, agent, result) -> float:
-    """_play_episode for a frozen policy, from the reset `result`: look the
-    run block ahead at the decided MCS, decide its rows in one call, then
-    step each window until the decision changes or the episode ends. Each
-    env.step serves a looked-ahead row, so the episode is the per-window
-    loop's, window for window."""
-    total = 0.0
-    action = agent.select_action(result)
-    while not result.done:
-        for next_action in agent.select_actions(env.lookahead(action)):
-            result = env.step(action)
-            total += result.reward
-            if next_action != action:
-                break
-        action = next_action
-    return total
+        if result.done:
+            return total
+        if not frozen:
+            action = agent.select_action(result)
+        elif (decided := ahead.pop()) != action:
+            action, ahead = decided, []
 
 
 def _episode_row(s: EpisodeSummary):

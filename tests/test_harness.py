@@ -224,7 +224,9 @@ def assert_same_episode(env, link, got, want):
     # odd ring that every sync makes all stale, sampled often
     pytest.param("dara", {"batch_size": 1}, id="dara_batch1"),
     pytest.param("dara", {"batch_size": 2, "train_every": 3, "replay_capacity": 9},
-                 id="dara_batch2")])
+                 id="dara_batch2"),
+    # a train step after every window, as in a dense sweep
+    pytest.param("dara", {"train_every": 1}, id="dara_every1")])
 def test_harness_equals_reference(algorithm, learner, window, start, travel):
     # The equivalence matrix. Each algorithm plays episodes of one env
     # through the real _play_episode, and each equals the reference link's,
@@ -290,18 +292,36 @@ def per_window(agent):
     return SimpleNamespace(select_action=agent.select_action)
 
 
-def test_epsilon_greedy_without_learning_plays_window_by_window():
-    # An exploring agent draws a coin per window, so it never looks ahead,
-    # hook or not, and plays as it does without select_actions.
-    def explorer():
-        schedule = EpsilonSchedule("fixed", 0.3, 0.3, 1)
-        return DaraAgent(climbing_net(np.random.default_rng(12)), schedule,
-                         np.random.default_rng(5))
+def explorer():
+    """An epsilon-greedy agent and no learn hook."""
+    schedule = EpsilonSchedule("fixed", 0.3, 0.3, 1)
+    return DaraAgent(climbing_net(np.random.default_rng(12)), schedule,
+                     np.random.default_rng(5)), None
+
+
+def hooked_greedy():
+    """A greedy agent and a learn hook that changes its network after every
+    window."""
+    net = climbing_net(np.random.default_rng(12))
+
+    def learn(s, action, r, s_next, done):
+        net.biases[-1][action] -= 0.5  # sours the MCS just played
+    return DaraAgent(net), learn
+
+
+@pytest.mark.parametrize("make", [explorer, hooked_greedy],
+                         ids=["epsilon_greedy", "greedy_with_hook"])
+def test_a_policy_that_may_change_plays_window_by_window(make):
+    # An exploring agent draws a coin per window, and a learn hook may
+    # change the network after any window, so neither looks ahead: each
+    # plays as it does without select_actions.
     env = make_env(start=distance_at_snr(30.0), speed=400.0, duration=0.5, window=7)
-    *explored, lookaheads = played(env, explorer(), 0)
-    *window_by_window, _ = played(env, per_window(explorer()), 0)
-    assert lookaheads == [] and explored == window_by_window
-    assert len(set(explored[0])) > 1
+    agent, learn = make()
+    *got, lookaheads = played(env, agent, 0, learn)
+    agent, learn = make()
+    *window_by_window, _ = played(env, per_window(agent), 0, learn)
+    assert lookaheads == [] and got == window_by_window
+    assert len(set(got[0])) > 1
 
 
 class TestRunSweep:
