@@ -123,6 +123,8 @@ REJECTED = [
     {"agent.n_state_bins": 0},
     pytest.param({"agent.learning_rate": 1.5, "agent.algorithm": "dara_tabular"},
                  id="agent.learning_rate=1.5_tabular"),
+    # a near-miss of minstrel_like, a name no algorithm will take
+    {"agent.algorithm": "minstrel"},
     {"agent.discount": -0.1},
     {"agent.ideal_p_min": 0.0},
     {"agent.ideal_p_min": 1.0},

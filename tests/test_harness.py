@@ -7,13 +7,16 @@ import pytest
 
 from rateadapt import checkpoint as ckpt_io
 from rateadapt import env as env_module
-from rateadapt.agents import DaraAgent
+from rateadapt.agents import (ConstantAgent, DaraAgent, IdealAgent, MinstrelLikeAgent,
+                              TabularDaraAgent)
+from rateadapt.checkpoint import Checkpoint
 from rateadapt.dqn import EpsilonSchedule
 from rateadapt.env import LinkSimEnv, rng_streams
 from rateadapt.errors import ConfigError
 from rateadapt.harness import (TRAINABLE, SweepConfig, _play_episode, build_eval_agent,
-                               run_evaluation, run_sweep, run_training)
-from rateadapt.nn import MlpParams
+                               run_evaluation, run_sweep, run_training, trained_kind)
+from rateadapt.nn import AdamState, MlpParams, init_mlp
+from rateadapt.tabular import QTable
 from tests.reference import (LINKS, ReferenceLearner, ReferenceLink, distance_at_snr,
                              make_env, random_net, reference_forward, reference_ideal,
                              tiny_config)
@@ -136,6 +139,50 @@ class TestRunEvaluation:
     def test_dara_requires_checkpoint(self):
         with pytest.raises(ConfigError):
             run_evaluation(tiny_config(), None)
+
+
+def pairing_checkpoint(kind):
+    """A checkpoint of `kind` ("dqn" or "tabular"), or None."""
+    if kind == "dqn":
+        net = init_mlp([4], np.random.default_rng(0))
+        return Checkpoint("dqn", net, AdamState.for_params(net, 0.01), 0, "")
+    return None if kind is None else Checkpoint("tabular", QTable(4), None, 0, "")
+
+
+@pytest.mark.parametrize("kind", [None, "dqn", "tabular"], ids=str)
+@pytest.mark.parametrize("algorithm,trains,agent_class", [
+    ("dara", "dqn", DaraAgent),
+    ("dara_tabular", "tabular", TabularDaraAgent),
+    ("ideal", None, IdealAgent),
+    ("minstrel_like", None, MinstrelLikeAgent),
+    ("constant", None, ConstantAgent)])
+def test_every_algorithm_checkpoint_pairing(algorithm, trains, agent_class, kind):
+    # Each algorithm evaluates with a checkpoint of the kind it trains, and
+    # a baseline with none; every other pairing is one ConfigError.
+    ckpt = pairing_checkpoint(kind)
+    cfg = tiny_config(algorithm=algorithm)
+    if kind == trains:
+        agent = build_eval_agent(cfg, ckpt, np.random.default_rng(1))
+        assert type(agent) is agent_class
+        assert trains is None or agent.model is ckpt.params
+        return
+    with pytest.raises(ConfigError) as info:
+        build_eval_agent(cfg, ckpt, np.random.default_rng(1))
+    assert info.value.violations == (
+        [f"algorithm {algorithm!r} takes no checkpoint"] if trains is None
+        else [f"algorithm {algorithm!r} needs a {trains} checkpoint for evaluation"])
+
+
+@pytest.mark.parametrize("algorithm,trains", [
+    ("dara", "dqn"), ("dara_tabular", "tabular"),
+    ("ideal", None), ("minstrel_like", None), ("constant", None)])
+def test_trained_kind_of_every_algorithm(algorithm, trains):
+    if trains is not None:
+        assert trained_kind(algorithm) == trains
+        return
+    with pytest.raises(ConfigError) as info:
+        trained_kind(algorithm)
+    assert info.value.violations == [f"algorithm {algorithm!r} is not trainable"]
 
 
 def climbing_net(rng):
