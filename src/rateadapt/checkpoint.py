@@ -52,8 +52,8 @@ class Checkpoint:
         if self.kind == "tabular":
             return {"q_values": self.params.values}
         groups = [{"w": self.params.weights, "b": self.params.biases},
-                  {"adam_mw": self.opt.m_w, "adam_vw": self.opt.v_w,
-                   "adam_mb": self.opt.m_b, "adam_vb": self.opt.v_b}]
+                  {"adam_mw": self.opt.m.weights, "adam_vw": self.opt.v.weights,
+                   "adam_mb": self.opt.m.biases, "adam_vb": self.opt.v.biases}]
         return {f"{prefix}{i}": layers[i] for group in groups
                 for i in range(len(self.params.weights))
                 for prefix, layers in group.items()}

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import checkpoint as ckpt_io
-from .config import check_work_budget, validate_config
+from .config import ALGORITHMS, check_work_budget, validate_config
 from .errors import CheckpointError, ConfigError, RateAdaptError
 from .harness import (SweepConfig, check_checkpoint_kind, grid_configs,
                       run_evaluation, run_sweep, run_training, trained_kind)
@@ -45,8 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override agent.seed from the config")
     p_train.add_argument("--episodes", type=int, default=None,
                          help="override agent.episodes from the config")
-    p_eval.add_argument("--checkpoint", default=None,
-                        help="checkpoint file (dara and dara_tabular only)")
+    p_eval.add_argument("--checkpoint", default=None, help="checkpoint file ("
+                        + " and ".join(filter(ALGORITHMS.get, ALGORITHMS)) + " only)")
     p_eval.add_argument("--allow-fingerprint-mismatch", action="store_true",
                         help="evaluate even if the checkpoint was trained "
                              "under a different config")

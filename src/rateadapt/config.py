@@ -27,7 +27,9 @@ from .errors import ConfigError
 # per window plus reset's probe.
 from .phy import ChannelParams, McsTable, snr_db
 
-ALGORITHMS = ("dara", "dara_tabular", "ideal", "minstrel_like", "constant")
+# Algorithm -> the checkpoint kind it trains, or None; builders in harness.BUILDERS.
+ALGORITHMS = {"dara": "dqn", "dara_tabular": "tabular", "ideal": None,
+              "minstrel_like": None, "constant": None}
 
 
 def _num(lo=None, hi=None, lo_open=False, hi_open=False):
@@ -63,7 +65,7 @@ def _bool(v):
 
 def _choice(options):
     def check(v):
-        if v not in options:
+        if v not in list(options):  # by ==: an unhashable value is refused, not raised on
             return f"must be one of {sorted(options)}"
         return None
     return check
@@ -259,8 +261,8 @@ def validate_config(raw_json: str) -> RootConfig:
             problems.append("agent.warmup must be >= agent.batch_size")
         if agent["warmup"] > agent["replay_capacity"]:
             problems.append("agent.warmup must be <= agent.replay_capacity")
-        if agent["algorithm"] == "dara_tabular" and agent["learning_rate"] > 1:
-            problems.append("agent.learning_rate must be <= 1 for dara_tabular")
+        if ALGORITHMS[agent["algorithm"]] == "tabular" and agent["learning_rate"] > 1:
+            problems.append(f"agent.learning_rate must be <= 1 for {agent['algorithm']}")
         if sim["duration_s"] / sim["log_period_s"] > MAX_LOG_RECORDS:
             problems.append(f"sim.log_period_s must be >= sim.duration_s / {MAX_LOG_RECORDS}")
         rates, mids = sim["phy_rates_mbps"], sim["per_midpoints_db"]

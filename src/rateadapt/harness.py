@@ -25,7 +25,7 @@ from . import checkpoint as ckpt_io
 from .agents import (ConstantAgent, DaraAgent, IdealAgent, MinstrelLikeAgent,
                      TabularDaraAgent)
 from .checkpoint import Checkpoint
-from .config import RootConfig, check_work_budget
+from .config import ALGORITHMS, RootConfig, check_work_budget
 from .dqn import EpsilonSchedule, bellman_targets, dqn_train_step
 from .env import LOG_FIELDS, LinkSimEnv, rng_streams
 from .errors import ConfigError
@@ -60,9 +60,9 @@ class SweepConfig:
 
 def trained_kind(algorithm: str) -> str:
     """The checkpoint kind a trainable algorithm writes; ConfigError if none."""
-    if algorithm not in TRAINABLE:
+    if ALGORITHMS[algorithm] is None:
         raise ConfigError([f"algorithm {algorithm!r} is not trainable"])
-    return TRAINABLE[algorithm][0]
+    return ALGORITHMS[algorithm]
 
 
 def grid_configs(sweep: SweepConfig, base: RootConfig):
@@ -88,7 +88,7 @@ def grid_configs(sweep: SweepConfig, base: RootConfig):
 def check_checkpoint_kind(algorithm: str, checkpoint: Checkpoint | None):
     """Raise ConfigError unless a trainable algorithm has a checkpoint of
     its own kind and any other algorithm has none."""
-    kind = TRAINABLE[algorithm][0] if algorithm in TRAINABLE else None
+    kind = ALGORITHMS[algorithm]
     if kind is None and checkpoint is not None:
         raise ConfigError([f"algorithm {algorithm!r} takes no checkpoint"])
     if kind is not None and (checkpoint is None or checkpoint.kind != kind):
@@ -100,20 +100,9 @@ def build_eval_agent(cfg: RootConfig, checkpoint: Checkpoint | None,
                      agent_rng: np.random.Generator):
     """Adapter for one evaluation episode; a trainable algorithm is greedy
     over its checkpoint's model."""
-    agent = cfg["agent"]
-    name = agent["algorithm"]
+    name = cfg["agent"]["algorithm"]
     check_checkpoint_kind(name, checkpoint)
-    if name in TRAINABLE:
-        return TRAINABLE[name][1](checkpoint.params)
-    if name == "ideal":
-        return IdealAgent(cfg.mcs_table(), agent["ideal_p_min"])
-    if name == "minstrel_like":
-        return MinstrelLikeAgent(
-            cfg.mcs_table(), agent_rng,
-            ewma_weight=agent["minstrel_ewma_weight"],
-            probe_prob=agent["minstrel_probe_prob"],
-        )
-    return ConstantAgent(agent["constant_mcs"])
+    return BUILDERS[name][0](cfg, checkpoint, agent_rng)
 
 
 def _dqn_learner(agent_cfg, schedule, agent_rng):
@@ -159,9 +148,18 @@ def _tabular_learner(agent_cfg, schedule, agent_rng):
     return agent, learn, None
 
 
-# Trainable algorithm -> (checkpoint kind, greedy agent class, learner builder).
-TRAINABLE = {"dara": ("dqn", DaraAgent, _dqn_learner),
-             "dara_tabular": ("tabular", TabularDaraAgent, _tabular_learner)}
+# Algorithm -> (eval-agent builder (cfg, checkpoint, agent_rng), learner builder
+# or None), over config.ALGORITHMS's names in order; that table holds the kinds.
+BUILDERS = {
+    "dara": (lambda cfg, ckpt, rng: DaraAgent(ckpt.params), _dqn_learner),
+    "dara_tabular": (lambda cfg, ckpt, rng: TabularDaraAgent(ckpt.params), _tabular_learner),
+    "ideal": (lambda cfg, ckpt, rng: IdealAgent(cfg.mcs_table(), cfg["agent"]["ideal_p_min"]),
+              None),
+    "minstrel_like": (lambda cfg, ckpt, rng: MinstrelLikeAgent(
+        cfg.mcs_table(), rng, ewma_weight=cfg["agent"]["minstrel_ewma_weight"],
+        probe_prob=cfg["agent"]["minstrel_probe_prob"]), None),
+    "constant": (lambda cfg, ckpt, rng: ConstantAgent(cfg["agent"]["constant_mcs"]), None),
+}
 
 
 def _play_episode(env: LinkSimEnv, agent, seed: int, episode: int,
@@ -213,7 +211,7 @@ def run_training(cfg: RootConfig, results_dir, progress=None):
     `results_dir` as episodes complete; a diverged episode raises before its output.
     """
     agent_cfg = cfg["agent"]
-    kind = trained_kind(agent_cfg["algorithm"])
+    kind = trained_kind(name := agent_cfg["algorithm"])
     check_work_budget(cfg)
 
     results_dir = Path(results_dir)
@@ -224,8 +222,7 @@ def run_training(cfg: RootConfig, results_dir, progress=None):
         agent_cfg["epsilon_mode"], agent_cfg["epsilon_start"],
         agent_cfg["epsilon_end"], agent_cfg["epsilon_decay_steps"],
     )
-    build_learner = TRAINABLE[agent_cfg["algorithm"]][2]
-    agent, learn, opt = build_learner(agent_cfg, schedule, rng_streams(seed)[1])
+    agent, learn, opt = BUILDERS[name][1](agent_cfg, schedule, rng_streams(seed)[1])
     fingerprint = cfg.fingerprint()
 
     def make_checkpoint():

@@ -161,6 +161,7 @@ class AdamState:
     m: MlpParams
     v: MlpParams
 
+    # Read by perfbench's dqn_arrays only; src/ and the tests read m and v.
     m_w = property(lambda self: self.m.weights)
     v_w = property(lambda self: self.v.weights)
     m_b = property(lambda self: self.m.biases)

@@ -125,6 +125,8 @@ REJECTED = [
                  id="agent.learning_rate=1.5_tabular"),
     # a near-miss of minstrel_like, a name no algorithm will take
     {"agent.algorithm": "minstrel"},
+    # unhashable: refused by the schema, never looked up in the algorithm table
+    {"agent.algorithm": ["dara"]},
     {"agent.discount": -0.1},
     {"agent.ideal_p_min": 0.0},
     {"agent.ideal_p_min": 1.0},

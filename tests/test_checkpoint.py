@@ -25,7 +25,7 @@ def make_dqn_checkpoint(rng_seed=0, train_step=321, fingerprint="abc123",
         w += rng.normal(size=w.shape) * 0.3
     opt = AdamState.for_params(params, 0.01)
     opt.t = 17
-    for m in opt.m_w:
+    for m in opt.m.weights:
         m += rng.normal(size=m.shape)
     return Checkpoint("dqn", params, opt, train_step, fingerprint)
 
@@ -52,7 +52,7 @@ class TestRoundTrip:
         assert loaded.train_step == ckpt.train_step
         assert loaded.fingerprint == ckpt.fingerprint
         assert loaded.opt.t == 17
-        for a, b in zip(ckpt.opt.m_w, loaded.opt.m_w):
+        for a, b in zip(ckpt.opt.m.weights, loaded.opt.m.weights):
             assert np.array_equal(a, b)
 
     def test_loaded_dqn_is_flat_backed_and_resaves_same_bytes(self, tmp_path):
@@ -60,12 +60,10 @@ class TestRoundTrip:
         ckpt.opt.v.flat[:] = np.random.default_rng(8).uniform(0, 1, ckpt.opt.v.flat.size)
         ckpt_io.save(tmp_path / "a.ckpt", ckpt)
         loaded = ckpt_io.load(tmp_path / "a.ckpt")
-        for mem, disk, layers in (
-                (ckpt.params, loaded.params, loaded.params.weights + loaded.params.biases),
-                (ckpt.opt.m, loaded.opt.m, loaded.opt.m_w + loaded.opt.m_b),
-                (ckpt.opt.v, loaded.opt.v, loaded.opt.v_w + loaded.opt.v_b)):
+        for mem, disk in ((ckpt.params, loaded.params), (ckpt.opt.m, loaded.opt.m),
+                          (ckpt.opt.v, loaded.opt.v)):
             assert disk.flat.flags.c_contiguous
-            assert all(np.shares_memory(a, disk.flat) for a in layers)
+            assert all(np.shares_memory(a, disk.flat) for a in disk.weights + disk.biases)
             assert disk.flat.tobytes() == mem.flat.tobytes()
         ckpt_io.save(tmp_path / "b.ckpt", loaded)
         assert (tmp_path / "b.ckpt").read_bytes() == (tmp_path / "a.ckpt").read_bytes()

@@ -8,6 +8,7 @@ import pytest
 
 from rateadapt import checkpoint as ckpt_io, harness
 from rateadapt.cli import _build_parser, cli_main
+from rateadapt.config import ALGORITHMS
 from tests.reference import (REJECTED, apply_overrides, row_id, subprocess_env, tiny_data,
                              with_header)
 
@@ -281,6 +282,33 @@ class TestSweepAndCcdf:
         assert code == 0
         rows = (run_dir_of(tmp_path / "out") / "sweep_summary.csv").read_text()
         assert rows.splitlines()[1].split(",")[2] == "3"
+
+
+def test_one_entry_per_table_adds_an_algorithm(tmp_path, monkeypatch):
+    # dara_copy, registered with dara's kind and builders and nothing else,
+    # trains, evaluates its own checkpoint and sweeps, writing dara's bytes.
+    monkeypatch.setitem(ALGORITHMS, "dara_copy", ALGORITHMS["dara"])
+    monkeypatch.setitem(harness.BUILDERS, "dara_copy", harness.BUILDERS["dara"])
+
+    def outputs(algorithm):
+        """Each CSV the three commands write, by command and path below
+        the run folder."""
+        cfg = write_tiny_config(tmp_path / f"{algorithm}.json", algorithm=algorithm,
+                                warmup=8, batch_size=8)
+        out = tmp_path / algorithm
+        ckpt = trained_run(cfg, out / "train") / "policy_ep002.ckpt"
+        assert cli_main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
+                         "--results", str(out / "eval")]) == 0
+        assert cli_main(["sweep", "--config", str(cfg), "--results", str(out / "sweep"),
+                         "--learning-rates", "0.01", "--architectures", "4"]) == 0
+        return {(path.relative_to(out).parts[0], *path.relative_to(out).parts[2:]):
+                path.read_bytes() for path in out.rglob("*.csv")}
+
+    dara = outputs("dara")
+    assert {"episodes.csv", "throughput_002.csv", "throughput_eval.csv",
+            "sweep_summary.csv"} <= {key[-1] for key in dara}
+    assert not dara["train", "episodes.csv"].endswith(b",0\n")  # it trained
+    assert outputs("dara_copy") == dara
 
 
 def assert_config_error(capsys, argv):

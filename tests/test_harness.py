@@ -10,10 +10,11 @@ from rateadapt import env as env_module
 from rateadapt.agents import (ConstantAgent, DaraAgent, IdealAgent, MinstrelLikeAgent,
                               TabularDaraAgent)
 from rateadapt.checkpoint import Checkpoint
+from rateadapt.config import ALGORITHMS
 from rateadapt.dqn import EpsilonSchedule
 from rateadapt.env import LinkSimEnv, rng_streams
 from rateadapt.errors import ConfigError
-from rateadapt.harness import (TRAINABLE, SweepConfig, _play_episode, build_eval_agent,
+from rateadapt.harness import (BUILDERS, SweepConfig, _play_episode, build_eval_agent,
                                run_evaluation, run_sweep, run_training, trained_kind)
 from rateadapt.nn import AdamState, MlpParams, init_mlp
 from rateadapt.tabular import QTable
@@ -185,6 +186,26 @@ def test_trained_kind_of_every_algorithm(algorithm, trains):
     assert info.value.violations == [f"algorithm {algorithm!r} is not trainable"]
 
 
+class TestAlgorithmTables:
+    def test_tables_agree(self):
+        # config.ALGORITHMS holds each name's checkpoint kind and
+        # harness.BUILDERS its builders: the same names in the same order,
+        # and a learner exactly where the name trains a kind.
+        assert list(BUILDERS) == list(ALGORITHMS)
+        for name, (_, learner) in BUILDERS.items():
+            assert (learner is None) == (ALGORITHMS[name] is None), name
+
+    def test_tabular_entry_caps_learning_rate(self, monkeypatch):
+        # The tabular rule keys on the kind, so a new tabular entry has it.
+        monkeypatch.setitem(ALGORITHMS, "tabular_copy", "tabular")
+        monkeypatch.setitem(BUILDERS, "tabular_copy", BUILDERS["dara_tabular"])
+        assert tiny_config(algorithm="tabular_copy", learning_rate=1.0)
+        with pytest.raises(ConfigError) as info:
+            tiny_config(algorithm="tabular_copy", learning_rate=1.5)
+        assert info.value.violations == [
+            "agent.learning_rate must be <= 1 for tabular_copy"]
+
+
 def climbing_net(rng):
     """A random [16, 16, 16] net whose first hidden unit carries the
     observation x through and whose greedy MCS is about 8x."""
@@ -297,10 +318,10 @@ def test_harness_equals_reference(algorithm, learner, window, start, travel):
     a = cfg["agent"]
     env = LinkSimEnv(cfg)
     link = ReferenceLink(env)
-    if algorithm in TRAINABLE:
+    if ALGORITHMS[algorithm] is not None:
         schedule = EpsilonSchedule(a["epsilon_mode"], a["epsilon_start"], a["epsilon_end"],
                                    a["epsilon_decay_steps"])
-        agent, learn, opt = TRAINABLE[algorithm][2](a, schedule, rng_streams(SEED)[1])
+        agent, learn, opt = BUILDERS[algorithm][1](a, schedule, rng_streams(SEED)[1])
         ref = ReferenceLearner(a, rng_streams(SEED)[1])
         for episode in (1, 2):
             got = played(env, agent, episode, learn)
@@ -312,7 +333,8 @@ def test_harness_equals_reference(algorithm, learner, window, start, travel):
                                    else (agent.model.values.tobytes(),))
         # the DQN has synced its target at least once
         assert ref.train_step >= (a["target_sync_every"] if opt else 1)
-        plays = [(TRAINABLE[algorithm][1](agent.model), ref.greedy, 0)]
+        trained = Checkpoint(ALGORITHMS[algorithm], agent.model, opt, agent.train_step, "")
+        plays = [(build_eval_agent(cfg, trained, rng_streams(SEED)[1]), ref.greedy, 0)]
         if algorithm == "dara":
             net = climbing_net(np.random.default_rng(12))
             plays.append((DaraAgent(net), lambda r: int(np.argmax(reference_forward(

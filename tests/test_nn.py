@@ -136,9 +136,8 @@ class TestFlatLayout:
     def test_layers_and_moments_view_one_vector(self):
         params = init_mlp([16, 16, 16], np.random.default_rng(0))
         state = AdamState.for_params(params, 0.01)
-        for net, layers in ((params, params.weights + params.biases),
-                            (state.m, state.m_w + state.m_b),
-                            (state.v, state.v_w + state.v_b)):
+        for net in (params, state.m, state.v):
+            layers = net.weights + net.biases
             assert net.flat.flags.c_contiguous and net.flat.dtype == np.float64
             assert sum(a.size for a in layers) == net.flat.size
             assert all(np.shares_memory(a, net.flat) for a in layers)
@@ -209,6 +208,6 @@ class TestFlatLayout:
             adam_step(state, params, grads)
             reference_adam(t, 0.01, ref_p, gw + gb, ref_m, ref_v)
             assert same_bits(params.weights + params.biases, ref_p)
-            assert same_bits(state.m_w + state.m_b, ref_m)
-            assert same_bits(state.v_w + state.v_b, ref_v)
+            assert same_bits(state.m.weights + state.m.biases, ref_m)
+            assert same_bits(state.v.weights + state.v.biases, ref_v)
         assert state.t == 50
