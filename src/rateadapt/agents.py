@@ -3,13 +3,11 @@ and constant-rate baselines.
 
 Every adapter is one call, select_action(result), that maps the StepResult
 the environment just returned (the reset result included) to the next
-window's MCS. The greedy DQN also decides many results in one call,
-select_actions(results), each exactly as select_action would: its
-one-result decision is a forward, which one stacked forward amortizes. A
-tabular row lookup, a bisect over Ideal's eight thresholds or a constant is
-so cheap that deciding a run block at once saves nothing measurable, so
-those play window by window. The Q-value agents explore only when given an
-epsilon schedule; without one they are greedy. Learning happens outside the
+window's MCS. A ThresholdTable is a frozen policy that is a step function
+of one result field, decided by one bisect: Ideal is one over the raw SNR,
+and a frozen greedy DQN compiles into one over the observation
+(`nn.greedy_steps`). The Q-value agents explore only when given an epsilon
+schedule; without one they are greedy. Learning happens outside the
 agents, in the harness's per-transition hook.
 """
 
@@ -61,14 +59,6 @@ class DaraAgent(GreedyQAgent):
     def q(self, observation: float) -> np.ndarray:
         return mlp_forward(self.model, observation)
 
-    def select_actions(self, results) -> list:
-        """The greedy action after each result, from one stacked forward
-        whose rows equal their one-observation `q`, so each action is a
-        greedy select_action's. The epsilon schedule is not read: an agent
-        that explores decides one window at a time."""
-        observations = np.array([r.observation for r in results])
-        return mlp_forward(self.model, observations[:, None]).argmax(axis=1).tolist()
-
 
 class TabularDaraAgent(GreedyQAgent):
     """Same policy shape as DaraAgent; `model` is a binned QTable."""
@@ -77,7 +67,24 @@ class TabularDaraAgent(GreedyQAgent):
         return self.model.row(observation)
 
 
-class IdealAgent:
+class ThresholdTable:
+    """A frozen policy that is a step function of the StepResult field `key`:
+    actions[i] decides the values in [edges[i - 1], edges[i]), by one
+    bisect_right; an action of -1 marks a band, decided by the greedy
+    single forward of the Q-network `params` at the observation."""
+
+    def __init__(self, key: str, edges, actions, params=None):
+        self._field = StepResult._fields.index(key)
+        self.edges, self.actions, self.params = list(edges), list(actions), params
+
+    def select_action(self, result: StepResult) -> int:
+        action = self.actions[bisect.bisect_right(self.edges, result[self._field])]
+        if action < 0:
+            return int(mlp_forward(self.params, result.observation).argmax())
+        return action
+
+
+class IdealAgent(ThresholdTable):
     """SNR-threshold baseline reading the true SNR from the simulator
     side-channel: the highest MCS whose predicted frame success probability
     is at least p_min, else MCS 0. It is a reference rule, not an upper
@@ -86,7 +93,7 @@ class IdealAgent:
     As numpy's exp is monotone, each MCS's probability never falls as the
     SNR rises, so the rule is a step function of the raw SNR. `thresholds[a]`
     is the least float64 SNR at which MCS a or a higher one has p >= p_min
-    (+inf where only +inf does), and a raw SNR is decided by one bisect."""
+    (+inf where only +inf does), so the edges are thresholds[1:]."""
 
     def __init__(self, table: McsTable, p_min: float):
         # Bisect each MCS over the keys of (-inf, +inf], where p(-inf) = 0 is
@@ -98,9 +105,7 @@ class IdealAgent:
             ok = frame_success_prob(_float(mid), table.slopes_per_db, table.midpoints_db) >= p_min
             lo, hi = np.where(ok, lo, mid), np.where(ok, mid, hi)
         self.thresholds = np.minimum.accumulate(_float(hi)[::-1])[::-1].tolist()
-
-    def select_action(self, result: StepResult) -> int:
-        return max(bisect.bisect_right(self.thresholds, result.raw_snr_db) - 1, 0)
+        super().__init__("raw_snr_db", self.thresholds[1:], range(phy.N_MCS))
 
 
 class MinstrelLikeAgent:

@@ -22,13 +22,14 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .config import _int, _num
 from .errors import CheckpointError
-from .nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, MlpParams
+from .nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, MlpParams, greedy_steps
 from .phy import N_MCS
 from .tabular import QTable
 
@@ -44,6 +45,12 @@ class Checkpoint:
     opt: AdamState | None  # None for a tabular checkpoint
     train_step: int
     fingerprint: str
+
+    @cached_property
+    def greedy_steps(self):
+        """A dqn checkpoint's greedy policy as `nn.greedy_steps` compiles it,
+        once per Checkpoint, on first read; params must not change after."""
+        return greedy_steps(self.params)
 
     @property
     def arrays(self) -> dict:

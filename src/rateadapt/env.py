@@ -126,92 +126,43 @@ class LinkSimEnv:
         return StepResult(self._last_observation, 0.0, False, fsr, raw)
 
     def step(self, action: int) -> StepResult:
-        """Simulate one window of frames at MCS `action`; a window that
-        `lookahead` built is served as built."""
-        self._check_step(action)
-        i = self._block_row(action)
-        self._block_next = i + 1
-        self.clock += self._advance[action]
-        self.done = self.clock >= self.duration_s
-        if self._ahead:
-            j = i - self._ahead_from
-            result, n_ok = self._ahead[j], self._ahead_n_ok[j]
-        else:
-            snrs = self._block_snrs[i]
-            acked = snrs[self._block_ok[i]]
-            n_ok = len(acked)
-            result = self._result(acked, self._last_observation, self._rates[action],
-                                  self.done, float(snrs[-1]))
-        self._last_observation = result.observation
-        self._window_ends.append(self.clock)
-        self._window_bits.append(n_ok * self.payload_bits)
-        return result
-
-    def lookahead(self, action: int) -> tuple:
-        """The StepResults that steps at MCS `action` would return for the
-        rest of the run block (filling a block as `step` does), without
-        playing them.
-
-        The rows are read from the block's success masks, so a lookahead
-        draws nothing, and a `step` at the next row's MCS and clock serves
-        that row as built. Rows left unplayed keep their uniforms for the
-        windows that follow."""
-        self._check_step(action)
-        i = self._block_row(action)
-        clocks, snrs, ok = self._block_clocks[i:], self._block_snrs[i:], self._block_ok[i:]
-        n_oks = np.count_nonzero(ok, axis=1).tolist()
-        # `acked` holds the rows' ACK SNRs in row order, so row r's are the
-        # n_oks[r] that follow the rows before it.
-        acked, start, results = snrs[ok], 0, []
-        observation, advance = self._last_observation, self._advance[action]
-        rate = self._rates[action]
-        for clock, n_ok, raw in zip(clocks, n_oks, snrs[:, -1].tolist()):
-            result = self._result(acked[start:start + n_ok], observation, rate,
-                                  clock + advance >= self.duration_s, raw)
-            observation, start = result.observation, start + n_ok
-            results.append(result)
-        self._ahead, self._ahead_n_ok, self._ahead_from = tuple(results), n_oks, i
-        return self._ahead
-
-    def _result(self, acked, observation, rate, done, raw_snr_db) -> StepResult:
-        """The StepResult of a window whose ACKed frames have the SNRs
-        `acked`, after a window whose observation was `observation`; `rate`
-        is the window's MCS rate. The last ACK instant is the window's end,
-        so the SNR there, `raw_snr_db`, is the SNR at the current distance."""
-        n_ok = len(acked)
-        if n_ok > 0:  # with no ACKs to measure, the last observation stands
-            # np.mean's own sum and division, without its per-call wrapper
-            observation = phy.scale_snr(float(np.add.reduce(acked)) / n_ok,
-                                        self.snr_lo_db, self.snr_hi_db)
-        fsr = n_ok / self.window_frames
-        # reward: FSR times the chosen rate over the top rate, in [0, 1]
-        return StepResult(observation, fsr * rate / self._max_rate, done, fsr, raw_snr_db)
-
-    def _check_step(self, action):
+        """Simulate one window of frames at MCS `action`."""
         if self.done:
             raise RuntimeError("no episode in progress; call reset()")
         if not isinstance(action, (int, np.integer)) or not 0 <= action < phy.N_MCS:
             raise ValueError(f"action must be an MCS index in [0, {phy.N_MCS - 1}], "
                              f"got {action!r}")
-
-    def _block_row(self, action) -> int:
-        """The run block's row for the next window at MCS `action`; a new
-        block is filled unless the next row is that window. A row serves
-        only the clock it was computed for, so a clock set from outside
-        refills the block instead of reading a stale row."""
         i = self._block_next
+        # A row serves only the clock it was computed for, so a clock set
+        # from outside refills the block instead of reading a stale row.
         if (action != self._block_action or i == len(self._block_clocks)
                 or self.clock != self._block_clocks[i]):
             self._fill_block(action)
             i = 0
-        return i
+        self._block_next = i + 1
+        snrs = self._block_snrs[i]
+        acked = snrs[self._block_ok[i]]
+        n_ok = len(acked)
+        if n_ok > 0:  # with no ACKs to measure, the last observation stands
+            # np.mean's own sum and division, without its per-call wrapper
+            self._last_observation = phy.scale_snr(float(np.add.reduce(acked)) / n_ok,
+                                                   self.snr_lo_db, self.snr_hi_db)
+        fsr = n_ok / self.window_frames
+        self.clock += self._advance[action]
+        self.done = self.clock >= self.duration_s
+        self._window_ends.append(self.clock)
+        self._window_bits.append(n_ok * self.payload_bits)
+        # The last ACK instant is the window's end, so snrs[-1] is the SNR at
+        # the current distance; the reward is FSR times the chosen rate over
+        # the top rate, in [0, 1].
+        return StepResult(self._last_observation, fsr * self._rates[action] / self._max_rate,
+                          self.done, fsr, float(snrs[-1]))
 
     def _drop_block(self):
-        """Forget the run block, its uniforms and any lookahead, so the next
-        step fills a new block from the generator."""
+        """Forget the run block and its uniforms, so the next step fills a
+        new block from the generator."""
         self._block_action, self._block_clocks, self._block_next = None, [], 0
         self._block_snrs = self._block_ok = self._uniforms = np.empty(0)
-        self._ahead = ()
 
     def _fill_block(self, action):
         """Compute the run block at MCS `action` from the current clock. Its
@@ -234,7 +185,6 @@ class LinkSimEnv:
         self._block_ok = uniforms[:n].reshape(p.shape) < p
         self._uniforms = uniforms
         self._block_action, self._block_clocks, self._block_next = action, clocks, 0
-        self._ahead = ()
 
     def throughput_log(self) -> np.ndarray:
         """The finished episode's throughput log: one row per log tick

@@ -6,11 +6,10 @@ that fills the replay buffer and trains (DQN) or updates the table
 (tabular), and counts train steps on the agent, whose epsilon schedule
 reads them. Training also writes a checkpoint every `checkpoint_every`
 episodes and appends each episode's row to episodes.csv as it completes.
-Evaluation runs without a hook, so the policy stays frozen. Only where the
-next MCS comes from differs: the frozen greedy DQN, whose one-window
-decision costs a forward, decides the windows of a run block in one
-forward before they are stepped; every other agent, training included,
-decides each window after the one before.
+Evaluation runs without a hook, so the policy stays frozen; a frozen
+greedy DQN plays as the threshold table its checkpoint compiles to once.
+Every agent decides each window with select_action, from the result of the
+window before.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import checkpoint as ckpt_io
 from .agents import (ConstantAgent, DaraAgent, IdealAgent, MinstrelLikeAgent,
-                     TabularDaraAgent)
+                     TabularDaraAgent, ThresholdTable)
 from .checkpoint import Checkpoint
 from .config import ALGORITHMS, RootConfig, check_work_budget
 from .dqn import EpsilonSchedule, bellman_targets, dqn_train_step
@@ -151,7 +150,8 @@ def _tabular_learner(agent_cfg, schedule, agent_rng):
 # Algorithm -> (eval-agent builder (cfg, checkpoint, agent_rng), learner builder
 # or None), over config.ALGORITHMS's names in order; that table holds the kinds.
 BUILDERS = {
-    "dara": (lambda cfg, ckpt, rng: DaraAgent(ckpt.params), _dqn_learner),
+    "dara": (lambda cfg, ckpt, rng: ThresholdTable("observation", *ckpt.greedy_steps,
+                                                   ckpt.params), _dqn_learner),
     "dara_tabular": (lambda cfg, ckpt, rng: TabularDaraAgent(ckpt.params), _tabular_learner),
     "ideal": (lambda cfg, ckpt, rng: IdealAgent(cfg.mcs_table(), cfg["agent"]["ideal_p_min"]),
               None),
@@ -164,33 +164,19 @@ BUILDERS = {
 
 def _play_episode(env: LinkSimEnv, agent, seed: int, episode: int,
                   learn=None) -> float:
-    """Run one episode from env.reset(seed, episode) to done, passing each
-    transition to `learn` if given; returns the cumulative reward, summed
-    left to right. A frozen greedy policy (no `learn`, no epsilon schedule,
-    and select_actions: the DQN, whose stacked forward pays for the
-    lookahead) looks the run block ahead at its MCS, decides every row in
-    one call, and plays those decisions until one changes; each env.step
-    serves a looked-ahead row. Every other agent decides each window after
-    the one before, and none after the last."""
-    result = env.reset(seed, episode=episode)
-    frozen = (learn is None and getattr(agent, "schedule", None) is None
-              and hasattr(agent, "select_actions"))
-    action, total, ahead = agent.select_action(result), 0.0, []
-    while True:
-        if frozen and not ahead:
-            # reversed, so that pop() gives the next window's decision
-            ahead = agent.select_actions(env.lookahead(action))[::-1]
+    """Run one episode from env.reset(seed, episode) to done, deciding each
+    window from the result before it and none after the last, and passing
+    each transition to `learn` if given; returns the cumulative reward,
+    summed left to right."""
+    result, total = env.reset(seed, episode=episode), 0.0
+    while not result.done:
+        action = agent.select_action(result)
         obs = result.observation
         result = env.step(action)
         total += result.reward
         if learn is not None:
             learn(obs, action, result.reward, result.observation, result.done)
-        if result.done:
-            return total
-        if not frozen:
-            action = agent.select_action(result)
-        elif (decided := ahead.pop()) != action:
-            action, ahead = decided, []
+    return total
 
 
 def _episode_row(s: EpisodeSummary):

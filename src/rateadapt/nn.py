@@ -10,6 +10,7 @@ one flat vector apiece with per-layer views, so Adam runs once over each.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -119,6 +120,53 @@ def mlp_forward(params: MlpParams, observation) -> np.ndarray:
     if isinstance(observation, float):
         return _forward(params, observation)
     return _forward(params, observation[:, :, None])[:, 0]
+
+
+# An undecided interval narrower than BAND_WIDTH, or every undecided one
+# once more than BAND_CAP are live, becomes a band: the forward decides it.
+BAND_WIDTH, BAND_CAP = 2.0 ** -40, 256
+
+
+def _q_bounds(params: MlpParams, lo, hi):
+    """(lower, upper), each (k, 8), bounding the Q-values that the single
+    forward computes at every float x in [lo[i], hi[i]]: exact for the
+    elementwise x * w0, + b and ReLU, which round monotonically, and each
+    z @ w widened by (4n + 4)u * (upper(z) @ |w|), n = len(w), u = 2**-53,
+    plus 2**-1000 per nonzero weight (README, Determinism)."""
+    ends = [x[:, None] * params._w0_row for x in (lo, hi)]
+    low, up = np.minimum(*ends), np.maximum(*ends)
+    for w, b in zip(params._weights[1:], params._biases):
+        low, up = np.maximum(low + b, 0.0), np.maximum(up + b, 0.0)
+        split = np.concatenate((np.maximum(w, 0.0), np.minimum(w, 0.0)))
+        margin = ((4 * len(w) + 4) * 2.0 ** -53 * (up @ np.abs(w))
+                  + 2.0 ** -1000 * np.count_nonzero(w, axis=0))
+        low, up = np.hstack((low, up)) @ split - margin, np.hstack((up, low)) @ split + margin
+    return low + params._biases[-1], up + params._biases[-1]
+
+
+def greedy_steps(params: MlpParams):
+    """argmax(mlp_forward(params, x)) as a step function of a float x:
+    ascending edges and one action per interval, actions[i] for the x in
+    [edges[i - 1], edges[i]), or -1 for a band, where the forward decides
+    (x outside [0, 1] is one). Bisects [0, 1], all live intervals at once,
+    until one action's lower bound beats every other's upper bound, or
+    equals it for a higher action, as argmax breaks ties to the lowest."""
+    higher = np.triu(np.ones((N_MCS, N_MCS), dtype=bool), 1)  # [a, j]: j > a
+    pieces = [(-np.inf, -1), (float(np.nextafter(1.0, 2.0)), -1)]  # (start, action)
+    lo, hi = np.array([0.0]), np.array([1.0])
+    with np.errstate(all="ignore"):  # an overflowing bound certifies nothing
+        while len(lo):
+            low, up = _q_bounds(params, lo, hi)
+            low_a, up_j = low[:, :, None], up[:, None, :]
+            won = ((low_a > up_j) | higher & (low_a >= up_j) | np.eye(N_MCS, dtype=bool)).all(2)
+            live = ~won.any(1) & (hi - lo >= BAND_WIDTH) & (len(lo) <= BAND_CAP)
+            actions = np.where(won.any(1), won.argmax(1), -1)
+            pieces += zip(lo[~live].tolist(), actions[~live].tolist())
+            lo, hi = lo[live], hi[live]
+            mid = lo + (hi - lo) / 2
+            lo, hi = np.concatenate((lo, np.nextafter(mid, 2.0))), np.concatenate((mid, hi))
+    runs = [next(run) for _, run in groupby(sorted(pieces), key=lambda piece: piece[1])]
+    return [start for start, _ in runs[1:]], [action for _, action in runs]
 
 
 def mlp_backward(params: MlpParams, observations, actions, targets,

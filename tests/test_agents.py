@@ -1,15 +1,16 @@
 from functools import cache
+from itertools import permutations
 
 import numpy as np
 import pytest
 
-from rateadapt import phy
+from rateadapt import nn, phy
 from rateadapt.agents import (ConstantAgent, DaraAgent, IdealAgent,
-                              MinstrelLikeAgent, TabularDaraAgent)
+                              MinstrelLikeAgent, TabularDaraAgent, ThresholdTable)
 from rateadapt.config import default_config
 from rateadapt.dqn import EpsilonSchedule
 from rateadapt.env import LinkSimEnv, StepResult
-from rateadapt.nn import MlpParams, init_mlp, mlp_forward
+from rateadapt.nn import BAND_CAP, MlpParams, greedy_steps, init_mlp, mlp_forward
 from rateadapt.phy import McsTable
 from rateadapt.tabular import QTable
 from tests.reference import TABLE, crossings, ideal_mismatches, random_net, reference_ideal
@@ -202,50 +203,81 @@ class TestIdealThresholds:
             assert ideal_mismatches(agent, p_min, table, snrs) == []
 
 
-def q_one_by_one(agent, observations):
-    return np.array([agent.q(x) for x in observations])
+def compiled(params):
+    return ThresholdTable("observation", *greedy_steps(params), params)
 
 
-class TestSelectActions:
-    """Only the greedy DQN decides many results in one call, and its
-    select_actions(results) is select_action of each result. Its rows come
-    from one stacked forward whose products are the one-observation
-    forward's gemvs, which BLAS keeps bit-equal."""
+def table_mismatches(params):
+    """The observations at which the compiled table and the greedy single
+    forward disagree, among 0.0, 1.0, every edge and the floats one ulp
+    either side, five floats spread over each band and 3,000 seeded random
+    observations."""
+    table = compiled(params)
+    edges = table.edges
+    xs = [0.0, 1.0, *np.random.default_rng(0).uniform(0.0, 1.0, 3000)]
+    xs += [y for e in edges for y in (np.nextafter(e, -1.0), e, np.nextafter(e, 2.0))]
+    xs += [y for lo, hi, action in zip(edges, edges[1:], table.actions[1:])
+           if action < 0 for y in np.linspace(lo, hi, 5)]
+    return [x for x in map(float, xs)
+            if table.select_action(step_with(x)) != int(mlp_forward(params, x).argmax())]
 
-    OBSERVATIONS = np.append(np.linspace(-0.25, 1.25, 61),
-                             [0.0, 1.0, 0.5, 1 / 3, np.nextafter(1.0, 0.0)])
 
-    def results(self, observations):
-        return [step_with(float(x)) for x in observations]
+def summation_order_net(units):
+    """A constant net whose Q_0 sums the terms 1, -1 and 2**-53 in the order
+    of `units`: u if the forward adds 1 and -1 first, else 0. Q_1 is
+    2**-54 and the other Q-values are -1, so the greedy MCS is 0 or 1
+    depending only on how the output layer's dot product is summed."""
+    values, signs = np.array([1.0, 1.0, 2.0 ** -53]), np.array([1.0, -1.0, 1.0])
+    w1 = np.zeros((3, phy.N_MCS))
+    w1[:, 0] = signs[list(units)]
+    b1 = np.full(phy.N_MCS, -1.0)
+    b1[:2] = 0.0, 2.0 ** -54
+    return MlpParams([np.zeros((1, 3)), w1], [values[list(units)], b1])
 
-    @pytest.mark.parametrize("hidden", [[16, 16, 16], [32, 32], [64, 64], [33, 17]])
-    def test_dqn_rows_bit_equal_to_single_forwards(self, hidden):
-        rng = np.random.default_rng(len(hidden) + hidden[0])
-        for params in (random_net(hidden, rng), init_mlp(hidden, rng)):
-            agent = DaraAgent(params)
-            for k in (1, 2, 7, len(self.OBSERVATIONS)):
-                xs = self.OBSERVATIONS[:k]
-                rows = mlp_forward(params, xs[:, None])
-                assert rows.shape == (k, phy.N_MCS)
-                assert rows.tobytes() == q_one_by_one(agent, xs).tobytes()
-                results = self.results(xs)
-                assert agent.select_actions(results) == [
-                    agent.select_action(r) for r in results]
 
-    def test_fresh_net_ties_go_to_mcs_0(self):
-        agent = DaraAgent(init_mlp([16, 16, 16], np.random.default_rng(0)))
-        assert agent.select_actions(self.results(self.OBSERVATIONS)) == (
-            [0] * len(self.OBSERVATIONS))
+class TestGreedySteps:
+    """The compiled table of a greedy DQN decides every observation as the
+    single forward does: certified intervals by one bisect, and bands, the
+    undecided intervals, by the forward itself."""
 
-    def test_ideal_and_constant(self):
-        # a bisect, a tabular row, an EWMA or a constant is decided window
-        # by window
-        for agent in (IdealAgent(TABLE, 0.9), ConstantAgent(4), TabularDaraAgent(QTable(3)),
-                      minstrel()):
-            assert not hasattr(agent, "select_actions")
+    @pytest.mark.parametrize("hidden", [[16, 16, 16], [32, 32], [33, 9], [64, 64]])
+    def test_random_nets_decide_as_the_forward(self, hidden):
+        rng = np.random.default_rng(sum(hidden))
+        certified = set()
+        for _ in range(4):
+            params = random_net(hidden, rng)
+            assert table_mismatches(params) == []
+            certified |= set(compiled(params).actions) - {-1}
+        assert len(certified) >= 2
 
-    def test_no_results_no_actions(self):
-        assert DaraAgent(init_mlp([4], np.random.default_rng(0))).select_actions(()) == []
+    def test_near_ties_summed_in_another_order_decide_as_the_forward(self):
+        # The bound's own dot product adds the terms in another order than
+        # the forward's, so only the rounding margin keeps these from
+        # certifying the wrong MCS; they stay bands.
+        for units in permutations(range(3)):
+            params = summation_order_net(units)
+            assert table_mismatches(params) == []
+            assert compiled(params).actions == [-1]
+
+    def test_fresh_net_is_mcs_0_everywhere(self):
+        # A zero output layer gives Q = 0 exactly, which ties to MCS 0.
+        params = init_mlp([16, 16, 16], np.random.default_rng(0))
+        assert greedy_steps(params) == ([0.0, float(np.nextafter(1.0, 2.0))], [-1, 0, -1])
+        assert table_mismatches(params) == []
+
+    def test_identical_output_columns_compile_within_the_cap(self, monkeypatch):
+        # Two equal top Q-values never certify, so every interval is bisected
+        # until more than BAND_CAP are live and all of them become bands.
+        params = random_net([16, 16, 16], np.random.default_rng(3))
+        params.weights[-1][:, 6] = params.weights[-1][:, 2]
+        params.biases[-1][[2, 6]] = 100.0
+        live, q_bounds = [], nn._q_bounds
+        monkeypatch.setattr(nn, "_q_bounds", lambda p, lo, hi: live.append(len(lo))
+                            or q_bounds(p, lo, hi))
+        assert compiled(params).actions == [-1]
+        assert max(live) <= 2 * BAND_CAP and len(live) <= 41
+        assert table_mismatches(params) == []
+        assert int(mlp_forward(params, 0.5).argmax()) in (2, 6)
 
 
 class TestMinstrelLike:

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tests.reference import random_net
+
 RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
 
@@ -58,37 +60,36 @@ def test_checkpoint_arrays_the_benchmark_reads(bench, package, tmp_path):
 
 def test_traced_greedy_evaluation_reaches_the_forward_binding(bench, package,
                                                              monkeypatch):
-    # perfbench wraps the agents' own binding of mlp_forward; if the agents
-    # reached the forward another way, its per-layer count would read 0. A
-    # greedy evaluation decides many windows per forward, so the Q rows
-    # returned through the binding, not the calls, cover every window.
+    # perfbench counts Q forwards by wrapping the agents' own binding of
+    # mlp_forward; a forward an agent reached another way would go uncounted.
+    # So every forward pass made while agents decide, counted at nn._forward,
+    # must come through that binding: a greedy evaluation's compiled table
+    # (which decides most windows by a bisect and a band by the forward),
+    # a band hit driven directly, and a DaraAgent's own greedy decision.
     cfg = package.config.default_config()
     data = json.loads(cfg.to_json())
     data["sim"]["duration_s"] = 0.5
     cfg = package.config.validate_config(json.dumps(data))
-    params = package.nn.init_mlp(cfg["agent"]["hidden_layers"],
-                                 np.random.default_rng(0))
+    params = random_net(cfg["agent"]["hidden_layers"], np.random.default_rng(0))
     ckpt = package.checkpoint.Checkpoint(
         "dqn", params, package.nn.AdamState.for_params(params, 0.01), 0,
         cfg.fingerprint())
-    rows = []
-    forward = package.agents.mlp_forward
-
-    def counted(params, observation):
-        q = forward(params, observation)
-        rows.append(len(np.atleast_2d(q)))
-        return q
-    monkeypatch.setattr(package.agents, "mlp_forward", counted)
+    table = package.harness.build_eval_agent(cfg, ckpt, None)
+    band = next(i for i, action in enumerate(table.actions) if action < 0 and i > 0)
+    result = package.env.StepResult(table.edges[band - 1], 0.0, False, 1.0, 0.0)
+    passes, forward = [], package.nn._forward
+    monkeypatch.setattr(package.nn, "_forward",
+                        lambda *args: passes.append(1) or forward(*args))
     tracer, patches = bench.Tracer(), bench.Patches()
     tracer.install(package, patches)
     try:
         package.harness.run_evaluation(cfg, ckpt)
+        assert table.select_action(result) == int(forward(params, result.observation).argmax())
+        package.agents.DaraAgent(params).select_action(result)
     finally:
         patches.restore()
-    windows = tracer.value("env.step", "calls")
-    assert windows > 0
-    assert tracer.value("nn.mlp_forward", "calls") == len(rows) >= 1
-    assert sum(rows) >= windows
+    assert tracer.value("env.step", "calls") > 0
+    assert tracer.value("nn.mlp_forward", "calls") == len(passes) >= 2
 
 
 def test_untraced_window_count_matches_traced_steps(bench, package, tmp_path):

@@ -267,7 +267,7 @@ def test_window_step_bit_identical_to_reference(window, start, travel):
     # A random MCS every window: each window is computed on its own.
     env = make_env(start=start, speed=travel / 5.0, duration=5.0, window=window)
     actions = np.random.default_rng(window).integers(0, phy.N_MCS, size=300).tolist()
-    got = drive(env, "runs", actions, {})
+    got = drive(env, actions, {})
     assert len(got[0]) > 50
     assert got == reference_episode(env, 8, actions[:len(got[0]) - 1])
 
@@ -325,8 +325,8 @@ def test_phy_called_once_per_block_plus_probe(monkeypatch):
 @pytest.mark.parametrize("window", [1, 7, 50])
 def test_stream_position_is_windows_played_plus_held(window):
     # Window n of an episode uses the uniforms [(n+1)w, (n+2)w) of its env
-    # stream, after reset's probe. So after any mix of steps, lookaheads,
-    # outside clock moves and resets, the generator has drawn the probe's
+    # stream, after reset's probe. So after any mix of steps, outside clock
+    # moves and resets, the generator has drawn the probe's
     # and the played windows' uniforms plus those the run block holds for
     # windows not yet played, never more than one block's worth.
     env = make_env(window=window)
@@ -339,8 +339,6 @@ def test_stream_position_is_windows_played_plus_held(window):
             windows = 0
         elif op < 3:
             env.clock += 0.01
-        elif op < 6:
-            env.lookahead(actions[windows])
         else:
             env.step(actions[windows])
             windows += 1
@@ -351,19 +349,13 @@ def test_stream_position_is_windows_played_plus_held(window):
         assert env._rng.bit_generator.state == fresh.bit_generator.state
 
 
-def drive(env, way, actions, jumps):
+def drive(env, actions, jumps):
     """reset(seed=8), then one step per action to the episode end, setting
-    the clock to jumps[i] before window i. Every way but "runs" looks
-    ahead before window 5, and "lookahead" also before every third window,
-    at another MCS first every sixth. Returns the results and the clock
+    the clock to jumps[i] before window i. Returns the results and the clock
     after each."""
     got, got_clocks = [env.reset(seed=8)], [env.clock]
     for i, a in enumerate(actions):
         env.clock = jumps.get(i, env.clock)
-        if way == "lookahead" and i % 3 == 0 or way != "runs" and i == 5:
-            if way == "lookahead" and i % 6 == 0:
-                env.lookahead((a + 1) % phy.N_MCS)
-            env.lookahead(a)
         got.append(env.step(a))
         got_clocks.append(env.clock)
         if env.done:
@@ -379,21 +371,21 @@ def test_run_blocks_bit_identical_to_reference(window, start, travel):
     # Each run block computes many windows' PHY in one call and takes their
     # success masks from the stream ahead of play; every window still equals
     # the per-window reference, through to the episode end, however blocks
-    # and looked-ahead rows are left: by a step at another MCS or a second
-    # lookahead ("lookahead"), by a reset ten windows into a run ("reset"),
-    # or by rewinding the clock to window 3 after window 10 and jumping past
-    # every computed row after window 20 ("clock_set").
+    # are left: by a step at another MCS ("runs"), by a reset ten windows
+    # into a run ("reset"), or by rewinding the clock to window 3 after
+    # window 10 and jumping past every computed row after window 20
+    # ("clock_set").
     env = make_env(start=start, speed=travel / 5.0, duration=5.0, window=window)
     longest = int(env.duration_s / (window * env.airtime_s.min())) + 1
     actions = [5] * 30 + runs_of_actions(np.random.default_rng(window), longest)
     _, clocks = reference_episode(env, 8, actions[:20])
-    for way in ("runs", "lookahead", "reset", "clock_set"):
+    for way in ("runs", "reset", "clock_set"):
         jumps = {10: clocks[3], 20: clocks[20] + 0.25} if way == "clock_set" else {}
         if way == "reset":
-            drive(env, way, actions[:10], {})
-        got, got_clocks = drive(env, way, actions, jumps)
+            drive(env, actions[:10], {})
+        got, got_clocks = drive(env, actions, jumps)
         assert env.done and len(got) > 50, way
-        if way in ("runs", "clock_set"):  # the others play the runs episode
+        if way != "reset":  # a reset plays the runs episode again
             want = reference_episode(env, 8, actions[:len(got) - 1], jumps)
         assert (got, got_clocks) == want, way
 

@@ -1,14 +1,13 @@
 import csv
 import hashlib
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from rateadapt import checkpoint as ckpt_io
 from rateadapt import env as env_module
-from rateadapt.agents import (ConstantAgent, DaraAgent, IdealAgent, MinstrelLikeAgent,
-                              TabularDaraAgent)
+from rateadapt.agents import (ConstantAgent, IdealAgent, MinstrelLikeAgent, TabularDaraAgent,
+                              ThresholdTable)
 from rateadapt.checkpoint import Checkpoint
 from rateadapt.config import ALGORITHMS
 from rateadapt.dqn import EpsilonSchedule
@@ -18,9 +17,8 @@ from rateadapt.harness import (BUILDERS, SweepConfig, _play_episode, build_eval_
                                run_evaluation, run_sweep, run_training, trained_kind)
 from rateadapt.nn import AdamState, MlpParams, init_mlp
 from rateadapt.tabular import QTable
-from tests.reference import (LINKS, ReferenceLearner, ReferenceLink, distance_at_snr,
-                             make_env, random_net, reference_forward, reference_ideal,
-                             tiny_config)
+from tests.reference import (LINKS, ReferenceLearner, ReferenceLink, random_net,
+                             reference_forward, reference_ideal, tiny_config)
 
 
 def diverging_base():
@@ -131,6 +129,19 @@ class TestRunEvaluation:
         run_evaluation(cfg, ckpt, tmp_path / "eval")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    def test_dqn_policy_compiles_once_per_checkpoint(self, monkeypatch):
+        calls, compile_steps = [], ckpt_io.greedy_steps
+        monkeypatch.setattr(ckpt_io, "greedy_steps",
+                            lambda params: calls.append(params) or compile_steps(params))
+        cfg = tiny_config()
+        net = random_net([4], np.random.default_rng(2))
+        ckpt = Checkpoint("dqn", net, AdamState.for_params(net, 0.01), 0, "")
+        for seed in range(10):
+            run_evaluation(cfg, ckpt, seed=seed)
+        assert len(calls) == 1
+        run_evaluation(cfg, Checkpoint("dqn", net, ckpt.opt, 0, ""))
+        assert len(calls) == 2  # another Checkpoint compiles its own
+
     def test_ideal_needs_no_checkpoint(self, tmp_path):
         cfg = tiny_config(algorithm="ideal")
         summary, log = run_evaluation(cfg, None, tmp_path)
@@ -152,7 +163,7 @@ def pairing_checkpoint(kind):
 
 @pytest.mark.parametrize("kind", [None, "dqn", "tabular"], ids=str)
 @pytest.mark.parametrize("algorithm,trains,agent_class", [
-    ("dara", "dqn", DaraAgent),
+    ("dara", "dqn", ThresholdTable),
     ("dara_tabular", "tabular", TabularDaraAgent),
     ("ideal", None, IdealAgent),
     ("minstrel_like", None, MinstrelLikeAgent),
@@ -165,7 +176,8 @@ def test_every_algorithm_checkpoint_pairing(algorithm, trains, agent_class, kind
     if kind == trains:
         agent = build_eval_agent(cfg, ckpt, np.random.default_rng(1))
         assert type(agent) is agent_class
-        assert trains is None or agent.model is ckpt.params
+        assert trains != "tabular" or agent.model is ckpt.params
+        assert trains != "dqn" or agent.params is ckpt.params
         return
     with pytest.raises(ConfigError) as info:
         build_eval_agent(cfg, ckpt, np.random.default_rng(1))
@@ -225,10 +237,9 @@ SEED = 8
 def played(env, agent, episode, learn=None):
     """One _play_episode of seed SEED: its actions, the reset's and every
     step's StepResult, the clock after each step, the summed reward, the
-    throughput log's bytes, the env generator's state and the MCS of each
-    lookahead call."""
-    actions, results, clocks, lookaheads = [], [], [], []
-    reset, step, lookahead = env.reset, env.step, env.lookahead
+    throughput log's bytes and the env generator's state."""
+    actions, results, clocks = [], [], []
+    reset, step = env.reset, env.step
 
     def reset_(*args, **kwargs):
         results.append(reset(*args, **kwargs))
@@ -239,17 +250,13 @@ def played(env, agent, episode, learn=None):
         results.append(step(action))
         clocks.append(env.clock)
         return results[-1]
-
-    def lookahead_(action):
-        lookaheads.append(action)
-        return lookahead(action)
-    env.reset, env.step, env.lookahead = reset_, step_, lookahead_
+    env.reset, env.step = reset_, step_
     try:
         total = _play_episode(env, agent, SEED, episode, learn)
     finally:
-        del env.reset, env.step, env.lookahead
+        del env.reset, env.step
     return (actions, results, clocks, total, env.throughput_log().tobytes(),
-            env._rng.bit_generator.state, lookaheads)
+            env._rng.bit_generator.state)
 
 
 def reference_played(link, decide, episode, learn=None):
@@ -271,7 +278,7 @@ def assert_same_episode(env, link, got, want):
     """Every StepResult and clock, the reward and the log, bit for bit, and
     the env generator: the played windows' uniforms plus those its run block
     holds for windows not yet played, at most one block's."""
-    _, results, clocks, total, log, rng_state, _ = got
+    _, results, clocks, total, log, rng_state = got
     assert len(results) > 20 and results[-1].done
     assert np.array(results).tobytes() == np.array(want[0]).tobytes()
     assert np.array(clocks).tobytes() == np.array(want[1]).tobytes()
@@ -299,14 +306,13 @@ def test_harness_equals_reference(algorithm, learner, window, start, travel):
     # The equivalence matrix. Each algorithm plays episodes of one env
     # through the real _play_episode, and each equals the reference link's,
     # window for window. A learner trains in episodes 1 and 2 through its
-    # learn hook, never looking ahead, and then holds the reference
-    # learner's parameters and Adam moments (or Q-table); in episode 0 its
-    # greedy policy plays frozen, and for dara, whose trained net keeps one
-    # MCS, a greedy net whose MCS climbs with the observation plays episode
-    # 3. The baselines play episodes 1 and 0. Only dara looks each run block
-    # ahead and decides it in one call; the others play window by window,
-    # minstrel_like against a twin of itself. Episodes last window / 20 s,
-    # 28 to 184 windows.
+    # learn hook and then holds the reference learner's parameters and Adam
+    # moments (or Q-table); in episode 0 its greedy policy plays frozen, and
+    # for dara, whose trained net keeps one MCS, a greedy net whose MCS
+    # climbs with the observation plays episode 3. dara's frozen policies
+    # play as the threshold tables their checkpoints compile to. The
+    # baselines play episodes 1 and 0, minstrel_like against a twin of
+    # itself. Episodes last window / 20 s, 28 to 184 windows.
     duration = window / 20
     cfg = tiny_config(
         sim={"start_distance_m": start, "speed_mps": travel / duration,
@@ -327,7 +333,7 @@ def test_harness_equals_reference(algorithm, learner, window, start, travel):
             got = played(env, agent, episode, learn)
             assert_same_episode(env, link, got,
                                 reference_played(link, ref.act, episode, ref.learn))
-            assert got[-1] == [] and agent.train_step == ref.train_step
+            assert agent.train_step == ref.train_step
             assert ref.state() == ((agent.model.flat.tobytes(), opt.t, opt.m.flat.tobytes(),
                                     opt.v.flat.tobytes()) if opt
                                    else (agent.model.values.tobytes(),))
@@ -337,8 +343,9 @@ def test_harness_equals_reference(algorithm, learner, window, start, travel):
         plays = [(build_eval_agent(cfg, trained, rng_streams(SEED)[1]), ref.greedy, 0)]
         if algorithm == "dara":
             net = climbing_net(np.random.default_rng(12))
-            plays.append((DaraAgent(net), lambda r: int(np.argmax(reference_forward(
-                net.weights, net.biases, [r.observation])[0])), 3))
+            plays.append((build_eval_agent(cfg, Checkpoint("dqn", net, None, 0, ""), None),
+                          lambda r: int(np.argmax(reference_forward(
+                              net.weights, net.biases, [r.observation])[0])), 3))
     else:
         twin = build_eval_agent(cfg, None, rng_streams(SEED)[1])
         decide = {"ideal": lambda r: reference_ideal(r.raw_snr_db, a["ideal_p_min"]),
@@ -350,47 +357,9 @@ def test_harness_equals_reference(algorithm, learner, window, start, travel):
     for agent, decide, episode in plays:
         got = played(env, agent, episode)
         assert_same_episode(env, link, got, reference_played(link, decide, episode))
-        assert (got[-1] != []) == (algorithm == "dara")
-        changes |= len(set(got[-1])) > 1
+        changes |= len(set(got[0])) > 1
     if travel > 0 and algorithm == "dara":
-        assert changes  # a looked-ahead decision changes on the moving link
-
-
-def per_window(agent):
-    """`agent` without select_actions, so that it plays window by window."""
-    return SimpleNamespace(select_action=agent.select_action)
-
-
-def explorer():
-    """An epsilon-greedy agent and no learn hook."""
-    schedule = EpsilonSchedule("fixed", 0.3, 0.3, 1)
-    return DaraAgent(climbing_net(np.random.default_rng(12)), schedule,
-                     np.random.default_rng(5)), None
-
-
-def hooked_greedy():
-    """A greedy agent and a learn hook that changes its network after every
-    window."""
-    net = climbing_net(np.random.default_rng(12))
-
-    def learn(s, action, r, s_next, done):
-        net.biases[-1][action] -= 0.5  # sours the MCS just played
-    return DaraAgent(net), learn
-
-
-@pytest.mark.parametrize("make", [explorer, hooked_greedy],
-                         ids=["epsilon_greedy", "greedy_with_hook"])
-def test_a_policy_that_may_change_plays_window_by_window(make):
-    # An exploring agent draws a coin per window, and a learn hook may
-    # change the network after any window, so neither looks ahead: each
-    # plays as it does without select_actions.
-    env = make_env(start=distance_at_snr(30.0), speed=400.0, duration=0.5, window=7)
-    agent, learn = make()
-    *got, lookaheads = played(env, agent, 0, learn)
-    agent, learn = make()
-    *window_by_window, _ = played(env, per_window(agent), 0, learn)
-    assert lookaheads == [] and got == window_by_window
-    assert len(set(got[0])) > 1
+        assert changes  # a compiled table's decision changes on the moving link
 
 
 class TestRunSweep:
