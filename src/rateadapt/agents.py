@@ -5,10 +5,10 @@ Every adapter is one call, select_action(result), that maps the StepResult
 the environment just returned (the reset result included) to the next
 window's MCS. A ThresholdTable is a frozen policy that is a step function
 of one result field, decided by one bisect: Ideal is one over the raw SNR,
-and a frozen greedy DQN compiles into one over the observation
-(`nn.greedy_steps`). The Q-value agents explore only when given an epsilon
-schedule; without one they are greedy. Learning happens outside the
-agents, in the harness's per-transition hook.
+`constant` one with no edges, and a frozen greedy DQN or Q-table compiles
+into one over the observation (`nn.greedy_steps`, `tabular.greedy_steps`).
+The Q-value agents are the epsilon-greedy learners; learning happens
+outside them, in the harness's per-transition hook.
 """
 
 from __future__ import annotations
@@ -23,33 +23,25 @@ from .env import StepResult
 from .nn import mlp_forward
 # By its own name, so that phy.frame_success_prob counts the env's calls alone.
 from .phy import McsTable, frame_success_prob
-
-
-def _float(key):
-    """The float64 of each uint64 key in float order: a non-negative float's
-    bits with the top bit set, or a negative float's bits flipped."""
-    return np.where(key >> 63, key ^ (1 << 63), ~key).view(np.float64)
+from .tabular import least_float
 
 
 class GreedyQAgent:
-    """Greedy over the Q-values that a subclass's `q(observation)` reads from
-    `model` (ties break to the lowest index), or epsilon-greedy when given an
-    epsilon schedule (read at `train_step`) and the RNG it draws from; the
-    state is the scaled mean ACK SNR. The coin is drawn first, so an explore
-    window computes no Q-values."""
+    """Epsilon-greedy over the Q-values a subclass's `q(observation)` reads from
+    `model` (ties to the lowest index), epsilon read from `schedule` at
+    `train_step`; the coin is drawn from `rng` first, so an explore window
+    computes no Q-values. The state is the scaled mean ACK SNR."""
 
-    def __init__(self, model, schedule: EpsilonSchedule | None = None,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, model, schedule: EpsilonSchedule, rng: np.random.Generator):
         self.model = model
         self.schedule = schedule
         self.rng = rng
         self.train_step = 0
 
     def select_action(self, result: StepResult) -> int:
-        if self.schedule is not None:
-            epsilon = self.schedule.value(self.train_step)
-            if epsilon > 0.0 and self.rng.random() < epsilon:
-                return int(self.rng.integers(0, phy.N_MCS))
+        epsilon = self.schedule.value(self.train_step)
+        if epsilon > 0.0 and self.rng.random() < epsilon:
+            return int(self.rng.integers(0, phy.N_MCS))
         return int(self.q(result.observation).argmax())
 
 
@@ -96,15 +88,11 @@ class IdealAgent(ThresholdTable):
     (+inf where only +inf does), so the edges are thresholds[1:]."""
 
     def __init__(self, table: McsTable, p_min: float):
-        # Bisect each MCS over the keys of (-inf, +inf], where p(-inf) = 0 is
-        # below p_min and p(+inf) = 1 is not, then take the suffix minimum.
-        lo = np.full(phy.N_MCS, 0x000F_FFFF_FFFF_FFFF, dtype=np.uint64)  # -inf
-        hi = np.full(phy.N_MCS, 0xFFF0_0000_0000_0000, dtype=np.uint64)  # +inf
-        while np.any(hi - lo > 1):
-            mid = lo + (hi - lo) // 2
-            ok = frame_success_prob(_float(mid), table.slopes_per_db, table.midpoints_db) >= p_min
-            lo, hi = np.where(ok, lo, mid), np.where(ok, mid, hi)
-        self.thresholds = np.minimum.accumulate(_float(hi)[::-1])[::-1].tolist()
+        # Bisect each MCS over (-inf, +inf], where p(-inf) = 0 is below
+        # p_min and p(+inf) = 1 is not, then take the suffix minimum.
+        least = least_float(lambda snr: frame_success_prob(
+            snr, table.slopes_per_db, table.midpoints_db) >= p_min, phy.N_MCS)
+        self.thresholds = np.minimum.accumulate(least[::-1])[::-1].tolist()
         super().__init__("raw_snr_db", self.thresholds[1:], range(phy.N_MCS))
 
 
@@ -137,11 +125,8 @@ class MinstrelLikeAgent:
         return self._last_action
 
 
-class ConstantAgent:
-    """Control baseline: always the same MCS."""
+class ConstantAgent(ThresholdTable):
+    """Control baseline: always the same MCS, a table with no edges."""
 
-    def __init__(self, fixed_mcs: int):
-        self.fixed_mcs = int(fixed_mcs)
-
-    def select_action(self, result: StepResult) -> int:
-        return self.fixed_mcs
+    def __init__(self, mcs: int):
+        super().__init__("observation", [], [int(mcs)])

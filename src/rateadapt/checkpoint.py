@@ -27,11 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import nn, tabular
 from .config import _int, _num
 from .errors import CheckpointError
-from .nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, MlpParams, greedy_steps
+from .nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, MlpParams
 from .phy import N_MCS
-from .tabular import QTable
 
 MAGIC = b"RATECKPT v1\n"
 
@@ -48,9 +48,9 @@ class Checkpoint:
 
     @cached_property
     def greedy_steps(self):
-        """A dqn checkpoint's greedy policy as `nn.greedy_steps` compiles it,
-        once per Checkpoint, on first read; params must not change after."""
-        return greedy_steps(self.params)
+        """The greedy policy as its kind's module's greedy_steps compiles it, once
+        per Checkpoint, on first read; params must not change after."""
+        return (nn if self.kind == "dqn" else tabular).greedy_steps(self.params)
 
     @property
     def arrays(self) -> dict:
@@ -174,7 +174,7 @@ def _parse(p: Path, raw: bytes, expected_fingerprint,
         if not (values.ndim == 2 and values.shape[1] == N_MCS
                 and 1 <= len(values) == header["n_state_bins"]):
             raise ValueError(f"q_values shape {values.shape} disagrees with n_state_bins")
-        params, opt = QTable(len(values)), None
+        params, opt = tabular.QTable(len(values)), None
         params.values = values
     else:
         raise CheckpointError(f"{p}: unknown checkpoint kind {header['kind']!r}")

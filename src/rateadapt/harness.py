@@ -6,8 +6,8 @@ that fills the replay buffer and trains (DQN) or updates the table
 (tabular), and counts train steps on the agent, whose epsilon schedule
 reads them. Training also writes a checkpoint every `checkpoint_every`
 episodes and appends each episode's row to episodes.csv as it completes.
-Evaluation runs without a hook, so the policy stays frozen; a frozen
-greedy DQN plays as the threshold table its checkpoint compiles to once.
+Evaluation runs without a hook, so the policy stays frozen; a frozen greedy
+policy plays as the threshold table its checkpoint compiles to once.
 Every agent decides each window with select_action, from the result of the
 window before.
 """
@@ -97,8 +97,8 @@ def check_checkpoint_kind(algorithm: str, checkpoint: Checkpoint | None):
 
 def build_eval_agent(cfg: RootConfig, checkpoint: Checkpoint | None,
                      agent_rng: np.random.Generator):
-    """Adapter for one evaluation episode; a trainable algorithm is greedy
-    over its checkpoint's model."""
+    """Adapter for one evaluation episode; a trainable algorithm's is its
+    checkpoint's greedy policy, compiled to a ThresholdTable."""
     name = cfg["agent"]["algorithm"]
     check_checkpoint_kind(name, checkpoint)
     return BUILDERS[name][0](cfg, checkpoint, agent_rng)
@@ -147,12 +147,16 @@ def _tabular_learner(agent_cfg, schedule, agent_rng):
     return agent, learn, None
 
 
+def _greedy_table(cfg, ckpt, rng):
+    """The checkpoint's greedy policy; only a dqn table has bands to read params."""
+    return ThresholdTable("observation", *ckpt.greedy_steps, ckpt.params)
+
+
 # Algorithm -> (eval-agent builder (cfg, checkpoint, agent_rng), learner builder
 # or None), over config.ALGORITHMS's names in order; that table holds the kinds.
 BUILDERS = {
-    "dara": (lambda cfg, ckpt, rng: ThresholdTable("observation", *ckpt.greedy_steps,
-                                                   ckpt.params), _dqn_learner),
-    "dara_tabular": (lambda cfg, ckpt, rng: TabularDaraAgent(ckpt.params), _tabular_learner),
+    "dara": (_greedy_table, _dqn_learner),
+    "dara_tabular": (_greedy_table, _tabular_learner),
     "ideal": (lambda cfg, ckpt, rng: IdealAgent(cfg.mcs_table(), cfg["agent"]["ideal_p_min"]),
               None),
     "minstrel_like": (lambda cfg, ckpt, rng: MinstrelLikeAgent(

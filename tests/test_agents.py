@@ -4,7 +4,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from rateadapt import nn, phy
+from rateadapt import nn, phy, tabular
 from rateadapt.agents import (ConstantAgent, DaraAgent, IdealAgent,
                               MinstrelLikeAgent, TabularDaraAgent, ThresholdTable)
 from rateadapt.config import default_config
@@ -50,11 +50,14 @@ def minstrel(ewma_weight=0.25, probe_prob=0.0, ewma=None, seed=0):
 
 
 class TestDaraSelect:
+    # A frozen DQN evaluates as its compiled table; TestGreedySteps checks it
+    # against the forward, and tests/test_dqn.py's TestEpsilonGreedy the
+    # learner at epsilon 0.
     def test_evaluation_is_argmax(self):
-        assert DaraAgent(biased_net(5)).select_action(step_with(0.3)) == 5
+        assert compiled(biased_net(5)).select_action(step_with(0.3)) == 5
 
     def test_evaluation_pure_function_of_observation(self):
-        agent = DaraAgent(biased_net(2))
+        agent = compiled(biased_net(2))
         actions = {agent.select_action(step_with(0.3)) for _ in range(20)}
         assert actions == {2}
 
@@ -94,7 +97,7 @@ class TestLazyQ:
         rng = np.random.default_rng(10)
         want, exploited = [], []
         for x in observations:
-            q = DaraAgent(params).q(x)
+            q = DaraAgent(params, schedule, rng).q(x)
             if epsilon > 0.0 and rng.random() < epsilon:
                 want.append(int(rng.integers(0, phy.N_MCS)))
             else:
@@ -337,6 +340,7 @@ class TestConstant:
     @pytest.mark.parametrize("mcs", [0, 7])
     def test_always_fixed(self, mcs):
         agent = ConstantAgent(mcs)
+        assert isinstance(agent, ThresholdTable) and agent.edges == []
         assert all(agent.select_action(step_with()) == mcs for _ in range(10))
 
 
@@ -364,8 +368,10 @@ class TestAllAdaptersInRange:
 
 class TestTabularAgent:
     def test_evaluation_argmax_of_bin_row(self):
+        # A frozen Q-table evaluates as its compiled table, with no band.
         qt = QTable(4)
         qt.values[2, 6] = 1.0  # observations in [0.5, 0.75)
-        agent = TabularDaraAgent(qt)
+        agent = ThresholdTable("observation", *tabular.greedy_steps(qt))
+        assert (agent.edges, agent.actions) == ([0.5, 0.75], [0, 6, 0])
         assert agent.select_action(step_with(0.6)) == 6
         assert agent.select_action(step_with(0.1)) == 0

@@ -85,7 +85,8 @@ def test_traced_greedy_evaluation_reaches_the_forward_binding(bench, package,
     try:
         package.harness.run_evaluation(cfg, ckpt)
         assert table.select_action(result) == int(forward(params, result.observation).argmax())
-        package.agents.DaraAgent(params).select_action(result)
+        package.agents.DaraAgent(params, package.dqn.EpsilonSchedule("fixed", 0.0, 0.0, 1),
+                                 None).select_action(result)
     finally:
         patches.restore()
     assert tracer.value("env.step", "calls") > 0

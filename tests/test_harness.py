@@ -6,16 +6,16 @@ import pytest
 
 from rateadapt import checkpoint as ckpt_io
 from rateadapt import env as env_module
-from rateadapt.agents import (ConstantAgent, IdealAgent, MinstrelLikeAgent, TabularDaraAgent,
-                              ThresholdTable)
+from rateadapt import nn, tabular
+from rateadapt.agents import ConstantAgent, IdealAgent, MinstrelLikeAgent, ThresholdTable
 from rateadapt.checkpoint import Checkpoint
 from rateadapt.config import ALGORITHMS
 from rateadapt.dqn import EpsilonSchedule
-from rateadapt.env import LinkSimEnv, rng_streams
+from rateadapt.env import LinkSimEnv, StepResult, rng_streams
 from rateadapt.errors import ConfigError
 from rateadapt.harness import (BUILDERS, SweepConfig, _play_episode, build_eval_agent,
                                run_evaluation, run_sweep, run_training, trained_kind)
-from rateadapt.nn import AdamState, MlpParams, init_mlp
+from rateadapt.nn import AdamState, MlpParams
 from rateadapt.tabular import QTable
 from tests.reference import (LINKS, ReferenceLearner, ReferenceLink, random_net,
                              reference_forward, reference_ideal, tiny_config)
@@ -129,17 +129,18 @@ class TestRunEvaluation:
         run_evaluation(cfg, ckpt, tmp_path / "eval")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
-    def test_dqn_policy_compiles_once_per_checkpoint(self, monkeypatch):
-        calls, compile_steps = [], ckpt_io.greedy_steps
-        monkeypatch.setattr(ckpt_io, "greedy_steps",
+    @pytest.mark.parametrize("kind", ["dqn", "tabular"])
+    def test_policy_compiles_once_per_checkpoint(self, monkeypatch, kind):
+        module = nn if kind == "dqn" else tabular
+        calls, compile_steps = [], module.greedy_steps
+        monkeypatch.setattr(module, "greedy_steps",
                             lambda params: calls.append(params) or compile_steps(params))
-        cfg = tiny_config()
-        net = random_net([4], np.random.default_rng(2))
-        ckpt = Checkpoint("dqn", net, AdamState.for_params(net, 0.01), 0, "")
+        cfg = tiny_config(algorithm={"dqn": "dara", "tabular": "dara_tabular"}[kind])
+        ckpt = pairing_checkpoint(kind)
         for seed in range(10):
             run_evaluation(cfg, ckpt, seed=seed)
         assert len(calls) == 1
-        run_evaluation(cfg, Checkpoint("dqn", net, ckpt.opt, 0, ""))
+        run_evaluation(cfg, Checkpoint(kind, ckpt.params, ckpt.opt, 0, ""))
         assert len(calls) == 2  # another Checkpoint compiles its own
 
     def test_ideal_needs_no_checkpoint(self, tmp_path):
@@ -154,17 +155,23 @@ class TestRunEvaluation:
 
 
 def pairing_checkpoint(kind):
-    """A checkpoint of `kind` ("dqn" or "tabular"), or None."""
+    """A checkpoint of `kind` ("dqn" or "tabular"), or None; the tabular
+    one's greedy policy switches MCS three times."""
+    rng = np.random.default_rng(2)
     if kind == "dqn":
-        net = init_mlp([4], np.random.default_rng(0))
+        net = random_net([4], rng)
         return Checkpoint("dqn", net, AdamState.for_params(net, 0.01), 0, "")
-    return None if kind is None else Checkpoint("tabular", QTable(4), None, 0, "")
+    if kind == "tabular":
+        table = QTable(4)
+        table.values[:] = rng.normal(size=table.values.shape)
+        return Checkpoint("tabular", table, None, 0, "")
+    return None
 
 
 @pytest.mark.parametrize("kind", [None, "dqn", "tabular"], ids=str)
 @pytest.mark.parametrize("algorithm,trains,agent_class", [
     ("dara", "dqn", ThresholdTable),
-    ("dara_tabular", "tabular", TabularDaraAgent),
+    ("dara_tabular", "tabular", ThresholdTable),
     ("ideal", None, IdealAgent),
     ("minstrel_like", None, MinstrelLikeAgent),
     ("constant", None, ConstantAgent)])
@@ -176,8 +183,11 @@ def test_every_algorithm_checkpoint_pairing(algorithm, trains, agent_class, kind
     if kind == trains:
         agent = build_eval_agent(cfg, ckpt, np.random.default_rng(1))
         assert type(agent) is agent_class
-        assert trains != "tabular" or agent.model is ckpt.params
         assert trains != "dqn" or agent.params is ckpt.params
+        xs = np.linspace(0.0, 1.0, 41).tolist()
+        assert trains != "tabular" or [
+            agent.select_action(StepResult(x, 0.0, False, 1.0, 0.0)) for x in xs
+        ] == [int(ckpt.params.row(x).argmax()) for x in xs]
         return
     with pytest.raises(ConfigError) as info:
         build_eval_agent(cfg, ckpt, np.random.default_rng(1))
@@ -309,8 +319,8 @@ def test_harness_equals_reference(algorithm, learner, window, start, travel):
     # learn hook and then holds the reference learner's parameters and Adam
     # moments (or Q-table); in episode 0 its greedy policy plays frozen, and
     # for dara, whose trained net keeps one MCS, a greedy net whose MCS
-    # climbs with the observation plays episode 3. dara's frozen policies
-    # play as the threshold tables their checkpoints compile to. The
+    # climbs with the observation plays episode 3. The learners' frozen
+    # policies play as the threshold tables their checkpoints compile to. The
     # baselines play episodes 1 and 0, minstrel_like against a twin of
     # itself. Episodes last window / 20 s, 28 to 184 windows.
     duration = window / 20

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rateadapt.tabular import QTable, q_update_tabular
+from rateadapt.agents import ThresholdTable
+from rateadapt.env import StepResult
+from rateadapt.tabular import QTable, greedy_steps, q_update_tabular
 from tests.reference import MDP_GAMMA, MDP_NEXT, MDP_REWARDS, run_tabular_convergence, value_iteration
 
 
@@ -56,6 +60,40 @@ class TestQUpdate:
         before = q.values.copy()
         q_update_tabular(q, 0.1, 0, r, 0.9, alpha, gamma, False)
         assert np.allclose(q.values, before, atol=1e-12)
+
+
+def bin_start(q: QTable, k: int) -> float:
+    """The least float x with q.bin_of(x) >= k, stepped to from k / n."""
+    x = k / q.n_state_bins
+    while q.bin_of(x) < k:
+        x = math.nextafter(x, 2.0)
+    while q.bin_of(below := math.nextafter(x, -1.0)) >= k:
+        x = below
+    return x
+
+
+class TestGreedySteps:
+    """A greedy Q-table compiles to a table with no band that decides every
+    observation as the row lookup and its argmax, ties to the lowest MCS."""
+
+    @pytest.mark.parametrize("values", ["ties", "normal"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 32, 1000, 100_000])
+    def test_table_decides_as_the_row_argmax(self, n, values):
+        rng = np.random.default_rng(n)
+        q = QTable(n)
+        q.values[:] = (rng.integers(0, 2, q.values.shape) if values == "ties"
+                       else rng.normal(size=q.values.shape))
+        table = ThresholdTable("observation", *greedy_steps(q))
+        assert -1 not in table.actions
+        starts = np.array([bin_start(q, k) for k in range(1, n)])
+        xs = [0.0, -0.0, 1.0, math.nextafter(1.0, 0.0), *rng.uniform(0.0, 1.0, 3000)]
+        xs += [*np.nextafter(starts, -1.0), *starts, *np.nextafter(starts, 2.0)]
+        decide = table.select_action
+        assert [x for x in map(float, xs) if decide(StepResult(x, 0.0, False, 1.0, 0.0))
+                != int(q.row(x).argmax())] == []
+
+    def test_all_zero_table_is_mcs_0_with_no_edge(self):
+        assert greedy_steps(QTable(32)) == ([], [0])
 
 
 class TestConvergenceOracle:
