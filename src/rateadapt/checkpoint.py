@@ -3,8 +3,9 @@
 A checkpoint is a single self-describing file:
 
     line 1: magic "RATECKPT v1"
-    line 2: JSON header (layer sizes, optimizer hyperparameters, train-step
-            counter, config fingerprint, and a manifest of array shapes)
+    line 2: JSON header (layer sizes, Adam's learning rate and step count,
+            train-step counter, config fingerprint, and a manifest of
+            array shapes)
     then:   the arrays from the manifest, concatenated as little-endian
             64-bit floats in row-major order.
 
@@ -13,7 +14,6 @@ readable with a text editor's first two lines. Every array must be finite,
 the header's layer_sizes or n_state_bins must match the array shapes, the
 manifest must name exactly the arrays save writes, in its order, and
 train_step and Adam's t and learning_rate pass the config's validators.
-Adam's betas and epsilon are written for reference only; `nn` fixes them.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from . import nn, tabular
 from .config import _int, _num
 from .errors import CheckpointError
-from .nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, MlpParams
+from .nn import AdamState, MlpParams
 from .phy import N_MCS
 
 MAGIC = b"RATECKPT v1\n"
@@ -84,9 +84,7 @@ def save(path, ckpt: Checkpoint):
     }
     if ckpt.kind == "dqn":
         header["layer_sizes"] = ckpt.params.layer_sizes
-        header["adam"] = {"learning_rate": ckpt.opt.learning_rate,
-                          "beta1": ADAM_BETA1, "beta2": ADAM_BETA2,
-                          "eps": ADAM_EPS, "t": ckpt.opt.t}
+        header["adam"] = {"learning_rate": ckpt.opt.learning_rate, "t": ckpt.opt.t}
     else:
         header["n_state_bins"] = ckpt.params.n_state_bins
     arrays = ckpt.arrays

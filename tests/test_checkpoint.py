@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -36,9 +37,9 @@ class TestRoundTrip:
         path = tmp_path / "policy_ep001.ckpt"
         ckpt_io.save(path, ckpt)
         loaded = ckpt_io.load(path)
-        probes = np.linspace(0, 1, 100)[:, None]
-        q_before = mlp_forward(ckpt.params, probes)
-        q_after = mlp_forward(loaded.params, probes)
+        probes = np.linspace(0, 1, 100).tolist()
+        q_before = np.array([mlp_forward(ckpt.params, x) for x in probes])
+        q_after = np.array([mlp_forward(loaded.params, x) for x in probes])
         assert np.max(np.abs(q_before - q_after)) == 0.0
 
     def test_bit_level_parameter_equality(self, tmp_path):
@@ -67,6 +68,23 @@ class TestRoundTrip:
             assert disk.flat.tobytes() == mem.flat.tobytes()
         ckpt_io.save(tmp_path / "b.ckpt", loaded)
         assert (tmp_path / "b.ckpt").read_bytes() == (tmp_path / "a.ckpt").read_bytes()
+
+    def test_adam_header_holds_only_what_load_reads(self, tmp_path):
+        ckpt_io.save(tmp_path / "a.ckpt", make_dqn_checkpoint())
+        header = json.loads((tmp_path / "a.ckpt").read_bytes().split(b"\n")[1])
+        assert header["adam"] == {"learning_rate": 0.01, "t": 17}
+
+    def test_header_with_adam_constants_loads_bit_equal(self, tmp_path):
+        # Earlier versions wrote Adam's fixed constants into the header too.
+        ckpt = make_dqn_checkpoint(rng_seed=3)
+        ckpt_io.save(tmp_path / "a.ckpt", ckpt)
+        (tmp_path / "old.ckpt").write_bytes(with_header(
+            (tmp_path / "a.ckpt").read_bytes(),
+            lambda header: header["adam"].update(beta1=0.9, beta2=0.999, eps=1e-8)))
+        loaded = ckpt_io.load(tmp_path / "old.ckpt")
+        assert (loaded.opt.learning_rate, loaded.opt.t) == (0.01, 17)
+        assert ({name: a.tobytes() for name, a in loaded.arrays.items()}
+                == {name: a.tobytes() for name, a in ckpt.arrays.items()})
 
     def test_tabular_round_trip(self, tmp_path):
         table = QTable(32)

@@ -30,8 +30,8 @@ class TestBellmanTarget:
         online = random_net([8, 5], np.random.default_rng(21))
         target = random_net([8, 5], np.random.default_rng(22))
         batch = batch_of(rows)
-        q = mlp_forward(online, batch[0][:, None])[np.arange(len(rows)), batch[1]]
-        q_next_max = mlp_forward(target, batch[3][:, None]).max(axis=1)
+        q = np.array([mlp_forward(online, s)[a] for s, a, *_ in rows])
+        q_next_max = np.array([mlp_forward(target, s_next).max() for *_, s_next, _ in rows])
         opt = AdamState.for_params(online, 0.01)
         loss = train_on(online, target, opt, batch, gamma)
         return loss, q, q_next_max

@@ -272,6 +272,25 @@ def test_window_step_bit_identical_to_reference(window, start, travel):
     assert got == reference_episode(env, 8, actions[:len(got[0]) - 1])
 
 
+@pytest.mark.parametrize("start,travel", LINKS)
+@pytest.mark.parametrize("gym", [{}, {"snr_lo_db": 5, "snr_hi_db": 35}])
+def test_observation_and_raw_snr_are_python_floats(gym, start, travel):
+    # mlp_forward takes one float observation, so reset and every step must
+    # hand one over: after an ACKed window, after one with no ACK (the
+    # observation carries forward) and under a JSON-integer SNR range.
+    env = LinkSimEnv(tiny_config(
+        sim={"start_distance_m": start, "speed_mps": travel / 2.0, "duration_s": 2.0},
+        gym={"window_frames": 20, **gym}))
+    results = [env.reset(seed=4)]
+    while not env.done:
+        results.append(env.step(len(results) % phy.N_MCS))
+    assert {(type(r.observation), type(r.raw_snr_db)) for r in results} == {(float, float)}
+    carried = [(before, after) for before, after in zip(results, results[1:])
+               if after.fsr == 0.0]
+    assert all(after.observation == before.observation for before, after in carried)
+    assert bool(carried) == (start > 1.0)  # every frame ACKs on the 1 m link
+
+
 def test_phy_called_once_per_block_plus_probe(monkeypatch):
     # perfbench reads phy.snr_db's calls per window: the env reaches each
     # PHY formula through the phy module. A run of one MCS is computed in

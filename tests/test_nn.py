@@ -48,20 +48,6 @@ class TestForward:
                 got = _forward(net, x[start:start + m])
                 assert got.tobytes() == full[start:start + m].tobytes(), (m, start)
 
-    @pytest.mark.parametrize("hidden", [[16, 16, 16], [32, 32], [64, 64], [33, 17]])
-    def test_column_rows_bit_equal_to_single_forwards(self, hidden):
-        # A (k, 1) column runs as k stacked one-observation gemvs, which
-        # BLAS keeps bit-equal to the single forwards.
-        xs = np.append(np.linspace(-0.25, 1.25, 61),
-                       [0.0, 1.0, 0.5, 1 / 3, np.nextafter(1.0, 0.0)])
-        rng = np.random.default_rng(len(hidden) + hidden[0])
-        for params in (random_net(hidden, rng), init_mlp(hidden, rng)):
-            for k in (1, 2, 7, len(xs)):
-                rows = mlp_forward(params, xs[:k, None])
-                assert rows.shape == (k, 8)
-                assert rows.tobytes() == np.array(
-                    [mlp_forward(params, float(x)) for x in xs[:k]]).tobytes()
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             MlpParams([np.zeros((2, 4)), np.zeros((4, 8))],
@@ -189,14 +175,12 @@ class TestFlatLayout:
     def test_forward_bit_equal_to_layer_loop(self, hidden):
         # The width-1 layer is a product, not a matmul: the clamp ends and a
         # fresh net's zeros are where a signed zero could tell the two apart.
-        # A float's pass and each row of a column must equal a (1, 1) input's.
+        # A float's pass must equal a (1, 1) input's.
         xs = np.append(np.linspace(-0.25, 1.25, 33), [0.0, 1.0])
         for params in (random_net(hidden, np.random.default_rng(len(hidden))),
                        init_mlp(hidden, np.random.default_rng(len(hidden)))):
-            column = mlp_forward(params, xs[:, None])
-            for x, row in zip(xs.tolist(), column, strict=True):
+            for x in xs.tolist():
                 want = reference_forward(params.weights, params.biases, [x])[0].tobytes()
-                assert row.tobytes() == want
                 for single in (x, np.float64(x)):
                     q = mlp_forward(params, single)
                     assert q.shape == (8,) and q.tobytes() == want
