@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from rateadapt import checkpoint as ckpt_io
 from rateadapt.checkpoint import Checkpoint
 from rateadapt.errors import CheckpointError
-from rateadapt.nn import AdamState, MlpParams, init_mlp, mlp_forward
+from rateadapt.nn import AdamState, MlpParams, init_mlp
 from rateadapt.phy import N_MCS
 from rateadapt.tabular import QTable
 from tests.reference import with_header
@@ -31,22 +31,16 @@ def make_dqn_checkpoint(rng_seed=0, train_step=321, fingerprint="abc123",
     return Checkpoint("dqn", params, opt, train_step, fingerprint)
 
 
-class TestRoundTrip:
-    def test_q_outputs_identical(self, tmp_path):
-        ckpt = make_dqn_checkpoint()
-        path = tmp_path / "policy_ep001.ckpt"
-        ckpt_io.save(path, ckpt)
-        loaded = ckpt_io.load(path)
-        probes = np.linspace(0, 1, 100).tolist()
-        q_before = np.array([mlp_forward(ckpt.params, x) for x in probes])
-        q_after = np.array([mlp_forward(loaded.params, x) for x in probes])
-        assert np.max(np.abs(q_before - q_after)) == 0.0
+def saved(tmp_path, ckpt, name="c.ckpt"):
+    """The path `ckpt` is saved to under tmp_path."""
+    ckpt_io.save(tmp_path / name, ckpt)
+    return tmp_path / name
 
+
+class TestRoundTrip:
     def test_bit_level_parameter_equality(self, tmp_path):
         ckpt = make_dqn_checkpoint(rng_seed=5)
-        path = tmp_path / "a.ckpt"
-        ckpt_io.save(path, ckpt)
-        loaded = ckpt_io.load(path)
+        loaded = ckpt_io.load(saved(tmp_path, ckpt))
         for a, b in zip(ckpt.params.weights + ckpt.params.biases,
                         loaded.params.weights + loaded.params.biases):
             assert np.array_equal(a, b)
@@ -70,16 +64,14 @@ class TestRoundTrip:
         assert (tmp_path / "b.ckpt").read_bytes() == (tmp_path / "a.ckpt").read_bytes()
 
     def test_adam_header_holds_only_what_load_reads(self, tmp_path):
-        ckpt_io.save(tmp_path / "a.ckpt", make_dqn_checkpoint())
-        header = json.loads((tmp_path / "a.ckpt").read_bytes().split(b"\n")[1])
+        header = json.loads(saved(tmp_path, make_dqn_checkpoint()).read_bytes().split(b"\n")[1])
         assert header["adam"] == {"learning_rate": 0.01, "t": 17}
 
     def test_header_with_adam_constants_loads_bit_equal(self, tmp_path):
         # Earlier versions wrote Adam's fixed constants into the header too.
         ckpt = make_dqn_checkpoint(rng_seed=3)
-        ckpt_io.save(tmp_path / "a.ckpt", ckpt)
         (tmp_path / "old.ckpt").write_bytes(with_header(
-            (tmp_path / "a.ckpt").read_bytes(),
+            saved(tmp_path, ckpt).read_bytes(),
             lambda header: header["adam"].update(beta1=0.9, beta2=0.999, eps=1e-8)))
         loaded = ckpt_io.load(tmp_path / "old.ckpt")
         assert (loaded.opt.learning_rate, loaded.opt.t) == (0.01, 17)
@@ -89,10 +81,7 @@ class TestRoundTrip:
     def test_tabular_round_trip(self, tmp_path):
         table = QTable(32)
         table.values[:] = np.random.default_rng(1).normal(size=table.values.shape)
-        ckpt = Checkpoint("tabular", table, None, 10, "fp")
-        path = tmp_path / "t.ckpt"
-        ckpt_io.save(path, ckpt)
-        loaded = ckpt_io.load(path)
+        loaded = ckpt_io.load(saved(tmp_path, Checkpoint("tabular", table, None, 10, "fp")))
         assert loaded.kind == "tabular"
         assert np.array_equal(loaded.params.values, table.values)
         assert loaded.params.n_state_bins == 32
@@ -104,17 +93,13 @@ class TestFailureModes:
             ckpt_io.load(tmp_path / "nope.ckpt")
 
     def test_corrupt_payload(self, tmp_path):
-        ckpt = make_dqn_checkpoint()
-        path = tmp_path / "c.ckpt"
-        ckpt_io.save(path, ckpt)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-16])  # truncate the binary block
+        path = saved(tmp_path, make_dqn_checkpoint())
+        path.write_bytes(path.read_bytes()[:-16])  # truncate the binary block
         with pytest.raises(CheckpointError):
             ckpt_io.load(path)
 
     def test_zero_state_bins_rejected(self, tmp_path):
-        path = tmp_path / "policy.ckpt"
-        ckpt_io.save(path, Checkpoint("tabular", QTable(0), None, 0, "abc"))
+        path = saved(tmp_path, Checkpoint("tabular", QTable(0), None, 0, "abc"))
         with pytest.raises(CheckpointError):
             ckpt_io.load(path)
 
@@ -134,25 +119,19 @@ class TestFailureModes:
             ckpt_io.load(path)
 
     def test_fingerprint_mismatch_refused(self, tmp_path):
-        ckpt = make_dqn_checkpoint(fingerprint="trained-under-x")
-        path = tmp_path / "f.ckpt"
-        ckpt_io.save(path, ckpt)
+        path = saved(tmp_path, make_dqn_checkpoint(fingerprint="trained-under-x"))
         with pytest.raises(CheckpointError):
             ckpt_io.load(path, expected_fingerprint="different")
 
     def test_fingerprint_mismatch_override_warns(self, tmp_path):
-        ckpt = make_dqn_checkpoint(fingerprint="trained-under-x")
-        path = tmp_path / "f.ckpt"
-        ckpt_io.save(path, ckpt)
+        path = saved(tmp_path, make_dqn_checkpoint(fingerprint="trained-under-x"))
         with pytest.warns(UserWarning):
             loaded = ckpt_io.load(path, expected_fingerprint="different",
                                   allow_fingerprint_mismatch=True)
         assert loaded.fingerprint == "trained-under-x"
 
     def test_fingerprint_match_silent(self, tmp_path):
-        ckpt = make_dqn_checkpoint(fingerprint="same")
-        path = tmp_path / "f.ckpt"
-        ckpt_io.save(path, ckpt)
+        path = saved(tmp_path, make_dqn_checkpoint(fingerprint="same"))
         loaded = ckpt_io.load(path, expected_fingerprint="same")
         assert loaded.fingerprint == "same"
 

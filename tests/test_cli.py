@@ -18,10 +18,17 @@ def write_tiny_config(path, sim=(), gym=(), **agent):
     return path
 
 
+def cli(command, config, results, *options):
+    """cli_main's exit code for `rateadapt <command> --config <config>
+    --results <results>` and any further options."""
+    return cli_main([command, "--config", str(config), "--results", str(results),
+                     *map(str, options)])
+
+
 def trained_run(config, out):
     """The run folder `rateadapt train` makes in `out` with the config file
     `config`."""
-    assert cli_main(["train", "--config", str(config), "--results", str(out)]) == 0
+    assert cli("train", config, out) == 0
     return run_dir_of(out)
 
 
@@ -34,9 +41,7 @@ def run_dir_of(base):
 class TestTrain:
     def test_happy_path(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path / "cfg.json")
-        code = cli_main(["train", "--config", str(cfg),
-                         "--results", str(tmp_path / "out")])
-        assert code == 0
+        assert cli("train", cfg, tmp_path / "out") == 0
         run = run_dir_of(tmp_path / "out")
         assert (run / "episodes.csv").exists()
         assert (run / "policy_ep002.ckpt").exists()
@@ -62,15 +67,12 @@ class TestTrain:
     def test_non_trainable_algorithm_exit_1_without_run_folder(self, tmp_path,
                                                                capsys):
         cfg = write_tiny_config(tmp_path / "cfg.json", algorithm="constant")
-        assert_config_error(capsys, ["train", "--config", str(cfg),
-                                     "--results", str(tmp_path / "out")])
+        assert_config_error(capsys, "train", cfg, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     def test_seed_and_episode_overrides(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json")
-        code = cli_main(["train", "--config", str(cfg), "--episodes", "1",
-                         "--seed", "9", "--results", str(tmp_path / "out")])
-        assert code == 0
+        assert cli("train", cfg, tmp_path / "out", "--episodes", 1, "--seed", 9) == 0
         run = run_dir_of(tmp_path / "out")
         rows = (run / "episodes.csv").read_text().splitlines()
         assert len(rows) == 2  # header + 1 episode
@@ -81,27 +83,14 @@ class TestTrain:
 class TestEval:
     def test_dara_without_checkpoint_exit_1(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path / "cfg.json")
-        code = cli_main(["eval", "--config", str(cfg),
-                         "--results", str(tmp_path / "out")])
-        assert code == 1
+        assert cli("eval", cfg, tmp_path / "out") == 1
         assert "checkpoint" in capsys.readouterr().err
-
-    def test_eval_trained_checkpoint(self, tmp_path):
-        cfg = write_tiny_config(tmp_path / "cfg.json")
-        ckpt = trained_run(cfg, tmp_path / "train") / "policy_ep002.ckpt"
-        code = cli_main(["eval", "--config", str(cfg), "--checkpoint",
-                         str(ckpt), "--results", str(tmp_path / "eval")])
-        assert code == 0
-        assert (run_dir_of(tmp_path / "eval") / "throughput_eval.csv").exists()
 
     def test_fingerprint_mismatch_exit_1(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path / "cfg.json")
         ckpt = trained_run(cfg, tmp_path / "train") / "policy_ep002.ckpt"
-        other = write_tiny_config(tmp_path / "other.json",
-                                  hidden_layers=[4, 4])
-        code = cli_main(["eval", "--config", str(other), "--checkpoint",
-                         str(ckpt), "--results", str(tmp_path / "eval")])
-        assert code == 1
+        other = write_tiny_config(tmp_path / "other.json", hidden_layers=[4, 4])
+        assert cli("eval", other, tmp_path / "eval", "--checkpoint", ckpt) == 1
         assert "fingerprint" in capsys.readouterr().err
 
     def test_wrong_checkpoint_kind_exit_1_without_run_folder(self, tmp_path, capsys):
@@ -110,17 +99,13 @@ class TestEval:
         ckpt = trained_run(tabular, tmp_path / "train") / "policy_ep001.ckpt"
         dqn = write_tiny_config(tmp_path / "dqn.json")
         with pytest.warns(UserWarning, match="fingerprint"):
-            assert_config_error(capsys, ["eval", "--config", str(dqn),
-                                         "--checkpoint", str(ckpt),
-                                         "--allow-fingerprint-mismatch",
-                                         "--results", str(tmp_path / "eval")])
+            assert_config_error(capsys, "eval", dqn, tmp_path / "eval", "--checkpoint", ckpt,
+                                "--allow-fingerprint-mismatch")
         assert not (tmp_path / "eval").exists()
 
     def test_ideal_eval_without_checkpoint(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json", algorithm="ideal")
-        code = cli_main(["eval", "--config", str(cfg),
-                         "--results", str(tmp_path / "out")])
-        assert code == 0
+        assert cli("eval", cfg, tmp_path / "out") == 0
 
     @pytest.mark.parametrize("sim,gym", [
         ({"per_slopes_per_db": [1e308] * 8}, {}),
@@ -132,8 +117,7 @@ class TestEval:
         # Each overflows a float expression on the way to a finite result;
         # pyproject turns a numpy warning into an error.
         cfg = write_tiny_config(tmp_path / "cfg.json", sim, gym, algorithm="ideal")
-        assert cli_main(["eval", "--config", str(cfg),
-                         "--results", str(tmp_path / "out")]) == 0
+        assert cli("eval", cfg, tmp_path / "out") == 0
         assert capsys.readouterr().err == ""
 
     def test_ideal_with_absurd_tx_power_exit_1_without_run_folder(self, tmp_path,
@@ -141,16 +125,14 @@ class TestEval:
         # accepted, its windows' ACK-SNR sums would overflow to inf
         cfg = write_tiny_config(tmp_path / "cfg.json", {"tx_power_dbm": 1e308},
                                 algorithm="ideal")
-        assert_config_error(capsys, ["eval", "--config", str(cfg),
-                                     "--results", str(tmp_path / "out")])
+        assert_config_error(capsys, "eval", cfg, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     def test_ideal_with_missing_checkpoint_exit_1_without_run_folder(self, tmp_path,
                                                                       capsys):
         cfg = write_tiny_config(tmp_path / "cfg.json", algorithm="ideal")
-        assert_config_error(capsys, ["eval", "--config", str(cfg),
-                                     "--checkpoint", str(tmp_path / "nonexistent.ckpt"),
-                                     "--results", str(tmp_path / "out")])
+        assert_config_error(capsys, "eval", cfg, tmp_path / "out",
+                            "--checkpoint", tmp_path / "nonexistent.ckpt")
         assert not (tmp_path / "out").exists()
 
     def test_ideal_with_checkpoint_exit_1_without_run_folder(self, tmp_path, capsys):
@@ -158,9 +140,8 @@ class TestEval:
         ckpt = trained_run(cfg, tmp_path / "train") / "policy_ep001.ckpt"
         ideal = write_tiny_config(tmp_path / "ideal.json", algorithm="ideal")
         with pytest.warns(UserWarning, match="fingerprint"):
-            code = cli_main(["eval", "--config", str(ideal), "--checkpoint", str(ckpt),
-                             "--allow-fingerprint-mismatch",
-                             "--results", str(tmp_path / "out")])
+            code = cli("eval", ideal, tmp_path / "out", "--checkpoint", ckpt,
+                       "--allow-fingerprint-mismatch")
         assert code == 1
         assert "algorithm 'ideal' takes no checkpoint" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -168,31 +149,22 @@ class TestEval:
     def test_run_folder_self_contained_reproduction(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json")
         train_run = trained_run(cfg, tmp_path / "train")
-        ckpt = train_run / "policy_ep002.ckpt"
 
         def evaluate(dest):
-            code = cli_main(["eval",
-                             "--config", str(train_run / "config.resolved.json"),
-                             "--checkpoint", str(ckpt),
-                             "--results", str(tmp_path / dest)])
-            assert code == 0
+            assert cli("eval", train_run / "config.resolved.json", tmp_path / dest,
+                       "--checkpoint", train_run / "policy_ep002.ckpt") == 0
             return (run_dir_of(tmp_path / dest) / "throughput_eval.csv").read_bytes()
 
         assert evaluate("eval_a") == evaluate("eval_b")
 
 
-class TestSweepAndCcdf:
-    def test_sweep_writes_summary(self, tmp_path):
-        cfg = write_tiny_config(tmp_path / "cfg.json", episodes=1)
-        code = cli_main(["sweep", "--config", str(cfg),
-                         "--results", str(tmp_path / "out"),
-                         "--learning-rates", "0.1,0.01",
-                         "--architectures", "4", "--seeds", "1"])
-        assert code == 0
-        run = run_dir_of(tmp_path / "out")
-        rows = (run / "sweep_summary.csv").read_text().splitlines()
-        assert len(rows) == 3  # header + 2 cells
+def sweep(config, results, learning_rates, architectures="4", *options):
+    """cli's exit code for `rateadapt sweep` over the given grid."""
+    return cli("sweep", config, results, "--learning-rates", learning_rates,
+               "--architectures", architectures, *options)
 
+
+class TestSweepAndCcdf:
     def test_sweep_winner_from_unrounded_rewards(self, tmp_path, capsys,
                                                  monkeypatch):
         # Both finals read 1.000000 at six decimals; the second is larger.
@@ -204,19 +176,14 @@ class TestSweepAndCcdf:
 
         monkeypatch.setattr(harness, "run_training", fake_training)
         cfg = write_tiny_config(tmp_path / "cfg.json", episodes=1)
-        code = cli_main(["sweep", "--config", str(cfg),
-                         "--results", str(tmp_path / "out"),
-                         "--learning-rates", "0.1,0.01",
-                         "--architectures", "4", "--seeds", "1"])
-        assert code == 0
+        assert sweep(cfg, tmp_path / "out", "0.1,0.01", "4", "--seeds", 1) == 0
         assert ("winner: lr=0.01 arch=4 seed=1 final_cum_reward=1.000000\n"
                 in capsys.readouterr().out)
 
     def test_ccdf_from_logs(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json")
         run = trained_run(cfg, tmp_path / "train")
-        code = cli_main(["ccdf", "--run-dir", str(run)])
-        assert code == 0
+        assert cli_main(["ccdf", "--run-dir", str(run)]) == 0
         lines = (run / "ccdf.csv").read_text().splitlines()
         assert lines[0] == "throughput_mbps,ccdf"
         assert len(lines) > 2
@@ -239,21 +206,18 @@ class TestSweepAndCcdf:
     ], ids=["no_column", "no_rows", "not_a_number", "short_row", "field_over_csv_limit"])
     def test_ccdf_bad_log_exit_2(self, tmp_path, capsys, text):
         (tmp_path / "throughput_001.csv").write_text(text, encoding="utf-8")
-        code = cli_main(["ccdf", "--run-dir", str(tmp_path)])
-        assert code == 2
+        assert cli_main(["ccdf", "--run-dir", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_ccdf_without_logs_exit_2(self, tmp_path):
         (tmp_path / "empty").mkdir()
-        code = cli_main(["ccdf", "--run-dir", str(tmp_path / "empty")])
-        assert code == 2
+        assert cli_main(["ccdf", "--run-dir", str(tmp_path / "empty")]) == 2
 
     def test_sweep_non_trainable_exit_1_without_run_folder(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path / "cfg.json", algorithm="constant",
                                 episodes=1)
-        assert_config_error(capsys, ["sweep", "--config", str(cfg),
-                                     "--results", str(tmp_path / "out"),
-                                     "--learning-rates", "0.01", "--architectures", "4"])
+        assert_config_error(capsys, "sweep", cfg, tmp_path / "out",
+                            "--learning-rates", "0.01", "--architectures", "4")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("learning_rates,architectures,violation", [
@@ -264,11 +228,8 @@ class TestSweepAndCcdf:
     def test_sweep_bad_grid_value_exit_1_without_run_folder(
             self, tmp_path, capsys, learning_rates, architectures, violation):
         cfg = write_tiny_config(tmp_path / "cfg.json", episodes=1)
-        code = cli_main(["sweep", "--config", str(cfg),
-                         "--results", str(tmp_path / "out"),
-                         "--learning-rates", learning_rates,
-                         "--architectures", architectures, "--seeds", "1,2"])
-        assert code == 1
+        assert sweep(cfg, tmp_path / "out", learning_rates, architectures,
+                     "--seeds", "1,2") == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and violation in err
         assert err.count(violation) == 1  # each distinct violation once
@@ -276,10 +237,7 @@ class TestSweepAndCcdf:
 
     def test_sweep_seed_prefix_reads_as_seeds(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json", episodes=1)
-        code = cli_main(["sweep", "--config", str(cfg), "--seed", "3",
-                         "--results", str(tmp_path / "out"),
-                         "--learning-rates", "0.01", "--architectures", "4"])
-        assert code == 0
+        assert sweep(cfg, tmp_path / "out", "0.01", "4", "--seed", 3) == 0
         rows = (run_dir_of(tmp_path / "out") / "sweep_summary.csv").read_text()
         assert rows.splitlines()[1].split(",")[2] == "3"
 
@@ -297,10 +255,8 @@ def test_one_entry_per_table_adds_an_algorithm(tmp_path, monkeypatch):
                                 warmup=8, batch_size=8)
         out = tmp_path / algorithm
         ckpt = trained_run(cfg, out / "train") / "policy_ep002.ckpt"
-        assert cli_main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
-                         "--results", str(out / "eval")]) == 0
-        assert cli_main(["sweep", "--config", str(cfg), "--results", str(out / "sweep"),
-                         "--learning-rates", "0.01", "--architectures", "4"]) == 0
+        assert cli("eval", cfg, out / "eval", "--checkpoint", ckpt) == 0
+        assert sweep(cfg, out / "sweep", "0.01") == 0
         return {(path.relative_to(out).parts[0], *path.relative_to(out).parts[2:]):
                 path.read_bytes() for path in out.rglob("*.csv")}
 
@@ -311,9 +267,9 @@ def test_one_entry_per_table_adds_an_algorithm(tmp_path, monkeypatch):
     assert outputs("dara_copy") == dara
 
 
-def assert_config_error(capsys, argv):
-    """Run the CLI; assert exit 1 and an `error:` line, and return stderr."""
-    assert cli_main(argv) == 1
+def assert_config_error(capsys, *args):
+    """Run cli(*args); assert exit 1 and an `error:` line, and return stderr."""
+    assert cli(*args) == 1
     err = capsys.readouterr().err
     assert "error:" in err
     return err
@@ -350,16 +306,14 @@ class TestInputHoles:
         data = json.loads(path.read_text())
         data[section][key] = value
         path.write_text(json.dumps(data))  # writes NaN / Infinity literals
-        assert_config_error(capsys, ["train", "--config", str(path),
-                                     "--results", str(tmp_path / "out")])
+        assert_config_error(capsys, "train", path, tmp_path / "out")
 
     @pytest.mark.parametrize("overrides", REJECTED, ids=row_id)
     def test_config_layer_rejection_exit_1(self, tmp_path, capsys, overrides):
         path = write_tiny_config(tmp_path / "cfg.json")
         data = apply_overrides(json.loads(path.read_text()), overrides)
         path.write_text(json.dumps(data))
-        err = assert_config_error(capsys, ["train", "--config", str(path),
-                                           "--results", str(tmp_path / "out")])
+        err = assert_config_error(capsys, "train", path, tmp_path / "out")
         # the schema's message names the row's key, so a refusal that only a
         # later layer makes (such as trained_kind's of an unknown name) fails
         assert next(iter(overrides)) in err.replace(":", " ").split()
@@ -371,22 +325,19 @@ class TestInputHoles:
     ])
     def test_negative_seed_exit_1(self, tmp_path, capsys, command, algorithm, seed):
         path = write_tiny_config(tmp_path / "cfg.json", algorithm=algorithm)
-        assert_config_error(capsys, [command, "--config", str(path), "--seed", seed,
-                                     "--results", str(tmp_path / "out")])
+        assert_config_error(capsys, command, path, tmp_path / "out", "--seed", seed)
 
     @pytest.mark.parametrize("command,algorithm", [("train", "dara"),
                                                    ("eval", "constant")])
     def test_seed_beyond_float_range_exit_1(self, tmp_path, capsys, command,
                                             algorithm):
         path = write_tiny_config(tmp_path / "cfg.json", algorithm=algorithm)
-        assert_config_error(capsys, [command, "--config", str(path), "--seed", str(10**400),
-                                     "--results", str(tmp_path / "out")])
+        assert_config_error(capsys, command, path, tmp_path / "out", "--seed", 10**400)
 
     def test_tabular_learning_rate_above_one_exit_1(self, tmp_path, capsys):
         path = write_tiny_config(tmp_path / "cfg.json", algorithm="dara_tabular",
                                  learning_rate=2)
-        assert_config_error(capsys, ["train", "--config", str(path),
-                                     "--results", str(tmp_path / "out")])
+        assert_config_error(capsys, "train", path, tmp_path / "out")
 
     @pytest.mark.parametrize("edit", [
         lambda h: h.pop("kind"),
@@ -407,9 +358,7 @@ class TestInputHoles:
         path = write_tiny_config(tmp_path / "cfg.json", episodes=1)
         ckpt = trained_run(path, tmp_path / "train") / "policy_ep001.ckpt"
         ckpt.write_bytes(with_header(ckpt.read_bytes(), edit))
-        assert_config_error(capsys, ["eval", "--config", str(path),
-                                     "--checkpoint", str(ckpt),
-                                     "--results", str(tmp_path / "eval")])
+        assert_config_error(capsys, "eval", path, tmp_path / "eval", "--checkpoint", ckpt)
         assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("algorithm,array", [
@@ -422,9 +371,7 @@ class TestInputHoles:
                                  episodes=1)
         ckpt = trained_run(path, tmp_path / "train") / "policy_ep001.ckpt"
         poison_array(ckpt, array)
-        assert_config_error(capsys, ["eval", "--config", str(path),
-                                     "--checkpoint", str(ckpt),
-                                     "--results", str(tmp_path / "eval")])
+        assert_config_error(capsys, "eval", path, tmp_path / "eval", "--checkpoint", ckpt)
         assert not (tmp_path / "eval").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -434,9 +381,7 @@ class TestInputHoles:
         # the first episode; load would reject a checkpoint of them.
         path = write_tiny_config(tmp_path / "cfg.json", learning_rate=1e300,
                                  warmup=8, batch_size=8, train_every=1)
-        code = cli_main(["train", "--config", str(path),
-                         "--results", str(tmp_path / "out")])
-        assert code == 1
+        assert cli("train", path, tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "non-finite" in err
         assert not (run_dir_of(tmp_path / "out") / "policy_ep001.ckpt").exists()
@@ -450,9 +395,7 @@ class TestInputHoles:
         path = write_tiny_config(tmp_path / "cfg.json", learning_rate=1e300,
                                  warmup=64, train_every=1, episodes=5,
                                  checkpoint_every=5, sim={"duration_s": 3.0})
-        code = cli_main(["train", "--config", str(path),
-                         "--results", str(tmp_path / "out")])
-        assert code == 1
+        assert cli("train", path, tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "diverged in episode 2, array 'w0' holds non-finite values" in err
@@ -467,11 +410,7 @@ class TestInputHoles:
     def test_sweep_records_diverged_cell_as_failed(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json", warmup=8, batch_size=8,
                                 train_every=1, episodes=1)
-        code = cli_main(["sweep", "--config", str(cfg),
-                         "--results", str(tmp_path / "out"),
-                         "--learning-rates", "1e300,0.01",
-                         "--architectures", "4", "--seeds", "1"])
-        assert code == 0
+        assert sweep(cfg, tmp_path / "out", "1e300,0.01", "4", "--seeds", 1) == 0
         with open(run_dir_of(tmp_path / "out") / "sweep_summary.csv",
                   encoding="utf-8", newline="") as f:
             diverged, fine = csv.DictReader(f)
@@ -489,8 +428,7 @@ class TestInputHoles:
         path = write_tiny_config(tmp_path / "cfg.json",
                                  {"duration_s": 1e9, "log_period_s": 1e3},
                                  algorithm=algorithm, constant_mcs=7)
-        assert_config_error(capsys, [command, "--config", str(path),
-                                     "--results", str(tmp_path / "out")])
+        assert_config_error(capsys, command, path, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("content", [
@@ -502,22 +440,18 @@ class TestInputHoles:
     def test_unparseable_config_exit_1(self, tmp_path, capsys, content):
         path = tmp_path / "cfg.json"
         path.write_bytes(content)
-        assert_config_error(capsys, ["train", "--config", str(path),
-                                     "--results", str(tmp_path / "out")])
+        assert_config_error(capsys, "train", path, tmp_path / "out")
 
     @pytest.mark.parametrize("results", ["taken", "taken/sub"],
                              ids=["a_file", "under_a_file"])
     def test_results_not_a_directory_exit_1(self, tmp_path, capsys, results):
         path = write_tiny_config(tmp_path / "cfg.json")
         (tmp_path / "taken").write_text("not a directory", encoding="utf-8")
-        assert_config_error(capsys, ["train", "--config", str(path),
-                                     "--results", str(tmp_path / results)])
+        assert_config_error(capsys, "train", path, tmp_path / results)
 
     def test_checkpoint_is_a_directory_exit_1(self, tmp_path, capsys):
         path = write_tiny_config(tmp_path / "cfg.json")
-        assert_config_error(capsys, ["eval", "--config", str(path),
-                                     "--checkpoint", str(tmp_path),
-                                     "--results", str(tmp_path / "eval")])
+        assert_config_error(capsys, "eval", path, tmp_path / "eval", "--checkpoint", tmp_path)
 
     @pytest.mark.parametrize("name", ["throughput_001.csv", "ccdf.csv"])
     def test_ccdf_log_is_a_directory_exit_2(self, tmp_path, capsys, name):
@@ -526,8 +460,7 @@ class TestInputHoles:
         if name == "ccdf.csv":  # a valid log, so only the write fails
             (run / "throughput_001.csv").write_text(
                 "throughput_mbps\n1.0\n", encoding="utf-8")
-        code = cli_main(["ccdf", "--run-dir", str(run)])
-        assert code == 2
+        assert cli_main(["ccdf", "--run-dir", str(run)]) == 2
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -551,9 +484,7 @@ class TestInputHoles:
         path = write_tiny_config(tmp_path / "cfg.json")
         ckpt = tmp_path / "nested.ckpt"
         ckpt.write_bytes(ckpt_io.MAGIC + b"[" * 100_000 + b"\n")
-        assert_config_error(capsys, ["eval", "--config", str(path),
-                                     "--checkpoint", str(ckpt),
-                                     "--results", str(tmp_path / "eval")])
+        assert_config_error(capsys, "eval", path, tmp_path / "eval", "--checkpoint", ckpt)
 
 
 class TestUsage:

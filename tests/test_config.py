@@ -1,23 +1,35 @@
 import hashlib
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import rateadapt
 from rateadapt.agents import IdealAgent
 from rateadapt.config import (MAX_WINDOWS, SCHEMA, check_work_budget, default_config,
                               reference_config_text, validate_config)
 from rateadapt.errors import ConfigError
-from tests.reference import RATES, REJECTED, apply_overrides, ideal_mismatches, row_id
+from tests.reference import (RATES, REJECTED, apply_overrides, ideal_mismatches, row_id,
+                             subprocess_env)
 
 
 def names_key(violation, key):
     return key in violation.replace(":", " ").split()
+
+
+def raw_config(overrides=(), **sections):
+    """validate_config's input: the agent, gym and sim sections with the keys
+    `sections` gives, then each dotted `section.key` of `overrides` set."""
+    data = {name: dict(sections.get(name, {})) for name in ("agent", "gym", "sim")}
+    return json.dumps(apply_overrides(data, dict(overrides)))
+
+
+def violations(raw):
+    """The violations of the ConfigError validate_config raises on `raw`."""
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    return err.value.violations
 
 
 class TestValidation:
@@ -34,7 +46,7 @@ class TestValidation:
             "784a892510c79aa40085af2b73fcde487a39f5bbf6885bdf4846812f89ad6ccd")
 
     def test_defaults_resolved_for_empty_sections(self):
-        cfg = validate_config('{"agent": {}, "gym": {}, "sim": {}}')
+        cfg = validate_config(raw_config())
         assert cfg["agent"]["discount"] == 0.5
         assert cfg["agent"]["batch_size"] == 64
         assert cfg["agent"]["replay_capacity"] == 10**6
@@ -42,67 +54,41 @@ class TestValidation:
         assert cfg["sim"]["payload_bytes"] == 1400
 
     def test_discount_out_of_range(self):
-        raw = json.dumps({"agent": {"discount": 1.5}, "gym": {}, "sim": {}})
-        with pytest.raises(ConfigError) as err:
-            validate_config(raw)
         assert any("agent.discount" in v and "<= 1" in v
-                   for v in err.value.violations)
+                   for v in violations(raw_config(agent={"discount": 1.5})))
 
     def test_missing_sim_section(self):
-        with pytest.raises(ConfigError) as err:
-            validate_config('{"agent": {}, "gym": {}}')
-        assert any("sim" in v and "missing" in v for v in err.value.violations)
+        assert any("sim" in v and "missing" in v
+                   for v in violations('{"agent": {}, "gym": {}}'))
 
     def test_unknown_key_rejected(self):
-        raw = json.dumps({"agent": {"banana": 1}, "gym": {}, "sim": {}})
-        with pytest.raises(ConfigError) as err:
-            validate_config(raw)
-        assert any("agent.banana" in v for v in err.value.violations)
+        assert any("agent.banana" in v for v in violations(raw_config(agent={"banana": 1})))
 
     def test_unknown_section_rejected(self):
-        raw = json.dumps({"agent": {}, "gym": {}, "sim": {}, "extra": {}})
-        with pytest.raises(ConfigError):
-            validate_config(raw)
+        violations(json.dumps({"agent": {}, "gym": {}, "sim": {}, "extra": {}}))
 
     def test_all_violations_reported(self):
-        raw = json.dumps({
-            "agent": {"discount": 2.0, "batch_size": 0, "mystery": 1},
-            "gym": {"window_frames": 0},
-            "sim": {},
-        })
-        with pytest.raises(ConfigError) as err:
-            validate_config(raw)
-        assert len(err.value.violations) >= 4
+        raw = raw_config(agent={"discount": 2.0, "batch_size": 0, "mystery": 1},
+                         gym={"window_frames": 0})
+        assert len(violations(raw)) >= 4
 
     def test_cross_field_scaling_bounds(self):
-        raw = json.dumps({"agent": {}, "sim": {},
-                          "gym": {"snr_lo_db": 40.0, "snr_hi_db": 40.0}})
-        with pytest.raises(ConfigError) as err:
-            validate_config(raw)
-        assert any("snr_lo_db" in v for v in err.value.violations)
+        raw = raw_config(gym={"snr_lo_db": 40.0, "snr_hi_db": 40.0})
+        assert any("snr_lo_db" in v for v in violations(raw))
 
     def test_warmup_below_batch_size(self):
-        raw = json.dumps({"agent": {"warmup": 8, "batch_size": 64},
-                          "gym": {}, "sim": {}})
-        with pytest.raises(ConfigError):
-            validate_config(raw)
+        violations(raw_config(agent={"warmup": 8, "batch_size": 64}))
 
     def test_warmup_above_replay_capacity(self):
-        raw = json.dumps({"agent": {"warmup": 101, "replay_capacity": 100},
-                          "gym": {}, "sim": {}})
-        with pytest.raises(ConfigError) as err:
-            validate_config(raw)
-        assert any(names_key(v, "agent.replay_capacity")
-                   for v in err.value.violations)
+        raw = raw_config(agent={"warmup": 101, "replay_capacity": 100})
+        assert any(names_key(v, "agent.replay_capacity") for v in violations(raw))
 
     def test_warmup_equal_to_replay_capacity_accepted(self):
-        raw = json.dumps({"agent": {"warmup": 100, "replay_capacity": 100},
-                          "gym": {}, "sim": {}})
+        raw = raw_config(agent={"warmup": 100, "replay_capacity": 100})
         assert validate_config(raw)["agent"]["replay_capacity"] == 100
 
     def test_log_records_at_bound_accepted(self):
-        raw = json.dumps({"agent": {}, "gym": {},
-                          "sim": {"duration_s": 1.0, "log_period_s": 1e-6}})
+        raw = raw_config(sim={"duration_s": 1.0, "log_period_s": 1e-6})
         assert validate_config(raw)["sim"]["log_period_s"] == 1e-6
 
     @pytest.mark.parametrize("overrides", [
@@ -113,21 +99,18 @@ class TestValidation:
     ], ids=row_id)
     def test_size_at_cap_accepted(self, overrides):
         # validates only: no env or network is built at the cap
-        cfg = validate_config(json.dumps(
-            apply_overrides({"agent": {}, "gym": {}, "sim": {}}, overrides)))
+        cfg = validate_config(raw_config(overrides))
         (dotted, value), = overrides.items()
         section, key = dotted.split(".")
         assert cfg[section][key] == value
 
     def test_short_airtime_above_clock_bound_accepted(self):
-        raw = json.dumps({"agent": {}, "gym": {}, "sim": {
-            "overhead_s": 0, "phy_rates_mbps": [*RATES[:7], 1e10]}})
-        cfg = validate_config(raw)
+        cfg = validate_config(raw_config(sim={"overhead_s": 0,
+                                              "phy_rates_mbps": [*RATES[:7], 1e10]}))
         assert 50 * cfg.airtime_s().min() >= 60.0 * 2.0**-52
 
     def test_tiny_rate_accepted_when_the_receiver_stands_still(self):
-        raw = json.dumps({"agent": {}, "gym": {}, "sim": {
-            "speed_mps": 0, "phy_rates_mbps": [1e-305, *RATES[1:]]}})
+        raw = raw_config(sim={"speed_mps": 0, "phy_rates_mbps": [1e-305, *RATES[1:]]})
         assert validate_config(raw)["sim"]["phy_rates_mbps"][0] == 1e-305
 
     def test_airtime_is_payload_time_plus_overhead(self):
@@ -136,9 +119,7 @@ class TestValidation:
         assert np.all(np.diff(airtime) < 0)
 
     def test_parse_error(self):
-        with pytest.raises(ConfigError) as err:
-            validate_config("{not json")
-        assert any("parse" in v.lower() for v in err.value.violations)
+        assert any("parse" in v.lower() for v in violations("{not json"))
 
     def test_idempotent(self):
         cfg = validate_config(reference_config_text())
@@ -201,9 +182,8 @@ def test_every_numeric_key_at_extreme_values_returns_or_raises_config_error():
     # must decide each edge as the 8-MCS rule does.
     failures = []
     for overrides in extreme_overrides():
-        raw = json.dumps(apply_overrides({"agent": {}, "gym": {}, "sim": {}}, overrides))
         try:
-            cfg = validate_config(raw)
+            cfg = validate_config(raw_config(overrides))
             check_work_budget(cfg)
             if next(iter(overrides)).startswith(("sim.per_", "sim.phy_rates", "agent.ideal_p")):
                 table, p_min = cfg.mcs_table(), cfg["agent"]["ideal_p_min"]
@@ -220,22 +200,15 @@ def test_every_numeric_key_at_extreme_values_returns_or_raises_config_error():
 class TestSingleLayer:
     @pytest.mark.parametrize("overrides", REJECTED, ids=row_id)
     def test_value_rejected(self, overrides):
-        raw = json.dumps(apply_overrides({"agent": {}, "gym": {}, "sim": {}},
-                                         overrides))
-        with pytest.raises(ConfigError) as err:
-            validate_config(raw)
         key = next(iter(overrides))
-        assert any(names_key(v, key) for v in err.value.violations)
+        assert any(names_key(v, key) for v in violations(raw_config(overrides)))
 
     def test_config_loads_no_simulator_or_learner_module(self):
         # The schema owns the algorithm names; it reads only phy's constants.
-        src = str(Path(rateadapt.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, rateadapt.config; "
              "print(*sorted(m for m in sys.modules if m.startswith('rateadapt')))"],
-            capture_output=True, text=True, timeout=60, env=env, check=True)
+            capture_output=True, text=True, timeout=60, env=subprocess_env(), check=True)
         loaded = set(proc.stdout.split())
         assert "rateadapt.config" in loaded
         assert not loaded & {f"rateadapt.{m}" for m in ("agents", "env", "nn", "dqn")}

@@ -81,13 +81,6 @@ class TestEpsilonGreedy:
                         ([0.0, 3.0, 3.0, 1.0, 0.0, 0.0, 0.0, 0.0], 1)):
             assert fixed_q_agent(q, 0.0, rng).select_action(RESULT) == want
 
-    def test_full_exploration_uniform(self):
-        q = [9.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-        agent = fixed_q_agent(q, 1.0, np.random.default_rng(7))
-        draws = np.array([agent.select_action(RESULT) for _ in range(80_000)])
-        freqs = np.bincount(draws, minlength=8) / len(draws)
-        assert np.all(np.abs(freqs - 0.125) < 0.01)
-
 
 class TestEpsilonSchedule:
     def test_fixed(self):
