@@ -1,27 +1,28 @@
 """Run the mutation catalogue against the fast suite and write the report.
 
-    python3 mutants/run.py [--jobs N] [--timeout S] [--only ID ...]
-                           [--report PATH] [--json PATH]
+    python3 mutants/run.py [--timeout S] [--only ID ...]
 
-For each entry of mutants/catalogue.py it copies the checkout's src/,
-tests/, perfbench/, README.md, pyproject.toml and BENCHMARK.json to a
-temporary folder (the tests read perfbench/run.py and README.md by path,
-and perfbench refuses a package from outside its own src/), puts the
-mutation in, and runs the fast suite there with PYTHONPATH at the copy's
-src/. The tests that fail kill the mutant; a run that outlasts the timeout
-kills it by timeout. The report (mutants/REPORT.md by default) lists, per
-mutant, the tests that kill it, and every test that kills none.
+It first runs the fast suite on an unmutated copy of the checkout, where
+tests/test_mutants.py refuses a catalogue whose ids repeat or whose `old`
+texts do not occur exactly once. Then, for each entry of
+mutants/catalogue.py, it copies the checkout's src/, tests/, perfbench/,
+mutants/, README.md, pyproject.toml and BENCHMARK.json to a temporary
+folder (the tests read perfbench/run.py and README.md by path, and
+perfbench refuses a package from outside its own src/), puts the mutation
+in, and runs the fast suite there with PYTHONPATH at the copy's src/. The
+tests that fail kill the mutant; a run that outlasts the timeout kills it
+by timeout. It writes mutants/REPORT.md: per mutant, the tests that kill
+it, and every test that kills none.
 
-At most len(os.sched_getaffinity(0)) suites run at once, whatever --jobs
-asks. Each suite runs in its own process group, which is killed on a
-timeout, on Ctrl-C or on SIGTERM, and every temporary copy is removed.
+At most len(os.sched_getaffinity(0)) suites run at once. Each suite runs
+in its own process group, which is killed on a timeout, on Ctrl-C or on
+SIGTERM, and every temporary copy is removed.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
-import json
 import os
 import platform
 import shutil
@@ -35,11 +36,15 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "perfbench", "README.md", "pyproject.toml", "BENCHMARK.json")
-# It checks the catalogue against the unmutated tree, so every mutant fails it.
-CATALOGUE_TEST = "tests/test_mutants.py"
+REPORT = ROOT / "mutants" / "REPORT.md"
+COPIED = ("src", "tests", "perfbench", "mutants", "README.md", "pyproject.toml",
+          "BENCHMARK.json")
 PYTEST = ["-m", "pytest", "-m", "not acceptance", "-q", "-p", "no:cacheprovider",
-          "-rfE", "--hypothesis-seed=0", f"--ignore={CATALOGUE_TEST}"]
+          "-rfE", "--hypothesis-seed=0"]
+# It checks the catalogue against the unmutated tree, so every mutant fails
+# it; it runs only in the unmutated suite.
+CATALOGUE_TEST = "tests/test_mutants.py"
+WITHOUT_CATALOGUE_TEST = f"--ignore={CATALOGUE_TEST}"
 
 
 def load_catalogue():
@@ -47,20 +52,6 @@ def load_catalogue():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def check_catalogue(entries):
-    """Problems that make the catalogue unusable: a repeated id, or an `old`
-    that does not occur exactly once in its file."""
-    problems, seen = [], set()
-    for m in entries:
-        if m.id in seen:
-            problems.append(f"{m.id}: id repeated")
-        seen.add(m.id)
-        count = (ROOT / m.file).read_text(encoding="utf-8").count(m.old)
-        if count != 1:
-            problems.append(f"{m.id}: `old` occurs {count} times in {m.file}")
-    return problems
 
 
 def failed_ids(output: str):
@@ -104,12 +95,14 @@ class Runner:
                                     text=True, start_new_session=True)
             self._live.add(proc)
         try:
-            try:
-                out, _ = proc.communicate(timeout=self.timeout)
-                return proc.returncode, out
-            except subprocess.TimeoutExpired:
-                _kill(proc)
-                return None, proc.communicate()[0]
+            out, _ = proc.communicate(timeout=self.timeout)
+            return proc.returncode, out
+        except subprocess.TimeoutExpired:
+            _kill(proc)
+            return None, proc.communicate()[0]
+        except BaseException:  # Ctrl-C or SIGTERM in the main thread
+            _kill(proc)
+            raise
         finally:
             with self._lock:
                 self._live.discard(proc)
@@ -119,7 +112,7 @@ class Runner:
         start = time.monotonic()
         dest = self.copy(mutant.id, mutant)
         try:
-            code, out = self.pytest(dest)
+            code, out = self.pytest(dest, WITHOUT_CATALOGUE_TEST)
         finally:
             shutil.rmtree(dest, ignore_errors=True)
         return code, failed_ids(out), time.monotonic() - start
@@ -170,10 +163,12 @@ def write_report(args, module, results, tests, wall_s, jobs):
         f"time, {jobs} suites at a time with a {args.timeout:g} s timeout each, on a host with "
         f"{len(os.sched_getaffinity(0))} CPUs ({host}).",
         "",
-        f"Each mutant's suite is `python -m pytest {' '.join(_quoted(PYTEST[2:]))}`, "
+        "Each mutant's suite is "
+        f"`python -m pytest {' '.join(_quoted(PYTEST[2:]))} {WITHOUT_CATALOGUE_TEST}`, "
         "run in a copy of the checkout with PYTHONPATH at the copy's `src/`. "
         f"`{CATALOGUE_TEST}` is left out: it checks the catalogue against the "
-        f"unmutated tree. The unmutated suite passed all {len(tests)} tests it collected.",
+        "unmutated tree, and the unmutated suite, which passed, runs it. "
+        f"The {len(tests)} tests below are the rest of that suite.",
         "",
         f"**Killed: {len(killed)} of {len(results)}.** "
         + (f"Survived: {', '.join(f'`{m}`' for m in sorted(set(results) - killed))}."
@@ -191,7 +186,7 @@ def write_report(args, module, results, tests, wall_s, jobs):
     lines += [f"- `{t}`" for t in grouped(idle, tests)] or ["- (none)"]
     lines += ["", "## Recorded mutations left out of the catalogue", ""]
     lines += [f"- {what}: {why}." for what, why in module.DROPPED]
-    args.report.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    REPORT.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _quoted(words):
@@ -200,13 +195,9 @@ def _quoted(words):
 
 def _parser():
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--jobs", type=int, default=None,
-                   help="suites run at once (capped at the usable CPUs, the default)")
     p.add_argument("--timeout", type=float, default=180.0,
                    help="seconds per mutant's suite before it counts as killed by timeout")
     p.add_argument("--only", nargs="+", metavar="ID", help="run only these mutants")
-    p.add_argument("--report", type=Path, default=ROOT / "mutants" / "REPORT.md")
-    p.add_argument("--json", type=Path, help="also write the raw results here")
     return p
 
 
@@ -214,14 +205,11 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     module = load_catalogue()
     mutants = [m for m in module.CATALOGUE if not args.only or m.id in args.only]
-    problems = check_catalogue(module.CATALOGUE)
-    if args.only and set(args.only) - {m.id for m in mutants}:
-        problems.append(f"unknown ids: {sorted(set(args.only) - {m.id for m in mutants})}")
-    if problems:
-        print("error: " + "; ".join(problems), file=sys.stderr)
+    unknown = sorted(set(args.only or ()) - {m.id for m in mutants})
+    if unknown:
+        print(f"error: unknown ids: {unknown}", file=sys.stderr)
         return 2
-    cpus = len(os.sched_getaffinity(0))
-    jobs = max(1, min(args.jobs or cpus, cpus, len(mutants)))
+    jobs = max(1, min(len(os.sched_getaffinity(0)), len(mutants)))
 
     def on_signal(signum, frame):
         raise KeyboardInterrupt
@@ -234,7 +222,7 @@ def main(argv=None):
         pool = ThreadPoolExecutor(jobs)
         try:
             base = runner.copy("unmutated")
-            code, out = runner.pytest(base, "--collect-only")
+            code, out = runner.pytest(base, "--collect-only", WITHOUT_CATALOGUE_TEST)
             tests = [line for line in out.splitlines() if "::" in line]
             code, out = runner.pytest(base)
             shutil.rmtree(base)
@@ -258,12 +246,9 @@ def main(argv=None):
             pool.shutdown(wait=True, cancel_futures=True)
     wall_s = time.monotonic() - start
     write_report(args, module, results, tests, wall_s, jobs)
-    if args.json:
-        args.json.write_text(json.dumps({"tests": tests, "mutants": results}, indent=1) + "\n",
-                             encoding="utf-8")
     survived = [mid for mid, r in results.items() if r["status"] == "survived"]
     print(f"{len(results) - len(survived)} of {len(results)} killed in {wall_s:.0f} s; "
-          f"report: {args.report}")
+          f"report: {REPORT.relative_to(ROOT)}")
     return 1 if survived else 0
 
 

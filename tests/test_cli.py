@@ -158,12 +158,6 @@ class TestEval:
         assert evaluate("eval_a") == evaluate("eval_b")
 
 
-def sweep(config, results, learning_rates, architectures="4", *options):
-    """cli's exit code for `rateadapt sweep` over the given grid."""
-    return cli("sweep", config, results, "--learning-rates", learning_rates,
-               "--architectures", architectures, *options)
-
-
 class TestSweepAndCcdf:
     def test_sweep_winner_from_unrounded_rewards(self, tmp_path, capsys,
                                                  monkeypatch):
@@ -176,7 +170,8 @@ class TestSweepAndCcdf:
 
         monkeypatch.setattr(harness, "run_training", fake_training)
         cfg = write_tiny_config(tmp_path / "cfg.json", episodes=1)
-        assert sweep(cfg, tmp_path / "out", "0.1,0.01", "4", "--seeds", 1) == 0
+        assert cli("sweep", cfg, tmp_path / "out", "--learning-rates", "0.1,0.01",
+                   "--architectures", "4", "--seeds", 1) == 0
         assert ("winner: lr=0.01 arch=4 seed=1 final_cum_reward=1.000000\n"
                 in capsys.readouterr().out)
 
@@ -228,8 +223,8 @@ class TestSweepAndCcdf:
     def test_sweep_bad_grid_value_exit_1_without_run_folder(
             self, tmp_path, capsys, learning_rates, architectures, violation):
         cfg = write_tiny_config(tmp_path / "cfg.json", episodes=1)
-        assert sweep(cfg, tmp_path / "out", learning_rates, architectures,
-                     "--seeds", "1,2") == 1
+        assert cli("sweep", cfg, tmp_path / "out", "--learning-rates", learning_rates,
+                   "--architectures", architectures, "--seeds", "1,2") == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and violation in err
         assert err.count(violation) == 1  # each distinct violation once
@@ -237,7 +232,8 @@ class TestSweepAndCcdf:
 
     def test_sweep_seed_prefix_reads_as_seeds(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json", episodes=1)
-        assert sweep(cfg, tmp_path / "out", "0.01", "4", "--seed", 3) == 0
+        assert cli("sweep", cfg, tmp_path / "out", "--learning-rates", "0.01",
+                   "--architectures", "4", "--seed", 3) == 0
         rows = (run_dir_of(tmp_path / "out") / "sweep_summary.csv").read_text()
         assert rows.splitlines()[1].split(",")[2] == "3"
 
@@ -256,7 +252,8 @@ def test_one_entry_per_table_adds_an_algorithm(tmp_path, monkeypatch):
         out = tmp_path / algorithm
         ckpt = trained_run(cfg, out / "train") / "policy_ep002.ckpt"
         assert cli("eval", cfg, out / "eval", "--checkpoint", ckpt) == 0
-        assert sweep(cfg, out / "sweep", "0.01") == 0
+        assert cli("sweep", cfg, out / "sweep", "--learning-rates", "0.01",
+                   "--architectures", "4") == 0
         return {(path.relative_to(out).parts[0], *path.relative_to(out).parts[2:]):
                 path.read_bytes() for path in out.rglob("*.csv")}
 
@@ -410,7 +407,8 @@ class TestInputHoles:
     def test_sweep_records_diverged_cell_as_failed(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json", warmup=8, batch_size=8,
                                 train_every=1, episodes=1)
-        assert sweep(cfg, tmp_path / "out", "1e300,0.01", "4", "--seeds", 1) == 0
+        assert cli("sweep", cfg, tmp_path / "out", "--learning-rates", "1e300,0.01",
+                   "--architectures", "4", "--seeds", 1) == 0
         with open(run_dir_of(tmp_path / "out") / "sweep_summary.csv",
                   encoding="utf-8", newline="") as f:
             diverged, fine = csv.DictReader(f)
