@@ -12,7 +12,8 @@ perfbench refuses a package from outside its own src/), puts the mutation
 in, and runs the fast suite there with PYTHONPATH at the copy's src/. The
 tests that fail kill the mutant; a run that outlasts the timeout kills it
 by timeout. It writes mutants/REPORT.md: per mutant, the tests that kill
-it, and every test that kills none.
+it, and every test that kills none. With --only it prints that report of
+the mutants it ran and leaves mutants/REPORT.md as it is.
 
 At most len(os.sched_getaffinity(0)) suites run at once. Each suite runs
 in its own process group, which is killed on a timeout, on Ctrl-C or on
@@ -149,7 +150,7 @@ def versions():
                for name in ("numpy", "pytest", "hypothesis")}}
 
 
-def write_report(args, module, results, tests, wall_s, jobs):
+def report(args, module, results, tests, wall_s, jobs) -> str:
     entries = {m.id: m for m in module.CATALOGUE}
     killed = {mid for mid, r in results.items() if r["status"] != "survived"}
     killers = {t for r in results.values() for t in r["killed_by"]}
@@ -186,7 +187,7 @@ def write_report(args, module, results, tests, wall_s, jobs):
     lines += [f"- `{t}`" for t in grouped(idle, tests)] or ["- (none)"]
     lines += ["", "## Recorded mutations left out of the catalogue", ""]
     lines += [f"- {what}: {why}." for what, why in module.DROPPED]
-    REPORT.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
 def _quoted(words):
@@ -197,7 +198,8 @@ def _parser():
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--timeout", type=float, default=180.0,
                    help="seconds per mutant's suite before it counts as killed by timeout")
-    p.add_argument("--only", nargs="+", metavar="ID", help="run only these mutants")
+    p.add_argument("--only", nargs="+", metavar="ID",
+                   help="run only these mutants and print their report, not writing it")
     return p
 
 
@@ -245,10 +247,14 @@ def main(argv=None):
             runner.stop()
             pool.shutdown(wait=True, cancel_futures=True)
     wall_s = time.monotonic() - start
-    write_report(args, module, results, tests, wall_s, jobs)
+    text = report(args, module, results, tests, wall_s, jobs)
+    if args.only:
+        print(text, end="")
+    else:
+        REPORT.write_text(text, encoding="utf-8")
     survived = [mid for mid, r in results.items() if r["status"] == "survived"]
-    print(f"{len(results) - len(survived)} of {len(results)} killed in {wall_s:.0f} s; "
-          f"report: {REPORT.relative_to(ROOT)}")
+    print(f"{len(results) - len(survived)} of {len(results)} killed in {wall_s:.0f} s"
+          + ("" if args.only else f"; report: {REPORT.relative_to(ROOT)}"))
     return 1 if survived else 0
 
 

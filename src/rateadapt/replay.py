@@ -51,17 +51,17 @@ class ReplayBuffer:
         `targets` maps (r, s_next, done) arrays to their y, which is cached
         per row until a push overwrites the row or `mark_stale`, so the stale
         rows are the newest. A draw that hits one first computes all their y
-        in calls of 2 to batch_size rows, which give each row the same bits
-        (a lone row goes twice), or of 1 at batch_size 1.
+        in calls of at most batch_size rows, padded by repeating the last row
+        to a multiple of 4 rows where batch_size allows (README, Determinism).
         """
         idx = rng.integers(0, self.size, size=batch_size)
         s, a, r, s_next, done, y = self._columns
         if self._stale and ((self._next - 1 - idx) % self.capacity < self._stale).any():
             first = self._next - min(self._stale, self.size)  # may wrap below 0
             for start in range(first, self._next, batch_size):
-                chunk = np.arange(start, min(start + batch_size, self._next)) % self.capacity
-                if len(chunk) < 2 <= batch_size:
-                    chunk = np.repeat(chunk, 2)
+                stop = min(start + batch_size, self._next)
+                rows = min(batch_size, -(-(stop - start) // 4) * 4)
+                chunk = np.minimum(np.arange(start, start + rows), stop - 1) % self.capacity
                 y[chunk] = targets(r[chunk], s_next[chunk], done[chunk])
             self._stale = 0
         return s[idx], a[idx], y[idx]

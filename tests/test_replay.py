@@ -1,3 +1,7 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rateadapt.replay import ReplayBuffer
-from tests.reference import ReferenceReplay
+from tests.reference import (TARGET_WIDTHS, ReferenceReplay, stale_target_mismatches,
+                             subprocess_env)
 
 
 def push_tags(tags, *buffers):
@@ -144,3 +149,27 @@ def test_cached_targets_are_fresh_and_computed_in_chunks(batch_size):
     sizes, rows = zip(*calls)
     assert all(2 <= n <= batch_size if batch_size > 1 else n == 1 for n in sizes)
     assert sum(rows) <= stale_events
+
+
+# OpenBLAS kernels by the /proc/cpuinfo flags each needs.
+OPENBLAS_CORES = {"Prescott": {"pni"}, "Sandybridge": {"avx"}, "Haswell": {"avx2", "fma"},
+                  "SkylakeX": {"avx512f", "avx512bw", "avx512vl", "avx512dq", "avx512cd"}}
+
+
+def test_cached_targets_equal_one_forward_of_the_drawn_batch():
+    # In this process, then in a child per OpenBLAS kernel this CPU runs,
+    # one at a time, with OPENBLAS_CORETYPE set in the child's environment.
+    code = ("import json; from tests.reference import TARGET_WIDTHS, stale_target_mismatches; "
+            "print(json.dumps([stale_target_mismatches(h) for h in TARGET_WIDTHS]))")
+    try:
+        flags = set(next(line for line in Path("/proc/cpuinfo").read_text().splitlines()
+                         if line.startswith("flags")).split())
+    except (OSError, StopIteration):
+        flags = set()
+    counts = {"in process": [stale_target_mismatches(h) for h in TARGET_WIDTHS]}
+    for core in (core for core, needs in OPENBLAS_CORES.items() if needs <= flags):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              cwd=Path(__file__).resolve().parents[1], timeout=120, check=True,
+                              env={**subprocess_env(), "OPENBLAS_CORETYPE": core})
+        counts[core] = json.loads(proc.stdout)
+    assert counts == dict.fromkeys(counts, [0] * len(TARGET_WIDTHS))

@@ -45,26 +45,6 @@ class TestCcdf:
             rng.shuffle(shuffled)
             assert ccdf(shuffled) == reference
 
-    def test_matches_group_by_reference(self):
-        def reference(samples):
-            xs = sorted(samples)
-            n = len(xs)
-            points, i = [], 0
-            while i < n:
-                v = xs[i]
-                while i < n and xs[i] == v:
-                    i += 1
-                points.append(CcdfPoint(v, (n - i) / n))
-            return points
-
-        rng = np.random.default_rng(2)
-        for k in range(400):
-            n = int(rng.integers(1, 120))
-            xs = [rng.normal(10, 5, n), np.round(rng.normal(10, 5, n), 1),
-                  np.full(n, rng.normal()),
-                  rng.choice([0.0, 1.5, 2.5, 65.0], n)][k % 4].tolist()
-            assert ccdf(xs)[1:] == reference(xs)
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ccdf([])

@@ -77,7 +77,7 @@ class TestGreedySteps:
     observation as the row lookup and its argmax, ties to the lowest MCS."""
 
     @pytest.mark.parametrize("values", ["ties", "normal"])
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 32, 1000, 100_000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 32, 1000])
     def test_table_decides_as_the_row_argmax(self, n, values):
         rng = np.random.default_rng(n)
         q = QTable(n)
