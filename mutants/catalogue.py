@@ -560,6 +560,11 @@ CATALOGUE = [
         '            problems.append(f"{section}: missing section")\n',
         '            pass\n',
         "a missing section is refused"),
+    Mutant(
+        "config-parse-recursion-raised", CONFIG,
+        "    except (ValueError, RecursionError) as exc:\n",
+        "    except ValueError as exc:\n",
+        "a config nested past the recursion limit is refused, not raised on"),
 
     # -- the config's cross-field checks and work budget ---------------------
     Mutant(
@@ -639,6 +644,40 @@ CATALOGUE = [
         "    grid_configs(sweep, cfg)  # before the run folder is made\n",
         "",
         "sweep refuses a bad grid before its run folder"),
+    Mutant(
+        "cli-config-read-error-raised", CLI,
+        "    try:\n"
+        "        text = Path(args.config).read_text(encoding=\"utf-8\")\n"
+        "    except (OSError, UnicodeDecodeError) as exc:\n"
+        "        raise ConfigError([f\"cannot read config: {exc}\"]) from exc\n",
+        "    text = Path(args.config).read_text(encoding=\"utf-8\")\n",
+        "a config file that cannot be read or decoded exits 1"),
+    Mutant(
+        "cli-overrides-unvalidated", CLI,
+        "    return cfg.with_overrides(**overrides) if overrides else cfg\n",
+        "    cfg[\"agent\"].update(overrides)\n"
+        "    return cfg\n",
+        "--seed and --episodes pass the config's checks"),
+    Mutant(
+        "cli-run-dir-error-exit-2", CLI,
+        "    except OSError as exc:\n"
+        "        raise ConfigError([f\"cannot create a run folder",
+        "    except ZeroDivisionError as exc:\n"
+        "        raise ConfigError([f\"cannot create a run folder",
+        "a --results where no run folder can be made exits 1"),
+    Mutant(
+        "cli-grid-parse-error-raised", CLI,
+        "    except ValueError as exc:\n"
+        "        raise ConfigError([f\"bad sweep grid: {exc}\"]) from exc\n",
+        "    except ZeroDivisionError as exc:\n"
+        "        raise ConfigError([f\"bad sweep grid: {exc}\"]) from exc\n",
+        "a sweep grid that does not parse exits 1 with an error: line"),
+    Mutant(
+        "cli-eval-mismatch-flag-ignored", CLI,
+        "        allow_fingerprint_mismatch=args.allow_fingerprint_mismatch)\n",
+        "        allow_fingerprint_mismatch=False)\n",
+        "eval --allow-fingerprint-mismatch loads a checkpoint trained under "
+        "another config"),
     Mutant(
         "cli-config-error-exit-2", CLI,
         "    except (ConfigError, CheckpointError) as exc:\n",

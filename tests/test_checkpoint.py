@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -95,7 +96,8 @@ class TestFailureModes:
     def test_corrupt_payload(self, tmp_path):
         path = saved(tmp_path, make_dqn_checkpoint())
         raw = path.read_bytes()
-        for payload in (raw[:-16], raw + bytes(8)):  # truncated, trailing bytes
+        # truncated, trailing bytes, a header nested past the recursion limit
+        for payload in (raw[:-16], raw + bytes(8), ckpt_io.MAGIC + b"[" * 100_000 + b"\n"):
             path.write_bytes(payload)
             with pytest.raises(CheckpointError):
                 ckpt_io.load(path)
@@ -113,6 +115,13 @@ class TestFailureModes:
         with pytest.raises(CheckpointError, match="'w1' holds non-finite"):
             ckpt_io.save(path, ckpt)
         assert not path.exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=str)
+    def test_non_finite_array_not_loaded(self, tmp_path, value):
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(corrupt(saved_bytes("dqn"), ("float", 0, value)))
+        with pytest.raises(CheckpointError, match="'w0' holds non-finite values"):
+            ckpt_io.load(path)
 
     def test_bad_magic(self, tmp_path):
         path = saved(tmp_path, make_dqn_checkpoint())
@@ -270,21 +279,39 @@ def test_manifest_other_than_saved_raises_checkpoint_error(tmp_path, kind, edit)
         ckpt_io.load(path)
 
 
-# Each edit leaves the arrays and manifest consistent and sets one field
-# out of range or at odds with the arrays.
+# Each edit leaves the array bytes as saved and makes one header field
+# missing, of the wrong type, out of range or at odds with the arrays.
 BAD_FIELDS = {
-    "adam_learning_rate_0": ("dqn", lambda h: h["adam"].update(learning_rate=0)),
-    "n_state_bins_disagree": ("tabular", lambda h: h.update(n_state_bins=4)),
+    "adam_learning_rate_0": ("dqn", lambda h: h["adam"].update(learning_rate=0),
+                             "'learning_rate' must be > 0"),
+    "adam_learning_rate_null": ("dqn", lambda h: h["adam"].update(learning_rate=None),
+                                "'learning_rate' must be a number"),
+    "adam_t_list": ("dqn", lambda h: h["adam"].update(t=[]), "'t' must be an integer"),
+    "no_adam": ("dqn", lambda h: h.pop("adam"), "KeyError('adam')"),
+    "train_step_x": ("dqn", lambda h: h.update(train_step="x"),
+                     "'train_step' must be an integer"),
+    "train_step_1.5": ("dqn", lambda h: h.update(train_step=1.5),
+                       "'train_step' must be an integer"),
+    "no_kind": ("dqn", lambda h: h.pop("kind"), "KeyError('kind')"),
+    "unknown_kind": ("dqn", lambda h: h.update(kind="bogus"),
+                     "unknown checkpoint kind 'bogus'"),
+    "dqn_read_as_tabular": ("dqn", lambda h: h.update(kind="tabular", n_state_bins=3),
+                            "KeyError('q_values')"),
+    "shape_of_floats": ("dqn", lambda h: h["arrays"][0].update(shape=[1e308, 1e308]),
+                        "cannot be interpreted as an integer"),
+    "n_state_bins_disagree": ("tabular", lambda h: h.update(n_state_bins=4),
+                              "disagrees with n_state_bins"),
     "q_values_4_columns": ("tabular", lambda h: h.update(
-        n_state_bins=6, arrays=[{"name": "q_values", "shape": [6, 4]}])),
+        n_state_bins=6, arrays=[{"name": "q_values", "shape": [6, 4]}]),
+        "disagrees with n_state_bins"),
 }
 
 
-@pytest.mark.parametrize("kind,edit", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
-def test_bad_header_field_raises_checkpoint_error(tmp_path, kind, edit):
+@pytest.mark.parametrize("kind,edit,fragment", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
+def test_bad_header_field_raises_checkpoint_error(tmp_path, kind, edit, fragment):
     path = tmp_path / "c.ckpt"
     path.write_bytes(with_header(saved_bytes(kind), edit))
-    with pytest.raises(CheckpointError, match="corrupt checkpoint"):
+    with pytest.raises(CheckpointError, match=re.escape(fragment)):
         ckpt_io.load(path)
 
 

@@ -5,12 +5,11 @@ import sys
 
 import pytest
 
-from rateadapt import checkpoint as ckpt_io, harness
+from rateadapt import harness
 from rateadapt.cli import _build_parser, cli_main
 from rateadapt.config import ALGORITHMS
 from rateadapt.errors import CheckpointError, ConfigError, RateAdaptError
-from tests.reference import (REJECTED, apply_overrides, row_id, subprocess_env, tiny_data,
-                             with_header)
+from tests.reference import apply_overrides, subprocess_env, tiny_data
 
 
 def write_tiny_config(path, sim=(), gym=(), **agent):
@@ -56,20 +55,6 @@ class TestTrain:
         resolved = (run / "config.resolved.json").read_text()
         assert validate_config(resolved).to_json() == resolved
 
-    def test_invalid_config_exit_1(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"agent": {"discount": 7}, "gym": {}, "sim": {}}')
-        assert cli_main(["train", "--config", str(bad)]) == 1
-
-    def test_missing_config_exit_1(self, tmp_path):
-        assert cli_main(["train", "--config", str(tmp_path / "nope.json")]) == 1
-
-    def test_non_trainable_algorithm_exit_1_without_run_folder(self, tmp_path,
-                                                               capsys):
-        cfg = write_tiny_config(tmp_path / "cfg.json", algorithm="constant")
-        assert_config_error(capsys, "train", cfg, tmp_path / "out")
-        assert not (tmp_path / "out").exists()
-
     def test_seed_and_episode_overrides(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json")
         assert cli("train", cfg, tmp_path / "out", "--episodes", 1, "--seed", 9) == 0
@@ -81,28 +66,6 @@ class TestTrain:
 
 
 class TestEval:
-    def test_dara_without_checkpoint_exit_1(self, tmp_path, capsys):
-        cfg = write_tiny_config(tmp_path / "cfg.json")
-        assert cli("eval", cfg, tmp_path / "out") == 1
-        assert "checkpoint" in capsys.readouterr().err
-
-    def test_fingerprint_mismatch_exit_1(self, tmp_path, capsys):
-        cfg = write_tiny_config(tmp_path / "cfg.json")
-        ckpt = trained_run(cfg, tmp_path / "train") / "policy_ep002.ckpt"
-        other = write_tiny_config(tmp_path / "other.json", hidden_layers=[4, 4])
-        assert cli("eval", other, tmp_path / "eval", "--checkpoint", ckpt) == 1
-        assert "fingerprint" in capsys.readouterr().err
-
-    def test_wrong_checkpoint_kind_exit_1_without_run_folder(self, tmp_path, capsys):
-        tabular = write_tiny_config(tmp_path / "tabular.json",
-                                    algorithm="dara_tabular", episodes=1)
-        ckpt = trained_run(tabular, tmp_path / "train") / "policy_ep001.ckpt"
-        dqn = write_tiny_config(tmp_path / "dqn.json")
-        with pytest.warns(UserWarning, match="fingerprint"):
-            assert_config_error(capsys, "eval", dqn, tmp_path / "eval", "--checkpoint", ckpt,
-                                "--allow-fingerprint-mismatch")
-        assert not (tmp_path / "eval").exists()
-
     def test_ideal_eval_without_checkpoint(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json", algorithm="ideal")
         assert cli("eval", cfg, tmp_path / "out") == 0
@@ -119,17 +82,6 @@ class TestEval:
         cfg = write_tiny_config(tmp_path / "cfg.json", sim, gym, algorithm="ideal")
         assert cli("eval", cfg, tmp_path / "out") == 0
         assert capsys.readouterr().err == ""
-
-    def test_ideal_with_checkpoint_exit_1_without_run_folder(self, tmp_path, capsys):
-        cfg = write_tiny_config(tmp_path / "cfg.json", episodes=1)
-        ckpt = trained_run(cfg, tmp_path / "train") / "policy_ep001.ckpt"
-        ideal = write_tiny_config(tmp_path / "ideal.json", algorithm="ideal")
-        with pytest.warns(UserWarning, match="fingerprint"):
-            code = cli("eval", ideal, tmp_path / "out", "--checkpoint", ckpt,
-                       "--allow-fingerprint-mismatch")
-        assert code == 1
-        assert "algorithm 'ideal' takes no checkpoint" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
 
     def test_run_folder_self_contained_reproduction(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json")
@@ -193,28 +145,6 @@ class TestSweepAndCcdf:
         (tmp_path / "empty").mkdir()
         assert cli_main(["ccdf", "--run-dir", str(tmp_path / "empty")]) == 2
 
-    def test_sweep_non_trainable_exit_1_without_run_folder(self, tmp_path, capsys):
-        cfg = write_tiny_config(tmp_path / "cfg.json", algorithm="constant",
-                                episodes=1)
-        assert_config_error(capsys, "sweep", cfg, tmp_path / "out",
-                            "--learning-rates", "0.01", "--architectures", "4")
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("learning_rates,architectures,violation", [
-        ("0", "4", "agent.learning_rate: must be > 0"),
-        ("0.01", "0", "agent.hidden_layers: must be a non-empty list"),
-        ("0,0.01", "4;0;0x4", "agent.learning_rate: must be > 0"),
-    ], ids=["learning_rate_0", "architecture_0", "mixed_grid"])
-    def test_sweep_bad_grid_value_exit_1_without_run_folder(
-            self, tmp_path, capsys, learning_rates, architectures, violation):
-        cfg = write_tiny_config(tmp_path / "cfg.json", episodes=1)
-        assert cli("sweep", cfg, tmp_path / "out", "--learning-rates", learning_rates,
-                   "--architectures", architectures, "--seeds", "1,2") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and violation in err
-        assert err.count(violation) == 1  # each distinct violation once
-        assert not (tmp_path / "out").exists()
-
     def test_sweep_seed_prefix_reads_as_seeds(self, tmp_path):
         cfg = write_tiny_config(tmp_path / "cfg.json", episodes=1)
         assert cli("sweep", cfg, tmp_path / "out", "--learning-rates", "0.01",
@@ -249,85 +179,65 @@ def test_one_entry_per_table_adds_an_algorithm(tmp_path, monkeypatch):
     assert outputs("dara_copy") == dara
 
 
-def assert_config_error(capsys, *args):
-    """Run cli(*args); assert exit 1 and an `error:` line, and return stderr."""
-    assert cli(*args) == 1
+@pytest.fixture(scope="module")
+def checkpoints(tmp_path_factory):
+    """The checkpoint of a one-episode dara and dara_tabular run, by the name
+    REFUSALS gives it."""
+    base = tmp_path_factory.mktemp("trained")
+    paths = {}
+    for kind, algorithm in (("dqn", "dara"), ("tabular", "dara_tabular")):
+        cfg = write_tiny_config(base / f"{kind}.json", algorithm=algorithm, episodes=1)
+        paths[f"<{kind}>"] = trained_run(cfg, base / kind) / "policy_ep001.ckpt"
+    return paths
+
+
+# One row per path in cli.py from an input to exit 1: _load_config's and
+# _new_run_dir's steps, which every command shares, once, then each
+# command's own check. Which values a check refuses is tested in the module
+# that makes it. A row's config is raw bytes or dotted overrides of
+# tiny_data(); `<dqn>`, `<tabular>` and `<file>` in its options name a
+# trained checkpoint and a plain file.
+REFUSALS = {
+    "config_not_utf8": ("train", b'{"agent": {"algorithm": "\xff"}, "gym": {}, "sim": {}}',
+                        (), "cannot read config"),
+    "config_refused": ("train", {"agent.discount": 7}, (), "agent.discount: must be <= 1"),
+    "override_refused": ("train", {}, ("--seed", -1), "agent.seed: must be >= 0"),
+    "over_work_budget": ("train", {"sim.duration_s": 1e9, "sim.log_period_s": 1e3}, (),
+                         "sim.duration_s too long"),
+    "results_not_a_directory": ("train", {}, ("--results", "<file>"),
+                                "cannot create a run folder under --results"),
+    "not_trainable": ("train", {"agent.algorithm": "constant"}, (),
+                      "algorithm 'constant' is not trainable"),
+    "checkpoint_of_another_kind": pytest.param(
+        "eval", {}, ("--checkpoint", "<tabular>", "--allow-fingerprint-mismatch"),
+        "algorithm 'dara' needs a dqn checkpoint",
+        marks=pytest.mark.filterwarnings("ignore:.*fingerprint:UserWarning")),
+    "checkpoint_refused": ("eval", {"agent.hidden_layers": [4, 4]}, ("--checkpoint", "<dqn>"),
+                           "does not match the current config"),
+    "grid_unparseable": ("sweep", {}, ("--learning-rates", "fast"), "bad sweep grid"),
+    "grid_refused": ("sweep", {}, ("--learning-rates", "0", "--architectures", "4"),
+                     "agent.learning_rate: must be > 0"),
+}
+
+
+@pytest.mark.parametrize("command,config,options,fragment", REFUSALS.values(),
+                         ids=REFUSALS.keys())
+def test_refusal_exits_1_with_one_error_line_and_no_run_folder(
+        tmp_path, capsys, checkpoints, command, config, options, fragment):
+    path = tmp_path / "cfg.json"
+    if isinstance(config, bytes):
+        path.write_bytes(config)
+    else:
+        path.write_text(json.dumps(apply_overrides(tiny_data(), config)), encoding="utf-8")
+    (tmp_path / "file").write_text("not a directory", encoding="utf-8")
+    named = {**checkpoints, "<file>": tmp_path / "file"}
+    assert cli(command, path, tmp_path / "out", *(named.get(o, o) for o in options)) == 1
     err = capsys.readouterr().err
-    assert "error:" in err
-    return err
+    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "file"]
 
 
 class TestInputHoles:
-    @pytest.mark.parametrize("section,key,value", [
-        ("sim", "duration_s", float("nan")),
-        ("sim", "duration_s", float("inf")),
-        ("sim", "speed_mps", float("nan")),
-        ("agent", "learning_rate", float("nan")),
-        ("agent", "discount", float("nan")),
-        ("gym", "snr_hi_db", float("nan")),
-        ("sim", "per_midpoints_db", [float("nan")] * 8),
-    ])
-    def test_non_finite_config_value_exit_1(self, tmp_path, capsys,
-                                            section, key, value):
-        path = write_tiny_config(tmp_path / "cfg.json")
-        data = json.loads(path.read_text())
-        data[section][key] = value
-        path.write_text(json.dumps(data))  # writes NaN / Infinity literals
-        assert_config_error(capsys, "train", path, tmp_path / "out")
-
-    @pytest.mark.parametrize("overrides", REJECTED, ids=row_id)
-    def test_config_layer_rejection_exit_1(self, tmp_path, capsys, overrides):
-        path = write_tiny_config(tmp_path / "cfg.json")
-        data = apply_overrides(json.loads(path.read_text()), overrides)
-        path.write_text(json.dumps(data))
-        err = assert_config_error(capsys, "train", path, tmp_path / "out")
-        # the schema's message names the row's key, so a refusal that only a
-        # later layer makes (such as trained_kind's of an unknown name) fails
-        assert next(iter(overrides)) in err.replace(":", " ").split()
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("command,algorithm,seed", [
-        ("train", "dara", "-1"),
-        ("eval", "constant", "-5"),
-    ])
-    def test_negative_seed_exit_1(self, tmp_path, capsys, command, algorithm, seed):
-        path = write_tiny_config(tmp_path / "cfg.json", algorithm=algorithm)
-        assert_config_error(capsys, command, path, tmp_path / "out", "--seed", seed)
-
-    @pytest.mark.parametrize("command,algorithm", [("train", "dara"),
-                                                   ("eval", "constant")])
-    def test_seed_beyond_float_range_exit_1(self, tmp_path, capsys, command,
-                                            algorithm):
-        path = write_tiny_config(tmp_path / "cfg.json", algorithm=algorithm)
-        assert_config_error(capsys, command, path, tmp_path / "out", "--seed", 10**400)
-
-    def test_tabular_learning_rate_above_one_exit_1(self, tmp_path, capsys):
-        path = write_tiny_config(tmp_path / "cfg.json", algorithm="dara_tabular",
-                                 learning_rate=2)
-        assert_config_error(capsys, "train", path, tmp_path / "out")
-
-    @pytest.mark.parametrize("edit", [
-        lambda h: h.pop("kind"),
-        lambda h: h.update(layer_sizes=[1, 4, 8]),
-        lambda h: h.update(layer_sizes=[]),
-        lambda h: h.update(kind="tabular", n_state_bins=3),
-        lambda h: h.update(kind="bogus"),
-        lambda h: h.update(train_step="x"),
-        lambda h: h.update(train_step=1.5),
-        lambda h: h["adam"].update(t=[]),
-        lambda h: h["adam"].update(learning_rate=None),
-        lambda h: h.pop("adam"),
-        lambda h: h["arrays"][0].update(shape=[1e308, 1e308]),
-    ], ids=["no_kind", "shape_mismatch", "no_layers", "tabular_shape", "bad_kind",
-            "train_step_x", "train_step_1.5", "adam_t_list", "adam_learning_rate_null",
-            "no_adam", "shape_inf"])
-    def test_malformed_checkpoint_header_exit_1(self, tmp_path, capsys, edit):
-        path = write_tiny_config(tmp_path / "cfg.json", episodes=1)
-        ckpt = trained_run(path, tmp_path / "train") / "policy_ep001.ckpt"
-        ckpt.write_bytes(with_header(ckpt.read_bytes(), edit))
-        assert_config_error(capsys, "eval", path, tmp_path / "eval", "--checkpoint", ckpt)
-        assert not (tmp_path / "eval").exists()
-
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_diverged_episode_ends_training_before_its_output(self, tmp_path,
@@ -361,41 +271,6 @@ class TestInputHoles:
         assert diverged["final_cum_reward"] == ""
         assert fine["error"] == "" and fine["final_cum_reward"] != ""
 
-    @pytest.mark.parametrize("command,algorithm", [
-        ("train", "dara"), ("eval", "constant"), ("sweep", "dara")])
-    def test_episode_over_the_work_budget_exit_1(self, tmp_path, capsys,
-                                                 command, algorithm):
-        # 1e9 s of MCS 7's 14 ms windows is about 7e10 windows, and the log
-        # bound holds; without the budget the run grows its per-window lists
-        # until memory runs out.
-        path = write_tiny_config(tmp_path / "cfg.json",
-                                 {"duration_s": 1e9, "log_period_s": 1e3},
-                                 algorithm=algorithm, constant_mcs=7)
-        assert_config_error(capsys, command, path, tmp_path / "out")
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("content", [
-        b'{"agent": {"algorithm": "\xff"}, "gym": {}, "sim": {}}',
-        b"[" * 100_000,
-        # beyond Python's 4,300-digit int-to-str limit, so json.loads fails
-        b'{"agent": {"seed": 1' + b"0" * 5000 + b'}, "gym": {}, "sim": {}}',
-    ], ids=["non_utf8", "deeply_nested", "5001_digit_integer"])
-    def test_unparseable_config_exit_1(self, tmp_path, capsys, content):
-        path = tmp_path / "cfg.json"
-        path.write_bytes(content)
-        assert_config_error(capsys, "train", path, tmp_path / "out")
-
-    @pytest.mark.parametrize("results", ["taken", "taken/sub"],
-                             ids=["a_file", "under_a_file"])
-    def test_results_not_a_directory_exit_1(self, tmp_path, capsys, results):
-        path = write_tiny_config(tmp_path / "cfg.json")
-        (tmp_path / "taken").write_text("not a directory", encoding="utf-8")
-        assert_config_error(capsys, "train", path, tmp_path / results)
-
-    def test_checkpoint_is_a_directory_exit_1(self, tmp_path, capsys):
-        path = write_tiny_config(tmp_path / "cfg.json")
-        assert_config_error(capsys, "eval", path, tmp_path / "eval", "--checkpoint", tmp_path)
-
     @pytest.mark.parametrize("name", ["throughput_001.csv", "ccdf.csv"])
     def test_ccdf_log_is_a_directory_exit_2(self, tmp_path, capsys, name):
         run = tmp_path / "run"
@@ -405,13 +280,6 @@ class TestInputHoles:
                 "throughput_mbps\n1.0\n", encoding="utf-8")
         assert cli_main(["ccdf", "--run-dir", str(run)]) == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_deeply_nested_checkpoint_header_exit_1(self, tmp_path, capsys):
-        path = write_tiny_config(tmp_path / "cfg.json")
-        ckpt = tmp_path / "nested.ckpt"
-        ckpt.write_bytes(ckpt_io.MAGIC + b"[" * 100_000 + b"\n")
-        assert_config_error(capsys, "eval", path, tmp_path / "eval", "--checkpoint", ckpt)
-
 
 class TestUsage:
     @pytest.mark.parametrize("error,code", [

@@ -119,7 +119,11 @@ class TestValidation:
         assert np.all(np.diff(airtime) < 0)
 
     def test_parse_error(self):
-        assert any("parse" in v.lower() for v in violations("{not json"))
+        # Nesting past the recursion limit, and an integer literal past Python's
+        # 4,300-digit int-to-str limit, are parse errors too.
+        for raw in ("{not json", "[" * 100_000,
+                    '{"agent": {"seed": 1' + "0" * 5000 + '}, "gym": {}, "sim": {}}'):
+            assert any("parse" in v.lower() for v in violations(raw))
 
     def test_idempotent(self):
         cfg = validate_config(reference_config_text())
