@@ -9,7 +9,7 @@ from rateadapt import harness
 from rateadapt.cli import _build_parser, cli_main
 from rateadapt.config import ALGORITHMS
 from rateadapt.errors import CheckpointError, ConfigError, RateAdaptError
-from tests.reference import apply_overrides, subprocess_env, tiny_data
+from tests.reference import REJECTED, apply_overrides, row_id, subprocess_env, tiny_data
 
 
 def write_tiny_config(path, sim=(), gym=(), **agent):
@@ -194,13 +194,13 @@ def checkpoints(tmp_path_factory):
 # One row per path in cli.py from an input to exit 1: _load_config's and
 # _new_run_dir's steps, which every command shares, once, then each
 # command's own check. Which values a check refuses is tested in the module
-# that makes it. A row's config is raw bytes or dotted overrides of
+# that makes it; _load_config's validate_config refusal is
+# TestInputHoles::test_config_layer_rejection_exit_1. A row's config is raw bytes or dotted overrides of
 # tiny_data(); `<dqn>`, `<tabular>` and `<file>` in its options name a
 # trained checkpoint and a plain file.
 REFUSALS = {
     "config_not_utf8": ("train", b'{"agent": {"algorithm": "\xff"}, "gym": {}, "sim": {}}',
                         (), "cannot read config"),
-    "config_refused": ("train", {"agent.discount": 7}, (), "agent.discount: must be <= 1"),
     "override_refused": ("train", {}, ("--seed", -1), "agent.seed: must be >= 0"),
     "over_work_budget": ("train", {"sim.duration_s": 1e9, "sim.log_period_s": 1e3}, (),
                          "sim.duration_s too long"),
@@ -238,6 +238,18 @@ def test_refusal_exits_1_with_one_error_line_and_no_run_folder(
 
 
 class TestInputHoles:
+    @pytest.mark.parametrize("overrides", REJECTED, ids=row_id)
+    def test_config_layer_rejection_exit_1(self, tmp_path, capsys, overrides):
+        path = write_tiny_config(tmp_path / "cfg.json")
+        path.write_text(json.dumps(apply_overrides(json.loads(path.read_text()), overrides)))
+        assert cli("train", path, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        # the schema's message names the row's key, so a refusal that only a
+        # later layer makes (such as trained_kind's of an unknown name) fails
+        assert next(iter(overrides)) in err.replace(":", " ").split()
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_diverged_episode_ends_training_before_its_output(self, tmp_path,

@@ -3,7 +3,7 @@ import pytest
 
 from rateadapt.nn import (AdamState, MlpParams, _forward, adam_step, init_mlp,
                           mlp_backward, mlp_forward)
-from tests.reference import (backward, grad_buffer, random_net,
+from tests.reference import (backward, grad_buffer, gradient_error, random_net,
                              reference_adam, reference_backward, reference_forward)
 
 
@@ -73,6 +73,11 @@ class TestBackward:
         mask[5] = False
         assert np.all(grads.weights[-1][:, mask] == 0)
         assert np.all(grads.biases[-1][mask] == 0)
+
+    def test_finite_difference_oracle_default_architecture(self):
+        rng = np.random.default_rng(999)
+        params = random_net([16, 16, 16], rng)
+        assert gradient_error(params, 0.37, 4, 0.8) < 1e-4
 
 
 class TestAdam:

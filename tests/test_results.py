@@ -36,6 +36,15 @@ class TestCcdf:
             assert all(b <= a for a, b in zip(probs, probs[1:]))
             assert all(0.0 <= p <= 1.0 for p in probs)
 
+    def test_permutation_invariance(self):
+        rng = np.random.default_rng(1)
+        base = list(rng.uniform(0, 20, size=40))
+        reference = ccdf(base)
+        for _ in range(100):
+            shuffled = list(base)
+            rng.shuffle(shuffled)
+            assert ccdf(shuffled) == reference
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ccdf([])

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from rateadapt.agents import ThresholdTable
 from rateadapt.env import StepResult
 from rateadapt.tabular import QTable, greedy_steps, q_update_tabular
-from tests.reference import MDP_GAMMA, MDP_NEXT, MDP_REWARDS, value_iteration
+from tests.reference import MDP_GAMMA, MDP_NEXT, MDP_REWARDS, run_tabular_convergence, value_iteration
 
 
 class TestQUpdate:
@@ -103,3 +103,8 @@ class TestConvergenceOracle:
         assert q_star[1, 1] == pytest.approx(4.0, abs=1e-9)
         assert q_star[0, 1] == pytest.approx(0.0 + 0.5 * 4.0, abs=1e-9)
         assert q_star[0, 0] == pytest.approx(1.0 + 0.5 * q_star[0].max(), abs=1e-6)
+
+    def test_repeated_updates_converge_to_q_star(self):
+        updates, err = run_tabular_convergence()
+        assert err < 1e-3
+        assert updates <= 10_000
